@@ -1,7 +1,7 @@
 """Bench the analytic evaluation tier against the sim tier.
 
 The planner's first pass replaces ``assert_clean`` + event replay with
-the certified closed-form evaluator (see ``docs/evaluation.md``).  Three
+the certified closed-form evaluator (see ``docs/evaluation.md``).  Two
 claims are benchmarked, each with a conservative asserted floor and the
 measured ratio printed for the record:
 
@@ -10,9 +10,11 @@ measured ratio printed for the record:
   (measured ~5-8x; asserted >= 3x);
 * the build-free first pass dispatches a certified-dominated candidate
   cheaper than the sim-only pipeline would evaluate it (measured ~4x on
-  the candidates the 13B sweep actually prunes; asserted >= 2x);
-* a tiered end-to-end sweep returns the identical best configuration
-  and Pareto frontier as a sim-only sweep.
+  the candidates the 13B sweep actually prunes; asserted >= 2x).
+
+That the default sweep returns the identical best configuration and
+Pareto frontier as a sim-only sweep is tier-1's job
+(``tests/test_evaluate.py::test_grid_search_matches_sim_search``).
 
 Schedule *generation* is excluded from the per-cell timed regions: both
 tiers share the same built schedule (the planner memoizes builds), so
@@ -33,7 +35,7 @@ from repro.planner.evaluate import (
     config_bounds,
     evaluate_config,
 )
-from repro.planner.search import pareto_frontier, search_method
+from repro.planner.search import search_method
 from repro.schedules.methods import build_problem, build_schedule
 from repro.schedules.verify import assert_clean
 from repro.sim.cost import ClusterCost
@@ -46,7 +48,7 @@ CELLS = [
     (8, 8, 16, 32),
 ]
 
-#: A candidate the GBS-128 tiered sweep certifies as dominated without
+#: A candidate the GBS-128 sweep certifies as dominated without
 #: ever building its schedule (see test_bench_first_pass_prune_speedup).
 PRUNED = ParallelConfig(dp=16, pp=4, spp=8)
 
@@ -131,7 +133,7 @@ def test_bench_evaluation_stage_speedup(once):
 def test_bench_first_pass_prune_speedup(once):
     """Dispatching a dominated candidate: certified bounds vs sim-only.
 
-    The tiered sweep's first pass decides a candidate's fate from
+    The sweep's analytic first pass decides a candidate's fate from
     build-free bounds; the sim-only pipeline must build, verify, and
     replay the schedule to reach the same verdict.  The candidate here
     is one the GBS-128 sweep *actually* prunes (asserted below), so the
@@ -140,9 +142,7 @@ def test_bench_first_pass_prune_speedup(once):
     """
 
     def measure():
-        sweep = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="tiered"
-        )
+        sweep = search_method("mepipe", LLAMA_13B, RTX4090_CLUSTER, 128)
         t0 = time.perf_counter()
         bounds = config_bounds(
             "mepipe", LLAMA_13B, RTX4090_CLUSTER, PRUNED, 128
@@ -167,35 +167,3 @@ def test_bench_first_pass_prune_speedup(once):
     print(f"\nfirst pass: bounds {t_first * 1e3:.2f} ms, "
           f"sim-only {t_sim * 1e3:.2f} ms, {speedup:.1f}x")
     assert speedup >= 2.0, f"first pass only {speedup:.1f}x cheaper"
-
-
-def test_bench_sweep_tiered_vs_sim(once):
-    """End-to-end: tiered and sim-only sweeps, identical frontier.
-
-    Generation dominates the sweep (both pipelines build every
-    surviving schedule once — the planner memoizes builds) and the
-    Pareto frontier must be sim-confirmed either way, so the end-to-end
-    gap is modest; the stage benchmarks above isolate the tier ratio.
-    What this guards is the equivalence: same best, same Pareto
-    frontier, from a sweep that pruned dominated cells without ever
-    scheduling them.
-    """
-
-    def sweeps():
-        tiered = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="tiered"
-        )
-        sim = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="sim"
-        )
-        return tiered, sim
-
-    tiered, sim = once(sweeps)
-    assert tiered.best == sim.best
-
-    def key(r):
-        return (r.config, r.iteration_time_s, r.peak_memory_bytes)
-
-    assert [key(r) for r in pareto_frontier(tiered.evaluated)] == [
-        key(r) for r in pareto_frontier(sim.evaluated)
-    ]

@@ -6,13 +6,10 @@ Run `nox -s lint` / `nox -s tests`, or the same commands directly:
     ruff format --check src tests
     mypy src/repro/schedules src/repro/nn
     mypy --strict src/repro/analysis
-    mypy --strict src/repro/analysis/evaluate
-    mypy --strict src/repro/analysis/capacity
+    mypy --strict src/repro/analysis/evaluate src/repro/analysis/capacity src/repro/pipeline src/repro/planner/pool.py
     mypy --strict src/repro/obs
-    mypy --strict src/repro/pipeline
     mypy --strict src/repro/api src/repro/service
     mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
-    mypy --strict src/repro/analysis/evaluate/batch.py src/repro/planner/pool.py
     PYTHONPATH=src python -m pytest -x -q
     python -m repro check-model grid
 """
@@ -20,8 +17,8 @@ Run `nox -s lint` / `nox -s tests`, or the same commands directly:
 import nox
 
 nox.options.sessions = [
-    "lint", "analysis", "evaluate", "batch", "capacity", "generate", "obs",
-    "pipeline", "service", "tests",
+    "lint", "analysis", "replay", "generate", "obs", "pipeline", "service",
+    "tests",
 ]
 
 #: Tool configuration lives in pyproject.toml ([tool.ruff], [tool.mypy]).
@@ -52,67 +49,38 @@ def analysis(session: nox.Session) -> None:
 
 
 @nox.session
-def evaluate(session: nox.Session) -> None:
-    """The analytic-evaluator gate: strict typing plus its proof suite.
+def replay(session: nox.Session) -> None:
+    """The replay gate: one recurrence, every implementation of it.
 
-    The evaluator's claim is bit-for-bit agreement with the event
-    simulator; the gate runs the engine golden tests (all three sim
-    engines), the evaluator's exactness/bounds/tiering suite, and the
-    seeded EV-rule mutation tests.
+    The scalar plan-order kernel, its stacked twin, the heap oracle and
+    the fixed-point reference must agree bit for bit, unbounded and
+    under finite channel capacities (where kernel and oracle each append
+    the slot-reuse edges to their own arrays).  The gate runs the engine
+    golden tests, the analytic evaluator's exactness/bounds/first-pass
+    suite, the batched bit-identity grid, the capacity soundness grid,
+    the seeded EV-rule, cost-row/class-key and CP-rule/slot-edge
+    mutation suites, and the worker-pool lifecycle suite — under strict
+    typing for the evaluator, the capacity pass, the pipeline modules it
+    gates, and the pool.
     """
     session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/analysis/evaluate")
+    session.run(
+        "mypy", "--strict",
+        "src/repro/analysis/evaluate",
+        "src/repro/analysis/capacity",
+        "src/repro/pipeline",
+        "src/repro/planner/pool.py",
+    )
     session.run(
         "python", "-m", "pytest", "-x", "-q",
         "tests/test_engine_golden.py",
         "tests/test_evaluate.py",
         "tests/test_evaluate_mutations.py",
-    )
-
-
-@nox.session
-def batch(session: nox.Session) -> None:
-    """The batched-sweep gate: strict typing plus its proof suite.
-
-    The batched analytic tier's claim is bit-for-bit agreement with the
-    scalar evaluator over every topology class (one stacked max-plus
-    pass per class); the gate runs the golden bit-identity grid, the
-    seeded cost-row/class-key mutation tests, and the persistent
-    worker-pool lifecycle suite, under strict typing for the batch
-    evaluator and the pool.
-    """
-    session.install("-e", ".[test,lint]")
-    session.run(
-        "mypy", "--strict",
-        "src/repro/analysis/evaluate/batch.py",
-        "src/repro/planner/pool.py",
-    )
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
         "tests/test_evaluate_batch.py",
         "tests/test_batch_mutations.py",
-        "tests/test_planner_pool.py",
-    )
-
-
-@nox.session
-def capacity(session: nox.Session) -> None:
-    """The capacity-analyzer gate: strict typing plus its proof suite.
-
-    The analyzer's claims are soundness (bounded sim at the inferred
-    deadlock-free capacities completes, or a CP001 witness names the
-    saturated channel) and exactness (bounded analytic replay ==
-    bounded event sim, bit for bit); the gate runs the grid soundness
-    suite, the seeded CP-rule mutation tests, and strict typing over
-    the pass plus the pipeline modules it gates.
-    """
-    session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/analysis/capacity",
-                "src/repro/pipeline")
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
         "tests/test_capacity.py",
         "tests/test_capacity_mutations.py",
+        "tests/test_planner_pool.py",
     )
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -56,12 +56,13 @@ import numpy as np
 from repro.analysis.capacity.rules import CAPACITY_RULES
 from repro.analysis.evaluate.dense import (
     DenseTimes,
+    FloatArray,
     IntArray,
-    _graph_plan,
     dense_schedule_times,
+    wavefront_times,
 )
 from repro.schedules.base import OpId, Schedule, ScheduleError
-from repro.schedules.graph import ScheduleGraph, compiled_graph
+from repro.schedules.graph import ScheduleGraph, compiled_graph, toposort_plan
 from repro.schedules.verify.deps import _edge_label, _minimal_cycle
 from repro.schedules.verify.diagnostics import Finding, Report
 from repro.sim.cost import CostModel
@@ -163,7 +164,7 @@ def _graph_tables(graph: ScheduleGraph) -> _GraphTables:
     srcs = srcs[order]
     dsts = dsts[order]
     rank = np.empty(num_ops, dtype=np.int64)
-    rank[np.asarray(_graph_plan(graph).order, dtype=np.int64)] = np.arange(
+    rank[np.asarray(toposort_plan(graph).order, dtype=np.int64)] = np.arange(
         num_ops, dtype=np.int64
     )
     arrays: dict[ChannelId, tuple[IntArray, IntArray]] = {}
@@ -600,21 +601,14 @@ def bounded_dense_times(
                 clean = False
                 break
     if clean:
-        return DenseTimes(
-            start=times.start,
-            end=times.end,
-            duration=times.duration,
-            act_units=times.act_units,
-            comm=times.comm,
-            levels=times.levels,
-        )
+        return times
     edges = _slot_edges(tables.channels, caps)
     # The cached unbounded plan is usually already a topological order
     # of the augmented graph (slot edges point forward in it); only
     # when some edge disagrees is a fresh Kahn pass needed.
     rank = tables.rank
     if all(int(rank[tail]) < int(rank[head]) for tail, head, _key in edges):
-        order = [int(i) for i in np.argsort(rank)]
+        order = toposort_plan(graph).order
     else:
         order, residual = _bounded_order(graph, edges)
         if residual:
@@ -623,36 +617,40 @@ def bounded_dense_times(
                 f"bounded-channel deadlock; blocked ops: {stuck} "
                 f"(run `repro capacity` for a minimal-cycle witness)"
             )
-    num_ops = graph.num_ops
-    pred_indptr, pred = graph.pred_indptr, graph.pred
-    pos = graph.pos
-    slot_pred: dict[int, list[int]] = {}
-    for tail, head, _key in edges:
-        slot_pred.setdefault(head, []).append(tail)
-    dur = times.duration.tolist()
-    cm = times.comm.tolist()
-    start = [0.0] * num_ops
-    end = [0.0] * num_ops
-    for i in order:
-        t = end[i - 1] if pos[i] > 0 else 0.0
-        for e in range(pred_indptr[i], pred_indptr[i + 1]):
-            arrival = end[pred[e]] + cm[e]
-            if arrival > t:
-                t = arrival
-        for j in slot_pred.get(i, ()):
-            freed = end[j]
-            if freed > t:
-                t = freed
-        start[i] = t
-        end[i] = t + dur[i]
-    return DenseTimes(
+    pred_indptr, pred, comm = _slot_augmented_preds(graph, times.comm, edges)
+    start, end = wavefront_times(
+        graph.pos, pred_indptr, pred, comm, times.duration.tolist(), order
+    )
+    return replace(
+        times,
         start=np.asarray(start, dtype=np.float64),
         end=np.asarray(end, dtype=np.float64),
-        duration=times.duration,
-        act_units=times.act_units,
-        comm=times.comm,
-        levels=times.levels,
     )
+
+
+def _slot_augmented_preds(
+    graph: ScheduleGraph,
+    comm: FloatArray,
+    edges: list[tuple[int, int, ChannelId]],
+) -> tuple[list[int], list[int], list[float]]:
+    """The graph's predecessor CSR with slot-reuse edges appended.
+
+    Each ``tail -> head`` slot edge becomes one more predecessor of
+    ``head`` with ``comm = 0.0``: reclaiming a slot costs no transfer
+    time, ``x + 0.0 == x`` for every finite ``x >= 0``, and IEEE
+    ``max`` is order-independent, so the kernel needs no slot-specific
+    term to produce the bounded recurrence's exact floats.
+    """
+    indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
+    tails = np.fromiter((e[0] for e in edges), np.int64, count=len(edges))
+    heads = np.fromiter((e[1] for e in edges), np.int64, count=len(edges))
+    # Each slot edge lands at the end of its head's predecessor run;
+    # every later run shifts right by the slot edges inserted before it.
+    at = indptr[heads + 1]
+    shift = np.cumsum(np.bincount(heads, minlength=graph.num_ops))
+    indptr[1:] += shift
+    pred = np.insert(np.asarray(graph.pred, dtype=np.int64), at, tails)
+    return indptr.tolist(), pred.tolist(), np.insert(comm, at, 0.0).tolist()
 
 
 # ----------------------------------------------------------------------

@@ -62,14 +62,19 @@ from repro.analysis.evaluate.dense import (
     DenseTimes,
     FloatArray,
     IntArray,
-    _graph_plan,
     op_cost_arrays,
 )
 from repro.obs.events import NULL_SINK, EventSink
 from repro.schedules import gencache
 from repro.schedules.base import Schedule
-from repro.schedules.graph import KIND_B, KIND_F, ScheduleGraph, compiled_graph
-from repro.sim.cost import CostModel
+from repro.schedules.graph import (
+    KIND_B,
+    KIND_F,
+    ScheduleGraph,
+    compiled_graph,
+    toposort_plan,
+)
+from repro.sim.cost import CostModel, stamp_byte_sizes
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class _BatchTables:
 
 
 def _build_tables(graph: ScheduleGraph) -> _BatchTables:
-    plan = _graph_plan(graph)
+    plan = toposort_plan(graph)
     num_ops = graph.num_ops
     pos = np.asarray(graph.pos, dtype=np.int64)
     pred_indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
@@ -377,16 +382,7 @@ def evaluate_schedule_batch(
             certificate=certificate,
             times=times[j],
         )
-        act_bytes = getattr(costs[j], "activation_bytes_per_unit", None)
-        if callable(act_bytes):
-            object.__setattr__(
-                result, "activation_bytes_per_unit", float(act_bytes())
-            )
-        msg_bytes = getattr(costs[j], "boundary_message_bytes", None)
-        if callable(msg_bytes):
-            object.__setattr__(
-                result, "comm_bytes_per_message", float(msg_bytes())
-            )
+        stamp_byte_sizes(result, costs[j])
         results.append(result)
 
     if sink.enabled:
@@ -399,13 +395,8 @@ def evaluate_schedule_batch(
             args={
                 "ops": rep.num_ops,
                 "batch": k,
-                "levels": tables_levels(times),
+                "levels": times[0].levels,
             },
         )
         sink.counter("batch_size", float(k), ts=wall_end)
     return results
-
-
-def tables_levels(times: Sequence[DenseTimes]) -> int:
-    """Dependency height of the batch (shared by every member)."""
-    return times[0].levels if times else 0

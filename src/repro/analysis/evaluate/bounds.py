@@ -4,7 +4,7 @@ Where :mod:`repro.analysis.evaluate.core` needs a generated schedule
 (and is exact), this module bounds what *any* compilable schedule of a
 :class:`~repro.schedules.base.PipelineProblem` can achieve, straight
 from the per-(slice, chunk) cost tables — no ``build_schedule``, no
-graph.  The planner's tiered first pass uses these to prune dominated
+graph.  The planner's analytic first pass uses these to prune dominated
 configurations before paying for schedule generation.
 
 Soundness arguments (each a dependency-graph fact, independent of the

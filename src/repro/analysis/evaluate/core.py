@@ -44,7 +44,7 @@ from repro.schedules.graph import (
     ScheduleGraph,
     compiled_graph,
 )
-from repro.sim.cost import CostModel
+from repro.sim.cost import CostModel, stamp_byte_sizes
 
 #: Basis text of every ``"exact"`` certificate — shared verbatim by the
 #: scalar and batched evaluators so their results compare equal.
@@ -400,17 +400,7 @@ def evaluate_schedule(
         certificate=certificate,
         times=times,
     )
-
-    act_bytes = getattr(cost, "activation_bytes_per_unit", None)
-    if callable(act_bytes):
-        object.__setattr__(
-            result, "activation_bytes_per_unit", float(act_bytes())
-        )
-    msg_bytes = getattr(cost, "boundary_message_bytes", None)
-    if callable(msg_bytes):
-        object.__setattr__(
-            result, "comm_bytes_per_message", float(msg_bytes())
-        )
+    stamp_byte_sizes(result, cost)
 
     if sink.enabled:
         wall_end = time.perf_counter()

@@ -31,13 +31,13 @@ the event-driven replay without touching a single float:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.schedules.base import OpId, OpKind
-from repro.schedules.graph import KIND_F, KIND_W, ScheduleGraph, TopoPlan, toposort_plan
+from repro.schedules.graph import ScheduleGraph, toposort_plan
 from repro.sim.cost import CostModel, op_cost_fns
 
 FloatArray = npt.NDArray[np.float64]
@@ -75,10 +75,10 @@ def op_cost_arrays(
     engine's :func:`op_cost_fns` memo collapses to, so two ops sharing
     a key receive the identical float either way and the tables are
     bit-for-bit the simulator's.  The few representative ``OpId``\\ s
-    those probes need are decoded from the graph's dense tables, so
-    ``graph.ops`` (the full 10k+ tuple) is never materialized on this
-    path.  Non-invariant models fall back to one probe per op and per
-    edge over the full op tuple.
+    those probes need come from ``graph.op_at`` (decoded from the dense
+    tables), so ``graph.ops`` (the full 10k+ tuple) is never
+    materialized on this path.  Non-invariant models fall back to one
+    probe per op and per edge over the full op tuple.
     """
     num_ops = graph.num_ops
     if not getattr(cost, "microbatch_invariant", False):
@@ -117,22 +117,7 @@ def op_cost_arrays(
     rep = np.empty(uniq.shape[0], dtype=np.int64)
     rep[inverse] = np.arange(num_ops, dtype=np.int64)
 
-    def op_at(i: int) -> OpId:
-        # Decode the true OpId of dense index ``i`` from the graph's
-        # tables (cell = (mb*s + sl)*chunks + c); field-for-field equal
-        # to ``graph.ops[i]`` without materializing the full tuple.
-        kc, ce = graph.kind[i], graph.cell[i]
-        op_kind = (
-            OpKind.F if kc == KIND_F else OpKind.W if kc == KIND_W else OpKind.B
-        )
-        return OpId(
-            op_kind,
-            ce // (chunks * s),
-            (ce // chunks) % s,
-            ce % chunks,
-            graph.gemm[i],
-        )
-
+    op_at = graph.op_at
     dur_table = np.fromiter(
         (cost.duration(op_at(i)) for i in rep),
         dtype=np.float64,
@@ -166,68 +151,26 @@ def op_cost_arrays(
     return duration, act_units, comm_table[einverse]
 
 
-#: The evaluation plan *is* the graph's shared topological plan: one
-#: Kahn pass per topology class serves the verifier's deadlock verdict,
-#: this module's replay order, and the batched evaluator's wavefront
-#: boundaries (see :class:`repro.schedules.graph.TopoPlan`).
-_EvalPlan = TopoPlan
-
-
-def _graph_plan(graph: ScheduleGraph) -> TopoPlan:
-    """The graph's cached evaluation plan (built on first use)."""
-    return toposort_plan(graph)
-
-
 def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
-    """Evaluate the replay recurrence over ``graph`` under ``cost``."""
-    duration, act_units, comm = op_cost_arrays(graph, cost)
-    return wavefront_times(graph, duration, act_units, comm)
-
-
-def wavefront_times(
-    graph: ScheduleGraph,
-    duration: FloatArray,
-    act_units: FloatArray,
-    comm: FloatArray,
-) -> DenseTimes:
-    """Max-plus replay in the graph's cached topological plan order.
+    """Evaluate the replay recurrence over ``graph`` under ``cost``.
 
     Raises :class:`ScheduleError` if the graph plus program-order edges
     contains a cycle — the same deadlock the simulator's engines
     detect.
     """
-    num_ops = graph.num_ops
-    if num_ops == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return DenseTimes(
-            start=empty,
-            end=empty.copy(),
-            duration=duration,
-            act_units=act_units,
-            comm=comm,
-            levels=0,
-        )
-    plan = _graph_plan(graph)
-    pred_indptr, pred = graph.pred_indptr, graph.pred
-    pos = graph.pos
-    # Scalar replay over flat lists: the recurrence is a dependency
-    # chain (max alternating with add), so per-op latency — not
-    # vectorizable width — is what matters; plain-list indexing beats
-    # per-wavefront NumPy dispatch on the narrow fronts these pipeline
-    # graphs produce.  Floats are bit-identical either way (module
-    # docstring).
-    dur = duration.tolist()
-    cm = comm.tolist()
-    start = [0.0] * num_ops
-    end = [0.0] * num_ops
-    for i in plan.order:
-        t = end[i - 1] if pos[i] > 0 else 0.0
-        for e in range(pred_indptr[i], pred_indptr[i + 1]):
-            arrival = end[pred[e]] + cm[e]
-            if arrival > t:
-                t = arrival
-        start[i] = t
-        end[i] = t + dur[i]
+    duration, act_units, comm = op_cost_arrays(graph, cost)
+    # The graph's shared topological plan: one Kahn pass per topology
+    # class serves the verifier's deadlock verdict, this replay order,
+    # and the batched evaluator's wavefront boundaries.
+    plan = toposort_plan(graph)
+    start, end = wavefront_times(
+        graph.pos,
+        graph.pred_indptr,
+        graph.pred,
+        comm.tolist(),
+        duration.tolist(),
+        plan.order,
+    )
     return DenseTimes(
         start=np.asarray(start, dtype=np.float64),
         end=np.asarray(end, dtype=np.float64),
@@ -236,3 +179,40 @@ def wavefront_times(
         comm=comm,
         levels=plan.levels,
     )
+
+
+def wavefront_times(
+    pos: Sequence[int],
+    pred_indptr: Sequence[int],
+    pred: Sequence[int],
+    comm: Sequence[float],
+    duration: Sequence[float],
+    order: Sequence[int],
+) -> tuple[list[float], list[float]]:
+    """Max-plus replay of a predecessor CSR in topological ``order``.
+
+    The one scalar kernel: ``(pred_indptr, pred, comm)`` is any edge
+    relation over the ops — the compiled graph's dependencies, or those
+    plus slot-reuse edges (:func:`repro.analysis.capacity.
+    bounded_dense_times`) — and ``order`` any topological order of it
+    together with the program-order edges ``pos`` implies.  Returns
+    ``(start, end)`` as flat lists.
+    """
+    # Scalar replay over flat lists: the recurrence is a dependency
+    # chain (max alternating with add), so per-op latency — not
+    # vectorizable width — is what matters; plain-list indexing beats
+    # per-wavefront NumPy dispatch on the narrow fronts these pipeline
+    # graphs produce.  Floats are bit-identical either way (module
+    # docstring).
+    num_ops = len(pos)
+    start = [0.0] * num_ops
+    end = [0.0] * num_ops
+    for i in order:
+        t = end[i - 1] if pos[i] > 0 else 0.0
+        for e in range(pred_indptr[i], pred_indptr[i + 1]):
+            arrival = end[pred[e]] + comm[e]
+            if arrival > t:
+                t = arrival
+        start[i] = t
+        end[i] = t + duration[i]
+    return start, end

@@ -33,15 +33,9 @@ Everything observable rides the telemetry bus — pass any sink
 :class:`QueueSink`) to :func:`simulate`, :meth:`PipelineRuntime.run`,
 :func:`plan`, or :func:`execute`; the default :data:`NULL_SINK` keeps
 uninstrumented runs free.
-
-Renamed symbols stay importable through a ``DeprecationWarning`` shim
-(module ``__getattr__``): e.g. ``api.cross_validate`` still resolves
-but warns in favor of :func:`cross_validate_evaluation`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.analysis import analyze_spec as check_model
 from repro.analysis.capacity import (
@@ -190,25 +184,3 @@ __all__ = [
     "tiny_spec",
     "verify",
 ]
-
-#: Renamed facade symbols: old name -> canonical name.  Old imports
-#: keep working through ``__getattr__`` below, with a
-#: ``DeprecationWarning`` pointing at the caller.
-_RENAMED = {
-    "cross_validate": "cross_validate_evaluation",
-}
-
-
-def __getattr__(name: str) -> object:
-    try:
-        canonical = _RENAMED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.api.{name} is deprecated; use repro.api.{canonical}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[canonical]

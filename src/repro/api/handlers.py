@@ -349,7 +349,7 @@ def _handle_plan(
     from repro.planner import SweepCache, search_method
     from repro.schedules import gencache
 
-    if request.evaluator not in ("sim", "tiered", "grid"):
+    if request.evaluator not in ("sim", "grid"):
         raise RequestError(
             f"unknown search evaluator {request.evaluator!r}",
             code="unknown-evaluator",

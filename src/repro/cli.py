@@ -117,12 +117,6 @@ def _sweep_flags(parser: argparse.ArgumentParser, jobs_default: int | None) -> N
     parser.add_argument("--no-gen-cache", action="store_true",
                         help="disable in-process schedule-generation "
                              "memoization (repro.schedules.gencache)")
-    parser.add_argument("--pool", choices=("persistent", "per-sweep"),
-                        default=None,
-                        help="planner worker-pool mode: reuse one warm "
-                             "process pool across sweeps (default) or "
-                             "spin up a fresh pool per sweep "
-                             "(REPRO_PLANNER_POOL)")
 
 
 def _shape_from_args(args: argparse.Namespace) -> "ShapeSpec":
@@ -277,7 +271,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         use_gen_cache=not args.no_gen_cache,
-        pool=args.pool,
     )
     if args.id == "list":
         for key in REGISTRY:
@@ -351,10 +344,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     if args.no_gen_cache:
         gencache.set_enabled(False)
-    if args.pool is not None:
-        from repro.planner import pool
-
-        pool.set_mode(args.pool)
     request = PlanRequest(
         model=args.model,
         global_batch_size=args.gbs,

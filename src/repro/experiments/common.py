@@ -31,14 +31,8 @@ def configure_planner(
     jobs: int | None = None,
     use_cache: bool | None = None,
     use_gen_cache: bool | None = None,
-    pool: str | None = None,
 ) -> None:
-    """Apply CLI-level sweep settings for subsequent :func:`search` calls.
-
-    ``pool`` selects the planner worker-pool mode (``"persistent"`` or
-    ``"per-sweep"``, the CLI's ``--pool`` / the ``REPRO_PLANNER_POOL``
-    environment knob); see :mod:`repro.planner.pool`.
-    """
+    """Apply CLI-level sweep settings for subsequent :func:`search` calls."""
     if jobs is not None:
         SETTINGS.jobs = jobs
     if use_cache is not None:
@@ -49,10 +43,6 @@ def configure_planner(
         from repro.schedules import gencache
 
         gencache.set_enabled(use_gen_cache)
-    if pool is not None:
-        from repro.planner import pool as planner_pool
-
-        planner_pool.set_mode(pool)
 
 
 def search(

@@ -20,19 +20,12 @@ from repro.planner.parallel import (
     SweepCache,
     eval_fingerprint,
     evaluate_tasks,
-    evaluate_tasks_batched,
     grid_stats,
     merge_outcomes,
 )
-from repro.planner.search import (
-    DEFAULT_EVALUATOR,
-    SearchResult,
-    SkippedConfig,
-    search_method,
-)
+from repro.planner.search import SearchResult, SkippedConfig, search_method
 
 __all__ = [
-    "DEFAULT_EVALUATOR",
     "EvalOutcome",
     "EvalResult",
     "EvalTask",
@@ -45,7 +38,6 @@ __all__ = [
     "evaluate_config",
     "evaluate_config_batch",
     "evaluate_tasks",
-    "evaluate_tasks_batched",
     "fit_efficiency_curve",
     "grid_stats",
     "merge_outcomes",

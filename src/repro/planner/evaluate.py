@@ -10,7 +10,7 @@ iteration time, memory footprint, OOM status, throughput, and MFU.
 
 :func:`config_bounds` additionally derives certified build-free bounds
 (iteration-time interval, memory floor) for a configuration without
-generating a schedule at all; the tiered grid search uses those to
+generating a schedule at all; the grid search uses those to
 prune dominated candidates before paying for schedule generation.
 """
 
@@ -102,7 +102,7 @@ def _cached_schedule(
 ) -> object:
     """Per-process memo over deterministic schedule builds.
 
-    Generation dominates evaluation cost, and the tiered search
+    Generation dominates evaluation cost, and the grid search
     evaluates the same cell twice — analytically in the first pass and
     on the simulator for Pareto-frontier provenance.  The inputs fully
     determine the build (all are frozen/hashable), and the schedule's
@@ -220,7 +220,7 @@ def evaluate_config(
     runs the full static verification (``assert_clean``) and the
     discrete-event replay; ``"analytic"`` runs the certified closed-form
     evaluator instead, which produces bit-identical iteration time,
-    bubble ratio, and memory — the tiered grid search uses it for the
+    bubble ratio, and memory — the grid search uses it for the
     cheap first pass and re-evaluates only the Pareto frontier at
     ``"sim"`` provenance.
 
@@ -567,7 +567,7 @@ def config_bounds_batch(
 
     One shared-prelude pass: each task's problem/cost/budget is built
     (or reused from the prelude cache, which the class-key and
-    evaluation passes also hit) exactly once for the entire tiered
+    evaluation passes also hit) exactly once for the entire grid
     sweep, instead of once per pass.
     """
     return [

@@ -5,11 +5,12 @@ Tables 5/8/9) evaluate hundreds of (method, parallel config) cells, and
 several experiments share cells — the Figure 8 GBS-128 column *is* the
 Figure 10 13B row.  This module makes those sweeps cheap twice over:
 
-* :func:`evaluate_tasks` fans :func:`~repro.planner.evaluate
-  .evaluate_config` calls out over a process pool.  Results are merged
-  back **by task index**, so the outcome list — and therefore the
-  selected optimum — is bit-identical for any worker count, including
-  the inline ``jobs=1`` path.
+* :func:`evaluate_tasks` fans topology classes of
+  :func:`~repro.planner.evaluate.evaluate_config_batch` calls out over
+  the planner worker pool.  Results are merged back **by task index**,
+  so the outcome list — and therefore the selected optimum — is
+  bit-identical for any worker count, including the inline ``jobs=1``
+  path.
 * :class:`SweepCache` persists each evaluation outcome (including
   rejections) under ``artifacts/cache/``, keyed by a content
   fingerprint of everything that determines the result: the cache
@@ -42,7 +43,6 @@ from repro.parallel.strategies import ParallelConfig
 from repro.planner import pool
 from repro.planner.evaluate import (
     EvalResult,
-    evaluate_config,
     evaluate_config_batch,
     task_class_key,
 )
@@ -153,21 +153,24 @@ class SweepCache:
         if not self.enabled:
             return None
         fingerprint = eval_fingerprint(task)
+        # Anything but a well-formed entry of the current schema — an
+        # unreadable file, non-JSON text, a non-dict body, a missing or
+        # truncated field — is a miss; the recompute overwrites it.
         try:
-            raw = self._path(fingerprint).read_text()
-            entry = json.loads(raw)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if entry.get("schema") != CACHE_SCHEMA:
+            entry = json.loads(self._path(fingerprint).read_text())
+            if entry["schema"] != CACHE_SCHEMA:
+                raise ValueError("stale cache schema")
+            if entry["status"] == "error":
+                outcome = EvalOutcome(error=str(entry["reason"]))
+            else:
+                data = entry["result"]
+                data["config"] = ParallelConfig(**data["config"])
+                outcome = EvalOutcome(result=EvalResult(**data))
+        except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        if entry.get("status") == "error":
-            return EvalOutcome(error=str(entry["reason"]))
-        data = entry["result"]
-        data["config"] = ParallelConfig(**data["config"])
-        return EvalOutcome(result=EvalResult(**data))
+        return outcome
 
     def put(self, task: EvalTask, outcome: EvalOutcome) -> None:
         """Persist ``outcome`` atomically; failures degrade to no cache."""
@@ -195,147 +198,6 @@ class SweepCache:
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)
-
-
-def _run_task(
-    indexed: tuple[int, EvalTask],
-) -> tuple[int, EvalOutcome, float, int, int]:
-    """Worker body: evaluate one cell, mapping rejections to outcomes.
-
-    Module-level (picklable) and index-tagged so pool results can be
-    merged deterministically regardless of completion order.  The third
-    element is the evaluation's wall-clock duration, reported back so
-    the parent can emit per-config telemetry spans even for pool runs;
-    the last two are the generation-cache hit/miss deltas this
-    evaluation caused (pool workers hold their own gen cache, so the
-    parent folds these back into its counters).
-    """
-    index, task = indexed
-    start = time.perf_counter()
-    gen_h0, gen_m0 = gencache.snapshot()
-    try:
-        result = evaluate_config(
-            task.method,
-            task.spec,
-            task.cluster,
-            task.config,
-            task.global_batch_size,
-            tier=task.tier,
-            capacity_mode=task.capacity_mode,
-        )
-        outcome = EvalOutcome(result=result)
-    except (ScheduleError, ValueError) as exc:
-        first = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
-        outcome = EvalOutcome(error=first)
-    gen_h1, gen_m1 = gencache.snapshot()
-    seconds = time.perf_counter() - start
-    return index, outcome, seconds, gen_h1 - gen_h0, gen_m1 - gen_m0
-
-
-def evaluate_tasks(
-    tasks: list[EvalTask],
-    jobs: int = 1,
-    cache: SweepCache | None = None,
-    sink: EventSink = NULL_SINK,
-) -> list[EvalOutcome]:
-    """Evaluate every task; returns outcomes aligned with ``tasks``.
-
-    Cache hits are resolved up front; only misses are dispatched (to a
-    process pool when ``jobs > 1``, inline otherwise) and written back.
-    The returned list depends only on the task list — not on worker
-    count, scheduling, or cache state — which is what makes sweeps
-    reproducible across machines and ``--jobs`` settings.
-
-    With an enabled ``sink``, the sweep emits one ``cache hit`` instant
-    per replayed cell, one ``eval`` span per computed cell (worker
-    durations are measured in the worker; pool runs lay the spans out
-    at merge time), one ``gen cache hit`` instant per computed cell
-    whose schedule constructions were (at least partly) served from the
-    generation cache, and final ``cache_hits`` / ``evaluated`` /
-    ``errors`` / ``gen_cache_hits`` / ``gen_cache_misses`` counters.
-    Pool workers hold their own generation caches; their hit/miss
-    deltas are folded back into this process's counters
-    (:func:`repro.schedules.gencache.record_remote`).
-    """
-    observing = sink.enabled
-    t0 = time.perf_counter() if observing else 0.0
-    outcomes: list[EvalOutcome | None] = [None] * len(tasks)
-    pending: list[tuple[int, EvalTask]] = []
-    cache_hits = 0
-    for i, task in enumerate(tasks):
-        hit = cache.get(task) if cache is not None else None
-        if hit is not None:
-            outcomes[i] = hit
-            cache_hits += 1
-            if observing:
-                sink.instant(
-                    f"cache hit {task.method} {task.config.describe()}",
-                    ts=time.perf_counter() - t0,
-                    cat="cache",
-                    args={"method": task.method, "index": i},
-                )
-        else:
-            pending.append((i, task))
-
-    errors = 0
-    gen_hits = 0
-    gen_misses = 0
-    if pending:
-        pooled = jobs > 1
-        if pooled:
-            # The planner worker pool: persistent by default (warm
-            # caches across sweeps and service requests), per-sweep via
-            # REPRO_PLANNER_POOL=per-sweep.  Either way the merge below
-            # is by task index, so results are pool-independent.
-            computed = pool.run_map(_run_task, pending, jobs)
-        else:
-            computed = [_run_task(item) for item in pending]
-        tasks_by_index = dict(pending)
-        for i, outcome, seconds, gen_h, gen_m in computed:
-            outcomes[i] = outcome
-            if not outcome.ok:
-                errors += 1
-            gen_hits += gen_h
-            gen_misses += gen_m
-            if pooled and (gen_h or gen_m):
-                # Workers count in their own process-wide gen caches;
-                # fold their deltas into ours (the inline path already
-                # counted here).
-                gencache.record_remote(gen_h, gen_m)
-            if cache is not None:
-                cache.put(tasks[i], outcome)
-            if observing:
-                task = tasks_by_index[i]
-                now = time.perf_counter() - t0
-                sink.span(
-                    f"{task.method} {task.config.describe()}",
-                    ts=max(0.0, now - seconds),
-                    dur=seconds,
-                    cat="eval",
-                    args={
-                        "method": task.method,
-                        "index": i,
-                        "ok": outcome.ok,
-                        "error": outcome.error,
-                    },
-                )
-                if gen_h:
-                    sink.instant(
-                        f"gen cache hit {task.method} "
-                        f"{task.config.describe()}",
-                        ts=now,
-                        cat="cache",
-                        args={"method": task.method, "index": i,
-                              "hits": gen_h, "misses": gen_m},
-                    )
-    if observing:
-        end = time.perf_counter() - t0
-        sink.counter("cache_hits", float(cache_hits), ts=end)
-        sink.counter("evaluated", float(len(pending)), ts=end)
-        sink.counter("errors", float(errors), ts=end)
-        sink.counter("gen_cache_hits", float(gen_hits), ts=end)
-        sink.counter("gen_cache_misses", float(gen_misses), ts=end)
-    return [outcome for outcome in outcomes if outcome is not None]
 
 
 _grid_lock = threading.Lock()
@@ -377,30 +239,27 @@ def reset_grid_stats() -> None:
 
 
 def _run_class(
-    group: tuple[tuple[int, ...], tuple[EvalTask, ...]],
-) -> tuple[
-    list[tuple[int, EvalOutcome]], float, int, int, int, int, tuple[int, ...]
-]:
+    tasks: tuple[EvalTask, ...],
+) -> tuple[list[EvalOutcome], float, int, int, int, int, tuple[int, ...]]:
     """Worker body: evaluate one predicted topology class as a batch.
 
-    Returns the index-tagged outcomes plus this call's wall time, the
-    generation-cache and structure-store hit/miss deltas (workers hold
-    their own caches; the parent folds the deltas back), and the sizes
-    of the classes that were actually batched.
+    Returns the outcomes (aligned with ``tasks``) plus this call's wall
+    time, the generation-cache and structure-store hit/miss deltas
+    (workers hold their own caches; the parent folds the deltas back),
+    and the sizes of the classes that were actually batched.
     """
-    indices, tasks = group
     start = time.perf_counter()
     gen_h0, gen_m0 = gencache.snapshot()
     st_h0, st_m0 = gencache.structure_snapshot()
     report = evaluate_config_batch(tasks)
-    outcomes: list[tuple[int, EvalOutcome]] = []
-    for i, res in zip(indices, report.results):
+    outcomes: list[EvalOutcome] = []
+    for res in report.results:
         if isinstance(res, EvalResult):
-            outcomes.append((i, EvalOutcome(result=res)))
+            outcomes.append(EvalOutcome(result=res))
         else:
             text = str(res)
             first = text.splitlines()[0] if text else type(res).__name__
-            outcomes.append((i, EvalOutcome(error=first)))
+            outcomes.append(EvalOutcome(error=first))
     gen_h1, gen_m1 = gencache.snapshot()
     st_h1, st_m1 = gencache.structure_snapshot()
     seconds = time.perf_counter() - start
@@ -415,30 +274,46 @@ def _run_class(
     )
 
 
-def evaluate_tasks_batched(
+def evaluate_tasks(
     tasks: list[EvalTask],
     jobs: int = 1,
     cache: SweepCache | None = None,
     sink: EventSink = NULL_SINK,
 ) -> list[EvalOutcome]:
-    """Like :func:`evaluate_tasks`, batching topology classes.
+    """Evaluate every task; returns outcomes aligned with ``tasks``.
 
-    Cache misses are grouped by their *predicted* topology class
-    (:func:`~repro.planner.evaluate.task_class_key`) so structurally
-    identical configurations reach the same worker and are evaluated by
-    one stacked pass of the batched analytic evaluator.  The grouping
-    is a pure dispatch optimization: the batched evaluator verifies
-    actual structural identity and is bit-identical per member, so the
-    returned outcomes equal :func:`evaluate_tasks`'s for any grouping,
-    worker count, or pool mode.
+    Cache hits are resolved up front; only misses are dispatched (to
+    the planner worker pool when ``jobs > 1``, inline otherwise) and
+    written back.  Misses are grouped by their *predicted* topology
+    class (:func:`~repro.planner.evaluate.task_class_key`) so
+    structurally identical configurations reach the same worker and are
+    evaluated by one stacked pass of the batched analytic evaluator;
+    ``tier="sim"`` tasks and singleton classes take the scalar
+    :func:`~repro.planner.evaluate.evaluate_config` path inside
+    :func:`~repro.planner.evaluate.evaluate_config_batch`.  The
+    grouping is a pure dispatch optimization: the batched evaluator
+    verifies actual structural identity and is bit-identical per
+    member, and results are merged back **by task index**, so the
+    returned list depends only on the task list — not on grouping,
+    worker count, scheduling, or cache state — which is what makes
+    sweeps reproducible across machines and ``--jobs`` settings.
 
-    Emits (with an enabled sink) the ``evaluate_tasks`` counters plus
-    ``batch_size`` (configs through stacked passes),
-    ``topology_class_hits`` (structure reuse within batches and via the
-    structure store), and ``worker_reuse`` (tasks served by an
-    already-warm persistent pool); the same numbers accumulate in
+    With an enabled ``sink``, the sweep emits one ``cache hit`` instant
+    per replayed cell, one ``eval`` span per dispatched class (worker
+    durations are measured in the worker; pool runs lay the spans out
+    at merge time) whose ``args["configs"]`` lists its member
+    configurations — every computed cell appears in exactly one — one
+    ``gen cache hit`` instant per class whose schedule constructions
+    were (at least partly) served from the generation cache, and final
+    ``cache_hits`` / ``evaluated`` / ``errors`` / ``gen_cache_hits`` /
+    ``gen_cache_misses`` counters plus ``batch_size`` (configs through
+    stacked passes), ``topology_class_hits`` (structure reuse within
+    batches and via the structure store), and ``worker_reuse`` (tasks
+    served by an already-warm pool); the same numbers accumulate in
     :func:`grid_stats` / :func:`repro.planner.pool.stats` for
-    ``/v1/healthz``.
+    ``/v1/healthz``.  Pool workers hold their own generation caches;
+    their hit/miss deltas are folded back into this process's counters
+    (:func:`repro.schedules.gencache.record_remote`).
     """
     observing = sink.enabled
     t0 = time.perf_counter() if observing else 0.0
@@ -475,12 +350,10 @@ def evaluate_tasks_batched(
             for members in grouped.values()
         ]
         pooled = jobs > 1
-        if pooled:
-            computed = pool.run_map(_run_class, groups, jobs)
-        else:
-            computed = [_run_class(group) for group in groups]
-        for group, record in zip(groups, computed):
-            members, seconds, gen_h, gen_m, st_h, st_m, sizes = record
+        # Inline at jobs=1; order-preserving either way.
+        computed = pool.run_map(_run_class, [g[1] for g in groups], jobs)
+        for (indices, members), record in zip(groups, computed):
+            results, seconds, gen_h, gen_m, st_h, st_m, sizes = record
             if pooled and (gen_h or gen_m):
                 gencache.record_remote(gen_h, gen_m)
             if pooled and (st_h or st_m):
@@ -489,7 +362,7 @@ def evaluate_tasks_batched(
             gen_misses += gen_m
             batch_size += sum(sizes)
             class_hits += st_h + sum(size - 1 for size in sizes)
-            for i, outcome in members:
+            for i, outcome in zip(indices, results):
                 outcomes[i] = outcome
                 if not outcome.ok:
                     errors += 1
@@ -497,18 +370,26 @@ def evaluate_tasks_batched(
                     cache.put(tasks[i], outcome)
             if observing:
                 now = time.perf_counter() - t0
-                first = group[1][0]
+                method = members[0].method
                 sink.span(
-                    f"class {first.method} x{len(group[0])}",
+                    f"class {method} x{len(members)}",
                     ts=max(0.0, now - seconds),
                     dur=seconds,
                     cat="eval",
                     args={
-                        "method": first.method,
-                        "members": len(group[0]),
+                        "method": method,
+                        "members": len(members),
+                        "configs": [t.config.describe() for t in members],
                         "batched": list(sizes),
                     },
                 )
+                if gen_h:
+                    sink.instant(
+                        f"gen cache hit class {method} x{len(members)}",
+                        ts=now,
+                        cat="cache",
+                        args={"method": method, "hits": gen_h, "misses": gen_m},
+                    )
     reuse_delta = pool.stats()["worker_reuse"] - reuse_before
     _record_grid(batch_size, class_hits)
     if observing:
@@ -524,23 +405,13 @@ def evaluate_tasks_batched(
     return [outcome for outcome in outcomes if outcome is not None]
 
 
-def merge_outcomes(
-    outcomes: list[EvalOutcome],
-) -> tuple[EvalResult | None, list[EvalResult]]:
-    """Deterministic reduction of a sweep: the trail and the optimum.
-
-    The best is the minimum over non-OOM results of
+def best_result(evaluated: list[EvalResult]) -> EvalResult | None:
+    """The optimum of a trail: the minimum over non-OOM results of
     ``(iteration_time, config.sort_key())`` — a total order, so ties
     between equally fast configurations resolve identically no matter
-    how the work was partitioned.
-    """
-    evaluated: list[EvalResult] = []
+    how the work was partitioned."""
     best: EvalResult | None = None
-    for outcome in outcomes:
-        result = outcome.result
-        if result is None:
-            continue
-        evaluated.append(result)
+    for result in evaluated:
         if result.oom:
             continue
         if best is None or (
@@ -548,7 +419,15 @@ def merge_outcomes(
             < (best.iteration_time_s, best.config.sort_key())
         ):
             best = result
-    return best, evaluated
+    return best
+
+
+def merge_outcomes(
+    outcomes: list[EvalOutcome],
+) -> tuple[EvalResult | None, list[EvalResult]]:
+    """Deterministic reduction of a sweep: the optimum and the trail."""
+    evaluated = [o.result for o in outcomes if o.result is not None]
+    return best_result(evaluated), evaluated
 
 
 @dataclass

@@ -15,25 +15,19 @@ request.  Workers therefore accumulate warm caches across dispatches —
 the second sweep that touches a problem a worker has seen gets its
 schedules, topological plans, and batch tables from memory.
 
-Modes (env knob ``REPRO_PLANNER_POOL``, or :func:`set_mode` /
-``--pool``):
-
-* ``"persistent"`` (default) — the long-lived pool described above;
-* ``"per-sweep"`` — the historical behavior: a fresh pool per call,
-  torn down when the call returns.
-
-Fault handling: a broken pool (a worker killed under us) is disposed
-and the affected call falls back to deterministic inline execution, so
-a crashed worker degrades throughput, never results.  ``shutdown()``
-is idempotent and registered via ``atexit``; the service's
-``JobStore.close`` calls it so stopping the service never leaks
-worker processes.
+Fault handling: a pool that cannot take the call — broken (a worker
+killed under us) or already shut down (replaced by a concurrent call
+that needed more workers) — is disposed and the affected call falls
+back to deterministic inline execution, so a lost pool degrades
+throughput, never results.  ``shutdown()`` is the kill switch:
+idempotent, registered via ``atexit``, and called by the service's
+``JobStore.close`` so stopping the service never leaks worker
+processes.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -42,10 +36,7 @@ from typing import Callable, Sequence, TypeVar
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_MODES = ("persistent", "per-sweep")
-
 _lock = threading.Lock()
-_mode: str | None = None  # None -> consult the env on first use
 _executor: ProcessPoolExecutor | None = None
 _executor_workers = 0
 #: Tasks served by a pool that already existed when the call arrived
@@ -53,42 +44,15 @@ _executor_workers = 0
 _reuse_tasks = 0
 #: Tasks that created (or re-created) the pool.
 _cold_tasks = 0
-#: Broken-pool incidents survived by falling back inline.
+#: Lost-pool incidents survived by falling back inline.
 _faults = 0
-
-
-def pool_mode() -> str:
-    """The active pool mode (env knob ``REPRO_PLANNER_POOL``)."""
-    global _mode
-    with _lock:
-        if _mode is None:
-            raw = os.environ.get("REPRO_PLANNER_POOL", "persistent").lower()
-            _mode = raw if raw in _MODES else "persistent"
-        return _mode
-
-
-def set_mode(value: str | None) -> None:
-    """Force a pool mode; ``None`` re-reads the environment.
-
-    Switching away from ``"persistent"`` disposes any live pool so the
-    knob is also a kill switch.
-    """
-    global _mode
-    if value is not None and value not in _MODES:
-        raise ValueError(
-            f"unknown pool mode {value!r}; expected one of {_MODES}"
-        )
-    with _lock:
-        _mode = value
-    if value == "per-sweep":
-        shutdown()
 
 
 def _ensure_executor(jobs: int) -> tuple[ProcessPoolExecutor, bool]:
     """The shared executor, created or grown to ``jobs`` workers.
 
     Returns ``(executor, warm)`` where ``warm`` says the pool already
-    existed with enough workers — the reuse the persistent mode is for.
+    existed with enough workers — the reuse the pool exists for.
     A pool that is too small is replaced (executors cannot grow), which
     counts as cold.
     """
@@ -105,7 +69,7 @@ def _ensure_executor(jobs: int) -> tuple[ProcessPoolExecutor, bool]:
 
 
 def _dispose(broken: ProcessPoolExecutor) -> None:
-    """Drop a broken executor (best-effort teardown, never raises)."""
+    """Drop a lost executor (best-effort teardown, never raises)."""
     global _executor, _executor_workers
     with _lock:
         if _executor is broken:
@@ -122,23 +86,31 @@ def run_map(
 ) -> list[_R]:
     """``[fn(item) for item in items]`` on the planner worker pool.
 
-    Order-preserving and result-deterministic in every mode: the pool
-    only changes *where* each item runs.  A broken pool (worker killed
-    mid-call) falls back to inline execution of the whole call — the
-    items are pure functions, so re-running them is safe.
+    Order-preserving and result-deterministic: the pool only changes
+    *where* each item runs.  A pool lost mid-call — broken (a worker
+    killed) or shut down under us (a concurrent call with a larger
+    ``jobs`` replaced it; ``map`` then raises ``RuntimeError``) — falls
+    back to inline execution of the whole call — the items are pure
+    functions, so re-running them is safe.
     """
     global _reuse_tasks, _cold_tasks, _faults
     if not items:
         return []
     if jobs <= 1:
         return [fn(item) for item in items]
-    if pool_mode() == "per-sweep":
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
     executor, warm = _ensure_executor(jobs)
     try:
-        results = list(executor.map(fn, items))
+        # ``map`` submits every item before it returns, so a pool shut
+        # down under us refuses here (a plain RuntimeError), before any
+        # item's own exception could be mistaken for it.
+        pending = executor.map(fn, items)
+    except RuntimeError:
+        pending = None
+    try:
+        results = None if pending is None else list(pending)
     except BrokenProcessPool:
+        results = None
+    if results is None:
         _dispose(executor)
         with _lock:
             _faults += 1

@@ -19,15 +19,16 @@ prune candidates that are provably dominated by an already evaluated
 configuration, the survivors are evaluated with the closed-form
 evaluator (bit-identical numbers, no event replay), and only the
 resulting Pareto frontier is re-evaluated at full ``"sim"``
-provenance.  ``"grid"`` additionally evaluates the survivors
-*grid-wise*: structurally identical candidates (topology classes)
-share one compiled graph, one topological plan, and one stacked
-multi-config evaluation (:mod:`repro.analysis.evaluate.batch`), and
-shared preludes/bounds are computed once per cell for the whole sweep.
-``"tiered"`` is the same pipeline cell-at-a-time.  Because the
-analytic tier is exact in both shapes, the returned best, trail
-values, and frontier are identical across ``"sim"``, ``"tiered"``,
-and ``"grid"`` — only the provenance tags and the work done differ.
+provenance.  The survivors are evaluated *grid-wise*: structurally
+identical candidates (topology classes) share one compiled graph, one
+topological plan, and one stacked multi-config evaluation
+(:mod:`repro.analysis.evaluate.batch`), and shared preludes/bounds are
+computed once per cell for the whole sweep.  ``evaluator="sim"``
+evaluates every candidate on the simulator instead — the reference the
+tests prove ``"grid"`` against.  Because the analytic tier is exact,
+the returned best, trail values, and frontier are identical across
+``"sim"`` and ``"grid"`` — only the provenance tags and the work done
+differ.
 """
 
 from __future__ import annotations
@@ -40,28 +41,16 @@ from repro.model.spec import ModelSpec
 from repro.obs.events import NULL_SINK, EventSink
 from repro.parallel.grid import enumerate_configs
 from repro.parallel.strategies import ParallelConfig
-from repro.planner.evaluate import (
-    ConfigBounds,
-    EvalResult,
-    config_bounds,
-    config_bounds_batch,
-)
+from repro.planner.evaluate import EvalResult, config_bounds_batch
 from repro.planner.parallel import (
     EvalOutcome,
     EvalTask,
     SweepCache,
+    best_result,
     evaluate_tasks,
-    evaluate_tasks_batched,
     merge_outcomes,
 )
 from repro.schedules.methods import method_traits
-
-#: The evaluation pipeline ``search_method`` uses when none is named.
-#: ``"grid"`` since the batched planner landed; the historical
-#: ``"tiered"`` (cell-at-a-time) and ``"sim"`` pipelines remain
-#: selectable and return identical results.
-DEFAULT_EVALUATOR = "grid"
-
 
 @dataclass(frozen=True)
 class SkippedConfig:
@@ -82,8 +71,8 @@ class SearchResult:
     #: (static pruning, fixed-VP methods, analytic domination,
     #: scheduler rejections).
     skipped: list[SkippedConfig] = field(default_factory=list)
-    #: Which evaluation pipeline produced this result ("sim", "tiered",
-    #: or "grid"); the numbers are identical in every case.
+    #: Which evaluation pipeline produced this result ("sim" or
+    #: "grid"); the numbers are identical in either case.
     evaluator: str = "sim"
 
     @property
@@ -102,7 +91,7 @@ def search_method(
     jobs: int = 1,
     cache: SweepCache | None = None,
     sink: EventSink = NULL_SINK,
-    evaluator: str | None = None,
+    evaluator: str = "grid",
 ) -> SearchResult:
     """Find the fastest non-OOM configuration of ``method``.
 
@@ -116,25 +105,21 @@ def search_method(
     returned result — best, trail, and skip reasons are identical for
     every ``jobs`` value and cache state.
 
-    ``evaluator`` selects the pipeline (``None`` means
-    :data:`DEFAULT_EVALUATOR`): ``"grid"`` (the default) prunes
+    ``evaluator`` selects the pipeline: ``"grid"`` (the default) prunes
     provably dominated candidates with certified build-free bounds,
     evaluates survivors analytically — batching topology classes
     through the stacked multi-config evaluator — and re-evaluates the
-    Pareto frontier at ``"sim"`` provenance; ``"tiered"`` is the same
-    pipeline evaluating one cell at a time; ``"sim"`` evaluates every
+    Pareto frontier at ``"sim"`` provenance; ``"sim"`` evaluates every
     candidate with the full verification + event replay.  The analytic
-    tier is bit-exact in both shapes, so all settings return the same
-    best and the same numbers (the ``tier`` tags on the trail differ).
+    tier is bit-exact, so both settings return the same best and the
+    same numbers (the ``tier`` tags on the trail differ).
 
-    An enabled ``sink`` observes the sweep: per-config ``eval`` spans
+    An enabled ``sink`` observes the sweep: per-class ``eval`` spans
     and cache-hit instants from :func:`~repro.planner.parallel
     .evaluate_tasks`, plus one ``skip`` instant per statically or
     analytically pruned candidate and a final ``skipped`` counter.
     """
-    if evaluator is None:
-        evaluator = DEFAULT_EVALUATOR
-    if evaluator not in ("sim", "tiered", "grid"):
+    if evaluator not in ("sim", "grid"):
         raise ValueError(f"unknown search evaluator {evaluator!r}")
     traits = method_traits(method)
     candidates = enumerate_configs(
@@ -185,14 +170,10 @@ def search_method(
                 )
         best, evaluated = merge_outcomes(outcomes)
     else:
-        best, evaluated, tier_skips = _tiered_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache,
-            sink=sink,
-            batched=(evaluator == "grid"),
+        best, evaluated, grid_skips = _grid_sweep(
+            tasks, jobs=jobs, cache=cache, sink=sink
         )
-        skipped.extend(tier_skips)
+        skipped.extend(grid_skips)
     if sink.enabled:
         sink.counter("skipped", float(len(skipped)), ts=0.0)
     return SearchResult(
@@ -204,20 +185,19 @@ def search_method(
     )
 
 
-def _tiered_sweep(
+def _grid_sweep(
     tasks: list[EvalTask],
     jobs: int,
     cache: SweepCache | None,
     sink: EventSink,
-    batched: bool = False,
 ) -> tuple[EvalResult | None, list[EvalResult], list[SkippedConfig]]:
     """The analytic first pass (see module docstring and docs/evaluation.md).
 
     1. Derive certified build-free bounds for every candidate (no
        schedule generation; candidates the bound theory cannot cover
-       simply carry no bounds and are always evaluated in full).  With
-       ``batched`` the bounds pass shares one cached prelude per cell
-       with the evaluation passes below.
+       simply carry no bounds and are always evaluated in full).  The
+       bounds pass shares one cached prelude per cell with the
+       evaluation passes below.
     2. Probe candidates sequentially in ascending time-lower-bound
        order until the first non-OOM analytic result — the incumbent.
        Sequential regardless of ``jobs`` so the incumbent (and thus the
@@ -228,24 +208,14 @@ def _tiered_sweep(
        would have dominated is dominated by the incumbent too — so the
        Pareto frontier is unchanged (the frontier-soundness argument in
        docs/evaluation.md).
-    4. Evaluate the survivors analytically (parallel, cached; with
-       ``batched``, topology classes among them share one stacked
-       evaluation — bit-identical outcomes, so the sweep's results do
-       not depend on ``batched``), then re-evaluate the resulting
+    4. Evaluate the survivors analytically (parallel, cached; topology
+       classes among them share one stacked evaluation — bit-identical
+       per member to the scalar evaluator), then re-evaluate the resulting
        Pareto frontier at ``"sim"`` provenance — full static
        verification plus event replay — and splice those results into
        the trail.
     """
-    bounds: list[ConfigBounds | None]
-    if batched:
-        bounds = config_bounds_batch(tasks)
-    else:
-        bounds = [
-            config_bounds(
-                t.method, t.spec, t.cluster, t.config, t.global_batch_size
-            )
-            for t in tasks
-        ]
+    bounds = config_bounds_batch(tasks)
     analytic = [replace(t, tier="analytic") for t in tasks]
 
     def lower(i: int) -> float:
@@ -281,8 +251,7 @@ def _tiered_sweep(
                     f"{incumbent.peak_memory_bytes / GiB:.2f} GiB)"
                 )
     rest = [i for i in range(len(tasks)) if i not in outcomes and i not in pruned]
-    sweep = evaluate_tasks_batched if batched else evaluate_tasks
-    rest_outcomes = sweep(
+    rest_outcomes = evaluate_tasks(
         [analytic[i] for i in rest], jobs=jobs, cache=cache, sink=sink
     )
     for i, outcome in zip(rest, rest_outcomes):
@@ -305,7 +274,7 @@ def _tiered_sweep(
                     tasks[i].config, f"rejected: {outcomes[i].error}"
                 )
             )
-    best, evaluated = merge_outcomes([outcomes[i] for i in sorted(outcomes)])
+    _, evaluated = merge_outcomes([outcomes[i] for i in sorted(outcomes)])
 
     # Frontier refinement: only the Pareto-optimal survivors pay for the
     # full verification + event replay.  The analytic tier is exact, so
@@ -329,16 +298,7 @@ def _tiered_sweep(
             )
     if dropped:
         evaluated = [r for r in evaluated if r.config not in dropped]
-    best = None
-    for r in evaluated:
-        if r.oom:
-            continue
-        if best is None or (
-            (r.iteration_time_s, r.config.sort_key())
-            < (best.iteration_time_s, best.config.sort_key())
-        ):
-            best = r
-    return best, evaluated, skips
+    return best_result(evaluated), evaluated, skips
 
 
 def pareto_frontier(evaluated: list[EvalResult]) -> list[EvalResult]:

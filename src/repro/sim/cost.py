@@ -104,6 +104,18 @@ def op_cost_fns(
     return duration, comm_time, act_units
 
 
+def stamp_byte_sizes(result: object, cost: CostModel) -> None:
+    """Stamp the byte conversions ``cost`` knows onto an evaluation
+    result (frozen or not), so its ``IterationMetrics`` carry real bytes
+    instead of zeros."""
+    act_bytes = getattr(cost, "activation_bytes_per_unit", None)
+    if callable(act_bytes):
+        object.__setattr__(result, "activation_bytes_per_unit", float(act_bytes()))
+    msg_bytes = getattr(cost, "boundary_message_bytes", None)
+    if callable(msg_bytes):
+        object.__setattr__(result, "comm_bytes_per_message", float(msg_bytes()))
+
+
 def cost_key_table_fingerprint(
     problem: PipelineProblem, cost: CostModel
 ) -> tuple[float, ...] | None:

@@ -7,31 +7,39 @@ quantities the paper's analysis and evaluation revolve around.
 
 Three engines produce identical results:
 
-* ``"event"`` (default) — the ready-queue recurrence evaluated as NumPy
-  wavefronts over the compiled
-  :class:`~repro.schedules.graph.ScheduleGraph`'s dense CSR arrays
-  (:mod:`repro.analysis.evaluate.dense`): each Kahn level's starts are
-  one gather + segmented-``maximum`` instead of a per-op Python loop.
-  O(V + E) array work across ~dependency-height levels.
-* ``"heap"`` — the event-driven scalar replay this vectorization grew
-  out of: per-op durations and comm times in flat arrays, indegree
-  counting makes each op ready exactly once, and a heap keyed on ready
-  time drains the queue chronologically.  O((V + E) log V), no
-  ``OpId`` hashing in the replay loop.
-* ``"fixed-point"`` — the original round-robin blocked-head scan, kept
-  as the golden reference.
+* ``"event"`` (default) — the scalar plan-order kernel
+  :func:`repro.analysis.evaluate.dense.wavefront_times`: the replay
+  recurrence evaluated once per op along the compiled
+  :class:`~repro.schedules.graph.ScheduleGraph`'s cached topological
+  plan, over cost tables probed once per distinct op key.  O(V + E).
+  The analytic evaluator prices schedules on the same kernel (and on
+  its stacked twin, :func:`repro.analysis.evaluate.batch.
+  batched_wavefront_times`, for topology classes of two or more).
+* ``"heap"`` — the independent oracle: per-op durations and comm times
+  probed per op and per edge, indegree counting makes each op ready
+  exactly once, and a heap keyed on ready time drains the queue
+  chronologically.  O((V + E) log V), no ``OpId`` hashing in the
+  replay loop.  It shares neither the replay loop, the topological
+  plan, nor the cost-table probing with the kernel, which is why the
+  planner confirms its frontier on it.  ``channel_capacities=`` runs
+  on this engine too: slot-reuse edges join its edge arrays as
+  zero-cost dependencies before the loop starts.
+* ``"fixed-point"`` — the original round-robin blocked-head scan over
+  the stage programs (it never reads the compiled graph), kept as the
+  golden reference.
 
 An op's start time is a pure function of its dependencies' end times
 (IEEE ``max`` is exact and order-independent, and every add uses
 identical operands), and all engines accumulate per-stage busy time and
 the activation ledger in program order, so the equivalence is
 bit-for-bit, not approximate — ``tests/test_engine_golden.py`` asserts
-it across the acceptance grid.
+it across the acceptance grid.  (:mod:`repro.sim.network` is a
+different model — FIFO link queues — not another engine of this one.)
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any
@@ -45,8 +53,8 @@ from repro.schedules.base import (
     Schedule,
     ScheduleError,
 )
-from repro.schedules.graph import compiled_graph
-from repro.sim.cost import CostModel, op_cost_fns
+from repro.schedules.graph import ScheduleGraph, compiled_graph
+from repro.sim.cost import CostModel, op_cost_fns, stamp_byte_sizes
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,7 @@ def simulate(
     the replay.
 
     ``engine`` selects the replay implementation (see module
-    docstring); both produce identical results.
+    docstring); all produce identical results.
 
     ``sink`` receives the iteration's telemetry — per-op spans (one
     track per stage), channel send/recv instants, and bubble/overlap/
@@ -238,39 +246,29 @@ def simulate(
     ``channel_capacities`` switches on the bounded-channel mode: each
     cross-stage ``(src, dst, kind)`` channel holds at most K in-flight
     messages, so a producer's #i-th send additionally waits for the
-    consumer to finish message #(i-K).  This mode has a single scalar
-    heap engine (``engine`` is ignored) and raises
+    consumer to finish message #(i-K).  This mode always runs on the
+    heap engine (whichever valid ``engine`` is named) and raises
     :class:`ScheduleError` if the capacities deadlock the schedule —
     ``repro.analysis.capacity`` turns the same situation into a
     minimal-cycle CP001 witness.
     """
     from repro.schedules.verify import ensure_verified
 
+    if engine not in ("event", "heap", "fixed-point"):
+        raise ValueError(f"unknown simulation engine {engine!r}")
     ensure_verified(schedule, context="simulate")
-    if channel_capacities is not None:
-        result = _simulate_bounded(
+    if channel_capacities is not None or engine == "heap":
+        result = _simulate_heap(
             schedule, cost, overhead_time, actgrad_factor, channel_capacities
         )
     elif engine == "event":
         result = _simulate_dense(schedule, cost, overhead_time, actgrad_factor)
-    elif engine == "heap":
-        result = _simulate_event(schedule, cost, overhead_time, actgrad_factor)
-    elif engine == "fixed-point":
+    else:
         result = _simulate_fixed_point(
             schedule, cost, overhead_time, actgrad_factor
         )
-    else:
-        raise ValueError(f"unknown simulation engine {engine!r}")
 
-    # Stamp byte conversions when the cost model knows them, so the
-    # result's IterationMetrics carry real bytes instead of zeros.
-    act_bytes = getattr(cost, "activation_bytes_per_unit", None)
-    if callable(act_bytes):
-        result.activation_bytes_per_unit = float(act_bytes())
-    msg_bytes = getattr(cost, "boundary_message_bytes", None)
-    if callable(msg_bytes):
-        result.comm_bytes_per_message = float(msg_bytes())
-
+    stamp_byte_sizes(result, cost)
     if sink.enabled:
         from repro.obs.record import record_iteration, record_sim_comm
 
@@ -279,33 +277,24 @@ def simulate(
     return result
 
 
-def _simulate_dense(
+def _materialize(
     schedule: Schedule,
-    cost: CostModel,
+    start: list[float],
+    end: list[float],
+    duration: list[float],
+    act_units: list[float],
     overhead_time: float,
     actgrad_factor: float,
 ) -> SimResult:
-    """Vectorized wavefront replay over the compiled graph's CSR arrays.
+    """Per-op times over the compiled graph -> records, ledger, metrics.
 
-    The times come from :func:`repro.analysis.evaluate.dense.
-    wavefront_times` (imported lazily — ``repro.analysis`` imports sim
-    modules for its own checks); the per-stage accumulation below is the
-    same program-order loop as the heap engine, so busy time and ledger
-    peaks sum in the identical float order.
+    Per-stage accumulation in program order, matching the fixed-point
+    engine's float summation order for busy time and the ledger, so
+    every graph-based engine reports the same bits for the same times.
     """
-    from repro.analysis.evaluate.dense import dense_schedule_times
-
     problem = schedule.problem
     graph = compiled_graph(schedule)
-    times = dense_schedule_times(graph, cost)
     ops = graph.ops
-    # tolist() round-trips exactly: the records carry Python floats with
-    # the same bits the wavefront computed.
-    start = times.start.tolist()
-    end = times.end.tolist()
-    duration = times.duration.tolist()
-    act_units = times.act_units.tolist()
-
     records: dict[OpId, OpRecord] = {}
     rec_lists: list[list[OpRecord]] = []
     metrics: list[StageMetrics] = []
@@ -338,21 +327,116 @@ def _simulate_dense(
     )
 
 
-def _simulate_event(
+def _simulate_dense(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float,
     actgrad_factor: float,
 ) -> SimResult:
-    """Event-driven heap replay over the compiled graph (``"heap"``)."""
-    problem = schedule.problem
+    """Plan-order replay over the compiled graph's CSR arrays (``"event"``).
+
+    The times come from :func:`repro.analysis.evaluate.dense.
+    dense_schedule_times` (imported lazily — ``repro.analysis`` imports
+    sim modules for its own checks).
+    """
+    from repro.analysis.evaluate.dense import dense_schedule_times
+
+    times = dense_schedule_times(compiled_graph(schedule), cost)
+    # tolist() round-trips exactly: the records carry Python floats with
+    # the same bits the kernel computed.
+    return _materialize(
+        schedule,
+        times.start.tolist(),
+        times.end.tolist(),
+        times.duration.tolist(),
+        times.act_units.tolist(),
+        overhead_time,
+        actgrad_factor,
+    )
+
+
+def _slot_reuse_csr(
+    graph: ScheduleGraph,
+    channel_capacities: Mapping[Any, int],
+    comm: list[float],
+) -> tuple[list[int], list[int], list[float], list[int], list[int]]:
+    """The heap replay's edge arrays with slot-reuse edges appended.
+
+    Under capacity K on channel ``(src, dst, kind)`` the producer of
+    message #i also waits for the consumer of message #(i-K) to finish.
+    Each such edge joins the predecessor CSR as an ordinary dependency
+    with ``comm = 0.0`` (no transfer time is charged for reclaiming a
+    slot; ``x + 0.0 == x`` for every finite ``x >= 0``) and the
+    successor CSR the heap drains, so the replay loop itself is the
+    unbounded one.  Returns ``(pred_indptr, pred, comm, succ_indptr,
+    succ)``.
+    """
+    from repro.analysis.capacity.core import (
+        _slot_edges,
+        channel_messages,
+        normalize_capacities,
+    )
+
+    caps = normalize_capacities(channel_capacities)
+    channels = channel_messages(graph)
+    bad = sorted(key for key in channels if caps.get(key, 0) < 1)
+    if bad:
+        listed = ", ".join(
+            f"stage {a} -> stage {b} ({kind})" for a, b, kind in bad
+        )
+        raise ScheduleError(
+            f"missing or sub-1 capacity for channel(s): {listed}"
+        )
+    slot_pred: dict[int, list[int]] = {}
+    slot_succ: dict[int, list[int]] = {}
+    for tail, head, _key in _slot_edges(channels, caps):
+        slot_pred.setdefault(head, []).append(tail)
+        slot_succ.setdefault(tail, []).append(head)
+
+    pred_indptr, pred = graph.pred_indptr, graph.pred
+    succ_indptr, succ = graph.succ_indptr, graph.succ
+    new_pred_indptr, new_succ_indptr = [0], [0]
+    new_pred: list[int] = []
+    new_succ: list[int] = []
+    new_comm: list[float] = []
+    for i in range(graph.num_ops):
+        lo, hi = pred_indptr[i], pred_indptr[i + 1]
+        tails = slot_pred.get(i, ())
+        new_pred.extend(pred[lo:hi])
+        new_pred.extend(tails)
+        new_comm.extend(comm[lo:hi])
+        new_comm.extend([0.0] * len(tails))
+        new_pred_indptr.append(len(new_pred))
+        new_succ.extend(succ[succ_indptr[i] : succ_indptr[i + 1]])
+        new_succ.extend(slot_succ.get(i, ()))
+        new_succ_indptr.append(len(new_succ))
+    return new_pred_indptr, new_pred, new_comm, new_succ_indptr, new_succ
+
+
+def _simulate_heap(
+    schedule: Schedule,
+    cost: CostModel,
+    overhead_time: float,
+    actgrad_factor: float,
+    channel_capacities: Mapping[Any, int] | None,
+) -> SimResult:
+    """Event-driven heap replay over the compiled graph (``"heap"``).
+
+    With ``channel_capacities`` the slot-reuse edges of
+    :func:`_slot_reuse_csr` join the edge arrays before the loop runs.
+    IEEE ``max`` is exact and order-independent, so the bounded times
+    match the analytic :func:`repro.analysis.capacity.bounded_dense_times`
+    replay bit-for-bit — the cross-check behind CP004 certificates.
+    """
     graph = compiled_graph(schedule)
     num_ops = graph.num_ops
     ops = graph.ops
     stage_arr = graph.stage
     pos = graph.pos
-    pred_indptr, pred = graph.pred_indptr, graph.pred
-    succ_indptr, succ = graph.succ_indptr, graph.succ
+    pred_indptr: Sequence[int] = graph.pred_indptr
+    pred: Sequence[int] = graph.pred
+    succ_indptr: Sequence[int] = graph.succ_indptr
+    succ: Sequence[int] = graph.succ
 
     # Flat per-op/per-edge cost tables.  comm is evaluated for every
     # dependency edge, exactly as the fixed-point engine probes it, so
@@ -368,7 +452,13 @@ def _simulate_event(
         for e in range(pred_indptr[i], pred_indptr[i + 1]):
             comm[e] = comm_fn(ops[pred[e]], op)
 
-    # Indegree = dependency edges + the implicit program-order edge.
+    if channel_capacities is not None:
+        pred_indptr, pred, comm, succ_indptr, succ = _slot_reuse_csr(
+            graph, channel_capacities, comm
+        )
+
+    # Indegree = dependency (and slot-reuse) edges + the implicit
+    # program-order edge.
     indeg = [0] * num_ops
     for i in range(num_ops):
         indeg[i] = (
@@ -409,49 +499,26 @@ def _simulate_event(
                     heap,
                 )
     if processed != num_ops:
-        # Unreachable after ensure_verified; defensive guard.
         stuck = [str(ops[i]) for i in range(num_ops) if indeg[i] > 0][:8]
+        if channel_capacities is not None:
+            raise ScheduleError(
+                "bounded-channel deadlock; blocked ops: "
+                f"{stuck} (run `repro capacity` for a minimal-cycle witness)"
+            )
+        # Unreachable after ensure_verified; defensive guard.
         raise ScheduleError(f"simulation deadlock; blocked ops: {stuck}")
 
-    # Per-stage accumulation in program order, matching the fixed-point
-    # engine's float summation order for busy time and the ledger.
-    records: dict[OpId, OpRecord] = {}
-    rec_lists: list[list[OpRecord]] = []
-    metrics: list[StageMetrics] = []
-    stage_ends: list[float] = []
-    for s, (lo, hi) in enumerate(graph.stage_bounds):
-        m = StageMetrics(stage=s)
-        ledger = _Ledger(problem=problem, actgrad_factor=actgrad_factor)
-        stage_list: list[OpRecord] = []
-        for i in range(lo, hi):
-            op = ops[i]
-            record = OpRecord(op=op, stage=s, start=start[i], end=end[i])
-            records[op] = record
-            stage_list.append(record)
-            m.busy_time += duration[i]
-            m.op_count += 1
-            ledger.apply(op, act_units[i])
-        m.peak_activation_units = ledger.peak
-        metrics.append(m)
-        rec_lists.append(stage_list)
-        stage_ends.append(end[hi - 1] if hi > lo else 0.0)
-    makespan = max(stage_ends) if stage_ends else 0.0
-    return SimResult(
-        schedule_name=schedule.name,
-        problem=problem,
-        records=records,
-        stages=metrics,
-        makespan=makespan,
-        overhead_time=overhead_time,
-        stage_record_lists=rec_lists,
+    return _materialize(
+        schedule, start, end, duration, act_units, overhead_time,
+        actgrad_factor,
     )
 
 
 def _schedule_ready(
     j: int,
-    pos: tuple[int, ...],
-    pred_indptr: tuple[int, ...],
-    pred: tuple[int, ...],
+    pos: Sequence[int],
+    pred_indptr: Sequence[int],
+    pred: Sequence[int],
     comm: list[float],
     end: list[float],
     start: list[float],
@@ -467,155 +534,6 @@ def _schedule_ready(
     start[j] = t
     end[j] = t + duration[j]
     heappush(heap, (t, j))
-
-
-def _simulate_bounded(
-    schedule: Schedule,
-    cost: CostModel,
-    overhead_time: float,
-    actgrad_factor: float,
-    channel_capacities: Mapping[Any, int],
-) -> SimResult:
-    """Event-driven heap replay with finite channel capacities.
-
-    Mirrors :func:`_simulate_event` with one extra constraint family:
-    under capacity K on channel ``(src, dst, kind)``, the producer of
-    message #i also waits for the consumer of message #(i-K) to finish
-    (slot reuse; no transfer time is charged for reclaiming a slot).
-    IEEE ``max`` is exact and order-independent, so the times match the
-    analytic :func:`repro.analysis.capacity.bounded_dense_times` replay
-    bit-for-bit — the cross-check behind CP004 certificates.
-    """
-    from repro.analysis.capacity.core import (
-        _slot_edges,
-        channel_messages,
-        normalize_capacities,
-    )
-
-    problem = schedule.problem
-    graph = compiled_graph(schedule)
-    num_ops = graph.num_ops
-    ops = graph.ops
-    stage_arr = graph.stage
-    pos = graph.pos
-    pred_indptr, pred = graph.pred_indptr, graph.pred
-    succ_indptr, succ = graph.succ_indptr, graph.succ
-
-    caps = normalize_capacities(channel_capacities)
-    channels = channel_messages(graph)
-    bad = sorted(key for key in channels if caps.get(key, 0) < 1)
-    if bad:
-        listed = ", ".join(
-            f"stage {a} -> stage {b} ({kind})" for a, b, kind in bad
-        )
-        raise ScheduleError(
-            f"missing or sub-1 capacity for channel(s): {listed}"
-        )
-    slot_pred: dict[int, list[int]] = {}
-    slot_succ: dict[int, list[int]] = {}
-    for tail, head, _key in _slot_edges(channels, caps):
-        slot_pred.setdefault(head, []).append(tail)
-        slot_succ.setdefault(tail, []).append(head)
-
-    dur_fn, comm_fn, act_fn = op_cost_fns(cost)
-    duration = [dur_fn(op) for op in ops]
-    act_units = [act_fn(op) for op in ops]
-    comm = [0.0] * len(pred)
-    for i in range(num_ops):
-        op = ops[i]
-        for e in range(pred_indptr[i], pred_indptr[i + 1]):
-            comm[e] = comm_fn(ops[pred[e]], op)
-
-    # Indegree = dependency edges + implicit program-order edge + slot
-    # reclaims.
-    indeg = [0] * num_ops
-    for i in range(num_ops):
-        indeg[i] = (
-            pred_indptr[i + 1]
-            - pred_indptr[i]
-            + (1 if pos[i] > 0 else 0)
-            + len(slot_pred.get(i, ()))
-        )
-
-    start = [0.0] * num_ops
-    end = [0.0] * num_ops
-    heap: list[tuple[float, int]] = []
-
-    def finalize(j: int) -> None:
-        t = end[j - 1] if pos[j] > 0 else 0.0
-        for e in range(pred_indptr[j], pred_indptr[j + 1]):
-            ready = end[pred[e]] + comm[e]
-            if ready > t:
-                t = ready
-        for tail in slot_pred.get(j, ()):
-            freed = end[tail]
-            if freed > t:
-                t = freed
-        start[j] = t
-        end[j] = t + duration[j]
-        heappush(heap, (t, j))
-
-    for i in range(num_ops):
-        if indeg[i] == 0:
-            start[i] = 0.0
-            end[i] = duration[i]
-            heappush(heap, (0.0, i))
-
-    processed = 0
-    while heap:
-        _, i = heappop(heap)
-        processed += 1
-        for e in range(succ_indptr[i], succ_indptr[i + 1]):
-            j = succ[e]
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                finalize(j)
-        j = i + 1
-        if j < num_ops and stage_arr[j] == stage_arr[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                finalize(j)
-        for j in slot_succ.get(i, ()):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                finalize(j)
-    if processed != num_ops:
-        stuck = [str(ops[i]) for i in range(num_ops) if indeg[i] > 0][:8]
-        raise ScheduleError(
-            "bounded-channel deadlock; blocked ops: "
-            f"{stuck} (run `repro capacity` for a minimal-cycle witness)"
-        )
-
-    records: dict[OpId, OpRecord] = {}
-    rec_lists: list[list[OpRecord]] = []
-    metrics: list[StageMetrics] = []
-    stage_ends: list[float] = []
-    for s, (lo, hi) in enumerate(graph.stage_bounds):
-        m = StageMetrics(stage=s)
-        ledger = _Ledger(problem=problem, actgrad_factor=actgrad_factor)
-        stage_list: list[OpRecord] = []
-        for i in range(lo, hi):
-            op = ops[i]
-            record = OpRecord(op=op, stage=s, start=start[i], end=end[i])
-            records[op] = record
-            stage_list.append(record)
-            m.busy_time += duration[i]
-            m.op_count += 1
-            ledger.apply(op, act_units[i])
-        m.peak_activation_units = ledger.peak
-        metrics.append(m)
-        rec_lists.append(stage_list)
-        stage_ends.append(end[hi - 1] if hi > lo else 0.0)
-    makespan = max(stage_ends) if stage_ends else 0.0
-    return SimResult(
-        schedule_name=schedule.name,
-        problem=problem,
-        records=records,
-        stages=metrics,
-        makespan=makespan,
-        overhead_time=overhead_time,
-        stage_record_lists=rec_lists,
-    )
 
 
 def _simulate_fixed_point(

@@ -1,14 +1,11 @@
-"""Visualization: ASCII timelines, memory profiles, Chrome traces."""
+"""Visualization: ASCII timelines and memory profiles."""
 
 from repro.viz.memory import activation_series, render_memory_profile
 from repro.viz.timeline import render_program, render_timeline
-from repro.viz.trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
     "activation_series",
     "render_memory_profile",
     "render_program",
     "render_timeline",
-    "to_chrome_trace",
-    "write_chrome_trace",
 ]

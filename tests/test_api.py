@@ -61,18 +61,6 @@ def test_facade_import_emits_no_warnings():
         importlib.reload(api)
 
 
-def test_deprecated_cross_validate_warns_and_resolves():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fn = api.cross_validate
-    assert fn is api.cross_validate_evaluation
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    assert "cross_validate_evaluation" in str(caught[0].message)
-    # The warning points at this test file, not at the facade module.
-    assert caught[0].filename == __file__
-
-
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         api.no_such_name
@@ -219,6 +207,11 @@ def test_execute_unknown_method_is_exit_2_http_400():
     assert excinfo.value.exit_status == 2
     assert excinfo.value.http_status == 400
     assert excinfo.value.code == "unknown-method"
+    # A deleted evaluator name is an unknown one, not an alias.
+    with pytest.raises(api.RequestError) as excinfo:
+        api.execute(api.PlanRequest(evaluator="tiered"))
+    assert excinfo.value.http_status == 400
+    assert excinfo.value.code == "unknown-evaluator"
 
 
 def test_execute_bad_shape_is_exit_2():
@@ -256,11 +249,13 @@ def test_execute_plan_small_sweep_with_sink():
     assert entry["best"] is not None
     assert entry["describe"]
     assert response.cache is None
-    # The sweep was observable on the bus: an eval span per evaluated
-    # configuration (the tiered evaluator may add confirmation passes),
-    # plus the sweep counters.
+    # The sweep was observable on the bus: every evaluated configuration
+    # is listed by an eval span (the frontier by two — its analytic
+    # class and its sim confirmation), plus the sweep counters.
     eval_spans = [e for e in sink.spans() if e.cat == "eval"]
-    assert len(eval_spans) >= entry["evaluated"]
+    listed = [c for e in eval_spans for c in e.arg("configs")]
+    assert len(set(listed)) >= entry["evaluated"]  # + any rejected cells
+    assert all(len(e.arg("configs")) == e.arg("members") for e in eval_spans)
     assert sink.counters("evaluated")
     # And the response is wire-clean.
     assert api.response_from_dict(response.to_dict()) == response

@@ -4,7 +4,8 @@ Every rule is triggered on purpose and asserted by exact id with its
 minimal witness: a hand-built two-stage schedule whose all-forwards
 stage-0 program deadlocks under unit rings (CP001), invalid and
 incomplete capacity maps (CP002), deliberately starved-but-live rings
-(CP003), and tampered certificates (CP004).  The CLI round-trip tests
+(CP003), tampered certificates and a kernel or oracle that drops its
+slot-reuse edges (CP004).  The CLI round-trip tests
 pin the ``repro capacity`` / ``repro verify --capacity`` JSON contract.
 """
 
@@ -227,6 +228,76 @@ class TestCP004CertificateTamper:
         assert report.rule_ids() == {"CP001", "CP004"}
         (finding,) = report.by_rule("CP004")
         assert "unsatisfiable" in finding.message
+
+
+def binding_grid():
+    """Cells certified at deadlock-free capacities that genuinely bind
+    (the bounded critical path is longer than the unbounded one)."""
+    shapes = [
+        ("mepipe", dict(num_slices=4, wgrad_gemms=3)),
+        ("svpp", dict(num_slices=2, virtual_size=2)),
+        ("dapple", {}),
+        ("zb", {}),
+    ]
+    for method, kwargs in shapes:
+        problem = build_problem(method, 4, 8, **kwargs)
+        schedule = build_schedule(method, problem)
+        cost = UniformCost(problem, tw=0.5)
+        cert = certify_capacities(schedule, cost, mode="deadlock-free")
+        assert cert.makespan > cert.unbounded_makespan, method
+        yield schedule, cost, cert
+
+
+class TestSlotEdgeMutations:
+    """The analytic kernel and the heap oracle each append the
+    slot-reuse edges to their own edge arrays; if either side drops
+    them it silently replays the unbounded schedule, and the other
+    side's disagreement must surface as CP004."""
+
+    def test_unmutated_grid_is_clean(self):
+        for schedule, cost, cert in binding_grid():
+            report = cross_validate_capacities(schedule, cost, cert)
+            assert "CP004" not in report.rule_ids(), report.render_text()
+            assert report.ok
+
+    def test_kernel_dropping_slot_edges_fires_cp004(self, monkeypatch):
+        from repro.analysis.capacity import core
+
+        cells = list(binding_grid())
+        monkeypatch.setattr(
+            core,
+            "_slot_augmented_preds",
+            lambda graph, comm, edges: (
+                graph.pred_indptr, graph.pred, comm.tolist()
+            ),
+        )
+        for schedule, cost, cert in cells:
+            report = cross_validate_capacities(schedule, cost, cert)
+            assert not report.ok
+            messages = [f.message for f in report.by_rule("CP004")]
+            assert any("bounded makespan does not reproduce" in m
+                       for m in messages)
+            assert any("bounded event simulation disagrees" in m
+                       for m in messages)
+
+    def test_oracle_dropping_slot_edges_fires_cp004(self, monkeypatch):
+        from repro.sim import executor
+
+        cells = list(binding_grid())
+        monkeypatch.setattr(
+            executor,
+            "_slot_reuse_csr",
+            lambda graph, caps, comm: (
+                graph.pred_indptr, graph.pred, comm,
+                graph.succ_indptr, graph.succ,
+            ),
+        )
+        for schedule, cost, cert in cells:
+            report = cross_validate_capacities(schedule, cost, cert)
+            assert not report.ok
+            (finding,) = report.by_rule("CP004")
+            assert "bounded event simulation disagrees" in finding.message
+            assert f"analytic:  {cert.makespan!r}" in finding.witness
 
 
 class TestDeterminism:

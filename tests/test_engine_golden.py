@@ -1,8 +1,8 @@
 """Golden equivalence: every engine replays the fixed-point engine.
 
-The vectorized wavefront executor (``"event"``) and the event-driven
-heap replay (``"heap"``) must be pure speedups — not approximations —
-of the original fixed-point replay.  These tests compare the engines
+The plan-order kernel (``"event"``) and the event-driven heap oracle
+(``"heap"``) must be pure speedups — not approximations — of the
+original fixed-point replay.  These tests compare the engines
 bit-for-bit (op records, makespan, per-stage
 busy time and activation peaks) across the acceptance grid from
 ``tests/test_verify.py``, under the uniform cost model, an imbalanced
@@ -13,10 +13,12 @@ same-stage communication (exercising the executor's promise to probe
 
 import pytest
 
+from repro.analysis.capacity import channel_messages
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
 from repro.schedules.base import OpId
+from repro.schedules.graph import compiled_graph
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
 from repro.sim.executor import simulate
@@ -94,8 +96,32 @@ def test_engines_agree_with_edge_charging_cost():
 def test_unknown_engine_rejected():
     problem = build_problem("dapple", 2, 4)
     schedule = build_schedule("dapple", problem)
+    cost = UniformCost(problem)
     with pytest.raises(ValueError, match="unknown simulation engine"):
-        simulate(schedule, UniformCost(problem), engine="bogus")
+        simulate(schedule, cost, engine="bogus")
+    # The bounded-channel mode runs on the heap whatever valid engine is
+    # named, but it must not launder an invalid one.
+    caps = dict.fromkeys(channel_messages(compiled_graph(schedule)), 2)
+    with pytest.raises(ValueError, match="unknown simulation engine"):
+        simulate(schedule, cost, engine="bogus", channel_capacities=caps)
+
+
+def test_slack_capacities_leave_the_heap_replay_untouched():
+    """With every capacity >= its channel's message count no slot-reuse
+    edge exists, so the bounded mode is the unbounded heap replay."""
+    problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
+    schedule = build_schedule("mepipe", problem)
+    cost = UniformCost(problem, tw=0.5)
+    channels = channel_messages(compiled_graph(schedule))
+    assert channels
+    unbounded = simulate(schedule, cost, engine="heap")
+    for slack in (0, 3):
+        caps = {key: len(msgs) + slack for key, msgs in channels.items()}
+        bounded = simulate(
+            schedule, cost, engine="heap", channel_capacities=caps
+        )
+        assert_bitwise_equal(bounded, unbounded)
+        assert bounded.stage_record_lists == unbounded.stage_record_lists
 
 
 def test_stage_records_cached_and_sorted():

@@ -8,7 +8,7 @@ models.  The cross-validation harness (:mod:`repro.sim.crossval`) does
 the bit-level comparison against the *scalar* engines (heap and
 fixed-point), so these tests never compare the wavefront with itself.
 
-Also covered: the planner's tiered first pass returning exactly the
+Also covered: the planner's analytic first pass returning exactly the
 sim-only sweep's optimum and Pareto frontier, and the sweep cache never
 aliasing analytic and sim entries (tier + evaluator version are part of
 the fingerprint).
@@ -188,55 +188,58 @@ def row_key(r):
     return (r.config, r.iteration_time_s, r.peak_memory_bytes, r.oom)
 
 
-def test_tiered_search_matches_sim_search():
-    tiered = search_method(
-        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="tiered"
+def test_grid_search_matches_sim_search():
+    grid = search_method(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="grid"
     )
     sim = search_method(
         "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="sim"
     )
-    # The optimum is identical including provenance: the tiered sweep
+    # The optimum is identical including provenance: the grid sweep
     # re-evaluates its frontier at "sim" tier.
-    assert tiered.best == sim.best
-    assert tiered.evaluator == "tiered" and sim.evaluator == "sim"
-    assert [row_key(r) for r in pareto_frontier(tiered.evaluated)] == [
+    assert grid.best == sim.best
+    assert grid.evaluator == "grid" and sim.evaluator == "sim"
+    assert [row_key(r) for r in pareto_frontier(grid.evaluated)] == [
         row_key(r) for r in pareto_frontier(sim.evaluated)
     ]
-    assert all(r.tier == "sim" for r in pareto_frontier(tiered.evaluated))
-    # Every row the tiered sweep did evaluate carries the sim sweep's
+    assert all(r.tier == "sim" for r in pareto_frontier(grid.evaluated))
+    # Every row the grid sweep did evaluate carries the sim sweep's
     # exact numbers (the analytic tier is bit-exact).
     sim_rows = {r.config: row_key(r) for r in sim.evaluated}
-    for r in tiered.evaluated:
+    for r in grid.evaluated:
         assert row_key(r) == sim_rows[r.config]
     # Every pruned candidate names its certified dominator.
     analytic_skips = [
-        s for s in tiered.skipped if s.reason.startswith("analytic:")
+        s for s in grid.skipped if s.reason.startswith("analytic:")
     ]
     for skip in analytic_skips:
         assert "dominated by" in skip.reason
-        assert skip.config not in {r.config for r in tiered.evaluated}
+        assert skip.config not in {r.config for r in grid.evaluated}
 
 
 def test_unknown_evaluator_rejected():
-    with pytest.raises(ValueError, match="unknown search evaluator"):
-        search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="bogus"
-        )
+    # "tiered" named the cell-at-a-time twin of "grid" until it was
+    # deleted; it is rejected like any other unknown name.
+    for evaluator in ("bogus", "tiered"):
+        with pytest.raises(ValueError, match="unknown search evaluator"):
+            search_method(
+                "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator=evaluator
+            )
 
 
 def test_all_oom_sweeps_survive_tiering():
     """All-OOM sweeps never find an incumbent, so nothing is pruned and
     the all-OOM verdict (every row in the trail) is preserved."""
-    tiered = search_method(
+    grid = search_method(
         "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS,
-        evaluator="tiered", min_dp=16,
+        evaluator="grid", min_dp=16,
     )
     sim = search_method(
         "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS,
         evaluator="sim", min_dp=16,
     )
-    assert tiered.all_oom and sim.all_oom
-    assert {row_key(r) for r in tiered.evaluated} == {
+    assert grid.all_oom and sim.all_oom
+    assert {row_key(r) for r in grid.evaluated} == {
         row_key(r) for r in sim.evaluated
     }
 

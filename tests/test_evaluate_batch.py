@@ -5,11 +5,13 @@ The central claim of :mod:`repro.analysis.evaluate.batch` — one stacked
 :func:`evaluate_schedule` member for member, bit-identically — is
 checked here over the full acceptance grid under distinct per-member
 cost tables, plus the structural-agreement guard and the grid-tier
-planner integration (``evaluator="grid"`` returns exactly what
-``"tiered"`` and ``"sim"`` return).
+planner integration (``evaluate_config_batch`` equals the scalar
+``evaluate_config`` member for member; ``evaluator="grid"`` returns
+exactly what ``"sim"`` returns).
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from repro.analysis.evaluate import (
 )
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_13B
-from repro.planner.evaluate import evaluate_config_batch
-from repro.planner.parallel import EvalTask, evaluate_tasks, evaluate_tasks_batched
+from repro.planner.evaluate import evaluate_config, evaluate_config_batch
+from repro.planner.parallel import EvalTask, evaluate_tasks
 from repro.planner.search import search_method
 from repro.schedules import gencache
 from repro.schedules.graph import compiled_graph
@@ -159,19 +161,47 @@ def test_evaluate_config_batch_matches_scalar_sweep():
             GBS,
             tier="analytic",
         )
-        for spp in (1, 2)
+        # spp=3 does not divide the sequence: the prelude rejects it.
+        for spp in (1, 2, 3)
     ]
     report = evaluate_config_batch(tasks)
     assert len(report.results) == len(tasks)
-    scalar = evaluate_tasks(list(tasks))
-    batched = evaluate_tasks_batched(list(tasks))
-    assert batched == scalar
+    # Member for member the scalar definition: same result, or the
+    # same exception type and text.
+    rejected = 0
+    for task, got in zip(tasks, report.results):
+        try:
+            want = evaluate_config(
+                task.method,
+                task.spec,
+                task.cluster,
+                task.config,
+                task.global_batch_size,
+                tier=task.tier,
+                capacity_mode=task.capacity_mode,
+            )
+        except ValueError as exc:
+            rejected += 1
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert got == want
+    assert rejected == 1
+    # And the dispatcher reports exactly those outcomes.
+    outcomes = evaluate_tasks(list(tasks))
+    assert [o.result for o in outcomes] == [
+        r if not isinstance(r, Exception) else None for r in report.results
+    ]
+    assert [o.error for o in outcomes if not o.ok] == [
+        str(r).splitlines()[0]
+        for r in report.results
+        if isinstance(r, Exception)
+    ]
     # The dapple recompute pair shares one problem and a cost-independent
     # builder — a genuine topology class of size 2.
     assert any(size >= 2 for size in report.class_sizes)
 
 
-def test_grid_evaluator_matches_tiered_and_sim():
+def test_grid_evaluator_matches_sim():
     results = {
         evaluator: search_method(
             "mepipe",
@@ -181,17 +211,16 @@ def test_grid_evaluator_matches_tiered_and_sim():
             max_spp=4,
             evaluator=evaluator,
         )
-        for evaluator in ("sim", "tiered", "grid")
+        for evaluator in ("sim", "grid")
     }
-    grid, tiered, sim = results["grid"], results["tiered"], results["sim"]
-    assert grid.best == tiered.best
-    assert grid.evaluated == tiered.evaluated
-    assert [(s.config, s.reason) for s in grid.skipped] == [
-        (s.config, s.reason) for s in tiered.skipped
-    ]
-    # vs "sim" the numbers and the winner agree (tier tags differ).
-    assert grid.best.config == sim.best.config
-    assert grid.best.iteration_time_s == sim.best.iteration_time_s
+    grid, sim = results["grid"], results["sim"]
+    # The frontier is confirmed at "sim" provenance, so the winner is
+    # the same object; off-frontier rows carry the same numbers under
+    # an "analytic" tag.
+    assert grid.best == sim.best
+    sim_rows = {r.config: r for r in sim.evaluated}
+    for r in grid.evaluated:
+        assert replace(r, tier="sim") == sim_rows[r.config]
 
 
 def test_structure_store_shares_plans_across_sweeps():

@@ -14,6 +14,7 @@ from repro.data import token_batches
 from repro.model import tiny_spec
 from repro.nn import Adam, build_model, sequential_step
 from repro.nn.precision import GradNormClipper, LossScaler, shrink_embedding_gradients
+from repro.obs.chrome import write_sim_trace
 from repro.pipeline import PipelineRuntime
 from repro.profiler import Profiler
 from repro.reliability import FaultInjector, TrainingDriver
@@ -25,7 +26,6 @@ from repro.schedules import (
     validate_schedule,
 )
 from repro.sim.executor import simulate
-from repro.viz import write_chrome_trace
 
 SPEC = tiny_spec(hidden_size=32, num_layers=6, num_heads=4,
                  ffn_hidden_size=64, vocab_size=37, seq_length=32)
@@ -124,7 +124,7 @@ class TestFullTrainingStack:
         from repro.sim.cost import UniformCost
 
         result = simulate(schedule, UniformCost(problem, tw=0.5))
-        path = write_chrome_trace(result, tmp_path / "mepipe.json")
+        path = write_sim_trace(result, tmp_path / "mepipe.json")
         data = json.loads(path.read_text())
         ops = [e for e in data["traceEvents"] if e["ph"] == "X"]
         assert len(ops) == len(problem.all_ops())

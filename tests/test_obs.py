@@ -2,7 +2,7 @@
 
 Covers the event primitives and span-nesting invariants, the concrete
 sinks (memory, JSONL round-trip, Chrome trace), golden compatibility of
-the Chrome export with the legacy ``repro.viz.trace`` output over the
+the Chrome export with the pre-``repro.obs`` exporter's output over the
 whole E0 method grid, sim-vs-runtime trace alignment (the two
 substrates emit the same op rows), and the instrumentation hooks of all
 four substrates (simulator, runtime, profiler, planner).
@@ -32,6 +32,7 @@ from repro.obs import (
     record_iteration,
     schedule_comm_log,
     sim_chrome_trace,
+    write_sim_trace,
 )
 from repro.pipeline import PipelineRuntime
 from repro.schedules import build_problem, build_schedule
@@ -230,22 +231,10 @@ class TestChromeGolden:
             assert sim_chrome_trace(result) == _legacy_chrome_trace(result), \
                 method
 
-    def test_deprecated_shim_warns_and_delegates(self):
-        from repro.viz.trace import to_chrome_trace
-
+    def test_write_sim_trace_round_trips(self, tmp_path):
         schedule = _mepipe_schedule()
         result = simulate(schedule, UniformCost(schedule.problem))
-        with pytest.warns(DeprecationWarning, match="sim_chrome_trace"):
-            trace = to_chrome_trace(result)
-        assert trace == sim_chrome_trace(result)
-
-    def test_write_shim_warns(self, tmp_path):
-        from repro.viz.trace import write_chrome_trace
-
-        schedule = _mepipe_schedule()
-        result = simulate(schedule, UniformCost(schedule.problem))
-        with pytest.warns(DeprecationWarning):
-            path = write_chrome_trace(result, tmp_path / "t.json")
+        path = write_sim_trace(result, tmp_path / "t.json")
         assert json.loads(path.read_text()) == sim_chrome_trace(result)
 
     def test_chrome_trace_renders_all_kinds(self):
@@ -453,7 +442,8 @@ class TestPlannerInstrumentation:
         sink = MemorySink()
         evaluate_tasks([task], cache=cache, sink=sink)
         (span,) = sink.spans()
-        assert span.cat == "eval" and span.arg("ok") is True
+        assert span.cat == "eval"
+        assert span.arg("configs") == [task.config.describe()]
         assert sink.counter_value("evaluated") == 1.0
         assert sink.counter_value("cache_hits") == 0.0
 

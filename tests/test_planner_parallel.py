@@ -74,16 +74,28 @@ def test_cache_tolerates_corrupt_and_stale_entries(tmp_path):
     path = tmp_path / f"{eval_fingerprint(task)}.json"
     assert path.exists()
 
-    path.write_text("{ not json")
-    assert cache.get(task) is None  # corrupt -> miss, no raise
-
-    entry = {"schema": CACHE_SCHEMA - 1, "status": "ok", "result": {}}
-    path.write_text(json.dumps(entry))
-    assert cache.get(task) is None  # stale schema -> miss
-
-    # And a re-run repairs the entry.
-    evaluate_tasks([task], cache=cache)
-    assert cache.get(task) is not None
+    good = json.loads(path.read_text())
+    truncated = dict(good, result={"method": good["result"]["method"]})
+    bodies = [
+        "{ not json",  # corrupt
+        json.dumps({"schema": CACHE_SCHEMA - 1, "status": "ok", "result": {}}),
+        # Valid JSON that is not a well-formed entry of this schema.
+        "[]",
+        '"x"',
+        json.dumps({"schema": CACHE_SCHEMA, "status": "ok"}),
+        json.dumps({"schema": CACHE_SCHEMA, "status": "error"}),
+        json.dumps(truncated),
+    ]
+    for body in bodies:
+        path.write_text(body)
+        misses = cache.misses
+        assert cache.get(task) is None, body  # a miss, never a raise
+        assert cache.misses == misses + 1, body
+        # And a re-run recomputes and repairs the entry.
+        (outcome,) = evaluate_tasks([task], cache=cache)
+        assert outcome.ok, body
+        assert json.loads(path.read_text()) == good, body
+        assert cache.get(task) == outcome, body
 
 
 def test_cache_kill_switch(tmp_path, monkeypatch):

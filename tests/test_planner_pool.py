@@ -1,16 +1,17 @@
-"""The persistent planner worker pool: modes, reuse, faults, shutdown.
+"""The persistent planner worker pool: reuse, faults, shutdown.
 
 These tests drive :mod:`repro.planner.pool` directly with small
 picklable functions — real sweeps are exercised through
 ``evaluate_tasks`` elsewhere — and check the properties the service
-relies on: warm reuse across calls, the per-sweep kill switch, inline
-fallback when a worker dies, and leak-free shutdown.
+relies on: warm reuse across calls, inline fallback when a worker dies
+or the pool is replaced under a call, and leak-free shutdown.
 """
 
 import asyncio
 import multiprocessing
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -18,16 +19,13 @@ from repro.planner import pool
 
 
 @pytest.fixture(autouse=True)
-def clean_pool(monkeypatch):
-    """Each test starts with no pool, fresh counters, env-driven mode."""
-    monkeypatch.delenv("REPRO_PLANNER_POOL", raising=False)
+def clean_pool():
+    """Each test starts with no pool and fresh counters."""
     pool.shutdown()
     pool.reset_stats()
-    pool.set_mode(None)
     yield
     pool.shutdown()
     pool.reset_stats()
-    pool.set_mode(None)
 
 
 def _square(x: int) -> int:
@@ -40,24 +38,6 @@ def _die_in_worker(x: int) -> int:
     if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return x + 1
-
-
-def test_default_mode_is_persistent():
-    assert pool.pool_mode() == "persistent"
-
-
-def test_env_selects_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANNER_POOL", "per-sweep")
-    pool.set_mode(None)  # drop the cached mode; re-read the env
-    assert pool.pool_mode() == "per-sweep"
-    monkeypatch.setenv("REPRO_PLANNER_POOL", "bogus")
-    pool.set_mode(None)
-    assert pool.pool_mode() == "persistent"  # unknown values fall back
-
-
-def test_set_mode_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown pool mode"):
-        pool.set_mode("forkbomb")
 
 
 def test_single_job_runs_inline():
@@ -83,14 +63,6 @@ def test_persistent_pool_is_reused_across_calls():
     assert after_second["pool_workers"] == 2
 
 
-def test_per_sweep_mode_leaves_no_pool_behind():
-    pool.set_mode("per-sweep")
-    assert pool.run_map(_square, [2, 3], jobs=2) == [4, 9]
-    stats = pool.stats()
-    assert stats["pool_workers"] == 0
-    assert stats["worker_reuse"] == 0
-
-
 def test_broken_pool_falls_back_inline():
     results = pool.run_map(_die_in_worker, [10, 20], jobs=2)
     assert results == [11, 21]  # the inline re-run, not garbage
@@ -98,6 +70,23 @@ def test_broken_pool_falls_back_inline():
     assert stats["pool_faults"] == 1
     # The next call rebuilds the pool and works normally.
     assert pool.run_map(_square, [6], jobs=2) == [36]
+
+
+def test_pool_replaced_under_a_call_falls_back_inline(monkeypatch):
+    """Thread A holds the executor ``_ensure_executor`` returned while a
+    concurrent ``jobs=4`` call replaces it and shuts the stale one down;
+    A's ``map`` then refuses new work with a plain ``RuntimeError``."""
+    stale = ProcessPoolExecutor(max_workers=2)
+    stale.shutdown(wait=True)
+    monkeypatch.setattr(pool, "_ensure_executor", lambda jobs: (stale, True))
+    assert pool.run_map(_square, [3, 4], jobs=2) == [9, 16]
+    stats = pool.stats()
+    assert stats["pool_faults"] == 1
+    assert stats["worker_reuse"] == 0  # nothing ran on the lost pool
+    # The next call gets a working pool again.
+    monkeypatch.undo()
+    assert pool.run_map(_square, [6], jobs=2) == [36]
+    assert pool.stats()["pool_workers"] == 2
 
 
 def test_shutdown_is_idempotent_and_leakfree():

@@ -205,6 +205,11 @@ class TestHttpEndpoints:
         assert excinfo.value.status == 400
         assert excinfo.value.error.code == "unknown-method"
         assert excinfo.value.error.ok is False
+        # A deleted evaluator name is an unknown one, not an alias.
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client().request(api.PlanRequest(evaluator="tiered"))
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.code == "unknown-evaluator"
 
     def test_safety_tier_rejection_maps_to_422(self, harness):
         # Interleaved VPP requires n % p == 0; n=2, p=4 is a
@@ -302,16 +307,30 @@ class TestJobsAndStreaming:
         assert [name for name, _ in events].count("done") == 1
 
     def test_concurrent_identical_requests_share_one_execution(
-        self, harness
+        self, harness, monkeypatch
     ):
         client = harness.client()
         executed_before = harness.store.executed
+        hits_before = harness.store.dedup_hits
+        # Dedup is in-flight-only: hold the one execution open until the
+        # other 31 requests have attached to it, so all 32 are provably
+        # in flight together however fast the plan itself is.
+        gate = _Gated(jobs_module.execute)
+        monkeypatch.setattr(jobs_module, "execute", gate)
 
         def one(_: int) -> str:
             return client.request(SMALL_PLAN).to_json()
 
         with ThreadPoolExecutor(max_workers=32) as pool:
-            bodies = list(pool.map(one, range(32)))
+            futures = [pool.submit(one, i) for i in range(32)]
+            deadline = time.monotonic() + 20.0
+            while (
+                harness.store.dedup_hits < hits_before + 31
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            gate.release.set()
+            bodies = [f.result() for f in futures]
 
         # All 32 callers saw byte-identical responses...
         assert len(set(bodies)) == 1
@@ -356,6 +375,19 @@ class _Slow:
         self.calls += 1
         time.sleep(self.delay_s)
         return api.EvaluateResponse(ok=True, text="slow done")
+
+
+class _Gated:
+    """Patchable stand-in for ``api.execute`` that holds the real call
+    until the test releases it."""
+
+    def __init__(self, execute) -> None:
+        self.execute = execute
+        self.release = threading.Event()
+
+    def __call__(self, request, *, sink, cache=None):
+        assert self.release.wait(25.0), "gate was never released"
+        return self.execute(request, sink=sink, cache=cache)
 
 
 class TestQuotasAndDeadlines:

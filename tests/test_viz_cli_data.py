@@ -70,6 +70,10 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+        # The worker pool has one mode; its selector flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["plan", "7b", "32", "--pool", "persistent"])
+        assert excinfo.value.code == 2
 
 
 class TestSyntheticData:

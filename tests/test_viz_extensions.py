@@ -4,14 +4,10 @@ import json
 
 import pytest
 
+from repro.obs.chrome import sim_chrome_trace, write_sim_trace
 from repro.schedules import build_problem, build_schedule
 from repro.sim import UniformCost, simulate
-from repro.viz import (
-    activation_series,
-    render_memory_profile,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.viz import activation_series, render_memory_profile
 
 
 @pytest.fixture(scope="module")
@@ -60,29 +56,29 @@ class TestMemoryProfile:
 
 class TestChromeTrace:
     def test_event_count(self, svpp_result):
-        trace = to_chrome_trace(svpp_result)
+        trace = sim_chrome_trace(svpp_result)
         ops = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(ops) == svpp_result.problem.num_stages * 0 + sum(
             1 for _ in svpp_result.records)
 
     def test_metadata(self, svpp_result):
-        trace = to_chrome_trace(svpp_result)
+        trace = sim_chrome_trace(svpp_result)
         assert trace["otherData"]["schedule"] == "svpp"
         assert 0 < trace["otherData"]["bubble_ratio"] < 1
 
     def test_kinds_categorized(self, mepipe_result):
-        trace = to_chrome_trace(mepipe_result)
+        trace = sim_chrome_trace(mepipe_result)
         cats = {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert cats == {"F", "B", "W"}
 
     def test_write_roundtrip(self, svpp_result, tmp_path):
-        path = write_chrome_trace(svpp_result, tmp_path / "trace.json")
+        path = write_sim_trace(svpp_result, tmp_path / "trace.json")
         data = json.loads(path.read_text())
         assert data["displayTimeUnit"] == "ms"
         assert len(data["traceEvents"]) > 0
 
     def test_durations_positive(self, svpp_result):
-        trace = to_chrome_trace(svpp_result)
+        trace = sim_chrome_trace(svpp_result)
         for event in trace["traceEvents"]:
             if event["ph"] == "X":
                 assert event["dur"] > 0
