@@ -58,10 +58,11 @@ def replay(session: nox.Session) -> None:
     the slot-reuse edges to their own arrays).  The gate runs the engine
     golden tests, the analytic evaluator's exactness/bounds/first-pass
     suite, the batched bit-identity grid, the capacity soundness grid,
-    the seeded EV-rule, cost-row/class-key and CP-rule/slot-edge
-    mutation suites, and the worker-pool lifecycle suite — under strict
-    typing for the evaluator, the capacity pass, the pipeline modules it
-    gates, and the pool.
+    the seeded EV-rule, cost-row/class-key and CP-rule/slot-edge/
+    oracle-table mutation suites, the confirm-path allocation guard,
+    and the worker-pool lifecycle suite — under strict typing for the
+    evaluator, the capacity pass, the pipeline modules it gates, and
+    the pool.
     """
     session.install("-e", ".[test,lint]")
     session.run(
@@ -80,6 +81,7 @@ def replay(session: nox.Session) -> None:
         "tests/test_batch_mutations.py",
         "tests/test_capacity.py",
         "tests/test_capacity_mutations.py",
+        "tests/test_confirm_allocations.py",
         "tests/test_planner_pool.py",
     )
 

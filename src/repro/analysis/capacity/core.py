@@ -612,7 +612,7 @@ def bounded_dense_times(
     else:
         order, residual = _bounded_order(graph, edges)
         if residual:
-            stuck = [str(graph.ops[i]) for i in residual[:8]]
+            stuck = [str(graph.op_at(i)) for i in residual[:8]]
             raise ScheduleError(
                 f"bounded-channel deadlock; blocked ops: {stuck} "
                 f"(run `repro capacity` for a minimal-cycle witness)"
@@ -663,7 +663,7 @@ def _deadlock_witness(
     capacities: Mapping[ChannelId, int],
 ) -> Finding:
     """A CP001 finding with a minimal blocking-cycle witness."""
-    ops = graph.ops
+    ops = {i: graph.op_at(i) for i in residual}  # only the blocked ops
     stage, pos = graph.stage, graph.pos
     succ_indptr, succ = graph.succ_indptr, graph.succ
     residual_set = set(residual)
@@ -951,23 +951,23 @@ def cross_validate_capacities(
             )
         )
     else:
-        ops = graph.ops
         starts = bounded_times.start.tolist()
         ends = bounded_times.end.tolist()
+        sim_starts, sim_ends = sim.start_end(graph)
         for i in range(graph.num_ops):
-            record = sim.records[ops[i]]
-            if record.start != starts[i] or record.end != ends[i]:
+            if sim_starts[i] != starts[i] or sim_ends[i] != ends[i]:
+                op = graph.op_at(i)
                 findings.append(
                     Finding(
                         "CP004",
                         f"bounded event simulation diverges from the "
-                        f"analytic slot-augmented times at op {ops[i]}",
-                        op=ops[i],
+                        f"analytic slot-augmented times at op {op}",
+                        op=op,
                         stage=int(graph.stage[i]),
                         witness=(
                             f"analytic:  start {starts[i]!r} end {ends[i]!r}",
-                            f"simulated: start {record.start!r} "
-                            f"end {record.end!r}",
+                            f"simulated: start {sim_starts[i]!r} "
+                            f"end {sim_ends[i]!r}",
                         ),
                     )
                 )

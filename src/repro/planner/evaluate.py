@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Protocol, Sequence
 
+import numpy as np
+
 from repro.analysis import interface_report
 from repro.analysis.evaluate import (
     AnalyticEvaluation,
+    DenseTimes,
     evaluate_schedule,
     evaluate_schedule_batch,
     iteration_time_bounds,
@@ -34,7 +37,7 @@ from repro.model.memory import GiB, MemoryBudget, budget_for
 from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig, validate_for_cluster
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.graph import compiled_graph
+from repro.schedules.graph import compiled_graph, toposort_plan
 from repro.schedules.greedy import default_first_stage_cap, min_first_stage_cap
 from repro.schedules.methods import build_problem, build_schedule, method_traits
 from repro.schedules.verify import assert_clean
@@ -310,7 +313,9 @@ def _finalize(
         from repro.analysis.capacity import infer_capacities, ring_bytes_per_stage
         from repro.pipeline.channels import _HEADER_BYTES
 
-        times = result.times if isinstance(result, AnalyticEvaluation) else None
+        # Priced on the per-op times the tier already computed: the
+        # inference never re-runs the dense kernel.
+        times = _dense_times(result)
         # The deadlock-free coordinate descent is the analyzer's one
         # expensive inference and the backpressure-free ledger never
         # reads it — skip it unless that mode was asked for.
@@ -352,6 +357,21 @@ def _finalize(
         channel_buffer_bytes=channel_bytes,
         channel_slots=channel_slots,
         backpressure_free=backpressure_free,
+    )
+
+
+def _dense_times(result: SimResult | AnalyticEvaluation) -> DenseTimes | None:
+    """The evaluation's own per-op tables (the sim tier's are the heap
+    oracle's arrays), in the capacity ledger's format."""
+    if isinstance(result, AnalyticEvaluation):
+        return result.times
+    t = result.op_times
+    if t is None:
+        return None
+    tables = (t.start, t.end, t.duration, t.act_units, t.comm)
+    return DenseTimes(
+        *(np.asarray(table, dtype=np.float64) for table in tables),
+        levels=toposort_plan(t.graph).levels,
     )
 
 

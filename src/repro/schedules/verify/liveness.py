@@ -62,14 +62,16 @@ def _check_liveness_graph(
     index instead of ``(mb, sl, c)`` tuples — no tuple allocation or
     hashing per op — and accumulates in identical order, so peaks match
     the dict walk bit for bit.  Ints sort like the tuples they encode,
-    so leak listings come out in the same order too.
+    so leak listings come out in the same order too.  Only the ops a
+    finding or a ``peak_op`` names are decoded (``graph.op_at``); the
+    full ``OpId`` tuple is never materialized.
     """
     problem = graph.problem
     unit = problem.activation_units_per_op
     gemms = problem.wgrad_gemms
     split = problem.split_backward
     s, chunks = problem.num_slices, problem.num_chunks
-    ops, kind, cell = graph.ops, graph.kind, graph.cell
+    op_at, kind, cell = graph.op_at, graph.kind, graph.cell
     findings: list[Finding] = []
     peaks: list[StagePeak] = []
 
@@ -80,7 +82,7 @@ def _check_liveness_graph(
         act_current = 0.0
         peak = 0.0
         act_peak = 0.0
-        peak_op: OpId | None = None
+        peak_at = -1
         violations = 0
 
         def violation(op: OpId, message: str, stage: int = stage) -> None:
@@ -96,7 +98,7 @@ def _check_liveness_graph(
             kc = kind[i]
             if kc == KIND_F:
                 if key in live:
-                    op = ops[i]
+                    op = op_at(i)
                     violation(
                         op,
                         f"{op} re-materializes an activation that is "
@@ -107,7 +109,7 @@ def _check_liveness_graph(
                 act_current += unit
             elif kc == KIND_B:
                 if key not in live:
-                    op = ops[i]
+                    op = op_at(i)
                     violation(
                         op,
                         f"{op} consumes activations of F{op.microbatch}."
@@ -115,7 +117,7 @@ def _check_liveness_graph(
                         f"stage {stage} (freed or never materialized)",
                     )
                 elif key in b_done:
-                    op = ops[i]
+                    op = op_at(i)
                     violation(
                         op,
                         f"{op} re-runs a backward whose activations are "
@@ -130,7 +132,7 @@ def _check_liveness_graph(
                     act_current -= unit
             else:  # W
                 if key not in b_done:
-                    op = ops[i]
+                    op = op_at(i)
                     violation(
                         op,
                         f"{op} runs before its backward B{op.microbatch}."
@@ -138,7 +140,7 @@ def _check_liveness_graph(
                         f"activation gradients it consumes",
                     )
                 elif key not in live or live[key] <= 0:
-                    op = ops[i]
+                    op = op_at(i)
                     violation(
                         op,
                         f"{op} releases an activation share of "
@@ -153,7 +155,7 @@ def _check_liveness_graph(
                     act_current -= unit / gemms
             if current > peak + 1e-12:
                 peak = current
-                peak_op = ops[i]
+                peak_at = i
             if act_current > act_peak:
                 act_peak = act_current
 
@@ -193,7 +195,7 @@ def _check_liveness_graph(
                 stage=stage,
                 peak_units=peak,
                 peak_activation_units=act_peak,
-                peak_op=peak_op,
+                peak_op=op_at(peak_at) if peak_at >= 0 else None,
             )
         )
     return findings, peaks

@@ -77,23 +77,19 @@ def _check_exactness(
     times = evaluation.times
     if times is not None:
         graph = compiled_graph(schedule)
-        for i, op in enumerate(graph.ops):
-            record = sim.records[op]
-            if (
-                record.start != times.start[i]
-                or record.end != times.end[i]
-            ):
+        starts, ends = sim.start_end(graph)
+        for i in range(graph.num_ops):
+            if starts[i] != times.start[i] or ends[i] != times.end[i]:
                 findings.append(
                     Finding(
                         "EV001",
                         "op timing diverges from the event replay",
-                        stage=record.stage,
-                        op=op,
+                        stage=graph.stage[i],
+                        op=graph.op_at(i),
                         witness=(
                             f"analytic:  [{times.start[i]!r}, "
                             f"{times.end[i]!r}]",
-                            f"simulated: [{record.start!r}, "
-                            f"{record.end!r}]",
+                            f"simulated: [{starts[i]!r}, {ends[i]!r}]",
                         ),
                     )
                 )

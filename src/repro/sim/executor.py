@@ -15,15 +15,17 @@ Three engines produce identical results:
   The analytic evaluator prices schedules on the same kernel (and on
   its stacked twin, :func:`repro.analysis.evaluate.batch.
   batched_wavefront_times`, for topology classes of two or more).
-* ``"heap"`` — the independent oracle: per-op durations and comm times
-  probed per op and per edge, indegree counting makes each op ready
-  exactly once, and a heap keyed on ready time drains the queue
-  chronologically.  O((V + E) log V), no ``OpId`` hashing in the
-  replay loop.  It shares neither the replay loop, the topological
-  plan, nor the cost-table probing with the kernel, which is why the
-  planner confirms its frontier on it.  ``channel_capacities=`` runs
-  on this engine too: slot-reuse edges join its edge arrays as
-  zero-cost dependencies before the loop starts.
+* ``"heap"`` — the independent oracle: durations and comm times
+  probed through its own integer-key memo (:func:`_cost_keys`; one
+  probe per op and per edge for models that are not micro-batch
+  invariant), indegree counting makes each op ready exactly once, and
+  a heap keyed on ready time drains the queue chronologically.
+  O((V + E) log V) over the graph's integer tables — no ``OpId`` per
+  op.  It shares neither the replay loop, the topological plan, nor
+  the cost-table probing with the kernel, which is why the planner
+  confirms its frontier on it.  ``channel_capacities=`` runs on this
+  engine too: slot-reuse edges join its edge arrays as zero-cost
+  dependencies before the loop starts.
 * ``"fixed-point"`` — the original round-robin blocked-head scan over
   the stage programs (it never reads the compiled graph), kept as the
   golden reference.
@@ -33,7 +35,9 @@ An op's start time is a pure function of its dependencies' end times
 identical operands), and all engines accumulate per-stage busy time and
 the activation ledger in program order, so the equivalence is
 bit-for-bit, not approximate — ``tests/test_engine_golden.py`` asserts
-it across the acceptance grid.  (:mod:`repro.sim.network` is a
+it across the acceptance grid.  The graph engines return an
+array-backed :class:`SimResult` (:class:`OpTimes`) whose ``OpRecord``
+views are built on first read.  (:mod:`repro.sim.network` is a
 different model — FIFO link queues — not another engine of this one.)
 """
 
@@ -53,8 +57,8 @@ from repro.schedules.base import (
     Schedule,
     ScheduleError,
 )
-from repro.schedules.graph import ScheduleGraph, compiled_graph
-from repro.sim.cost import CostModel, op_cost_fns, stamp_byte_sizes
+from repro.schedules.graph import KIND_B, KIND_F, ScheduleGraph, compiled_graph
+from repro.sim.cost import CostModel, stamp_byte_sizes
 
 
 @dataclass(frozen=True)
@@ -81,19 +85,39 @@ class StageMetrics:
     op_count: int = 0
 
 
+@dataclass(frozen=True)
+class OpTimes:
+    """What a graph engine computes: flat per-op tables by ``graph``'s
+    dense op index (``comm`` by dependency edge, like ``graph.pred``)."""
+
+    graph: ScheduleGraph
+    start: list[float]
+    end: list[float]
+    duration: list[float]
+    act_units: list[float]
+    comm: list[float]
+
+
+#: ``SimResult(records=_UNBUILT, op_times=...)``: build the records from
+#: ``op_times`` on first read.  Identity sentinel, never handed out.
+_UNBUILT: dict[OpId, OpRecord] = {}
+
+
 @dataclass
 class SimResult:
     """Complete outcome of simulating one training iteration."""
 
     schedule_name: str
     problem: PipelineProblem
+    #: ``OpId -> OpRecord`` in stage-major program order.  Array-backed
+    #: results build it (and ``stage_record_lists``) on first read.
     records: dict[OpId, OpRecord]
     stages: list[StageMetrics]
     makespan: float
     overhead_time: float = 0.0
-    #: Per-stage records in start-time order, filled during replay by
-    #: the event engine (or lazily on first ``stage_records`` call) so
-    #: repeated queries never rescan/re-sort the records dict.
+    #: Per-stage records in start-time order, so repeated queries never
+    #: rescan/re-sort the records dict: built with ``records`` for
+    #: array-backed results, else on the first ``stage_records`` call.
     stage_record_lists: list[list[OpRecord]] | None = field(
         default=None, repr=False
     )
@@ -106,6 +130,31 @@ class SimResult:
     #: (``boundary_message_bytes()``).
     comm_bytes_per_message: float = 0.0
     _comm_volume: CommLog | None = field(default=None, repr=False, compare=False)
+    #: The replay's own arrays (graph engines; ``None`` for the
+    #: fixed-point reference, which never compiles a graph).
+    op_times: OpTimes | None = field(default=None, repr=False, compare=False)
+
+    def _build_records(self) -> None:
+        """Materialize ``records`` / ``stage_record_lists`` from ``op_times``."""
+        times = self.op_times
+        assert times is not None
+        ops, start, end = times.graph.ops, times.start, times.end
+        lists = [
+            [OpRecord(ops[i], s, start[i], end[i]) for i in range(lo, hi)]
+            for s, (lo, hi) in enumerate(times.graph.stage_bounds)
+        ]
+        self.records = dict(zip(ops, (r for stage in lists for r in stage)))
+        self.stage_record_lists = lists
+
+    def start_end(
+        self, graph: ScheduleGraph
+    ) -> tuple[Sequence[float], Sequence[float]]:
+        """``(start, end)`` of every op by ``graph``'s dense index."""
+        times = self.op_times
+        if times is not None:
+            return times.start, times.end
+        records = [self.records[op] for op in graph.ops]
+        return [r.start for r in records], [r.end for r in records]
 
     @property
     def iteration_time(self) -> float:
@@ -182,6 +231,28 @@ class SimResult:
             time_unit="model",
             num_stages=self.problem.num_stages,
         )
+
+
+def _lazy_field(name: str) -> property:
+    """A :class:`SimResult` dataclass field (to ``__init__``, ``==``,
+    ``replace``) that an array-backed result builds on first read."""
+    slot = "_" + name
+
+    def fget(self: SimResult) -> Any:
+        value = self.__dict__[slot]
+        if self.op_times is not None and (value is None or value is _UNBUILT):
+            self._build_records()
+            value = self.__dict__[slot]
+        return value
+
+    def fset(self: SimResult, value: Any) -> None:
+        self.__dict__[slot] = value
+
+    return property(fget, fset)
+
+
+for _name in ("records", "stage_record_lists"):
+    setattr(SimResult, _name, _lazy_field(_name))
 
 
 @dataclass
@@ -279,51 +350,51 @@ def simulate(
 
 def _materialize(
     schedule: Schedule,
-    start: list[float],
-    end: list[float],
-    duration: list[float],
-    act_units: list[float],
+    times: OpTimes,
     overhead_time: float,
     actgrad_factor: float,
 ) -> SimResult:
-    """Per-op times over the compiled graph -> records, ledger, metrics.
+    """Per-op times over the compiled graph -> ledger, metrics, result.
 
-    Per-stage accumulation in program order, matching the fixed-point
-    engine's float summation order for busy time and the ledger, so
-    every graph-based engine reports the same bits for the same times.
+    Per-stage accumulation over the kind codes in program order — the
+    operands and order of the fixed-point engine's busy-time sum and
+    :meth:`_Ledger.apply` — so every graph-based engine reports the
+    same bits for the same times.  Records are built on first read.
     """
     problem = schedule.problem
-    graph = compiled_graph(schedule)
-    ops = graph.ops
-    records: dict[OpId, OpRecord] = {}
-    rec_lists: list[list[OpRecord]] = []
+    graph = times.graph
+    kind, end = graph.kind, times.end
+    duration, act_units = times.duration, times.act_units
+    split, gemms = problem.split_backward, problem.wgrad_gemms
     metrics: list[StageMetrics] = []
-    stage_ends: list[float] = []
+    makespan = 0.0
     for s, (lo, hi) in enumerate(graph.stage_bounds):
-        m = StageMetrics(stage=s)
-        ledger = _Ledger(problem=problem, actgrad_factor=actgrad_factor)
-        stage_list: list[OpRecord] = []
+        busy = current = peak = 0.0
         for i in range(lo, hi):
-            op = ops[i]
-            record = OpRecord(op=op, stage=s, start=start[i], end=end[i])
-            records[op] = record
-            stage_list.append(record)
-            m.busy_time += duration[i]
-            m.op_count += 1
-            ledger.apply(op, act_units[i])
-        m.peak_activation_units = ledger.peak
-        metrics.append(m)
-        rec_lists.append(stage_list)
-        stage_ends.append(end[hi - 1] if hi > lo else 0.0)
-    makespan = max(stage_ends) if stage_ends else 0.0
+            busy += duration[i]
+            kc = kind[i]
+            if kc == KIND_F:
+                current += act_units[i]
+            elif kc == KIND_B:
+                if split:
+                    current += act_units[i] * actgrad_factor
+                else:
+                    current -= act_units[i]
+            else:
+                current -= act_units[i] * (1.0 + actgrad_factor) / gemms
+            if current > peak:
+                peak = current
+        metrics.append(StageMetrics(s, busy, peak, hi - lo))
+        if hi > lo and end[hi - 1] > makespan:
+            makespan = end[hi - 1]
     return SimResult(
         schedule_name=schedule.name,
         problem=problem,
-        records=records,
+        records=_UNBUILT,
         stages=metrics,
         makespan=makespan,
         overhead_time=overhead_time,
-        stage_record_lists=rec_lists,
+        op_times=times,
     )
 
 
@@ -341,15 +412,14 @@ def _simulate_dense(
     """
     from repro.analysis.evaluate.dense import dense_schedule_times
 
-    times = dense_schedule_times(compiled_graph(schedule), cost)
+    graph = compiled_graph(schedule)
+    times = dense_schedule_times(graph, cost)
     # tolist() round-trips exactly: the records carry Python floats with
     # the same bits the kernel computed.
+    tables = (times.start, times.end, times.duration, times.act_units, times.comm)
     return _materialize(
         schedule,
-        times.start.tolist(),
-        times.end.tolist(),
-        times.duration.tolist(),
-        times.act_units.tolist(),
+        OpTimes(graph, *(table.tolist() for table in tables)),
         overhead_time,
         actgrad_factor,
     )
@@ -413,6 +483,19 @@ def _slot_reuse_csr(
     return new_pred_indptr, new_pred, new_comm, new_succ_indptr, new_succ
 
 
+def _cost_keys(graph: ScheduleGraph) -> list[int]:
+    """Each op's ``(kind, slice, chunk, gemm)`` as one int — all a
+    micro-batch-invariant cost model may read of it (``cell % (s *
+    chunks)`` drops the micro-batch; ``gemm`` is ``-1`` for F/B ops)."""
+    problem = graph.problem
+    per_mb = problem.num_slices * problem.num_chunks
+    width = problem.wgrad_gemms + 1
+    return [
+        (kc * per_mb + ce % per_mb) * width + g + 1
+        for kc, ce, g in zip(graph.kind, graph.cell, graph.gemm)
+    ]
+
+
 def _simulate_heap(
     schedule: Schedule,
     cost: CostModel,
@@ -430,7 +513,6 @@ def _simulate_heap(
     """
     graph = compiled_graph(schedule)
     num_ops = graph.num_ops
-    ops = graph.ops
     stage_arr = graph.stage
     pos = graph.pos
     pred_indptr: Sequence[int] = graph.pred_indptr
@@ -438,20 +520,39 @@ def _simulate_heap(
     succ_indptr: Sequence[int] = graph.succ_indptr
     succ: Sequence[int] = graph.succ
 
-    # Flat per-op/per-edge cost tables.  comm is evaluated for every
-    # dependency edge, exactly as the fixed-point engine probes it, so
-    # cost models that charge same-stage transfers behave identically.
-    # Models declaring microbatch invariance are probed once per op
-    # shape and the value replayed across micro-batches (same floats).
-    dur_fn, comm_fn, act_fn = op_cost_fns(cost)
-    duration = [dur_fn(op) for op in ops]
-    act_units = [act_fn(op) for op in ops]
-    comm = [0.0] * len(pred)
+    # Flat per-op/per-edge cost tables through this engine's own memo:
+    # one probe (and one decoded ``OpId``) per distinct cost key, and
+    # per distinct key pair for comm — keyed on every dependency edge,
+    # as the fixed-point engine probes it, so models that charge
+    # same-stage transfers behave identically.  A model that is not
+    # micro-batch invariant makes every op its own key.
+    keys: Sequence[int]
+    if getattr(cost, "microbatch_invariant", False):
+        keys, op_at = _cost_keys(graph), graph.op_at
+    else:
+        keys, op_at = range(num_ops), graph.ops.__getitem__
+    dur_of: dict[int, float] = {}
+    act_of: dict[int, float] = {}
+    for i, key in enumerate(keys):
+        if key not in dur_of:
+            op = op_at(i)
+            dur_of[key] = cost.duration(op)
+            act_of[key] = cost.act_units(op)
+    duration = [dur_of[key] for key in keys]
+    act_units = [act_of[key] for key in keys]
+    span = max(keys, default=0) + 1
+    comm_of: dict[int, float] = {}
+    dep_comm = [0.0] * len(pred)
     for i in range(num_ops):
-        op = ops[i]
+        key = keys[i]
         for e in range(pred_indptr[i], pred_indptr[i + 1]):
-            comm[e] = comm_fn(ops[pred[e]], op)
+            edge_key = keys[pred[e]] * span + key
+            t = comm_of.get(edge_key)
+            if t is None:
+                t = comm_of[edge_key] = cost.comm_time(op_at(pred[e]), op_at(i))
+            dep_comm[e] = t
 
+    comm = dep_comm  # the replay's edge costs: + slot-reuse edges, if any
     if channel_capacities is not None:
         pred_indptr, pred, comm, succ_indptr, succ = _slot_reuse_csr(
             graph, channel_capacities, comm
@@ -499,7 +600,8 @@ def _simulate_heap(
                     heap,
                 )
     if processed != num_ops:
-        stuck = [str(ops[i]) for i in range(num_ops) if indeg[i] > 0][:8]
+        blocked = [i for i in range(num_ops) if indeg[i] > 0][:8]
+        stuck = [str(graph.op_at(i)) for i in blocked]
         if channel_capacities is not None:
             raise ScheduleError(
                 "bounded-channel deadlock; blocked ops: "
@@ -509,7 +611,9 @@ def _simulate_heap(
         raise ScheduleError(f"simulation deadlock; blocked ops: {stuck}")
 
     return _materialize(
-        schedule, start, end, duration, act_units, overhead_time,
+        schedule,
+        OpTimes(graph, start, end, duration, act_units, dep_comm),
+        overhead_time,
         actgrad_factor,
     )
 

@@ -5,10 +5,13 @@ minimal witness: a hand-built two-stage schedule whose all-forwards
 stage-0 program deadlocks under unit rings (CP001), invalid and
 incomplete capacity maps (CP002), deliberately starved-but-live rings
 (CP003), tampered certificates and a kernel or oracle that drops its
-slot-reuse edges (CP004).  The CLI round-trip tests
+slot-reuse edges (CP004).  Beside the slot-edge mutations sit the
+mutations of the oracle's integer tables (cost key, array ledger, lazy
+record layout).  The CLI round-trip tests
 pin the ``repro capacity`` / ``repro verify --capacity`` JSON contract.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -29,7 +32,10 @@ from repro.schedules import (
     build_schedule,
 )
 from repro.schedules.base import OpId, OpKind
-from repro.sim import UniformCost
+from repro.schedules.graph import compiled_graph
+from repro.schedules.verify.liveness import check_liveness
+from repro.sim import UniformCost, simulate
+from repro.sim.crossval import cross_validate
 
 
 def F(mb, c):
@@ -298,6 +304,111 @@ class TestSlotEdgeMutations:
             (finding,) = report.by_rule("CP004")
             assert "bounded event simulation disagrees" in finding.message
             assert f"analytic:  {cert.makespan!r}" in finding.witness
+
+
+@dataclasses.dataclass(frozen=True)
+class GemmSkewCost(UniformCost):
+    """Micro-batch invariant, but each W GEMM of a cell costs more than
+    the last — ``gemm`` is part of the cost identity."""
+
+    def duration(self, op):
+        base = super().duration(op)
+        return base * (1.0 + 0.25 * op.gemm) if op.kind is OpKind.W else base
+
+
+def gemm_subject():
+    problem = build_problem("mepipe", 4, 8, num_slices=4, wgrad_gemms=3)
+    return build_schedule("mepipe", problem), GemmSkewCost(problem, tw=0.5)
+
+
+class TestOracleTableMutations:
+    """The heap oracle probes costs through its own integer-key memo,
+    the materializer runs the ledger over the kind codes, and records
+    are laid out from the stage bounds on first read.  Each is mutated
+    here and must be caught by a certificate that predates it: the
+    analytic cross-validation (EV001), the static liveness peaks, and
+    the fixed-point engine's records."""
+
+    def test_unmutated_subject_is_clean(self):
+        schedule, cost = gemm_subject()
+        assert cross_validate(schedule, cost, engine="heap").ok
+        heap = simulate(schedule, cost, engine="heap")
+        fixed = simulate(schedule, cost, engine="fixed-point")
+        assert heap.records == fixed.records
+        _, peaks = check_liveness(schedule, graph=compiled_graph(schedule))
+        # The static walk sums in its own order: equal, not bit-equal.
+        assert [
+            s.peak_activation_units for s in heap.stages
+        ] == pytest.approx([pk.peak_units for pk in peaks], abs=1e-9)
+
+    def test_oracle_key_without_gemm_fires_ev001(self, monkeypatch):
+        from repro.sim import executor
+
+        def keys_without_gemm(graph):
+            problem = graph.problem
+            per_mb = problem.num_slices * problem.num_chunks
+            return [
+                kc * per_mb + ce % per_mb
+                for kc, ce in zip(graph.kind, graph.cell)
+            ]
+
+        schedule, cost = gemm_subject()
+        fixed = simulate(schedule, cost, engine="fixed-point")
+        monkeypatch.setattr(executor, "_cost_keys", keys_without_gemm)
+        report = cross_validate(schedule, cost, engine="heap")
+        assert not report.ok
+        # EV002 rides along: the exact certificate's degenerate interval
+        # no longer contains the (wrong) simulated iteration time.
+        assert report.rule_ids() == {"EV001", "EV002"}
+        messages = [f.message for f in report.by_rule("EV001")]
+        assert any("stage busy time" in m for m in messages)
+        assert any("op timing diverges" in m for m in messages)
+        heap = simulate(schedule, cost, engine="heap")
+        assert heap.makespan != fixed.makespan
+        assert heap.records != fixed.records
+
+    def test_swapped_ledger_branches_change_the_peaks(self, monkeypatch):
+        from repro.schedules.graph import KIND_B, KIND_W
+        from repro.sim import executor
+
+        schedule, cost = gemm_subject()
+        fixed = simulate(schedule, cost, engine="fixed-point")
+        _, peaks = check_liveness(schedule, graph=compiled_graph(schedule))
+        # `_materialize` tests F, then KIND_B, else W: aliasing KIND_B
+        # to the W code sends every W down the B branch and every B
+        # down the W branch.
+        assert executor.KIND_B == KIND_B
+        monkeypatch.setattr(executor, "KIND_B", KIND_W)
+        for engine in ("heap", "event"):
+            mutant = simulate(schedule, cost, engine=engine)
+            mutant_peaks = [s.peak_activation_units for s in mutant.stages]
+            assert mutant_peaks != [
+                s.peak_activation_units for s in fixed.stages
+            ]
+            assert mutant_peaks != pytest.approx(
+                [pk.peak_units for pk in peaks], abs=1e-9
+            )
+        report = cross_validate(schedule, cost, engine="heap")
+        assert report.rule_ids() == {"EV001"}
+        assert all(
+            "peak ledger units" in f.message for f in report.by_rule("EV001")
+        )
+
+    def test_shifted_stage_bounds_put_records_on_the_wrong_stage(self):
+        schedule, cost = gemm_subject()
+        fixed = simulate(schedule, cost, engine="fixed-point")
+        heap = simulate(schedule, cost, engine="heap")
+        graph = compiled_graph(schedule)
+        shifted = copy.copy(graph)
+        (lo0, hi0), (_lo1, hi1), *rest = graph.stage_bounds
+        shifted.stage_bounds = ((lo0, hi0 + 1), (hi0 + 1, hi1), *rest)
+        heap.op_times = dataclasses.replace(heap.op_times, graph=shifted)
+        assert heap.records != fixed.records
+        stray = graph.op_at(hi0)
+        assert fixed.records[stray].stage == 1
+        assert heap.records[stray].stage == 0
+        assert heap.stage_records(0)[-1].op == stray
+        assert len(heap.stage_records(1)) == len(fixed.stage_records(1)) - 1
 
 
 class TestDeterminism:

@@ -8,12 +8,16 @@ busy time and activation peaks) across the acceptance grid from
 ``tests/test_verify.py``, under the uniform cost model, an imbalanced
 one, the calibrated cluster model, and a custom model that charges
 same-stage communication (exercising the executor's promise to probe
-``comm_time`` on every dependency edge).
+``comm_time`` on every dependency edge).  The graph engines' results
+are array-backed; read lazily they must be field for field what an
+eager construction holds (``assert_lazy_records_match``).
 """
+
+import dataclasses
 
 import pytest
 
-from repro.analysis.capacity import channel_messages
+from repro.analysis.capacity import bounded_dense_times, channel_messages
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
@@ -21,8 +25,9 @@ from repro.schedules.base import OpId
 from repro.schedules.graph import compiled_graph
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
-from repro.sim.executor import simulate
+from repro.sim.executor import OpRecord, simulate
 
+from tests.test_capacity_mutations import binding_grid
 from tests.test_verify import golden_grid
 
 
@@ -34,6 +39,35 @@ def assert_bitwise_equal(a, b):
         s.peak_activation_units for s in b.stages
     ]
     assert [s.op_count for s in a.stages] == [s.op_count for s in b.stages]
+    for stage in range(len(a.stages)):
+        assert a.stage_records(stage) == b.stage_records(stage)
+    assert a.metrics() == b.metrics()
+
+
+def program_order(schedule):
+    """Stage-major program order: the key order of an eagerly built
+    records dict (the fixed-point engine's is its own scan order)."""
+    return [
+        op
+        for stage in range(schedule.problem.num_stages)
+        for op in schedule.stage_ops(stage)
+    ]
+
+
+def assert_lazy_records_match(schedule, result, reference):
+    """An array-backed result read lazily is what the eager reference
+    holds: same records in program key order, one cached object."""
+    assert result.op_times is not None
+    assert result.records is result.records
+    assert result.stage_record_lists is result.stage_record_lists
+    assert list(result.records) == program_order(schedule)
+    assert_bitwise_equal(result, reference)
+    assert [r for stage in result.stage_record_lists for r in stage] == list(
+        result.records.values()
+    )
+    assert dataclasses.replace(result) == result
+    shifted = dataclasses.replace(result, overhead_time=1.0)
+    assert shifted.records == reference.records and shifted != result
 
 
 @pytest.mark.parametrize(
@@ -47,9 +81,42 @@ def test_engines_agree_on_golden_grid(method, p, n, s, v, g):
     cost = UniformCost(problem, tw=0.5, imbalance=tuple(
         1.0 + 0.1 * i for i in range(s)
     ))
-    event = simulate(schedule, cost, engine="event")
     fixed = simulate(schedule, cost, engine="fixed-point")
-    assert_bitwise_equal(event, fixed)
+    assert fixed.op_times is None  # the reference builds records eagerly
+    event = simulate(schedule, cost, engine="event")
+    heap = simulate(schedule, cost, engine="heap")
+    channels = channel_messages(compiled_graph(schedule))
+    slack = simulate(
+        schedule, cost,
+        channel_capacities={key: len(msgs) for key, msgs in channels.items()},
+    )
+    for result in (event, heap, slack):
+        assert_lazy_records_match(schedule, result, fixed)
+    assert event == heap == slack
+
+
+def test_binding_capacities_build_the_same_lazy_records():
+    """Under capacities that bind there is no fixed-point reference;
+    the lazily built records must be the eager construction over the
+    analytic slot-augmented times."""
+    for schedule, cost, cert in binding_grid():
+        num_stages = schedule.problem.num_stages
+        times = bounded_dense_times(compiled_graph(schedule), cert.caps(), cost)
+        starts, ends = times.start.tolist(), times.end.tolist()
+        bounded = simulate(schedule, cost, channel_capacities=cert.caps())
+        eager, index = {}, 0
+        for stage in range(num_stages):
+            for op in schedule.stage_ops(stage):
+                eager[op] = OpRecord(op, stage, starts[index], ends[index])
+                index += 1
+        assert bounded.records is bounded.records
+        assert bounded.records == eager
+        assert list(bounded.records) == list(eager)
+        for stage in range(num_stages):
+            assert bounded.stage_records(stage) == [
+                r for r in eager.values() if r.stage == stage
+            ]
+        assert bounded.makespan == cert.makespan
 
 
 def test_engines_agree_under_cluster_cost():
@@ -90,7 +157,31 @@ def test_engines_agree_with_edge_charging_cost():
     cost = _EdgeTaxCost(problem)
     fixed = simulate(schedule, cost, engine="fixed-point")
     for engine in ("event", "heap"):
-        assert_bitwise_equal(simulate(schedule, cost, engine=engine), fixed)
+        assert_lazy_records_match(
+            schedule, simulate(schedule, cost, engine=engine), fixed
+        )
+
+
+def test_heap_probes_a_non_invariant_model_once_per_op_and_edge():
+    """Without ``microbatch_invariant`` no two ops may share a probe:
+    durations here differ per micro-batch, so a memo keyed on
+    (kind, slice, chunk, gemm) would replay the wrong floats."""
+    problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
+    schedule = build_schedule("mepipe", problem)
+    graph = compiled_graph(schedule)
+    calls = {"duration": 0, "comm_time": 0}
+
+    class Counting(_EdgeTaxCost):
+        def duration(self, op):
+            calls["duration"] += 1
+            return super().duration(op)
+
+        def comm_time(self, dep, op):
+            calls["comm_time"] += 1
+            return super().comm_time(dep, op)
+
+    simulate(schedule, Counting(problem), engine="heap")
+    assert calls == {"duration": graph.num_ops, "comm_time": len(graph.pred)}
 
 
 def test_unknown_engine_rejected():
