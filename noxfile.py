@@ -1,79 +1,104 @@
-"""Nox sessions: lint and test gates, mirrored by .github/workflows/ci.yml.
+"""Nox sessions, one per job of .github/workflows/ci.yml and in its order.
 
-Run `nox -s lint` / `nox -s tests`, or the same commands directly:
+Run `nox -s <session>`, or the same commands directly:
 
-    ruff check src tests
-    ruff format --check src tests
-    mypy src/repro/schedules src/repro/nn
-    mypy --strict src/repro/analysis
-    mypy --strict src/repro/analysis/evaluate src/repro/analysis/capacity src/repro/pipeline src/repro/planner/pool.py
-    mypy --strict src/repro/obs
-    mypy --strict src/repro/api src/repro/service
-    mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
-    PYTHONPATH=src python -m pytest -x -q
-    python -m repro check-model grid
+    lint      ruff check src tests
+              ruff format --check src tests
+              mypy src/repro/schedules src/repro/nn
+              mypy --strict src/repro/analysis
+              mypy --strict src/repro/obs
+              mypy --strict src/repro/pipeline src/repro/planner/pool.py
+              mypy --strict src/repro/api src/repro/service
+              mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
+    static    python -m repro check-model grid
+              python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
+    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_batch_mutations.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
+    generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
+    runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
+    service   python -m pytest -x -q tests/test_service.py tests/test_api.py
+    tests     python -m pytest -x -q
+    bench     python -m pytest -q bench/
+
+(`PYTHONPATH=src` in front of the `python -m` commands works without
+installing the package.)
 """
 
 import nox
 
 nox.options.sessions = [
-    "lint", "analysis", "replay", "generate", "obs", "pipeline", "service",
-    "tests",
+    "lint", "static", "replay", "generate", "runtime", "service", "tests",
+    "bench",
 ]
 
 #: Tool configuration lives in pyproject.toml ([tool.ruff], [tool.mypy]).
 LINT_TARGETS = ("src", "tests")
-TYPED_TARGETS = ("src/repro/schedules", "src/repro/nn")
+PYTEST = ("python", "-m", "pytest", "-x", "-q")
 
 
 @nox.session
 def lint(session: nox.Session) -> None:
-    """Static checks: ruff lint + format drift + mypy on the typed layers."""
+    """Ruff lint + format drift, and every mypy invocation — each
+    target type-checked exactly once."""
     session.install("-e", ".[lint]")
     session.run("ruff", "check", *LINT_TARGETS)
     session.run("ruff", "format", "--check", *LINT_TARGETS)
-    session.run("mypy", *TYPED_TARGETS)
+    session.run("mypy", "src/repro/schedules", "src/repro/nn")
+    # Model analyzer, analytic evaluator and capacity pass.
+    session.run("mypy", "--strict", "src/repro/analysis")
+    session.run("mypy", "--strict", "src/repro/obs")
+    session.run(
+        "mypy", "--strict", "src/repro/pipeline", "src/repro/planner/pool.py"
+    )
+    session.run("mypy", "--strict", "src/repro/api", "src/repro/service")
+    session.run(
+        "mypy", "--strict",
+        "src/repro/schedules/greedy.py",
+        "src/repro/schedules/gencache.py",
+        "src/repro/schedules/graph.py",
+    )
 
 
 @nox.session
-def analysis(session: nox.Session) -> None:
-    """The model-analyzer gate: strict typing plus the acceptance grid.
+def static(session: nox.Session) -> None:
+    """The static analyzers over their acceptance grids.
 
     ``check-model grid`` proves shape/interface agreement, gradient
     coverage, and hazard freedom for every E0 (method × partition)
-    pair; it exits non-zero on any ERROR-severity finding.
+    pair and exits non-zero on any ERROR-severity finding; the suites
+    are the schedule verifier's and the model analyzer's golden sweeps
+    and seeded mutations.
     """
-    session.install("-e", ".[lint]")
-    session.run("mypy", "--strict", "src/repro/analysis")
+    session.install("-e", ".[test]")
     session.run("python", "-m", "repro", "check-model", "grid")
+    session.run(
+        *PYTEST,
+        "tests/test_verify.py",
+        "tests/test_verify_mutations.py",
+        "tests/test_model_analysis.py",
+        "tests/test_analysis_mutations.py",
+        "tests/test_analysis_memory.py",
+    )
 
 
 @nox.session
 def replay(session: nox.Session) -> None:
     """The replay gate: one recurrence, every implementation of it.
 
-    The scalar plan-order kernel, its stacked twin, the heap oracle and
-    the fixed-point reference must agree bit for bit, unbounded and
-    under finite channel capacities (where kernel and oracle each append
-    the slot-reuse edges to their own arrays).  The gate runs the engine
-    golden tests, the analytic evaluator's exactness/bounds/first-pass
-    suite, the batched bit-identity grid, the capacity soundness grid,
-    the seeded EV-rule, cost-row/class-key and CP-rule/slot-edge/
-    oracle-table mutation suites, the confirm-path allocation guard,
-    and the worker-pool lifecycle suite — under strict typing for the
-    evaluator, the capacity pass, the pipeline modules it gates, and
-    the pool.
+    The scalar plan-order kernel, its stacked twin and the heap oracle
+    must agree bit for bit with each other and with the fixed-point
+    reference (``tests/oracles``) — unbounded, under finite channel
+    capacities (where kernel and oracle each append the slot-reuse
+    edges to their own arrays), and with links as stages (the
+    queued-link replay's golden).  The gate runs the engine golden
+    tests, the analytic evaluator's exactness/bounds/first-pass suite,
+    the batched bit-identity grid, the capacity soundness grid, the
+    seeded EV-rule, cost-row/class-key, CP-rule/slot-edge/oracle-table
+    and link-queue-order mutation suites, the confirm-path allocation
+    guard, and the worker-pool lifecycle suite.
     """
-    session.install("-e", ".[test,lint]")
+    session.install("-e", ".[test]")
     session.run(
-        "mypy", "--strict",
-        "src/repro/analysis/evaluate",
-        "src/repro/analysis/capacity",
-        "src/repro/pipeline",
-        "src/repro/planner/pool.py",
-    )
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
+        *PYTEST,
         "tests/test_engine_golden.py",
         "tests/test_evaluate.py",
         "tests/test_evaluate_mutations.py",
@@ -81,6 +106,7 @@ def replay(session: nox.Session) -> None:
         "tests/test_batch_mutations.py",
         "tests/test_capacity.py",
         "tests/test_capacity_mutations.py",
+        "tests/test_network_sim.py",
         "tests/test_confirm_allocations.py",
         "tests/test_planner_pool.py",
     )
@@ -88,81 +114,60 @@ def replay(session: nox.Session) -> None:
 
 @nox.session
 def generate(session: nox.Session) -> None:
-    """The schedule-generation gate: strict typing plus its proof suite.
+    """The schedule-generation gate.
 
     The array-native greedy engine's claim is byte-identical output to
-    the preserved reference engine; the gate runs the golden-equivalence
-    grid, the seeded tiebreak/epsilon mutation tests, and the
-    generation-cache identity/aliasing suite.
+    the preserved reference engine (``tests/oracles``); the gate runs
+    the golden-equivalence grid, the seeded tiebreak/epsilon mutation
+    tests, and the generation-cache identity/aliasing suite.
     """
-    session.install("-e", ".[test,lint]")
-    session.run(
-        "mypy", "--strict",
-        "src/repro/schedules/greedy.py",
-        "src/repro/schedules/gencache.py",
-        "src/repro/schedules/graph.py",
-    )
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
-        "tests/test_greedy_golden.py",
-        "tests/test_gencache.py",
-    )
+    session.install("-e", ".[test]")
+    session.run(*PYTEST, "tests/test_greedy_golden.py", "tests/test_gencache.py")
 
 
 @nox.session
-def obs(session: nox.Session) -> None:
-    """The telemetry-bus gate: strict typing plus the obs/facade tests.
-
-    ``repro.obs`` is the observability contract every substrate emits
-    through; it is held to ``mypy --strict`` and its test module covers
-    span nesting, JSONL round-trips, the Chrome-trace golden, and
-    sim-vs-runtime trace alignment.
-    """
-    session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/obs")
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
-        "tests/test_obs.py", "tests/test_api.py",
-    )
-
-
-@nox.session
-def pipeline(session: nox.Session) -> None:
-    """The parallel-executor gate: strict typing plus a spawn smoke run.
+def runtime(session: nox.Session) -> None:
+    """The executors and the telemetry they emit.
 
     The multi-process runtime is where process lifecycles, shared
     memory, and timeouts live; its tests prove bit-exactness against
     the serial golden runtime, measured comm/wgrad overlap, and clean
-    failure (no orphan workers, no leaked segments).
+    failure (no orphan workers, no leaked segments).  The obs suite
+    covers span nesting, JSONL round-trips, the Chrome-trace golden,
+    and sim-vs-runtime trace alignment.
     """
-    session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/pipeline")
+    session.install("-e", ".[test]")
     session.run(
-        "python", "-m", "pytest", "-x", "-q", "tests/test_parallel_runtime.py"
+        *PYTEST,
+        "tests/test_pipeline_runtime.py",
+        "tests/test_parallel_runtime.py",
+        "tests/test_obs.py",
     )
 
 
 @nox.session
 def service(session: nox.Session) -> None:
-    """The service gate: strict typing plus the wire-surface tests.
-
-    ``repro.api`` is the typed request/response facade every transport
-    (CLI, HTTP, library) shares and ``repro.service`` is the asyncio
-    job/HTTP layer on top; both are held to ``mypy --strict``.  The
-    test modules cover canonical round-trips, fingerprint dedup (32
+    """The wire surface: ``repro.api`` (the typed request/response
+    facade every transport shares) and ``repro.service`` (the asyncio
+    job/HTTP layer) — canonical round-trips, fingerprint dedup (32
     concurrent identical requests -> one computation), SSE progress
-    streams, per-tenant quotas, and structured timeout errors.
-    """
-    session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/api", "src/repro/service")
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
-        "tests/test_service.py", "tests/test_api.py",
-    )
+    streams, per-tenant quotas, and structured timeout errors."""
+    session.install("-e", ".[test]")
+    session.run(*PYTEST, "tests/test_service.py", "tests/test_api.py")
 
 
 @nox.session
 def tests(session: nox.Session) -> None:
-    """The tier-1 test suite (unit + integration + property tests)."""
+    """The tier-1 test suite (unit + integration + property tests +
+    the paper's claims regenerated)."""
     session.install("-e", ".[test]")
-    session.run("python", "-m", "pytest", "-x", "-q", *session.posargs)
+    session.run(*PYTEST, *session.posargs)
+
+
+@nox.session
+def bench(session: nox.Session) -> None:
+    """Smoke test of the benchmark the repo is judged by
+    (``BENCHMARK.json``, ``bench/README.md``): schema check plus a tiny
+    run of all four workloads with their output checks (~1 min)."""
+    session.install("-e", ".[test]")
+    session.run("python", "-m", "pytest", "-q", "bench/")

@@ -15,6 +15,7 @@ from repro.hardware.cluster import RTX4090_CLUSTER, ClusterSpec
 from repro.model.memory import HALF
 from repro.model.spec import LLAMA_13B, ModelSpec
 from repro.parallel.strategies import ParallelConfig
+from repro.schedules.base import Schedule
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost
 from repro.sim.executor import simulate
@@ -28,6 +29,36 @@ CONFIGS = [
 GBS = 64
 
 
+def queued_case(
+    method: str,
+    config: ParallelConfig,
+    spec: ModelSpec = LLAMA_13B,
+    cluster: ClusterSpec = RTX4090_CLUSTER,
+) -> tuple[Schedule, ClusterCost, NetworkModel]:
+    """One configuration's schedule, static cost model and link model."""
+    n = config.micro_batches(GBS)
+    problem = build_problem(
+        method, config.pp, n,
+        num_slices=config.spp, virtual_size=config.vp,
+        wgrad_gemms=2 if method in ("mepipe", "zb") else 1,
+    )
+    cost = ClusterCost(spec=spec, config=config, cluster=cluster,
+                       problem=problem)
+    schedule = build_schedule(method, problem, cost=cost)
+    # Per-transfer bandwidth under the same sharing assumption the
+    # static model uses, but with FIFO queueing instead of a fixed
+    # per-edge charge.
+    groups = min(config.dp * config.cp * config.tp,
+                 cluster.gpus_per_node)
+    nic = cluster.inter_node_link
+    bw = nic.bandwidth_gbps * 1e9 / groups
+    edge_bytes = HALF * cost.tokens_per_op * spec.hidden_size
+    network = NetworkModel.uniform(
+        problem.num_stages, bw, edge_bytes=edge_bytes,
+        latency_s=nic.latency_s)
+    return schedule, cost, network
+
+
 def run(
     spec: ModelSpec = LLAMA_13B, cluster: ClusterSpec = RTX4090_CLUSTER
 ) -> ExperimentReport:
@@ -39,28 +70,8 @@ def run(
                 "queue delay"],
     )
     for method, config in CONFIGS:
-        n = config.micro_batches(GBS)
-        problem = build_problem(
-            method, config.pp, n,
-            num_slices=config.spp, virtual_size=config.vp,
-            wgrad_gemms=2 if method in ("mepipe", "zb") else 1,
-        )
-        cost = ClusterCost(spec=spec, config=config, cluster=cluster,
-                           problem=problem)
-        schedule = build_schedule(method, problem, cost=cost)
+        schedule, cost, network = queued_case(method, config, spec, cluster)
         static = simulate(schedule, cost)
-
-        # Per-transfer bandwidth under the same sharing assumption the
-        # static model uses, but with FIFO queueing instead of a fixed
-        # per-edge charge.
-        groups = min(config.dp * config.cp * config.tp,
-                     cluster.gpus_per_node)
-        nic = cluster.inter_node_link
-        bw = nic.bandwidth_gbps * 1e9 / groups
-        edge_bytes = HALF * cost.tokens_per_op * spec.hidden_size
-        network = NetworkModel.uniform(
-            problem.num_stages, bw, edge_bytes=edge_bytes,
-            latency_s=nic.latency_s)
         queued = simulate_with_network(schedule, cost, network)
         delta = queued.makespan / static.makespan - 1.0
         report.add_row(

@@ -331,9 +331,9 @@ class NullSink(Sink):
     """Discards everything; ``enabled`` is ``False``.
 
     Instrumented code guards on ``sink.enabled``, so with this sink the
-    telemetry layer reduces to one attribute check per site — measured
-    to be inside the benchmark suite's noise floor (see
-    ``benchmarks/test_bench_obs.py``).
+    telemetry layer reduces to one attribute check per site (what an
+    enabled :class:`MemorySink` costs instead is the benchmark's
+    ``obs.memory_sink_overhead_ratio``, see ``bench/README.md``).
     """
 
     enabled = False

@@ -28,8 +28,8 @@ policy's selection keys are packed into single integers whose order
 matches the original priority tuples, and each stage keeps sorted ready
 structures (heaps over packed keys) instead of scanning dicts of
 ``OpId``.  The result is proven byte-identical to the pre-rewrite
-engine — preserved verbatim in :mod:`repro.schedules.greedy_reference`
-— by ``tests/test_greedy_golden.py`` across the full acceptance grid.
+engine — preserved verbatim under ``tests/oracles/`` — by
+``tests/test_greedy_golden.py`` across the full acceptance grid.
 Generated schedules carry their compiled graph (built directly from the
 generator's dense tables, see :func:`repro.schedules.graph
 .graph_from_codes`) and materialize their ``OpId`` programs lazily.
@@ -67,9 +67,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
 #: otherwise the greedy loop would idle (or gap-fill a W op) on a stage
 #: that is semantically ready, and the emitted order would depend on
 #: rounding noise.  The epsilon must stay far below any real op
-#: duration and is shared with the sim executor's network replay
-#: (:mod:`repro.sim.network`), which makes the same ready-by-now and
-#: stage-busy comparisons against event timestamps.
+#: duration.
 ARRIVAL_EPS: float = 1e-12
 
 #: Slack on the integer cap/allowance comparisons (``live_f`` and
@@ -123,27 +121,8 @@ class GreedyPolicy:
     def __post_init__(self) -> None:
         if self.backward_priority not in ("children", "fifo"):
             raise ValueError(f"unknown backward_priority {self.backward_priority!r}")
-        if self.forward_priority not in _FORWARD_KEYS:
+        if self.forward_priority not in _PACKED_FORWARD_KEYS:
             raise ValueError(f"unknown forward_priority {self.forward_priority!r}")
-
-
-#: Selection keys for ready forward ops (smaller tuple wins).  The
-#: array engine runs on the packed-integer form below
-#: (:data:`_PACKED_FORWARD_KEYS`); these tuple keys remain the
-#: specification, and the golden reference engine still selects with
-#: them directly.
-_FORWARD_KEYS = {
-    # Finish later chunk rounds first (drives each sample toward its
-    # first backward); micro-batch order breaks ties.
-    "round_desc": lambda op, p: (-(op.chunk // p), op.microbatch,
-                                 op.slice_idx, op.chunk),
-    # Strict micro-batch-major order with later rounds preferred within
-    # a micro-batch; keeps consecutive samples from overtaking.
-    "mb_major": lambda op, p: (op.microbatch, -(op.chunk // p),
-                               op.slice_idx, op.chunk),
-    # Plain lexicographic order.
-    "plain": lambda op, p: (op.microbatch, op.slice_idx, op.chunk),
-}
 
 
 def default_first_stage_cap(problem: PipelineProblem) -> int:
@@ -171,28 +150,28 @@ def stage_cap(problem: PipelineProblem, policy: GreedyPolicy, stage: int) -> int
     return max(f - policy.cap_slope * stage, floor)
 
 
-def _b_children(op: OpId) -> int:
-    """Number of B descendants within the same micro-batch (Section 4.3)."""
-    return (op.slice_idx + 1) * (op.chunk + 1) - 1
-
-
 # ----------------------------------------------------------------------
 # Packed selection keys
 # ----------------------------------------------------------------------
 #
-# The array engine compares single integers instead of the priority
-# tuples above.  Each builder returns one key per *cell* (canonical
-# ``base = (mb*s + sl)*chunks + c`` index), packed mixed-radix so that
-# integer order is exactly the lexicographic order of the corresponding
-# tuple: descending components are stored as ``max - x``, and every
-# component is strictly smaller than its radix.  Keys are unique per op
-# (every tuple contains the full (mb, sl, c) coordinate), so "smallest
-# key" needs no tie-break — which is also why the reference engine's
+# The array engine compares single integers instead of priority tuples
+# (the tuple named in each builder; the golden reference engine under
+# ``tests/oracles/`` still selects with the tuples themselves).  Each
+# builder returns one key per *cell* (canonical ``base = (mb*s +
+# sl)*chunks + c`` index), packed mixed-radix so that integer order is
+# exactly the lexicographic order of the corresponding tuple:
+# descending components are stored as ``max - x``, and every component
+# is strictly smaller than its radix.  Keys are unique per op (every
+# tuple contains the full (mb, sl, c) coordinate), so "smallest key"
+# needs no tie-break — which is also why the reference engine's
 # first-wins dict scan and the heap below agree op for op.
 
 
 @lru_cache(maxsize=64)
 def _fkeys_round_desc(problem: PipelineProblem) -> list[int]:
+    # (-(c // p), mb, sl, c): finish later chunk rounds first (drives
+    # each sample toward its first backward); micro-batch order breaks
+    # ties.
     n, s = problem.num_microbatches, problem.num_slices
     chunks, p, v = problem.num_chunks, problem.num_stages, problem.virtual_size
     return [
@@ -205,6 +184,9 @@ def _fkeys_round_desc(problem: PipelineProblem) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _fkeys_mb_major(problem: PipelineProblem) -> list[int]:
+    # (mb, -(c // p), sl, c): strict micro-batch-major order with later
+    # rounds preferred within a micro-batch; keeps consecutive samples
+    # from overtaking.
     n, s = problem.num_microbatches, problem.num_slices
     chunks, p, v = problem.num_chunks, problem.num_stages, problem.virtual_size
     return [
@@ -224,7 +206,8 @@ def _fkeys_plain(problem: PipelineProblem) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _bkeys_children(problem: PipelineProblem) -> list[int]:
-    # (-children, mb, -sl, -c) with children = (sl+1)*(c+1) - 1.
+    # (-children, mb, -sl, -c) with children = (sl+1)*(c+1) - 1, the
+    # number of B descendants within the same micro-batch (Section 4.3).
     n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
     maxch = s * chunks - 1
     return [
@@ -537,9 +520,9 @@ def _greedy_once(
 ) -> Schedule:
     """One generation attempt on the array-native engine.
 
-    Byte-identical to :func:`repro.schedules.greedy_reference
-    .greedy_reference` (the pre-rewrite dict engine): same program
-    orders, same deadlock witnesses.  Equivalence rests on four facts,
+    Byte-identical to the pre-rewrite dict engine (the golden
+    reference under ``tests/oracles/``): same program orders, same
+    deadlock witnesses.  Equivalence rests on four facts,
     each exercised by the golden suite:
 
     * packed keys order exactly like the priority tuples, and are

@@ -1,9 +1,11 @@
-"""Cross-validation of the analytic evaluator against the event sim.
+"""Cross-validation of the analytic evaluator against the heap oracle.
 
 The evaluator's certificates are *machine-checkable*: this harness
-replays the same schedule through the discrete-event simulator and
-verifies every obligation, filing ``EV001``–``EV004`` findings into the
-shared diagnostics catalogue when one breaks.
+replays the same schedule on the simulator's heap engine — the replay
+that shares neither loop, plan nor cost tables with the kernel the
+evaluator prices on — and verifies every obligation, filing
+``EV001``–``EV004`` findings into the shared diagnostics catalogue when
+one breaks.
 
 * ``EV001`` — an exactness certificate must be bit-for-bit: every op
   start/end, per-stage busy time and peak ledger units, the makespan,
@@ -101,11 +103,10 @@ def cross_validate(
     cost: CostModel,
     overhead_time: float = 0.0,
     actgrad_factor: float = 1.0,
-    engine: str = "event",
     evaluation: AnalyticEvaluation | None = None,
     bounds: TimeBounds | None = None,
 ) -> Report:
-    """Check the evaluator's certificates against the event simulator.
+    """Check the evaluator's certificates against the heap oracle.
 
     ``evaluation`` defaults to a fresh :func:`evaluate_schedule` run;
     pass ``bounds`` to additionally check a build-free certificate
@@ -125,7 +126,7 @@ def cross_validate(
         cost,
         overhead_time=overhead_time,
         actgrad_factor=actgrad_factor,
-        engine=engine,
+        engine="heap",
     )
     findings: list[Finding] = []
 

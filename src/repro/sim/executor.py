@@ -5,7 +5,7 @@ executor computes when every op runs, how long each stage idles
 (bubbles), and the peak activation memory each stage pins — the three
 quantities the paper's analysis and evaluation revolve around.
 
-Three engines produce identical results:
+Two engines produce identical results:
 
 * ``"event"`` (default) — the scalar plan-order kernel
   :func:`repro.analysis.evaluate.dense.wavefront_times`: the replay
@@ -26,19 +26,18 @@ Three engines produce identical results:
   confirms its frontier on it.  ``channel_capacities=`` runs on this
   engine too: slot-reuse edges join its edge arrays as zero-cost
   dependencies before the loop starts.
-* ``"fixed-point"`` — the original round-robin blocked-head scan over
-  the stage programs (it never reads the compiled graph), kept as the
-  golden reference.
 
 An op's start time is a pure function of its dependencies' end times
 (IEEE ``max`` is exact and order-independent, and every add uses
-identical operands), and all engines accumulate per-stage busy time and
-the activation ledger in program order, so the equivalence is
+identical operands), and both engines accumulate per-stage busy time
+and the activation ledger in program order, so the equivalence is
 bit-for-bit, not approximate — ``tests/test_engine_golden.py`` asserts
-it across the acceptance grid.  The graph engines return an
-array-backed :class:`SimResult` (:class:`OpTimes`) whose ``OpRecord``
-views are built on first read.  (:mod:`repro.sim.network` is a
-different model — FIFO link queues — not another engine of this one.)
+it across the acceptance grid, against each other and against the
+original fixed-point engine (``tests/oracles/fixed_point.py``, a golden
+reference only tests call).  Both return an array-backed
+:class:`SimResult` (:class:`OpTimes`) whose ``OpRecord`` views are
+built on first read.  (:mod:`repro.sim.network` is a different model —
+FIFO link queues — and a caller of the kernel, not another engine.)
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.obs.events import NULL_SINK, EventSink
 from repro.obs.metrics import CommLog, IterationMetrics, schedule_comm_log
 from repro.schedules.base import (
     OpId,
-    OpKind,
     PipelineProblem,
     Schedule,
     ScheduleError,
@@ -130,8 +128,8 @@ class SimResult:
     #: (``boundary_message_bytes()``).
     comm_bytes_per_message: float = 0.0
     _comm_volume: CommLog | None = field(default=None, repr=False, compare=False)
-    #: The replay's own arrays (graph engines; ``None`` for the
-    #: fixed-point reference, which never compiles a graph).
+    #: The replay's own arrays (``None`` for a result built from
+    #: records, like the tests' fixed-point reference).
     op_times: OpTimes | None = field(default=None, repr=False, compare=False)
 
     def _build_records(self) -> None:
@@ -255,37 +253,6 @@ for _name in ("records", "stage_record_lists"):
     setattr(SimResult, _name, _lazy_field(_name))
 
 
-@dataclass
-class _Ledger:
-    """Tracks pinned activation (and activation-gradient) memory.
-
-    An F op pins its activations until they are consumed: at B
-    completion for fused backward, or gradually over the op's W GEMMs
-    when the backward pass is split (each retired W GEMM releases its
-    share of both the activations and the activation gradients that B
-    materialized, sized ``actgrad_factor`` relative to the activations).
-    """
-
-    problem: PipelineProblem
-    actgrad_factor: float = 1.0
-    current: float = 0.0
-    peak: float = 0.0
-
-    def apply(self, op: OpId, units: float) -> None:
-        p = self.problem
-        if op.kind is OpKind.F:
-            self.current += units
-        elif op.kind is OpKind.B:
-            if p.split_backward:
-                self.current += units * self.actgrad_factor
-            else:
-                self.current -= units
-        else:
-            release = units * (1.0 + self.actgrad_factor) / p.wgrad_gemms
-            self.current -= release
-        self.peak = max(self.peak, self.current)
-
-
 def simulate(
     schedule: Schedule,
     cost: CostModel,
@@ -306,7 +273,7 @@ def simulate(
     the replay.
 
     ``engine`` selects the replay implementation (see module
-    docstring); all produce identical results.
+    docstring); both produce identical results.
 
     ``sink`` receives the iteration's telemetry — per-op spans (one
     track per stage), channel send/recv instants, and bubble/overlap/
@@ -325,19 +292,15 @@ def simulate(
     """
     from repro.schedules.verify import ensure_verified
 
-    if engine not in ("event", "heap", "fixed-point"):
+    if engine not in ("event", "heap"):
         raise ValueError(f"unknown simulation engine {engine!r}")
     ensure_verified(schedule, context="simulate")
     if channel_capacities is not None or engine == "heap":
         result = _simulate_heap(
             schedule, cost, overhead_time, actgrad_factor, channel_capacities
         )
-    elif engine == "event":
-        result = _simulate_dense(schedule, cost, overhead_time, actgrad_factor)
     else:
-        result = _simulate_fixed_point(
-            schedule, cost, overhead_time, actgrad_factor
-        )
+        result = _simulate_dense(schedule, cost, overhead_time, actgrad_factor)
 
     stamp_byte_sizes(result, cost)
     if sink.enabled:
@@ -356,10 +319,15 @@ def _materialize(
 ) -> SimResult:
     """Per-op times over the compiled graph -> ledger, metrics, result.
 
-    Per-stage accumulation over the kind codes in program order — the
-    operands and order of the fixed-point engine's busy-time sum and
-    :meth:`_Ledger.apply` — so every graph-based engine reports the
-    same bits for the same times.  Records are built on first read.
+    Per-stage accumulation over the kind codes in program order, so
+    every engine reports the same bits for the same times.  The ledger
+    tracks pinned activation (and activation-gradient) memory: an F op
+    pins its activations until they are consumed — at B completion for
+    fused backward, or gradually over the op's W GEMMs when the
+    backward pass is split (each retired W GEMM releases its share of
+    both the activations and the activation gradients that B
+    materialized, sized ``actgrad_factor`` relative to the
+    activations).  Records are built on first read.
     """
     problem = schedule.problem
     graph = times.graph
@@ -523,8 +491,8 @@ def _simulate_heap(
     # Flat per-op/per-edge cost tables through this engine's own memo:
     # one probe (and one decoded ``OpId``) per distinct cost key, and
     # per distinct key pair for comm — keyed on every dependency edge,
-    # as the fixed-point engine probes it, so models that charge
-    # same-stage transfers behave identically.  A model that is not
+    # same-stage ones included, so models that charge same-stage
+    # transfers are honoured.  A model that is not
     # micro-batch invariant makes every op its own key.
     keys: Sequence[int]
     if getattr(cost, "microbatch_invariant", False):
@@ -638,70 +606,3 @@ def _schedule_ready(
     start[j] = t
     end[j] = t + duration[j]
     heappush(heap, (t, j))
-
-
-def _simulate_fixed_point(
-    schedule: Schedule,
-    cost: CostModel,
-    overhead_time: float,
-    actgrad_factor: float,
-) -> SimResult:
-    """The original list-scheduling fixed point (golden reference)."""
-    problem = schedule.problem
-    num_stages = problem.num_stages
-    programs = [schedule.stage_ops(s) for s in range(num_stages)]
-    heads = [0] * num_stages
-    stage_time = [0.0] * num_stages
-    end_time: dict[OpId, float] = {}
-    records: dict[OpId, OpRecord] = {}
-    metrics = [StageMetrics(stage=s) for s in range(num_stages)]
-    ledgers = [
-        _Ledger(problem=problem, actgrad_factor=actgrad_factor)
-        for _ in range(num_stages)
-    ]
-
-    remaining = sum(len(p) for p in programs)
-    while remaining:
-        progressed = False
-        for stage in range(num_stages):
-            ops = programs[stage]
-            while heads[stage] < len(ops):
-                op = ops[heads[stage]]
-                deps = problem.deps(op)
-                if any(d not in end_time for d in deps):
-                    break
-                ready = 0.0
-                for d in deps:
-                    ready = max(ready, end_time[d] + cost.comm_time(d, op))
-                start = max(stage_time[stage], ready)
-                dur = cost.duration(op)
-                end = start + dur
-                records[op] = OpRecord(op=op, stage=stage, start=start, end=end)
-                end_time[op] = end
-                stage_time[stage] = end
-                m = metrics[stage]
-                m.busy_time += dur
-                m.op_count += 1
-                ledgers[stage].apply(op, cost.act_units(op))
-                heads[stage] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            stuck = [
-                str(programs[s][heads[s]])
-                for s in range(num_stages)
-                if heads[s] < len(programs[s])
-            ]
-            raise ScheduleError(f"simulation deadlock; blocked heads: {stuck}")
-
-    for stage in range(num_stages):
-        metrics[stage].peak_activation_units = ledgers[stage].peak
-    makespan = max(stage_time) if stage_time else 0.0
-    return SimResult(
-        schedule_name=schedule.name,
-        problem=problem,
-        records=records,
-        stages=metrics,
-        makespan=makespan,
-        overhead_time=overhead_time,
-    )

@@ -3,11 +3,12 @@
 This module preserves the dict-of-``OpId`` implementation of the greedy
 generator exactly as it stood before the array-native rewrite in
 :mod:`repro.schedules.greedy`.  It plays the same role the fixed-point
-engine plays for the simulator: a genuinely independent implementation
-the golden-equivalence suite (``tests/test_greedy_golden.py``) compares
-the fast engine against, byte for byte, across the full acceptance
-grid.  It is **not** on any production path — ``greedy_schedule``
-always runs the array engine — so its only consumers are tests.
+replay (:mod:`tests.oracles.fixed_point`) plays for the simulator: a
+genuinely independent implementation the golden-equivalence suite
+(``tests/test_greedy_golden.py``) compares the fast engine against,
+byte for byte, across the full acceptance grid.  It is **not** on any
+production path — ``greedy_schedule`` always runs the array engine —
+which is why it lives beside the tests that call it.
 
 Nothing here may be "improved": the whole value of the file is that it
 computes the old answer the old way (same float expression order, same
@@ -30,15 +31,32 @@ from repro.schedules.base import (
     ScheduleError,
     StageProgram,
 )
-from repro.schedules.greedy import (
-    _FORWARD_KEYS,
-    GreedyPolicy,
-    _b_children,
-    stage_cap,
-)
+from repro.schedules.greedy import GreedyPolicy, stage_cap
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
+
+
+#: Selection keys for ready forward ops (smaller tuple wins): the
+#: specification the array engine's packed-integer keys
+#: (``greedy._PACKED_FORWARD_KEYS``) must order identically to.
+_FORWARD_KEYS = {
+    # Finish later chunk rounds first (drives each sample toward its
+    # first backward); micro-batch order breaks ties.
+    "round_desc": lambda op, p: (-(op.chunk // p), op.microbatch,
+                                 op.slice_idx, op.chunk),
+    # Strict micro-batch-major order with later rounds preferred within
+    # a micro-batch; keeps consecutive samples from overtaking.
+    "mb_major": lambda op, p: (op.microbatch, -(op.chunk // p),
+                               op.slice_idx, op.chunk),
+    # Plain lexicographic order.
+    "plain": lambda op, p: (op.microbatch, op.slice_idx, op.chunk),
+}
+
+
+def _b_children(op: OpId) -> int:
+    """Number of B descendants within the same micro-batch (Section 4.3)."""
+    return (op.slice_idx + 1) * (op.chunk + 1) - 1
 
 
 @dataclass

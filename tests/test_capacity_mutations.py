@@ -37,6 +37,8 @@ from repro.schedules.verify.liveness import check_liveness
 from repro.sim import UniformCost, simulate
 from repro.sim.crossval import cross_validate
 
+from tests.oracles.fixed_point import simulate_fixed_point
+
 
 def F(mb, c):
     return OpId(OpKind.F, mb, 0, c)
@@ -331,9 +333,9 @@ class TestOracleTableMutations:
 
     def test_unmutated_subject_is_clean(self):
         schedule, cost = gemm_subject()
-        assert cross_validate(schedule, cost, engine="heap").ok
+        assert cross_validate(schedule, cost).ok
         heap = simulate(schedule, cost, engine="heap")
-        fixed = simulate(schedule, cost, engine="fixed-point")
+        fixed = simulate_fixed_point(schedule, cost)
         assert heap.records == fixed.records
         _, peaks = check_liveness(schedule, graph=compiled_graph(schedule))
         # The static walk sums in its own order: equal, not bit-equal.
@@ -353,9 +355,9 @@ class TestOracleTableMutations:
             ]
 
         schedule, cost = gemm_subject()
-        fixed = simulate(schedule, cost, engine="fixed-point")
+        fixed = simulate_fixed_point(schedule, cost)
         monkeypatch.setattr(executor, "_cost_keys", keys_without_gemm)
-        report = cross_validate(schedule, cost, engine="heap")
+        report = cross_validate(schedule, cost)
         assert not report.ok
         # EV002 rides along: the exact certificate's degenerate interval
         # no longer contains the (wrong) simulated iteration time.
@@ -372,7 +374,7 @@ class TestOracleTableMutations:
         from repro.sim import executor
 
         schedule, cost = gemm_subject()
-        fixed = simulate(schedule, cost, engine="fixed-point")
+        fixed = simulate_fixed_point(schedule, cost)
         _, peaks = check_liveness(schedule, graph=compiled_graph(schedule))
         # `_materialize` tests F, then KIND_B, else W: aliasing KIND_B
         # to the W code sends every W down the B branch and every B
@@ -388,7 +390,7 @@ class TestOracleTableMutations:
             assert mutant_peaks != pytest.approx(
                 [pk.peak_units for pk in peaks], abs=1e-9
             )
-        report = cross_validate(schedule, cost, engine="heap")
+        report = cross_validate(schedule, cost)
         assert report.rule_ids() == {"EV001"}
         assert all(
             "peak ledger units" in f.message for f in report.by_rule("EV001")
@@ -396,7 +398,7 @@ class TestOracleTableMutations:
 
     def test_shifted_stage_bounds_put_records_on_the_wrong_stage(self):
         schedule, cost = gemm_subject()
-        fixed = simulate(schedule, cost, engine="fixed-point")
+        fixed = simulate_fixed_point(schedule, cost)
         heap = simulate(schedule, cost, engine="heap")
         graph = compiled_graph(schedule)
         shifted = copy.copy(graph)

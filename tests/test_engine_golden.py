@@ -2,8 +2,8 @@
 
 The plan-order kernel (``"event"``) and the event-driven heap oracle
 (``"heap"``) must be pure speedups — not approximations — of the
-original fixed-point replay.  These tests compare the engines
-bit-for-bit (op records, makespan, per-stage
+original fixed-point replay (``tests/oracles/fixed_point.py``).  These
+tests compare the engines bit-for-bit (op records, makespan, per-stage
 busy time and activation peaks) across the acceptance grid from
 ``tests/test_verify.py``, under the uniform cost model, an imbalanced
 one, the calibrated cluster model, and a custom model that charges
@@ -27,6 +27,7 @@ from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
 from repro.sim.executor import OpRecord, simulate
 
+from tests.oracles.fixed_point import simulate_fixed_point
 from tests.test_capacity_mutations import binding_grid
 from tests.test_verify import golden_grid
 
@@ -81,7 +82,7 @@ def test_engines_agree_on_golden_grid(method, p, n, s, v, g):
     cost = UniformCost(problem, tw=0.5, imbalance=tuple(
         1.0 + 0.1 * i for i in range(s)
     ))
-    fixed = simulate(schedule, cost, engine="fixed-point")
+    fixed = simulate_fixed_point(schedule, cost)
     assert fixed.op_times is None  # the reference builds records eagerly
     event = simulate(schedule, cost, engine="event")
     heap = simulate(schedule, cost, engine="heap")
@@ -129,7 +130,7 @@ def test_engines_agree_under_cluster_cost():
         problem=problem,
     )
     schedule = build_schedule("mepipe", problem, cost=cost)
-    fixed = simulate(schedule, cost, engine="fixed-point")
+    fixed = simulate_fixed_point(schedule, cost)
     for engine in ("event", "heap"):
         assert_bitwise_equal(simulate(schedule, cost, engine=engine), fixed)
 
@@ -155,7 +156,7 @@ def test_engines_agree_with_edge_charging_cost():
     problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
     schedule = build_schedule("mepipe", problem)
     cost = _EdgeTaxCost(problem)
-    fixed = simulate(schedule, cost, engine="fixed-point")
+    fixed = simulate_fixed_point(schedule, cost)
     for engine in ("event", "heap"):
         assert_lazy_records_match(
             schedule, simulate(schedule, cost, engine=engine), fixed
@@ -195,6 +196,11 @@ def test_unknown_engine_rejected():
     caps = dict.fromkeys(channel_messages(compiled_graph(schedule)), 2)
     with pytest.raises(ValueError, match="unknown simulation engine"):
         simulate(schedule, cost, engine="bogus", channel_capacities=caps)
+    # The fixed-point reference is a test oracle now, not an engine.
+    for kwargs in ({}, {"channel_capacities": caps}):
+        with pytest.raises(ValueError) as err:
+            simulate(schedule, cost, engine="fixed-point", **kwargs)
+        assert str(err.value) == "unknown simulation engine 'fixed-point'"
 
 
 def test_slack_capacities_leave_the_heap_replay_untouched():
@@ -219,8 +225,11 @@ def test_stage_records_cached_and_sorted():
     problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
     schedule = build_schedule("mepipe", problem)
     cost = UniformCost(problem)
-    for engine in ("event", "heap", "fixed-point"):
-        result = simulate(schedule, cost, engine=engine)
+    for result in (
+        simulate(schedule, cost, engine="event"),
+        simulate(schedule, cost, engine="heap"),
+        simulate_fixed_point(schedule, cost),
+    ):
         for stage in range(problem.num_stages):
             records = result.stage_records(stage)
             assert records is result.stage_records(stage)  # cached

@@ -5,8 +5,9 @@ The evaluator's central claim — "exact" certificates are bit-for-bit,
 the full acceptance grid from ``tests/test_verify.py`` and the E0
 method grid, under the uniform, imbalanced, and calibrated cluster cost
 models.  The cross-validation harness (:mod:`repro.sim.crossval`) does
-the bit-level comparison against the *scalar* engines (heap and
-fixed-point), so these tests never compare the wavefront with itself.
+the bit-level comparison against the heap oracle (and, where a test
+says so, the fixed-point reference in ``tests/oracles``), so these
+tests never compare the wavefront with itself.
 
 Also covered: the planner's analytic first pass returning exactly the
 sim-only sweep's optimum and Pareto frontier, and the sweep cache never
@@ -42,6 +43,7 @@ from repro.sim.cost import ClusterCost, UniformCost
 from repro.sim.crossval import cross_validate
 from repro.sim.executor import simulate
 
+from tests.oracles.fixed_point import crossval_on_fixed_point
 from tests.test_verify import golden_grid
 
 SEEDS = [0, 1, 2]
@@ -68,7 +70,7 @@ def test_analytic_is_bit_exact_on_golden_grid(method, p, n, s, v, g):
     schedule = build_schedule(method, problem)
     cost = imbalanced_cost(problem, s)
     bounds = iteration_time_bounds(problem, cost)
-    report = cross_validate(schedule, cost, engine="heap", bounds=bounds)
+    report = cross_validate(schedule, cost, bounds=bounds)
     assert report.ok, report.render_text()
     assert report.checked_rules == EVALUATE_RULES
 
@@ -81,9 +83,8 @@ def test_analytic_is_bit_exact_on_e0_grid(method, kwargs):
     schedule = build_schedule(method, problem)
     cost = UniformCost(problem, tw=0.5)
     bounds = iteration_time_bounds(problem, cost)
-    report = cross_validate(
-        schedule, cost, engine="fixed-point", bounds=bounds
-    )
+    with crossval_on_fixed_point():
+        report = cross_validate(schedule, cost, bounds=bounds)
     assert report.ok, report.render_text()
 
 
@@ -98,7 +99,7 @@ def test_analytic_is_bit_exact_under_cluster_cost():
     overhead = cost.dp_sync_seconds() + cost.optimizer_seconds()
     bounds = iteration_time_bounds(problem, cost, overhead_time=overhead)
     report = cross_validate(
-        schedule, cost, overhead_time=overhead, engine="heap", bounds=bounds
+        schedule, cost, overhead_time=overhead, bounds=bounds
     )
     assert report.ok, report.render_text()
     # Byte conversions are stamped identically on both result types.
@@ -112,10 +113,10 @@ def test_exactness_survives_overhead_and_actgrad():
     problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=3)
     schedule = build_schedule("mepipe", problem)
     cost = UniformCost(problem, tw=0.5)
-    report = cross_validate(
-        schedule, cost, overhead_time=0.25, actgrad_factor=0.5,
-        engine="fixed-point",
-    )
+    with crossval_on_fixed_point():
+        report = cross_validate(
+            schedule, cost, overhead_time=0.25, actgrad_factor=0.5
+        )
     assert report.ok, report.render_text()
 
 

@@ -115,6 +115,32 @@ def test_corrupt_op_time_fires_ev001(subject, seed):
     assert any(w.startswith("analytic:") for w in op_findings[0].witness)
 
 
+def test_served_check_catches_a_wrong_float_in_the_kernel(monkeypatch):
+    """``repro evaluate --check`` / ``EvaluateRequest(check=True)`` must
+    certify the kernel against something that is not the kernel: one
+    wrong float out of ``wavefront_times`` — which prices both
+    ``evaluate_schedule`` and ``simulate(engine="event")`` — comes back
+    as an EV001 finding, because the check replays on the heap oracle."""
+    from repro import api
+    from repro.analysis.evaluate import dense
+
+    real = dense.wavefront_times
+
+    def one_wrong_float(*args):
+        start, end = real(*args)
+        end[len(end) // 2] += 0.125
+        return start, end
+
+    request = api.EvaluateRequest(method="zb", tw=0.5, check=True)
+    clean = api.execute(request)
+    assert clean.ok and clean.report["findings"] == []
+    monkeypatch.setattr(dense, "wavefront_times", one_wrong_float)
+    response = api.execute(request)
+    assert not response.ok
+    assert {f["rule_id"] for f in response.report["findings"]} == {"EV001"}
+    assert "op timing diverges from the event replay" in response.text
+
+
 # ----------------------------------------------------------------------
 # EV002 — bound certificates must contain the simulated time
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ from repro.schedules import (
     build_schedule,
 )
 from repro.sim import UniformCost, simulate
-from repro.sim.executor import _Ledger
+
+from tests.oracles.fixed_point import Ledger
 
 
 class TestReplay:
@@ -80,7 +81,7 @@ class TestReplay:
 class TestLedger:
     def test_fused_backward_releases_at_b(self):
         pr = PipelineProblem(num_stages=1, num_microbatches=1)
-        ledger = _Ledger(problem=pr)
+        ledger = Ledger(problem=pr)
         ledger.apply(OpId(OpKind.F, 0, 0, 0), 1.0)
         assert ledger.current == 1.0
         ledger.apply(OpId(OpKind.B, 0, 0, 0), 1.0)
@@ -90,7 +91,7 @@ class TestLedger:
     def test_split_backward_holds_until_w(self):
         pr = PipelineProblem(num_stages=1, num_microbatches=1,
                              split_backward=True, wgrad_gemms=2)
-        ledger = _Ledger(problem=pr, actgrad_factor=1.0)
+        ledger = Ledger(problem=pr, actgrad_factor=1.0)
         ledger.apply(OpId(OpKind.F, 0, 0, 0), 1.0)
         ledger.apply(OpId(OpKind.B, 0, 0, 0), 1.0)
         assert ledger.current == pytest.approx(2.0)  # act + actgrad
@@ -103,7 +104,7 @@ class TestLedger:
     def test_actgrad_factor_scales_b_pin(self):
         pr = PipelineProblem(num_stages=1, num_microbatches=1,
                              split_backward=True)
-        ledger = _Ledger(problem=pr, actgrad_factor=0.5)
+        ledger = Ledger(problem=pr, actgrad_factor=0.5)
         ledger.apply(OpId(OpKind.F, 0, 0, 0), 1.0)
         ledger.apply(OpId(OpKind.B, 0, 0, 0), 1.0)
         assert ledger.peak == pytest.approx(1.5)

@@ -1,5 +1,6 @@
 """Tests for the experiment modules (fast artifacts only; the heavy
-grid searches are exercised by the benchmark suite)."""
+grid searches and the paper's claims about every artifact are in
+``tests/test_paper_claims.py``)."""
 
 import pytest
 

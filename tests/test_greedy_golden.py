@@ -5,7 +5,7 @@ pre-rewrite engine byte for byte.
 (packed priority keys, canonical op codes, a time-bucketed wake queue)
 and emits the compiled graph directly.  It must be a pure speedup of
 the dict-of-``OpId`` engine preserved verbatim in
-``repro.schedules.greedy_reference`` — same program orders, same
+``tests/oracles/greedy_reference.py`` — same program orders, same
 fingerprints, same compiled-graph tables, same deadlock witnesses —
 across every policy mode, placement, and backward split.
 
@@ -23,8 +23,9 @@ from repro.schedules import gencache
 from repro.schedules.base import PipelineProblem, ScheduleError
 from repro.schedules.graph import compiled_graph
 from repro.schedules.greedy import GreedyPolicy, greedy_schedule
-from repro.schedules.greedy_reference import greedy_reference
 from repro.sim.cost import UniformCost
+
+from tests.oracles.greedy_reference import greedy_reference
 
 GRAPH_FIELDS = (
     "fingerprint", "ops", "kind", "cell", "gemm", "stage", "pos",

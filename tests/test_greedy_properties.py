@@ -116,10 +116,10 @@ def test_all_activations_released(shape):
         split_backward=True, wgrad_gemms=3,
     )
     schedule = greedy_schedule(problem)
-    from repro.sim.executor import _Ledger
+    from tests.oracles.fixed_point import Ledger
 
     for stage in range(p):
-        ledger = _Ledger(problem=problem)
+        ledger = Ledger(problem=problem)
         for op in schedule.stage_ops(stage):
             ledger.apply(op, problem.activation_units_per_op)
         assert abs(ledger.current) < 1e-9
