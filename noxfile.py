@@ -15,7 +15,7 @@ Run `nox -s <session>`, or the same commands directly:
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_batch_mutations.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
-    service   python -m pytest -x -q tests/test_service.py tests/test_api.py
+    service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
     tests     python -m pytest -x -q
     bench     python -m pytest -q bench/
 
@@ -151,9 +151,23 @@ def service(session: nox.Session) -> None:
     facade every transport shares) and ``repro.service`` (the asyncio
     job/HTTP layer) — canonical round-trips, fingerprint dedup (32
     concurrent identical requests -> one computation), SSE progress
-    streams, per-tenant quotas, and structured timeout errors."""
+    streams, per-tenant quotas, and structured timeout errors.
+
+    The warm-path fence (a repeated plan recomputes nothing) runs once
+    before and once after the sweep-cache suite — pytest keeps argument
+    order, and ``--keep-duplicates`` lets a file appear twice — so the
+    planner's process-wide bounds memo is shown to leak nothing between
+    suites in either order."""
     session.install("-e", ".[test]")
-    session.run(*PYTEST, "tests/test_service.py", "tests/test_api.py")
+    session.run(
+        *PYTEST,
+        "--keep-duplicates",
+        "tests/test_service.py",
+        "tests/test_api.py",
+        "tests/test_warm_path.py",
+        "tests/test_planner_parallel.py",
+        "tests/test_warm_path.py",
+    )
 
 
 @nox.session

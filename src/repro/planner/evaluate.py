@@ -392,6 +392,11 @@ class ConfigBounds:
     memory_floor_bytes: int
 
 
+# Sized from measured traffic: one five-method served plan asks for ~48
+# distinct keys (384 across the benchmark's 8-plan warm pool, scanned
+# cyclically — the scan that leaves ``_prelude``'s 256 entries at 0 hits),
+# and an entry is three scalars, so 4096 holds ~85 plans' worth.
+@lru_cache(maxsize=4096)
 def config_bounds(
     method: str,
     spec: ModelSpec,
@@ -407,6 +412,10 @@ def config_bounds(
     full evaluation would reject (or that the bound theory does not
     cover) comes up — the caller then falls through to the full
     evaluation, which raises or answers authoritatively.
+
+    A pure function of its five (frozen, hashable) inputs, so the
+    verdict — ``None`` included — is memoised per process: a warm sweep
+    re-reads its cells from the sweep cache but re-derives no bound.
     """
     try:
         pre = _prelude(method, spec, cluster, config, global_batch_size)

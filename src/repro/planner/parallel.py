@@ -31,6 +31,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from hashlib import sha256
 from pathlib import Path
 
@@ -101,13 +102,23 @@ class EvalOutcome:
         return self.result is not None
 
 
+def _canonical(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=64)
+def _canonical_spec(obj: ModelSpec | ClusterSpec) -> str:
+    """Canonical JSON of a spec's ``asdict`` payload, built once per
+    (frozen, hashable) object rather than deep-copied once per task; a
+    ``str``, so the shared payload can never be mutated."""
+    return _canonical(asdict(obj))
+
+
 def eval_fingerprint(task: EvalTask) -> str:
     """Stable content hash of one evaluation's full input."""
     payload = {
         "schema": CACHE_SCHEMA,
         "method": task.method,
-        "spec": asdict(task.spec),
-        "cluster": asdict(task.cluster),
         "config": asdict(task.config),
         "global_batch_size": task.global_batch_size,
         # The evaluation tier and the analytic evaluator's version are
@@ -125,7 +136,14 @@ def eval_fingerprint(task: EvalTask) -> str:
         "capacity_mode": task.capacity_mode,
         "capacity": CAPACITY_VERSION,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # The hashed blob is byte-for-byte the canonical JSON of ``payload``
+    # with ``"spec"``/``"cluster"`` entries (on-disk caches written
+    # before the split still replay): each top-level value is encoded on
+    # its own and the members joined in key order.
+    members = {key: _canonical(value) for key, value in payload.items()}
+    members["spec"] = _canonical_spec(task.spec)
+    members["cluster"] = _canonical_spec(task.cluster)
+    blob = "{" + ",".join(f'"{k}":{members[k]}' for k in sorted(members)) + "}"
     return sha256(blob.encode()).hexdigest()
 
 

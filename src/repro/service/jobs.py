@@ -41,7 +41,8 @@ from repro.obs import Event, QueueSink
 from repro.planner import SweepCache
 from repro.service.config import ServiceConfig
 
-#: Seconds between telemetry pump drains while a job runs.
+#: Seconds between telemetry pump drains while a job runs (completion
+#: itself wakes the pump at once).
 PUMP_INTERVAL_S = 0.02
 
 #: Queue sentinel telling an event subscriber the stream is over.
@@ -263,7 +264,6 @@ class JobStore:
         # Runs on an executor thread; closing the sink delivers the
         # end-of-stream sentinel to the asyncio-side pump.
         try:
-            self.executed += 1
             return execute(request, sink=sink, cache=self.cache)
         finally:
             sink.close()
@@ -272,6 +272,8 @@ class JobStore:
         loop = asyncio.get_running_loop()
         sink = QueueSink()
         job.status = "running"
+        # Counted here, on the loop: executor threads would race on it.
+        self.executed += 1
         future = loop.run_in_executor(
             self._executor, self._execute, request, sink
         )
@@ -282,7 +284,10 @@ class JobStore:
                 job.publish(sink.drain())
                 if future.done() and sink.finished:
                     break
-                await asyncio.sleep(PUMP_INTERVAL_S)
+                # Wakes on completion or the interval, whichever is first
+                # (``_execute`` closes the sink before the future resolves,
+                # so the next drain after completion ends the loop).
+                await asyncio.wait([future], timeout=PUMP_INTERVAL_S)
             response = future.result()
         except RequestError as exc:
             error = exc.to_error()
@@ -321,10 +326,14 @@ class JobStore:
         grid registry and ``worker_reuse`` from the persistent pool —
         process-wide sums, surfaced here because the service is the
         long-lived process in which cross-request reuse pays off.
+        ``bounds_memo`` is the build-free bounds memo's own
+        ``cache_info()``: a repeated plan raises ``hits``, not ``misses``.
         """
         from repro.planner import grid_stats, pool
+        from repro.planner.evaluate import config_bounds
 
         grid = grid_stats()
+        memo = config_bounds.cache_info()
         return {
             "jobs": len(self._jobs),
             "inflight": len(self._inflight),
@@ -333,4 +342,9 @@ class JobStore:
             "batch_size": grid["batch_size"],
             "topology_class_hits": grid["topology_class_hits"],
             "worker_reuse": pool.stats()["worker_reuse"],
+            "bounds_memo": {
+                "hits": memo.hits,
+                "misses": memo.misses,
+                "size": memo.currsize,
+            },
         }

@@ -6,13 +6,20 @@ cache state — parallelism and caching are pure wall-clock
 optimizations.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from repro.analysis.capacity.rules import CAPACITY_VERSION
+from repro.analysis.evaluate.rules import EVALUATOR_VERSION
+from repro.hardware import get_cluster
 from repro.hardware.cluster import RTX4090_CLUSTER
+from repro.model import get_model
 from repro.model.spec import LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
+from repro.planner import parallel as parallel_module
 from repro.planner.parallel import (
     CACHE_SCHEMA,
     EvalOutcome,
@@ -23,6 +30,7 @@ from repro.planner.parallel import (
     merge_outcomes,
 )
 from repro.planner.search import search_method
+from repro.schedules import gencache
 
 GBS = 64
 
@@ -43,6 +51,75 @@ def test_fingerprint_is_stable_and_input_sensitive():
     assert eval_fingerprint(base) != eval_fingerprint(
         _task(config=ParallelConfig(dp=4, pp=16, spp=2))
     )
+
+
+def _reference_fingerprint(task):
+    """The fingerprint formula on-disk caches were written under: one
+    ``json.dumps`` over fresh ``asdict`` payloads."""
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "method": task.method,
+        "spec": dataclasses.asdict(task.spec),
+        "cluster": dataclasses.asdict(task.cluster),
+        "config": dataclasses.asdict(task.config),
+        "global_batch_size": task.global_batch_size,
+        "tier": task.tier,
+        "evaluator": EVALUATOR_VERSION,
+        "generator": gencache.GENERATOR_VERSION,
+        "capacity_mode": task.capacity_mode,
+        "capacity": CAPACITY_VERSION,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_fingerprint_matches_the_on_disk_formula():
+    tasks = [
+        EvalTask(
+            method,
+            get_model(model),
+            get_cluster(cluster),
+            config,
+            gbs,
+            tier=tier,
+            capacity_mode=mode,
+        )
+        for method in ("mepipe", "zb")
+        for model, cluster in (("13b", "rtx4090-64"), ("7b", "a100-32"))
+        for config in (
+            ParallelConfig(dp=8, pp=8, spp=2),
+            ParallelConfig(dp=2, pp=16, cp=2, vp=2, recompute=True),
+        )
+        for gbs in (32, 128)
+        for tier, mode in (("sim", "backpressure-free"), ("analytic", "none"))
+    ]
+    assert len({eval_fingerprint(t) for t in tasks}) == len(tasks)
+    for task in tasks:
+        assert eval_fingerprint(task) == _reference_fingerprint(task)
+
+
+def test_fingerprint_shares_no_mutable_payload(monkeypatch):
+    # Every dict a fingerprint computation builds is the caller's own:
+    # scribbling over all of them cannot reach the next computation.
+    handed_out = []
+    real_asdict = dataclasses.asdict
+
+    def spying_asdict(obj):
+        handed_out.append(real_asdict(obj))
+        return handed_out[-1]
+
+    monkeypatch.setattr(parallel_module, "asdict", spying_asdict)
+    parallel_module._canonical_spec.cache_clear()
+    task = _task()
+    expected = _reference_fingerprint(task)
+    assert eval_fingerprint(task) == expected
+    assert len(handed_out) == 3  # spec, cluster, config
+    for payload in handed_out:
+        payload.clear()
+        payload["poisoned"] = True
+    assert eval_fingerprint(task) == expected
+    # The spec and cluster payloads were not rebuilt for the second task.
+    assert len(handed_out) == 4
 
 
 # ----------------------------------------------------------------------

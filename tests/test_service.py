@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -175,7 +176,23 @@ class TestHttpEndpoints:
             "batch_size",
             "topology_class_hits",
             "worker_reuse",
+            "bounds_memo",
         }
+        assert set(data["stats"]["bounds_memo"]) == {"hits", "misses", "size"}
+
+    def test_repeated_plan_hits_the_bounds_memo(self, harness):
+        client = harness.client()
+        plan = api.PlanRequest(
+            model="13b", global_batch_size=32, methods=("zb",), max_spp=4
+        )
+        first = client.request(plan)
+        before = client.health()["stats"]["bounds_memo"]
+        second = client.request(plan)
+        after = client.health()["stats"]["bounds_memo"]
+        assert second.methods == first.methods
+        assert after["hits"] > before["hits"]
+        assert after["misses"] == before["misses"]
+        assert after["size"] == before["size"] > 0
 
     def test_sync_response_matches_local_execute(self, harness):
         request = api.EvaluateRequest(
@@ -362,6 +379,86 @@ class TestJobsAndStreaming:
             results = [f.result() for f in futures]
         assert results[0] == results[1]
         assert harness.store.executed <= executed_before + 1
+
+    def test_concurrent_distinct_requests_are_all_counted(self, harness):
+        # `executed` is only ever written on the event loop; a count kept
+        # on the 8 executor threads could lose updates under this switch
+        # interval.
+        client = harness.client()
+        executed_before = harness.store.executed
+
+        def one(i: int) -> api.Response:
+            # Four tenants, so 16 jobs in flight stay inside the quota.
+            request = api.EvaluateRequest(method="mepipe", tw=1.0 + i / 16)
+            return harness.client(tenant=f"tenant-{i % 4}").request(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                responses = list(pool.map(one, range(16)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(response.ok for response in responses)
+        assert harness.store.executed == executed_before + 16
+        assert client.health()["stats"]["executed"] == executed_before + 16
+
+
+class TestCompletionIsEventDriven:
+    """With the telemetry interval stretched to 5 s, nothing may wait it
+    out: the pump wakes on the executor future, not on the clock."""
+
+    @pytest.fixture(autouse=True)
+    def _long_interval(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "PUMP_INTERVAL_S", 5.0)
+
+    def test_run_returns_at_completion(self):
+        async def main() -> tuple[object, float]:
+            store = jobs_module.JobStore(ServiceConfig(use_cache=False))
+            try:
+                t0 = time.monotonic()
+                result = await store.run(api.EvaluateRequest(method="zb"))
+                return result, time.monotonic() - t0
+            finally:
+                await store.close()
+
+        result, seconds = asyncio.run(main())
+        assert isinstance(result, api.EvaluateResponse) and result.ok
+        assert seconds < 1.0
+
+    def test_async_job_flips_to_done_at_completion(self, harness):
+        client = harness.client()
+        t0 = time.monotonic()
+        descriptor = client.submit(api.EvaluateRequest(method="zb"))
+        final = client.wait(descriptor["job_id"], poll_s=0.01)
+        assert final["status"] == "done"
+        assert time.monotonic() - t0 < 2.5
+
+    def test_live_subscriber_gets_every_event_then_done(
+        self, harness, monkeypatch
+    ):
+        gate = _Gated(jobs_module.execute)
+        monkeypatch.setattr(jobs_module, "execute", gate)
+        client = harness.client()
+        job_id = client.submit(SMALL_PLAN)["job_id"]
+        job = harness.store.get(job_id)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            stream = pool.submit(lambda: list(client.events(job_id)))
+            # Attached while the job is provably still running.
+            deadline = time.monotonic() + 10.0
+            while not job._subscribers and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert job._subscribers and not job.finished
+            t0 = time.monotonic()
+            gate.release.set()
+            events = stream.result(20.0)
+        assert time.monotonic() - t0 < 2.5
+        assert [name for name, _ in events[:-1]] == ["obs"] * len(job.events)
+        assert [payload for _, payload in events[:-1]] == job.events
+        assert job.events, "expected telemetry on the stream"
+        name, payload = events[-1]
+        assert name == "done" and payload["status"] == "done"
+        assert payload["num_events"] == len(job.events)
 
 
 class _Slow:

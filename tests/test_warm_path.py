@@ -1,0 +1,106 @@
+"""The warm-plan fence: counts, not timings.
+
+A repeated ``plan`` re-reads every cell from the sweep cache (hit
+counts, trail and skip reasons are part of the wire contract) but must
+recompute nothing: no certified bound, no interface report, no schedule.
+The bounds memo behind that is process-wide, so every test here holds
+whatever ran before it — CI runs this file both before and after
+``tests/test_planner_parallel.py`` to prove it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import api
+from repro.planner import SweepCache
+from repro.planner import evaluate as evaluate_module
+
+PLAN = api.PlanRequest(
+    model="13b", global_batch_size=32, methods=("mepipe", "zb"), max_spp=4
+)
+
+#: The pure recomputations a warm plan used to pay for, as bound in
+#: ``repro.planner.evaluate`` (where every planner call site reads them).
+RECOMPUTED = ("iteration_time_bounds", "interface_report", "build_schedule")
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Call counters patched over :data:`RECOMPUTED`."""
+    counts = dict.fromkeys(RECOMPUTED, 0)
+
+    def counting(name):
+        real = getattr(evaluate_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in RECOMPUTED:
+        monkeypatch.setattr(evaluate_module, name, counting(name))
+    return counts
+
+
+def test_repeated_plan_recomputes_nothing(tmp_path, calls):
+    cache = SweepCache(tmp_path)
+    first = api.execute(PLAN, cache=cache)
+    assert first.ok and cache.misses > 0
+    after_first = (cache.hits, cache.misses)
+    calls.update(dict.fromkeys(RECOMPUTED, 0))
+
+    second = api.execute(PLAN, cache=cache)
+    after_second = (cache.hits, cache.misses)
+    third = api.execute(PLAN, cache=cache)
+
+    assert calls == dict.fromkeys(RECOMPUTED, 0)
+    assert cache.misses == after_first[1]
+    # Every analytic and frontier cell is still read, each time.
+    reads = after_second[0] - after_first[0]
+    assert reads > 0
+    assert cache.hits - after_second[0] == reads
+    assert second.methods == first.methods == third.methods
+    assert second.cache == {"hits": after_second[0], "misses": after_first[1]}
+
+
+def _plan_gbs(gbs: int, root) -> tuple:
+    response = api.execute(
+        api.PlanRequest(
+            model="13b", global_batch_size=gbs, methods=("mepipe",), max_spp=4
+        ),
+        cache=SweepCache(root),
+    )
+    return response.methods
+
+
+def _back_to_back_matches_cold(tmp_path) -> bool:
+    """Plan GBS 32 then 64 on one memo; is the second answer the one a
+    cold memo gives?"""
+    evaluate_module.config_bounds.cache_clear()
+    _plan_gbs(32, tmp_path / "a32")
+    warm = _plan_gbs(64, tmp_path / "a64")
+    evaluate_module.config_bounds.cache_clear()
+    return warm == _plan_gbs(64, tmp_path / "b64")
+
+
+def test_two_batch_sizes_back_to_back(tmp_path):
+    assert _back_to_back_matches_cold(tmp_path)
+
+
+def test_memo_keyed_without_batch_size_is_caught(tmp_path, monkeypatch):
+    # Seeded mutation: the same memo, minus ``global_batch_size`` in its
+    # key, serves GBS 32's bounds to GBS 64 — the fence above must see it.
+    real = evaluate_module.config_bounds.__wrapped__
+    memo: dict[tuple, object] = {}
+
+    def mutant(method, spec, cluster, config, global_batch_size):
+        key = (method, spec, cluster, config)
+        if key not in memo:
+            memo[key] = real(method, spec, cluster, config, global_batch_size)
+        return memo[key]
+
+    mutant.cache_clear = memo.clear
+    monkeypatch.setattr(evaluate_module, "config_bounds", mutant)
+    assert not _back_to_back_matches_cold(tmp_path)
