@@ -10,9 +10,10 @@ Run `nox -s <session>`, or the same commands directly:
               mypy --strict src/repro/pipeline src/repro/planner/pool.py
               mypy --strict src/repro/api src/repro/service
               mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
+              find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
-    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_batch_mutations.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
+    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
     service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
@@ -33,12 +34,15 @@ nox.options.sessions = [
 #: Tool configuration lives in pyproject.toml ([tool.ruff], [tool.mypy]).
 LINT_TARGETS = ("src", "tests")
 PYTEST = ("python", "-m", "pytest", "-x", "-q")
+#: ``src/`` lines, then files: the size metric CHANGES.md tracks per PR.
+SRC_SIZE = "find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l"
 
 
 @nox.session
 def lint(session: nox.Session) -> None:
     """Ruff lint + format drift, and every mypy invocation — each
-    target type-checked exactly once."""
+    target type-checked exactly once — then the ``src/`` line and file
+    counts CHANGES.md tracks, from one command."""
     session.install("-e", ".[lint]")
     session.run("ruff", "check", *LINT_TARGETS)
     session.run("ruff", "format", "--check", *LINT_TARGETS)
@@ -56,6 +60,7 @@ def lint(session: nox.Session) -> None:
         "src/repro/schedules/gencache.py",
         "src/repro/schedules/graph.py",
     )
+    session.run("sh", "-c", SRC_SIZE, external=True)
 
 
 @nox.session
@@ -84,15 +89,15 @@ def static(session: nox.Session) -> None:
 def replay(session: nox.Session) -> None:
     """The replay gate: one recurrence, every implementation of it.
 
-    The scalar plan-order kernel, its stacked twin and the heap oracle
-    must agree bit for bit with each other and with the fixed-point
-    reference (``tests/oracles``) — unbounded, under finite channel
-    capacities (where kernel and oracle each append the slot-reuse
-    edges to their own arrays), and with links as stages (the
-    queued-link replay's golden).  The gate runs the engine golden
+    The scalar plan-order kernel and the heap oracle must agree bit
+    for bit with each other and with the fixed-point reference
+    (``tests/oracles``) — unbounded, under finite channel capacities
+    (where kernel and oracle each append the slot-reuse edges to their
+    own arrays), and with links as stages (the queued-link replay's
+    golden).  The gate runs the engine golden
     tests, the analytic evaluator's exactness/bounds/first-pass suite,
-    the batched bit-identity grid, the capacity soundness grid, the
-    seeded EV-rule, cost-row/class-key, CP-rule/slot-edge/oracle-table
+    the cost-variant (class member) independence grid, the capacity
+    soundness grid, the seeded EV-rule, CP-rule/slot-edge/oracle-table
     and link-queue-order mutation suites, the confirm-path allocation
     guard, and the worker-pool lifecycle suite.
     """
@@ -103,7 +108,6 @@ def replay(session: nox.Session) -> None:
         "tests/test_evaluate.py",
         "tests/test_evaluate_mutations.py",
         "tests/test_evaluate_batch.py",
-        "tests/test_batch_mutations.py",
         "tests/test_capacity.py",
         "tests/test_capacity_mutations.py",
         "tests/test_network_sim.py",

@@ -4,10 +4,6 @@ Public surface of the evaluator tier:
 
 * :func:`evaluate_schedule` — exact closed-form evaluation of a built
   schedule (bit-identical to the event simulator, certified);
-* :func:`evaluate_schedule_batch` — the same evaluation stacked over a
-  whole *topology class* (structurally identical schedules, distinct
-  cost tables) in one ``(n_configs, n_ops)`` vectorized sweep,
-  bit-identical per member to :func:`evaluate_schedule`;
 * :func:`iteration_time_bounds` / :func:`peak_units_floor` — certified
   build-free bounds used by the planner's first-pass pruning;
 * the ``EV001``–``EV004`` diagnostic rules and the evaluator version
@@ -17,10 +13,6 @@ See ``docs/evaluation.md`` for the closed forms and the
 exactness/bound taxonomy.
 """
 
-from repro.analysis.evaluate.batch import (
-    batched_wavefront_times,
-    evaluate_schedule_batch,
-)
 from repro.analysis.evaluate.bounds import (
     GUARD,
     TimeBounds,
@@ -50,10 +42,8 @@ __all__ = [
     "EVALUATOR_VERSION",
     "StagePhases",
     "TimeBounds",
-    "batched_wavefront_times",
     "dense_schedule_times",
     "evaluate_schedule",
-    "evaluate_schedule_batch",
     "iteration_time_bounds",
     "op_cost_arrays",
     "peak_units_floor",

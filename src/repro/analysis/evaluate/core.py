@@ -46,8 +46,7 @@ from repro.schedules.graph import (
 )
 from repro.sim.cost import CostModel, stamp_byte_sizes
 
-#: Basis text of every ``"exact"`` certificate — shared verbatim by the
-#: scalar and batched evaluators so their results compare equal.
+#: Basis text of every ``"exact"`` certificate.
 EXACT_CERTIFICATE_BASIS = (
     "max-plus wavefront over the compiled graph: float max is "
     "exact and order-independent, adds reuse the simulator's "

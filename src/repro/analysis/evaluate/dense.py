@@ -159,9 +159,8 @@ def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
     detect.
     """
     duration, act_units, comm = op_cost_arrays(graph, cost)
-    # The graph's shared topological plan: one Kahn pass per topology
-    # class serves the verifier's deadlock verdict, this replay order,
-    # and the batched evaluator's wavefront boundaries.
+    # The graph's cached topological plan: one Kahn pass serves the
+    # verifier's deadlock verdict and this replay order.
     plan = toposort_plan(graph)
     start, end = wavefront_times(
         graph.pos,

@@ -245,8 +245,9 @@ class PlanRequest(Request):
     max_spp: int = 16
     max_vp: int = 2
     min_dp: int = 2
-    #: Evaluation pipeline: ``"grid"`` (analytic first pass, batched
-    #: topology classes) or ``"sim"`` (the reference); results identical.
+    #: Evaluation pipeline: ``"grid"`` (analytic first pass, frontier
+    #: confirmed on the simulator) or ``"sim"`` (the reference);
+    #: results identical.
     evaluator: str = "grid"
     #: Worker processes for the sweep; result-neutral (volatile).
     jobs: int = 1

@@ -10,7 +10,6 @@ from repro.planner.costfit import (
 from repro.planner.evaluate import (
     EvalResult,
     evaluate_config,
-    evaluate_config_batch,
     select_variant,
 )
 from repro.planner.parallel import (
@@ -20,7 +19,6 @@ from repro.planner.parallel import (
     SweepCache,
     eval_fingerprint,
     evaluate_tasks,
-    grid_stats,
     merge_outcomes,
 )
 from repro.planner.search import SearchResult, SkippedConfig, search_method
@@ -36,10 +34,8 @@ __all__ = [
     "SweepCache",
     "eval_fingerprint",
     "evaluate_config",
-    "evaluate_config_batch",
     "evaluate_tasks",
     "fit_efficiency_curve",
-    "grid_stats",
     "merge_outcomes",
     "observations_from_slices",
     "search_method",

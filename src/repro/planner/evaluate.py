@@ -27,7 +27,6 @@ from repro.analysis.evaluate import (
     AnalyticEvaluation,
     DenseTimes,
     evaluate_schedule,
-    evaluate_schedule_batch,
     iteration_time_bounds,
     peak_units_floor,
 )
@@ -37,7 +36,7 @@ from repro.model.memory import GiB, MemoryBudget, budget_for
 from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig, validate_for_cluster
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.graph import compiled_graph, toposort_plan
+from repro.schedules.graph import toposort_plan
 from repro.schedules.greedy import default_first_stage_cap, min_first_stage_cap
 from repro.schedules.methods import build_problem, build_schedule, method_traits
 from repro.schedules.verify import assert_clean
@@ -126,10 +125,10 @@ class ConfigPrelude:
     methods without slice-level variants, or when even the default
     fits); ``overhead_time`` the iteration-level DP-sync + optimizer
     seconds.  All of it is a pure function of the evaluation inputs, so
-    one cached prelude serves ``evaluate_config``, ``config_bounds``,
-    and the batched grid tier for the same cell — the bounds pass and
-    the full evaluation no longer each rebuild problem, interface
-    report, cost model, and budget.
+    one cached prelude serves ``config_bounds`` and both tiers of
+    ``evaluate_config`` for the same cell — the bounds pass and the
+    full evaluation do not each rebuild problem, interface report, cost
+    model, and budget.
     """
 
     problem: PipelineProblem
@@ -298,8 +297,8 @@ def _finalize(
     """Turn a tier's raw evaluation into an :class:`EvalResult`.
 
     The memory/OOM/throughput postlude of :func:`evaluate_config`,
-    shared verbatim with the batched grid tier so a batched member's
-    result is identical to the scalar path's.
+    the same code for both tiers so their results differ only in the
+    ``tier`` tag.
     """
     cost, budget, problem = pre.cost, pre.budget, pre.problem
     act_bytes = int(result.peak_activation_units * cost.activation_bytes_per_unit())
@@ -393,9 +392,10 @@ class ConfigBounds:
 
 
 # Sized from measured traffic: one five-method served plan asks for ~48
-# distinct keys (384 across the benchmark's 8-plan warm pool, scanned
-# cyclically — the scan that leaves ``_prelude``'s 256 entries at 0 hits),
-# and an entry is three scalars, so 4096 holds ~85 plans' worth.
+# distinct keys (384 across the benchmark's 8-plan warm pool, visited
+# cyclically — more than ``_prelude``'s 256-entry LRU can hold, so that
+# one never hit on it), and an entry is three scalars, so 4096 holds
+# ~85 plans' worth.
 @lru_cache(maxsize=4096)
 def config_bounds(
     method: str,
@@ -441,7 +441,7 @@ def config_bounds(
 
 
 class EvalTaskLike(Protocol):
-    """The task shape the batched grid tier consumes.
+    """The task shape the task-level helpers below consume.
 
     Structural twin of :class:`repro.planner.parallel.EvalTask`
     (declared here as a protocol because ``parallel`` imports this
@@ -464,17 +464,13 @@ class EvalTaskLike(Protocol):
     def capacity_mode(self) -> str: ...
 
 
+# Read only by bench/ledger.py's replay; retire it with that replay.
 def task_class_key(task: EvalTaskLike) -> Hashable | None:
-    """Predicted topology-class key of one task, for dispatch grouping.
+    """``(method, problem, auto_f, tier, capacity_mode)`` of one task.
 
     Tasks sharing this key build their schedules over the same problem
-    with the same variant selection — the *candidates* for one topology
-    class.  The prediction only steers which worker evaluates which
-    tasks together; the batched evaluator verifies *actual* structural
-    identity per generated graph before sharing anything, so a wrong
-    prediction costs a smaller batch, never a wrong float.  ``None``
-    when the prelude rejects the task (it will error identically in the
-    worker).
+    with the same variant selection.  ``None`` when the prelude rejects
+    the task (its evaluation errors identically).
     """
     try:
         pre = _prelude(
@@ -485,120 +481,10 @@ def task_class_key(task: EvalTaskLike) -> Hashable | None:
     return (task.method, pre.problem, pre.auto_f, task.tier, task.capacity_mode)
 
 
-@dataclass(frozen=True)
-class BatchReport:
-    """Result of one batched evaluation call.
-
-    ``results[i]`` is task ``i``'s :class:`EvalResult` or the exception
-    the scalar path would have raised for it.  ``class_sizes`` lists
-    the sizes of the topology classes that were actually evaluated by
-    one stacked pass (size ≥ 2; singleton classes take the scalar
-    evaluator and gain nothing — the honest limit of grid batching).
-    """
-
-    results: tuple[object, ...]
-    class_sizes: tuple[int, ...]
-
-
-def evaluate_config_batch(tasks: Sequence[EvalTaskLike]) -> BatchReport:
-    """Evaluate a group of tasks, batching structurally identical ones.
-
-    Preludes and schedules are built per task (both cached); the built
-    graphs are then grouped by **exact** structure
-    (:meth:`~repro.schedules.graph.ScheduleGraph.structure_key`) and
-    each multi-member class runs the stacked analytic evaluator once.
-    Every member's floats — and every raised error — are identical to
-    the scalar :func:`evaluate_config` path's (the batched evaluator is
-    bit-identical and the finalize postlude is shared code).  ``"sim"``
-    tier tasks always take the scalar path: the simulator tier exists
-    to be an *independent* replay of the frontier.
-    """
-    results: list[object] = [None] * len(tasks)
-    pending: list[tuple[int, EvalTaskLike, ConfigPrelude, int | None, Schedule]] = []
-    for i, task in enumerate(tasks):
-        try:
-            pre = _prelude(
-                task.method,
-                task.spec,
-                task.cluster,
-                task.config,
-                task.global_batch_size,
-            )
-            f = pre.auto_f
-            schedule = _cached_schedule(task.method, pre.problem, pre.cost, f)
-            if task.tier != "analytic":
-                results[i] = evaluate_config(
-                    task.method,
-                    task.spec,
-                    task.cluster,
-                    task.config,
-                    task.global_batch_size,
-                    tier=task.tier,
-                    capacity_mode=task.capacity_mode,
-                )
-            else:
-                assert isinstance(schedule, Schedule)
-                pending.append((i, task, pre, f, schedule))
-        except (ScheduleError, ValueError) as exc:
-            results[i] = exc
-
-    groups: dict[Hashable, list[tuple[int, EvalTaskLike, ConfigPrelude, int | None, Schedule]]] = {}
-    for member in pending:
-        graph = compiled_graph(member[4])
-        groups.setdefault(graph.structure_key(), []).append(member)
-
-    class_sizes: list[int] = []
-    for members in groups.values():
-        if len(members) == 1:
-            # Singleton class: the scalar wavefront is cheaper on the
-            # narrow fronts pipeline graphs produce, and bit-identical.
-            evals = [
-                evaluate_schedule(
-                    members[0][4],
-                    members[0][2].cost,
-                    overhead_time=members[0][2].overhead_time,
-                )
-            ]
-        else:
-            class_sizes.append(len(members))
-            # A structural mismatch in here would be a grouping bug;
-            # the batched evaluator's own exact check turns it into a
-            # loud ValueError rather than a silently wrong float.
-            evals = evaluate_schedule_batch(
-                [m[4] for m in members],
-                [m[2].cost for m in members],
-                [m[2].overhead_time for m in members],
-            )
-        for (i, task, pre, f, schedule), ev in zip(members, evals):
-            try:
-                results[i] = _finalize(
-                    task.method,
-                    task.spec,
-                    task.cluster,
-                    task.config,
-                    task.global_batch_size,
-                    pre,
-                    f,
-                    schedule,
-                    ev,
-                    task.tier,
-                    task.capacity_mode,
-                )
-            except (ScheduleError, ValueError) as exc:
-                results[i] = exc
-    return BatchReport(results=tuple(results), class_sizes=tuple(class_sizes))
-
-
 def config_bounds_batch(
     tasks: Sequence[EvalTaskLike],
 ) -> list[ConfigBounds | None]:
-    """Certified bounds for a whole task group.
-
-    One shared-prelude pass: each task's problem/cost/budget is built
-    (or reused from the prelude cache, which the class-key and
-    evaluation passes also hit) exactly once for the entire grid
-    sweep, instead of once per pass.
-    """
+    """:func:`config_bounds` of every task, in task order."""
     return [
         config_bounds(
             task.method,

@@ -5,12 +5,12 @@ Tables 5/8/9) evaluate hundreds of (method, parallel config) cells, and
 several experiments share cells — the Figure 8 GBS-128 column *is* the
 Figure 10 13B row.  This module makes those sweeps cheap twice over:
 
-* :func:`evaluate_tasks` fans topology classes of
-  :func:`~repro.planner.evaluate.evaluate_config_batch` calls out over
-  the planner worker pool.  Results are merged back **by task index**,
-  so the outcome list — and therefore the selected optimum — is
-  bit-identical for any worker count, including the inline ``jobs=1``
-  path.
+* :func:`evaluate_tasks` fans one
+  :func:`~repro.planner.evaluate.evaluate_config` call per cell out
+  over the planner worker pool.  Results are merged back **by task
+  index**, so the outcome list — and therefore the selected optimum —
+  is bit-identical for any worker count, including the inline
+  ``jobs=1`` path.
 * :class:`SweepCache` persists each evaluation outcome (including
   rejections) under ``artifacts/cache/``, keyed by a content
   fingerprint of everything that determines the result: the cache
@@ -42,11 +42,7 @@ from repro.model.spec import ModelSpec
 from repro.obs.events import NULL_SINK, EventSink
 from repro.parallel.strategies import ParallelConfig
 from repro.planner import pool
-from repro.planner.evaluate import (
-    EvalResult,
-    evaluate_config_batch,
-    task_class_key,
-)
+from repro.planner.evaluate import EvalResult, evaluate_config
 from repro.schedules import gencache
 from repro.schedules.base import ScheduleError
 
@@ -150,9 +146,10 @@ def eval_fingerprint(task: EvalTask) -> str:
 class SweepCache:
     """Filesystem cache of evaluation outcomes, one JSON file per cell.
 
-    Writes are atomic (temp file + ``os.replace``) so concurrent
-    workers and interrupted runs can never leave a torn entry; corrupt
-    or stale-schema files read as misses and are overwritten.
+    Writes are atomic (a temp file private to the writing process and
+    thread + ``os.replace``) so concurrent workers, concurrent service
+    jobs and interrupted runs can never leave a torn entry; corrupt or
+    stale-schema files read as misses and are overwritten.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -209,7 +206,10 @@ class SweepCache:
             entry["status"] = "error"
             entry["reason"] = outcome.error
         path = self._path(fingerprint)
-        tmp = path.with_suffix(".tmp." + str(os.getpid()))
+        # Unique per writer: pool workers differ in pid, the service's
+        # job threads (one pid) in thread id — two writers of one cell
+        # must never interleave on one temp file.
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
@@ -218,78 +218,35 @@ class SweepCache:
             tmp.unlink(missing_ok=True)
 
 
-_grid_lock = threading.Lock()
-_grid_batch_size = 0
-_grid_class_hits = 0
+def _run_task(task: EvalTask) -> tuple[EvalOutcome, float, int, int]:
+    """Worker body: evaluate one cell, mapping rejections to outcomes.
 
-
-def _record_grid(batch_size: int, class_hits: int) -> None:
-    global _grid_batch_size, _grid_class_hits
-    with _grid_lock:
-        _grid_batch_size += batch_size
-        _grid_class_hits += class_hits
-
-
-def grid_stats() -> dict[str, int]:
-    """Cumulative grid-evaluation counters for the obs bus / healthz.
-
-    ``batch_size`` counts configs that went through a stacked
-    multi-config evaluation (classes of size ≥ 2 only — singletons take
-    the scalar path and gain nothing); ``topology_class_hits`` counts
-    structure reuse: one per member that shared another member's
-    compiled topology within a batch, plus every structure-store hit
-    (plan or batch tables served from a previously compiled graph,
-    including across sweeps and models).
-    """
-    with _grid_lock:
-        return {
-            "batch_size": _grid_batch_size,
-            "topology_class_hits": _grid_class_hits,
-        }
-
-
-def reset_grid_stats() -> None:
-    """Zero the grid counters (tests)."""
-    global _grid_batch_size, _grid_class_hits
-    with _grid_lock:
-        _grid_batch_size = 0
-        _grid_class_hits = 0
-
-
-def _run_class(
-    tasks: tuple[EvalTask, ...],
-) -> tuple[list[EvalOutcome], float, int, int, int, int, tuple[int, ...]]:
-    """Worker body: evaluate one predicted topology class as a batch.
-
-    Returns the outcomes (aligned with ``tasks``) plus this call's wall
-    time, the generation-cache and structure-store hit/miss deltas
-    (workers hold their own caches; the parent folds the deltas back),
-    and the sizes of the classes that were actually batched.
+    Returns the outcome plus this call's wall time and the
+    generation-cache hit/miss deltas it caused (workers hold their own
+    caches; the parent folds the deltas back).
     """
     start = time.perf_counter()
     gen_h0, gen_m0 = gencache.snapshot()
-    st_h0, st_m0 = gencache.structure_snapshot()
-    report = evaluate_config_batch(tasks)
-    outcomes: list[EvalOutcome] = []
-    for res in report.results:
-        if isinstance(res, EvalResult):
-            outcomes.append(EvalOutcome(result=res))
-        else:
-            text = str(res)
-            first = text.splitlines()[0] if text else type(res).__name__
-            outcomes.append(EvalOutcome(error=first))
+    try:
+        outcome = EvalOutcome(
+            result=evaluate_config(
+                task.method,
+                task.spec,
+                task.cluster,
+                task.config,
+                task.global_batch_size,
+                tier=task.tier,
+                capacity_mode=task.capacity_mode,
+            )
+        )
+    except (ScheduleError, ValueError) as exc:
+        text = str(exc)
+        outcome = EvalOutcome(
+            error=text.splitlines()[0] if text else type(exc).__name__
+        )
     gen_h1, gen_m1 = gencache.snapshot()
-    st_h1, st_m1 = gencache.structure_snapshot()
     seconds = time.perf_counter() - start
-    return (
-        outcomes,
-        seconds,
-        gen_h1 - gen_h0,
-        gen_m1 - gen_m0,
-        st_h1 - st_h0,
-        st_m1 - st_m0,
-        report.class_sizes,
-    )
+    return outcome, seconds, gen_h1 - gen_h0, gen_m1 - gen_m0
 
 
 def evaluate_tasks(
@@ -300,43 +257,32 @@ def evaluate_tasks(
 ) -> list[EvalOutcome]:
     """Evaluate every task; returns outcomes aligned with ``tasks``.
 
-    Cache hits are resolved up front; only misses are dispatched (to
-    the planner worker pool when ``jobs > 1``, inline otherwise) and
-    written back.  Misses are grouped by their *predicted* topology
-    class (:func:`~repro.planner.evaluate.task_class_key`) so
-    structurally identical configurations reach the same worker and are
-    evaluated by one stacked pass of the batched analytic evaluator;
-    ``tier="sim"`` tasks and singleton classes take the scalar
-    :func:`~repro.planner.evaluate.evaluate_config` path inside
-    :func:`~repro.planner.evaluate.evaluate_config_batch`.  The
-    grouping is a pure dispatch optimization: the batched evaluator
-    verifies actual structural identity and is bit-identical per
-    member, and results are merged back **by task index**, so the
-    returned list depends only on the task list — not on grouping,
-    worker count, scheduling, or cache state — which is what makes
-    sweeps reproducible across machines and ``--jobs`` settings.
+    Cache hits are resolved up front; only misses are dispatched — one
+    :func:`~repro.planner.evaluate.evaluate_config` call per cell, on
+    the planner worker pool when ``jobs > 1``, inline otherwise — and
+    written back.  Results are merged back **by task index**, so the
+    returned list depends only on the task list — not on worker count,
+    scheduling, or cache state — which is what makes sweeps
+    reproducible across machines and ``--jobs`` settings.
 
     With an enabled ``sink``, the sweep emits one ``cache hit`` instant
-    per replayed cell, one ``eval`` span per dispatched class (worker
+    per replayed cell, one ``eval`` span per computed cell (worker
     durations are measured in the worker; pool runs lay the spans out
-    at merge time) whose ``args["configs"]`` lists its member
-    configurations — every computed cell appears in exactly one — one
-    ``gen cache hit`` instant per class whose schedule constructions
-    were (at least partly) served from the generation cache, and final
-    ``cache_hits`` / ``evaluated`` / ``errors`` / ``gen_cache_hits`` /
-    ``gen_cache_misses`` counters plus ``batch_size`` (configs through
-    stacked passes), ``topology_class_hits`` (structure reuse within
-    batches and via the structure store), and ``worker_reuse`` (tasks
-    served by an already-warm pool); the same numbers accumulate in
-    :func:`grid_stats` / :func:`repro.planner.pool.stats` for
-    ``/v1/healthz``.  Pool workers hold their own generation caches;
-    their hit/miss deltas are folded back into this process's counters
+    at merge time) whose ``args["configs"]`` names its configuration —
+    every computed cell appears in exactly one — one ``gen cache hit``
+    instant per cell whose schedule construction was served from the
+    generation cache, and final ``cache_hits`` / ``evaluated`` /
+    ``errors`` / ``gen_cache_hits`` / ``gen_cache_misses`` counters
+    plus ``worker_reuse`` (tasks served by an already-warm pool, also
+    in :func:`repro.planner.pool.stats` for ``/v1/healthz``).  Pool
+    workers hold their own generation caches; their hit/miss deltas are
+    folded back into this process's counters
     (:func:`repro.schedules.gencache.record_remote`).
     """
     observing = sink.enabled
     t0 = time.perf_counter() if observing else 0.0
     outcomes: list[EvalOutcome | None] = [None] * len(tasks)
-    pending: list[tuple[int, EvalTask]] = []
+    pending: list[int] = []
     cache_hits = 0
     for i, task in enumerate(tasks):
         hit = cache.get(task) if cache is not None else None
@@ -351,65 +297,47 @@ def evaluate_tasks(
                     args={"method": task.method, "index": i},
                 )
         else:
-            pending.append((i, task))
+            pending.append(i)
 
     errors = 0
     gen_hits = 0
     gen_misses = 0
-    batch_size = 0
-    class_hits = 0
     reuse_before = pool.stats()["worker_reuse"]
-    if pending:
-        grouped: dict[object, list[tuple[int, EvalTask]]] = {}
-        for i, task in pending:
-            grouped.setdefault(task_class_key(task), []).append((i, task))
-        groups = [
-            (tuple(i for i, _ in members), tuple(t for _, t in members))
-            for members in grouped.values()
-        ]
-        pooled = jobs > 1
-        # Inline at jobs=1; order-preserving either way.
-        computed = pool.run_map(_run_class, [g[1] for g in groups], jobs)
-        for (indices, members), record in zip(groups, computed):
-            results, seconds, gen_h, gen_m, st_h, st_m, sizes = record
-            if pooled and (gen_h or gen_m):
-                gencache.record_remote(gen_h, gen_m)
-            if pooled and (st_h or st_m):
-                gencache.record_remote_structure(st_h, st_m)
-            gen_hits += gen_h
-            gen_misses += gen_m
-            batch_size += sum(sizes)
-            class_hits += st_h + sum(size - 1 for size in sizes)
-            for i, outcome in zip(indices, results):
-                outcomes[i] = outcome
-                if not outcome.ok:
-                    errors += 1
-                if cache is not None:
-                    cache.put(tasks[i], outcome)
-            if observing:
-                now = time.perf_counter() - t0
-                method = members[0].method
-                sink.span(
-                    f"class {method} x{len(members)}",
-                    ts=max(0.0, now - seconds),
-                    dur=seconds,
-                    cat="eval",
-                    args={
-                        "method": method,
-                        "members": len(members),
-                        "configs": [t.config.describe() for t in members],
-                        "batched": list(sizes),
-                    },
+    pooled = jobs > 1
+    # Inline at jobs=1; order-preserving either way.
+    computed = pool.run_map(_run_task, [tasks[i] for i in pending], jobs)
+    for i, (outcome, seconds, gen_h, gen_m) in zip(pending, computed):
+        task = tasks[i]
+        if pooled and (gen_h or gen_m):
+            gencache.record_remote(gen_h, gen_m)
+        gen_hits += gen_h
+        gen_misses += gen_m
+        outcomes[i] = outcome
+        if not outcome.ok:
+            errors += 1
+        if cache is not None:
+            cache.put(task, outcome)
+        if observing:
+            now = time.perf_counter() - t0
+            label = f"{task.method} {task.config.describe()}"
+            sink.span(
+                f"eval {label}",
+                ts=max(0.0, now - seconds),
+                dur=seconds,
+                cat="eval",
+                args={
+                    "method": task.method,
+                    "configs": [task.config.describe()],
+                },
+            )
+            if gen_h:
+                sink.instant(
+                    f"gen cache hit {label}",
+                    ts=now,
+                    cat="cache",
+                    args={"method": task.method, "hits": gen_h, "misses": gen_m},
                 )
-                if gen_h:
-                    sink.instant(
-                        f"gen cache hit class {method} x{len(members)}",
-                        ts=now,
-                        cat="cache",
-                        args={"method": method, "hits": gen_h, "misses": gen_m},
-                    )
     reuse_delta = pool.stats()["worker_reuse"] - reuse_before
-    _record_grid(batch_size, class_hits)
     if observing:
         end = time.perf_counter() - t0
         sink.counter("cache_hits", float(cache_hits), ts=end)
@@ -417,8 +345,6 @@ def evaluate_tasks(
         sink.counter("errors", float(errors), ts=end)
         sink.counter("gen_cache_hits", float(gen_hits), ts=end)
         sink.counter("gen_cache_misses", float(gen_misses), ts=end)
-        sink.counter("batch_size", float(batch_size), ts=end)
-        sink.counter("topology_class_hits", float(class_hits), ts=end)
         sink.counter("worker_reuse", float(reuse_delta), ts=end)
     return [outcome for outcome in outcomes if outcome is not None]
 

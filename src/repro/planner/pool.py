@@ -3,17 +3,17 @@
 The planner's parallel tier used to spin up a fresh
 ``ProcessPoolExecutor`` for every sweep.  That pays the process-spawn
 cost per sweep *and* — worse — throws away every worker-side cache
-each time: the generation cache, the structure store, and the
-per-process schedule/prelude memos a worker populated while evaluating
-one sweep were gone before the next request arrived.  For the planning
+each time: the generation cache and the per-process
+schedule/prelude/bounds memos a worker populated while evaluating one
+sweep were gone before the next request arrived.  For the planning
 service, whose hot path is many small sweeps arriving over time, the
 repeated spawn + cache-cold cost dominated cold-request latency.
 
 This module keeps **one** process pool alive for the whole process and
 shares it across every ``search_method`` call and every service
 request.  Workers therefore accumulate warm caches across dispatches —
-the second sweep that touches a problem a worker has seen gets its
-schedules, topological plans, and batch tables from memory.
+the second sweep that touches a cell a worker has seen gets its
+schedule (and the graph and topological plan cached on it) from memory.
 
 Fault handling: a pool that cannot take the call — broken (a worker
 killed under us) or already shut down (replaced by a concurrent call

@@ -19,11 +19,9 @@ prune candidates that are provably dominated by an already evaluated
 configuration, the survivors are evaluated with the closed-form
 evaluator (bit-identical numbers, no event replay), and only the
 resulting Pareto frontier is re-evaluated at full ``"sim"``
-provenance.  The survivors are evaluated *grid-wise*: structurally
-identical candidates (topology classes) share one compiled graph, one
-topological plan, and one stacked multi-config evaluation
-(:mod:`repro.analysis.evaluate.batch`), and shared preludes/bounds are
-computed once per cell for the whole sweep.  ``evaluator="sim"``
+provenance.  Each survivor is one independent cell — one schedule, one
+pass of the scalar wavefront kernel — and a cell's prelude and bounds
+are computed once for the whole sweep.  ``evaluator="sim"``
 evaluates every candidate on the simulator instead — the reference the
 tests prove ``"grid"`` against.  Because the analytic tier is exact,
 the returned best, trail values, and frontier are identical across
@@ -107,14 +105,13 @@ def search_method(
 
     ``evaluator`` selects the pipeline: ``"grid"`` (the default) prunes
     provably dominated candidates with certified build-free bounds,
-    evaluates survivors analytically — batching topology classes
-    through the stacked multi-config evaluator — and re-evaluates the
-    Pareto frontier at ``"sim"`` provenance; ``"sim"`` evaluates every
+    evaluates survivors analytically, one cell at a time, and
+    re-evaluates the Pareto frontier at ``"sim"`` provenance; ``"sim"`` evaluates every
     candidate with the full verification + event replay.  The analytic
     tier is bit-exact, so both settings return the same best and the
     same numbers (the ``tier`` tags on the trail differ).
 
-    An enabled ``sink`` observes the sweep: per-class ``eval`` spans
+    An enabled ``sink`` observes the sweep: per-cell ``eval`` spans
     and cache-hit instants from :func:`~repro.planner.parallel
     .evaluate_tasks`, plus one ``skip`` instant per statically or
     analytically pruned candidate and a final ``skipped`` counter.
@@ -208,9 +205,8 @@ def _grid_sweep(
        would have dominated is dominated by the incumbent too — so the
        Pareto frontier is unchanged (the frontier-soundness argument in
        docs/evaluation.md).
-    4. Evaluate the survivors analytically (parallel, cached; topology
-       classes among them share one stacked evaluation — bit-identical
-       per member to the scalar evaluator), then re-evaluate the resulting
+    4. Evaluate the survivors analytically (parallel, cached, one
+       ``evaluate_config`` per cell), then re-evaluate the resulting
        Pareto frontier at ``"sim"`` provenance — full static
        verification plus event replay — and splice those results into
        the trail.

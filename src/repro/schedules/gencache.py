@@ -52,19 +52,10 @@ GENERATOR_VERSION = "greedy-dense-1"
 #: bounding residency of the largest 13B schedules.
 _MAXSIZE = 128
 
-#: Capacity of the structure-level store.  A structure entry (a
-#: topological plan plus batch gather tables) is far smaller than a
-#: schedule, and distinct structures are far rarer than distinct cost
-#: tables, so a modest LRU covers whole figure grids.
-_STRUCTURE_MAXSIZE = 64
-
 _lock = threading.Lock()
 _store: OrderedDict[Hashable, Schedule] = OrderedDict()
 _hits = 0
 _misses = 0
-_structures: OrderedDict[Hashable, object] = OrderedDict()
-_structure_hits = 0
-_structure_misses = 0
 _enabled: bool | None = None  # None -> consult the env on first use
 
 
@@ -132,64 +123,6 @@ def put(key: Hashable, schedule: Schedule) -> None:
             _store.popitem(last=False)
 
 
-def structure_key(
-    problem: PipelineProblem,
-    policy: GreedyPolicy,
-    name: str,
-) -> Hashable | None:
-    """Structure-level cache key: :func:`cache_key` minus the cost tables.
-
-    Every generation whose full keys agree on this prefix produces a
-    schedule over the same problem under the same policy — candidates
-    for one *topology class* whose compiled structures the planner
-    verifies (exactly, via
-    :meth:`repro.schedules.graph.ScheduleGraph.structure_key`) before
-    sharing a topological plan between them.  ``None`` when caching is
-    disabled, mirroring :func:`cache_key`.
-    """
-    if not enabled():
-        return None
-    return (problem, policy, name)
-
-
-def get_structure(key: Hashable) -> object | None:
-    """Look up a structure-derived artifact (plan, batch tables).
-
-    The structure store shares compiled-topology artifacts *across*
-    graphs whose :meth:`~repro.schedules.graph.ScheduleGraph
-    .structure_key` agree — distinct cost tables, one topology.  Hits
-    count as topology-class hits on the planner's telemetry.
-    """
-    global _structure_hits, _structure_misses
-    with _lock:
-        value = _structures.get(key)
-        if value is None:
-            _structure_misses += 1
-            return None
-        _structures.move_to_end(key)
-        _structure_hits += 1
-        return value
-
-
-def put_structure(key: Hashable, value: object) -> None:
-    """Store a structure-derived artifact, evicting the LRU entry."""
-    with _lock:
-        _structures[key] = value
-        _structures.move_to_end(key)
-        while len(_structures) > _STRUCTURE_MAXSIZE:
-            _structures.popitem(last=False)
-
-
-def structure_stats() -> dict[str, int]:
-    """Structure-store counters: hits, misses, size."""
-    with _lock:
-        return {
-            "hits": _structure_hits,
-            "misses": _structure_misses,
-            "size": len(_structures),
-        }
-
-
 def stats() -> dict[str, int]:
     """Current counters: hits, misses, size."""
     with _lock:
@@ -211,27 +144,10 @@ def record_remote(hits: int, misses: int) -> None:
         _misses += misses
 
 
-def record_remote_structure(hits: int, misses: int) -> None:
-    """Fold a worker process's structure-store counters into ours."""
-    global _structure_hits, _structure_misses
-    with _lock:
-        _structure_hits += hits
-        _structure_misses += misses
-
-
-def structure_snapshot() -> tuple[int, int]:
-    """``(hits, misses)`` of the structure store, for per-task deltas."""
-    with _lock:
-        return _structure_hits, _structure_misses
-
-
 def clear() -> None:
     """Drop all entries and counters (tests)."""
-    global _hits, _misses, _structure_hits, _structure_misses
+    global _hits, _misses
     with _lock:
         _store.clear()
         _hits = 0
         _misses = 0
-        _structures.clear()
-        _structure_hits = 0
-        _structure_misses = 0

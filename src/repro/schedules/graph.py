@@ -52,18 +52,6 @@ KIND_F: int = 0
 KIND_B: int = 1
 KIND_W: int = 2
 
-#: Structure-level identity of a compiled graph: the problem plus the
-#: per-op kind/cell/gemm tables and the stage layout.  Everything else
-#: on a :class:`ScheduleGraph` (edges, positions, plans) is derived
-#: from exactly these tables, so equal keys imply equal topology.
-StructureKey = tuple[
-    PipelineProblem,
-    tuple[int, ...],
-    tuple[int, ...],
-    tuple[int, ...],
-    tuple[tuple[int, int], ...],
-]
-
 
 class ScheduleGraph:
     """Dense compiled form of one schedule (see module docstring)."""
@@ -123,10 +111,10 @@ class ScheduleGraph:
         self.pred_cross = pred_cross
         self.succ_indptr = succ_indptr
         self.succ = succ
-        # Cost-independent evaluation plan, lazily built and cached by
-        # repro.analysis.evaluate.dense (topological order + height
-        # depend only on the graph, never on the cost model).
-        self._dense_plan: object | None = None
+        # Cost-independent topological plan, built on first use by
+        # toposort_plan (order + height depend only on the graph, never
+        # on the cost model).
+        self._dense_plan: TopoPlan | None = None
         # Channel messages + minimal deadlock-free capacities, lazily
         # built and cached by repro.analysis.capacity (also purely
         # structural — cost models only affect backpressure analysis).
@@ -176,23 +164,6 @@ class ScheduleGraph:
             ce % chunks,
             self.gemm[i],
         )
-
-    def structure_key(self) -> StructureKey:
-        """Exact structural identity of this graph, cost-free.
-
-        Two graphs with equal structure keys have identical op
-        numbering, kinds, cells, gemm tags, stage layout — and therefore
-        identical dependency edges (the edge relation is pure code
-        arithmetic over these tables) and identical topological plans.
-        The key is a tuple of the graph's own integer tables, so the
-        comparison is exact (no hashing collisions decide equality):
-        this is what lets the planner's batched analytic tier group
-        configurations into *topology classes* that share one compiled
-        structure while only their cost key-tables differ, and what
-        keys the process-wide structure cache in
-        :mod:`repro.schedules.gencache`.
-        """
-        return (self.problem, self.kind, self.cell, self.gemm, self.stage_bounds)
 
     def preds_of(self, i: int) -> tuple[int, ...]:
         """Dependency predecessors of op ``i`` (dense indices)."""
@@ -252,20 +223,16 @@ class TopoPlan:
     """Cost-independent topological plan of one compiled graph.
 
     ``order`` is a topological order of the op indices (dependency and
-    program-order edges); ``levels`` is the dependency height, and
-    ``level_indptr`` the Kahn wavefront boundaries within ``order``
-    (``order[level_indptr[k]:level_indptr[k + 1]]`` is wavefront ``k``).
-    One plan serves every structural consumer: the verifier's deadlock
-    verdict (the plan exists iff the combined edge relation is acyclic),
-    the analytic evaluator's replay order, and the batched evaluator's
-    level-synchronous sweep — so the Kahn pass over a graph runs at most
-    once, and via the structure store in
-    :mod:`repro.schedules.gencache` at most once per *topology class*.
+    program-order edges, Kahn wavefront by wavefront); ``levels`` is the
+    dependency height (the number of wavefronts).  One plan serves every
+    structural consumer — the verifier's deadlock verdict (the plan
+    exists iff the combined edge relation is acyclic), the analytic
+    evaluator's replay order, the capacity ledger's op ranks — so the
+    Kahn pass over a graph runs at most once.
     """
 
     order: list[int]
     levels: int
-    level_indptr: tuple[int, ...]
 
 
 def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
@@ -285,12 +252,10 @@ def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
     ]
     frontier = [i for i in range(num_ops) if indeg[i] == 0]
     order: list[int] = []
-    level_indptr: list[int] = [0]
     levels = 0
     while frontier:
         levels += 1
         order.extend(frontier)
-        level_indptr.append(len(order))
         nxt: list[int] = []
         for i in frontier:
             for e in range(succ_indptr[i], succ_indptr[i + 1]):
@@ -307,32 +272,16 @@ def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
     if len(order) != num_ops:
         stuck = [str(graph.ops[i]) for i in range(num_ops) if indeg[i] > 0][:8]
         raise ScheduleError(f"evaluation deadlock; blocked ops: {stuck}")
-    return TopoPlan(order=order, levels=levels, level_indptr=tuple(level_indptr))
+    return TopoPlan(order=order, levels=levels)
 
 
 def toposort_plan(graph: ScheduleGraph) -> TopoPlan:
-    """The graph's cached topological plan (built on first use).
-
-    The plan depends only on the graph's structure, so before running
-    Kahn it consults the process-wide structure store under the graph's
-    :meth:`ScheduleGraph.structure_key` — two graphs differing only in
-    cost tables (one topology class) build the plan once and share it,
-    within a sweep and across sweeps.
-    """
+    """The graph's topological plan, built on first use and cached on
+    the graph (it depends only on structure, never on a cost model)."""
     plan = graph._dense_plan
-    if isinstance(plan, TopoPlan):
-        return plan
-    from repro.schedules import gencache
-
-    key = ("plan", graph.structure_key())
-    shared = gencache.get_structure(key)
-    if isinstance(shared, TopoPlan):
-        built = shared
-    else:
-        built = build_topo_plan(graph)
-        gencache.put_structure(key, built)
-    graph._dense_plan = built
-    return built
+    if plan is None:
+        plan = graph._dense_plan = build_topo_plan(graph)
+    return plan
 
 
 def _compile(schedule: Schedule, token: int) -> ScheduleGraph:

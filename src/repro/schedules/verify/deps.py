@@ -256,15 +256,13 @@ def _edge_label(problem, src: OpId, dst: OpId) -> str:
 
 
 def _deadlock_free_fast(graph: ScheduleGraph) -> bool:
-    """Deadlock verdict from the graph's shared topological plan.
+    """Deadlock verdict from the graph's cached topological plan.
 
     :func:`~repro.schedules.graph.toposort_plan` runs one integer Kahn
     pass (no ``OpId`` is touched, nothing is hashed) and memoizes the
-    resulting plan on the graph *and* in the structure store keyed by
-    topology class — so the verdict here, the dense evaluator's replay
-    order, and the batched evaluator's wavefront boundaries all come
-    from the same single pass per class.  Deadlocked graphs raise
-    inside the pass and nothing is cached.
+    resulting plan on the graph — so the verdict here and the dense
+    evaluator's replay order come from the same single pass.
+    Deadlocked graphs raise inside the pass and nothing is cached.
     """
     try:
         toposort_plan(graph)

@@ -320,27 +320,22 @@ class JobStore:
         pool.shutdown()
 
     def stats(self) -> dict[str, Any]:
-        """Healthz counters: job-store state plus grid-planner reuse.
+        """Healthz counters: job-store state plus planner reuse.
 
-        ``batch_size`` / ``topology_class_hits`` come from the planner's
-        grid registry and ``worker_reuse`` from the persistent pool —
-        process-wide sums, surfaced here because the service is the
-        long-lived process in which cross-request reuse pays off.
-        ``bounds_memo`` is the build-free bounds memo's own
+        ``worker_reuse`` comes from the persistent pool — a process-wide
+        sum, surfaced here because the service is the long-lived
+        process in which cross-request reuse pays off.  ``bounds_memo`` is the build-free bounds memo's own
         ``cache_info()``: a repeated plan raises ``hits``, not ``misses``.
         """
-        from repro.planner import grid_stats, pool
+        from repro.planner import pool
         from repro.planner.evaluate import config_bounds
 
-        grid = grid_stats()
         memo = config_bounds.cache_info()
         return {
             "jobs": len(self._jobs),
             "inflight": len(self._inflight),
             "dedup_hits": self.dedup_hits,
             "executed": self.executed,
-            "batch_size": grid["batch_size"],
-            "topology_class_hits": grid["topology_class_hits"],
             "worker_reuse": pool.stats()["worker_reuse"],
             "bounds_memo": {
                 "hits": memo.hits,

@@ -12,9 +12,7 @@ Two engines produce identical results:
   recurrence evaluated once per op along the compiled
   :class:`~repro.schedules.graph.ScheduleGraph`'s cached topological
   plan, over cost tables probed once per distinct op key.  O(V + E).
-  The analytic evaluator prices schedules on the same kernel (and on
-  its stacked twin, :func:`repro.analysis.evaluate.batch.
-  batched_wavefront_times`, for topology classes of two or more).
+  The analytic evaluator prices schedules on the same kernel.
 * ``"heap"`` — the independent oracle: durations and comm times
   probed through its own integer-key memo (:func:`_cost_keys`; one
   probe per op and per edge for models that are not micro-batch

@@ -249,13 +249,21 @@ def test_execute_plan_small_sweep_with_sink():
     assert entry["best"] is not None
     assert entry["describe"]
     assert response.cache is None
-    # The sweep was observable on the bus: every evaluated configuration
-    # is listed by an eval span (the frontier by two — its analytic
-    # class and its sim confirmation), plus the sweep counters.
+    # The sweep was observable on the bus: every computed cell is one
+    # eval span naming its one configuration (the frontier has two — its
+    # analytic evaluation and its sim confirmation), plus the sweep
+    # counters.
     eval_spans = [e for e in sink.spans() if e.cat == "eval"]
     listed = [c for e in eval_spans for c in e.arg("configs")]
+    assert len(listed) == len(eval_spans)
     assert len(set(listed)) >= entry["evaluated"]  # + any rejected cells
-    assert all(len(e.arg("configs")) == e.arg("members") for e in eval_spans)
-    assert sink.counters("evaluated")
+    assert len(eval_spans) == sum(e.value for e in sink.counters("evaluated"))
+    assert all(
+        e.name == f"eval mepipe {e.arg('configs')[0]}"
+        and dict(e.args).keys() == {"method", "configs"}
+        for e in eval_spans
+    )
+    assert not sink.counters("batch_size")
+    assert not sink.counters("topology_class_hits")
     # And the response is wire-clean.
     assert api.response_from_dict(response.to_dict()) == response

@@ -443,9 +443,21 @@ class TestPlannerInstrumentation:
         evaluate_tasks([task], cache=cache, sink=sink)
         (span,) = sink.spans()
         assert span.cat == "eval"
-        assert span.arg("configs") == [task.config.describe()]
+        assert span.name == f"eval mepipe {task.config.describe()}"
+        assert dict(span.args) == {
+            "method": "mepipe",
+            "configs": [task.config.describe()],
+        }
         assert sink.counter_value("evaluated") == 1.0
         assert sink.counter_value("cache_hits") == 0.0
+        assert {e.name for e in sink.counters()} == {
+            "cache_hits",
+            "evaluated",
+            "errors",
+            "gen_cache_hits",
+            "gen_cache_misses",
+            "worker_reuse",
+        }
 
         sink = MemorySink()
         outcomes = evaluate_tasks([task], cache=cache, sink=sink)

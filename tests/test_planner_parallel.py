@@ -9,6 +9,9 @@ optimizations.
 import dataclasses
 import hashlib
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -17,8 +20,9 @@ from repro.analysis.evaluate.rules import EVALUATOR_VERSION
 from repro.hardware import get_cluster
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model import get_model
-from repro.model.spec import LLAMA_13B
+from repro.model.spec import LLAMA_7B, LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
+from repro.planner import evaluate as evaluate_module
 from repro.planner import parallel as parallel_module
 from repro.planner.parallel import (
     CACHE_SCHEMA,
@@ -29,15 +33,16 @@ from repro.planner.parallel import (
     evaluate_tasks,
     merge_outcomes,
 )
-from repro.planner.search import search_method
+from repro.planner.search import pareto_frontier, search_method
 from repro.schedules import gencache
+from repro.schedules import graph as graph_module
 
 GBS = 64
 
 
-def _task(config=None, method="mepipe", gbs=GBS):
+def _task(config=None, method="mepipe", gbs=GBS, tier="sim"):
     config = config or ParallelConfig(dp=8, pp=8, spp=2)
-    return EvalTask(method, LLAMA_13B, RTX4090_CLUSTER, config, gbs)
+    return EvalTask(method, LLAMA_13B, RTX4090_CLUSTER, config, gbs, tier=tier)
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +180,57 @@ def test_cache_tolerates_corrupt_and_stale_entries(tmp_path):
         assert cache.get(task) == outcome, body
 
 
+def test_concurrent_puts_of_one_cell_never_share_a_temp_file(tmp_path, monkeypatch):
+    """The service runs several job threads in one pid; two plans that
+    share a cell write it concurrently.  Each writer must stage its own
+    temp file, or an interleaved write + rename publishes a torn entry."""
+    writers, rounds = 8, 10
+    task = _task()
+    (outcome,) = evaluate_tasks([task])
+    cache = SweepCache(tmp_path)
+    sources = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(str(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(parallel_module.os, "replace", recording_replace)
+    barrier = threading.Barrier(writers + 1, timeout=30)
+    per_round, seen = [], []
+    reader = SweepCache(tmp_path)
+
+    def write():
+        for _ in range(rounds):
+            barrier.wait()
+            cache.put(task, outcome)
+            barrier.wait()
+
+    threads = [threading.Thread(target=write) for _ in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside write + rename
+    try:
+        for thread in threads:
+            thread.start()
+        for _ in range(rounds):
+            barrier.wait()  # release one round of writers, read beside them
+            seen.extend(reader.get(task) for _ in range(20))
+            barrier.wait()
+            per_round.append(list(sources))
+            sources.clear()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # All writers of a round are alive at once (thread ids cannot
+    # recycle), so each must have renamed its own temp file.
+    assert [len(set(batch)) for batch in per_round] == [writers] * rounds
+    assert all(hit is None or hit == outcome for hit in seen)
+    assert cache.get(task) == outcome
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
 def test_cache_kill_switch(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SWEEP_CACHE", "0")
     cache = SweepCache(tmp_path)
@@ -216,6 +272,119 @@ def test_cache_does_not_change_search_outcome(tmp_path):
     assert cache.hits > 0
     assert warm.best == cold.best
     assert warm.evaluated == cold.evaluated
+
+
+# ----------------------------------------------------------------------
+# One evaluate_config per cell: a count-based fence (no timings)
+# ----------------------------------------------------------------------
+def _dapple_sweep(jobs=1, evaluator="grid"):
+    # 29 survivors (each recompute on/off pair shares one schedule
+    # structure), one bound-pruned candidate, a three-config frontier.
+    return search_method(
+        "dapple", LLAMA_7B, RTX4090_CLUSTER, GBS, jobs=jobs, evaluator=evaluator
+    )
+
+
+def _skips(result):
+    return [(s.config, s.reason) for s in result.skipped]
+
+
+def _assert_same_sweep(got, want):
+    assert got.best == want.best
+    assert got.evaluated == want.evaluated
+    assert _skips(got) == _skips(want)
+    assert pareto_frontier(got.evaluated) == pareto_frontier(want.evaluated)
+
+
+def _cold_memos():
+    gencache.clear()
+    for memo in (
+        evaluate_module._cached_schedule,
+        evaluate_module._prelude,
+        evaluate_module.config_bounds,
+    ):
+        memo.cache_clear()
+
+
+def test_grid_sweep_prices_each_survivor_once(monkeypatch):
+    priced, planned, built = [], [], []
+
+    def counting(module, name, log):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(evaluate_module, "evaluate_schedule", priced)
+    counting(evaluate_module, "build_schedule", built)
+    counting(graph_module, "build_topo_plan", planned)
+    _cold_memos()
+    result = _dapple_sweep()
+
+    configs = {r.config for r in result.evaluated}
+    assert any(
+        c.recompute and c.with_(recompute=False) in configs for c in configs
+    ), "the sweep must contain a recompute on/off pair"
+    assert any(s.reason.startswith("analytic:") for s in result.skipped)
+    # Every survivor reached the trail, so each was priced exactly once
+    # by the scalar kernel (the frontier's confirmation is the heap
+    # oracle's, not a second pricing) ...
+    assert not any(s.reason.startswith("rejected:") for s in result.skipped)
+    assert len(priced) == len(result.evaluated)
+    # ... on a plan built at most once per built schedule.
+    assert len(planned) <= len(built)
+    assert len({id(graph) for graph in planned}) == len(planned)
+
+
+def test_pair_members_equal_their_solo_evaluation():
+    configs = [ParallelConfig(dp=8, pp=8, recompute=rc) for rc in (False, True)]
+    tasks = [
+        _task(config=c, method="dapple", tier="analytic") for c in configs
+    ]
+    for jobs in (1, 2):
+        outcomes = evaluate_tasks(tasks, jobs=jobs)
+        for config, outcome in zip(configs, outcomes):
+            _cold_memos()
+            alone = evaluate_module.evaluate_config(
+                "dapple", LLAMA_13B, RTX4090_CLUSTER, config, GBS, tier="analytic"
+            )
+            assert outcome.result == alone
+
+
+def test_grid_sweep_is_jobs_invariant_and_matches_sim():
+    grid = _dapple_sweep(jobs=1)
+    _assert_same_sweep(_dapple_sweep(jobs=2), grid)
+    sim = _dapple_sweep(evaluator="sim")
+    # Modulo the tier tag and the bound-pruned candidates (which "sim"
+    # evaluates): same optimum, same rows, same skips, same frontier.
+    assert grid.best == sim.best
+    sim_rows = {r.config: r for r in sim.evaluated}
+    assert [dataclasses.replace(r, tier="sim") for r in grid.evaluated] == [
+        sim_rows[r.config] for r in grid.evaluated
+    ]
+    pruned = {c for c, why in _skips(grid) if why.startswith("analytic:")}
+    assert {r.config for r in sim.evaluated} == pruned | {
+        r.config for r in grid.evaluated
+    }
+    assert [x for x in _skips(grid) if x[0] not in pruned] == _skips(sim)
+    assert pareto_frontier(grid.evaluated) == pareto_frontier(sim.evaluated)
+
+
+def test_completion_order_merge_is_caught(monkeypatch):
+    """Mutation: pool results merged in completion order (here: the last
+    task finishes first) instead of by task index."""
+    want = _dapple_sweep(jobs=2)
+    real = parallel_module.pool.run_map
+    monkeypatch.setattr(
+        parallel_module.pool,
+        "run_map",
+        lambda fn, items, jobs: real(fn, items, jobs)[::-1],
+    )
+    with pytest.raises(AssertionError):
+        _assert_same_sweep(_dapple_sweep(jobs=2), want)
 
 
 def test_merge_tie_breaks_on_config_sort_key():

@@ -169,12 +169,11 @@ class TestHttpEndpoints:
         data = harness.client().health()
         assert data["ok"] is True
         assert data["schema_version"] == api.SCHEMA_VERSION
-        assert set(data["stats"]) >= {
+        assert set(data["stats"]) == {
             "jobs",
+            "inflight",
             "dedup_hits",
             "executed",
-            "batch_size",
-            "topology_class_hits",
             "worker_reuse",
             "bounds_memo",
         }
