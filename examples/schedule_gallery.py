@@ -67,10 +67,11 @@ def diagnose_corrupted_schedule() -> None:
     each stage wedges, and prints the minimal blocking cycle that
     proves it (docs/verification.md).
     """
-    from repro.schedules import OpId, OpKind, verify_schedule
+    from repro.schedules import OpId, OpKind, dapple_schedule, verify_schedule
 
-    problem = build_problem("dapple", P, N)
-    schedule = build_schedule("dapple", problem)
+    # The generator itself, not build_schedule: that one hands every
+    # caller the same memoised object, which must not be corrupted.
+    schedule = dapple_schedule(build_problem("dapple", P, N))
     last = schedule.programs[-1].ops
     fwd = OpId(OpKind.F, 0, 0, P - 1)
     bwd = OpId(OpKind.B, 0, 0, P - 1)

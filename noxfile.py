@@ -123,7 +123,7 @@ def generate(session: nox.Session) -> None:
     The array-native greedy engine's claim is byte-identical output to
     the preserved reference engine (``tests/oracles``); the gate runs
     the golden-equivalence grid, the seeded tiebreak/epsilon mutation
-    tests, and the generation-cache identity/aliasing suite.
+    tests, and the schedule memo's identity/aliasing suite.
     """
     session.install("-e", ".[test]")
     session.run(*PYTEST, "tests/test_greedy_golden.py", "tests/test_gencache.py")

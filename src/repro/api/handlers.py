@@ -365,7 +365,7 @@ def _handle_plan(
         cache = SweepCache()
     elif not request.use_cache:
         cache = None
-    gen_before = gencache.snapshot()
+    gen_before = gencache.stats()
     methods: list[JsonDict] = []
     for method in request.methods:
         try:
@@ -400,17 +400,16 @@ def _handle_plan(
                 "evaluator": result.evaluator,
             }
         )
-    gen_after = gencache.snapshot()
     cache_stats = (
         None
         if cache is None
         else {"hits": cache.hits, "misses": cache.misses}
     )
-    gen_stats = gencache.stats()
+    gen_after = gencache.stats()
     gen_cache = {
-        "hits": gen_after[0] - gen_before[0],
-        "misses": gen_after[1] - gen_before[1],
-        "size": int(gen_stats["size"]),
+        "hits": gen_after["hits"] - gen_before["hits"],
+        "misses": gen_after["misses"] - gen_before["misses"],
+        "size": gen_after["size"],
     }
     # An all-OOM sweep is still a successfully answered question — the
     # per-method entries say so; ``ok`` tracks executability, matching

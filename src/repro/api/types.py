@@ -357,6 +357,8 @@ class PlanResponse(Response):
     :class:`~repro.planner.evaluate.EvalResult` as a dict, or ``None``
     when every configuration OOMs), ``describe`` (its rendered one-line
     summary), ``evaluated``/``skipped`` trails, and ``evaluator``.
+    ``gen_cache`` is the serving process's schedule memo over this
+    request: ``hits``, ``misses`` and resident ``size``.
     """
 
     KIND: ClassVar[str] = "plan.result"

@@ -114,9 +114,6 @@ def _sweep_flags(parser: argparse.ArgumentParser, jobs_default: int | None) -> N
                         help="worker processes for the grid searches")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not reuse/persist sweep results on disk")
-    parser.add_argument("--no-gen-cache", action="store_true",
-                        help="disable in-process schedule-generation "
-                             "memoization (repro.schedules.gencache)")
 
 
 def _shape_from_args(args: argparse.Namespace) -> "ShapeSpec":
@@ -267,11 +264,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import REGISTRY
     from repro.experiments.common import configure_planner
 
-    configure_planner(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        use_gen_cache=not args.no_gen_cache,
-    )
+    configure_planner(jobs=args.jobs, use_cache=not args.no_cache)
     if args.id == "list":
         for key in REGISTRY:
             print(key)
@@ -340,10 +333,7 @@ def _cmd_check_model(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.api import PlanRequest, RequestError, execute
-    from repro.schedules import gencache
 
-    if args.no_gen_cache:
-        gencache.set_enabled(False)
     request = PlanRequest(
         model=args.model,
         global_batch_size=args.gbs,

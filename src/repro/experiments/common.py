@@ -30,7 +30,6 @@ SETTINGS = PlannerSettings()
 def configure_planner(
     jobs: int | None = None,
     use_cache: bool | None = None,
-    use_gen_cache: bool | None = None,
 ) -> None:
     """Apply CLI-level sweep settings for subsequent :func:`search` calls."""
     if jobs is not None:
@@ -39,10 +38,6 @@ def configure_planner(
         SETTINGS.cache = None
         if use_cache:
             SETTINGS.shared_cache()
-    if use_gen_cache is not None:
-        from repro.schedules import gencache
-
-        gencache.set_enabled(use_gen_cache)
 
 
 def search(

@@ -95,28 +95,6 @@ class EvalResult:
 WGRAD_GEMMS = 2
 
 
-@lru_cache(maxsize=64)
-def _cached_schedule(
-    method: str,
-    problem: object,
-    cost: ClusterCost,
-    f: int | None,
-) -> object:
-    """Per-process memo over deterministic schedule builds.
-
-    Generation dominates evaluation cost, and the grid search
-    evaluates the same cell twice — analytically in the first pass and
-    on the simulator for Pareto-frontier provenance.  The inputs fully
-    determine the build (all are frozen/hashable), and the schedule's
-    verification verdict and compiled graph are cached on the object,
-    so sharing it between tiers is both safe and what makes the second
-    evaluation of a cell nearly free.
-    """
-    return build_schedule(
-        method, problem, cost=cost, forwards_before_first_backward=f
-    )
-
-
 @dataclass(frozen=True)
 class ConfigPrelude:
     """Everything a configuration's evaluation needs before a schedule.
@@ -243,7 +221,9 @@ def evaluate_config(
     if f is None and auto_select_variant:
         f = pre.auto_f
 
-    schedule = _cached_schedule(method, pre.problem, pre.cost, f)
+    # Memoised on its inputs: a cell's analytic pass and its frontier
+    # confirmation share one construction, verdict and compiled graph.
+    schedule = build_schedule(method, pre.problem, pre.cost, f)
     result: SimResult | AnalyticEvaluation
     cost, overhead = pre.cost, pre.overhead_time
     if tier == "sim":

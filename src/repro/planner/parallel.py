@@ -218,15 +218,10 @@ class SweepCache:
             tmp.unlink(missing_ok=True)
 
 
-def _run_task(task: EvalTask) -> tuple[EvalOutcome, float, int, int]:
-    """Worker body: evaluate one cell, mapping rejections to outcomes.
-
-    Returns the outcome plus this call's wall time and the
-    generation-cache hit/miss deltas it caused (workers hold their own
-    caches; the parent folds the deltas back).
-    """
+def _run_task(task: EvalTask) -> tuple[EvalOutcome, float]:
+    """Worker body: evaluate one cell, mapping rejections to outcomes;
+    returns the outcome and this call's wall time."""
     start = time.perf_counter()
-    gen_h0, gen_m0 = gencache.snapshot()
     try:
         outcome = EvalOutcome(
             result=evaluate_config(
@@ -244,9 +239,7 @@ def _run_task(task: EvalTask) -> tuple[EvalOutcome, float, int, int]:
         outcome = EvalOutcome(
             error=text.splitlines()[0] if text else type(exc).__name__
         )
-    gen_h1, gen_m1 = gencache.snapshot()
-    seconds = time.perf_counter() - start
-    return outcome, seconds, gen_h1 - gen_h0, gen_m1 - gen_m0
+    return outcome, time.perf_counter() - start
 
 
 def evaluate_tasks(
@@ -269,15 +262,10 @@ def evaluate_tasks(
     per replayed cell, one ``eval`` span per computed cell (worker
     durations are measured in the worker; pool runs lay the spans out
     at merge time) whose ``args["configs"]`` names its configuration —
-    every computed cell appears in exactly one — one ``gen cache hit``
-    instant per cell whose schedule construction was served from the
-    generation cache, and final ``cache_hits`` / ``evaluated`` /
-    ``errors`` / ``gen_cache_hits`` / ``gen_cache_misses`` counters
-    plus ``worker_reuse`` (tasks served by an already-warm pool, also
-    in :func:`repro.planner.pool.stats` for ``/v1/healthz``).  Pool
-    workers hold their own generation caches; their hit/miss deltas are
-    folded back into this process's counters
-    (:func:`repro.schedules.gencache.record_remote`).
+    every computed cell appears in exactly one — and final
+    ``cache_hits`` / ``evaluated`` / ``errors`` counters plus
+    ``worker_reuse`` (tasks served by an already-warm pool, also in
+    :func:`repro.planner.pool.stats` for ``/v1/healthz``).
     """
     observing = sink.enabled
     t0 = time.perf_counter() if observing else 0.0
@@ -300,18 +288,11 @@ def evaluate_tasks(
             pending.append(i)
 
     errors = 0
-    gen_hits = 0
-    gen_misses = 0
     reuse_before = pool.stats()["worker_reuse"]
-    pooled = jobs > 1
     # Inline at jobs=1; order-preserving either way.
     computed = pool.run_map(_run_task, [tasks[i] for i in pending], jobs)
-    for i, (outcome, seconds, gen_h, gen_m) in zip(pending, computed):
+    for i, (outcome, seconds) in zip(pending, computed):
         task = tasks[i]
-        if pooled and (gen_h or gen_m):
-            gencache.record_remote(gen_h, gen_m)
-        gen_hits += gen_h
-        gen_misses += gen_m
         outcomes[i] = outcome
         if not outcome.ok:
             errors += 1
@@ -319,9 +300,8 @@ def evaluate_tasks(
             cache.put(task, outcome)
         if observing:
             now = time.perf_counter() - t0
-            label = f"{task.method} {task.config.describe()}"
             sink.span(
-                f"eval {label}",
+                f"eval {task.method} {task.config.describe()}",
                 ts=max(0.0, now - seconds),
                 dur=seconds,
                 cat="eval",
@@ -330,21 +310,12 @@ def evaluate_tasks(
                     "configs": [task.config.describe()],
                 },
             )
-            if gen_h:
-                sink.instant(
-                    f"gen cache hit {label}",
-                    ts=now,
-                    cat="cache",
-                    args={"method": task.method, "hits": gen_h, "misses": gen_m},
-                )
     reuse_delta = pool.stats()["worker_reuse"] - reuse_before
     if observing:
         end = time.perf_counter() - t0
         sink.counter("cache_hits", float(cache_hits), ts=end)
         sink.counter("evaluated", float(len(pending)), ts=end)
         sink.counter("errors", float(errors), ts=end)
-        sink.counter("gen_cache_hits", float(gen_hits), ts=end)
-        sink.counter("gen_cache_misses", float(gen_misses), ts=end)
         sink.counter("worker_reuse", float(reuse_delta), ts=end)
     return [outcome for outcome in outcomes if outcome is not None]
 

@@ -3,11 +3,11 @@
 The planner's parallel tier used to spin up a fresh
 ``ProcessPoolExecutor`` for every sweep.  That pays the process-spawn
 cost per sweep *and* — worse — throws away every worker-side cache
-each time: the generation cache and the per-process
-schedule/prelude/bounds memos a worker populated while evaluating one
-sweep were gone before the next request arrived.  For the planning
-service, whose hot path is many small sweeps arriving over time, the
-repeated spawn + cache-cold cost dominated cold-request latency.
+each time: the per-process schedule/prelude/bounds memos a worker
+populated while evaluating one sweep were gone before the next request
+arrived.  For the planning service, whose hot path is many small
+sweeps arriving over time, the repeated spawn + cache-cold cost
+dominated cold-request latency.
 
 This module keeps **one** process pool alive for the whole process and
 shares it across every ``search_method`` call and every service

@@ -33,8 +33,6 @@ engine — preserved verbatim under ``tests/oracles/`` — by
 Generated schedules carry their compiled graph (built directly from the
 generator's dense tables, see :func:`repro.schedules.graph
 .graph_from_codes`) and materialize their ``OpId`` programs lazily.
-Repeated builds over identical (problem, policy, cost key tables) are
-served from :mod:`repro.schedules.gencache`.
 """
 
 from __future__ import annotations
@@ -419,33 +417,8 @@ def greedy_schedule(
     If the fast cap-reservation rule wedges (possible for small ``f``
     with multiple chunk rounds), the generation is retried once with the
     strong reservation rule, which is deadlock-free.
-
-    Generation is memoized in :mod:`repro.schedules.gencache`: two calls
-    whose (problem, policy, name, cost *key tables*) coincide share one
-    construction — safe because those inputs are everything the engine
-    reads (see :func:`repro.sim.cost.cost_key_table_fingerprint`).
     """
     policy = policy or GreedyPolicy()
-    from repro.schedules import gencache
-
-    key = gencache.cache_key(problem, policy, name, cost)
-    if key is not None:
-        hit = gencache.get(key)
-        if hit is not None:
-            return hit
-    schedule = _generate(problem, policy, cost, name)
-    if key is not None:
-        gencache.put(key, schedule)
-    return schedule
-
-
-def _generate(
-    problem: PipelineProblem,
-    policy: GreedyPolicy,
-    cost: CostModel | None,
-    name: str,
-) -> Schedule:
-    """One build with the automatic strong-reserve fallback."""
     try:
         return _greedy_once(problem, policy, cost, name)
     except ScheduleError as first_err:

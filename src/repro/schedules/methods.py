@@ -8,7 +8,9 @@ interface: ``build(method, p, n, spp, vp, ...)`` returns a validated
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Hashable
 
+from repro.schedules import gencache
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
 from repro.schedules.classic import dapple_schedule, gpipe_schedule, terapipe_schedule
 from repro.schedules.interleaved import vpp_schedule
@@ -26,7 +28,6 @@ from repro.schedules.zerobubble import (
     zbv_problem,
     zbv_schedule,
 )
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
@@ -126,6 +127,23 @@ def build_problem(
     )
 
 
+def _memo_key(
+    method: str, problem: PipelineProblem, cost: CostModel | None, f: int | None
+) -> Hashable | None:
+    """Memo key of one build, or ``None`` when it must not be shared:
+    a cost model that is unhashable (a mutable dataclass such as
+    ``profiler.ProfiledCost``) or hashed by identity is not a *value*,
+    so nothing says two calls with it ask for the same schedule."""
+    if cost is not None and type(cost).__hash__ is object.__hash__:
+        return None
+    key = (method, problem, cost, f)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 def build_schedule(
     method: str,
     problem: PipelineProblem,
@@ -134,40 +152,49 @@ def build_schedule(
 ) -> Schedule:
     """Build a method's schedule over ``problem``.
 
-    Every generated schedule passes through the static verifier's
-    safety tier (placement, coverage, deadlock) before it is returned;
-    a generation bug surfaces here as a :class:`ScheduleError` carrying
-    the full diagnostic report rather than as a wedged simulation.
+    A pure function of its four arguments, memoised on them
+    (:mod:`repro.schedules.gencache`): equal inputs return the *same*
+    shared object — to mutate one, copy it or call its generator
+    (``dapple_schedule`` …) directly.
+
+    Every returned schedule, built or remembered, passes through the
+    static verifier's safety tier (placement, coverage, deadlock): a
+    generation bug, or a caller that mutated a shared schedule in
+    place, surfaces here as a :class:`ScheduleError` carrying the full
+    diagnostic report rather than as a wedged simulation.
     """
     key = method.lower()
     method_traits(key)
-    if key == "gpipe":
-        schedule = gpipe_schedule(problem)
-    elif key == "dapple":
-        schedule = dapple_schedule(problem)
-    elif key == "terapipe":
-        schedule = terapipe_schedule(problem)
-    elif key == "vpp":
-        schedule = vpp_schedule(problem)
-    elif key == "hanayo":
-        schedule = hanayo_schedule(problem, cost)
-    elif key == "zb":
-        schedule = zb_schedule(problem, cost)
-    elif key == "zbv":
-        schedule = zbv_schedule(problem, cost)
-    elif key == "svpp":
-        schedule = svpp_schedule(
-            problem,
-            forwards_before_first_backward=forwards_before_first_backward,
-            cost=cost,
-        )
-    else:
-        schedule = mepipe_schedule(
-            problem,
-            forwards_before_first_backward=forwards_before_first_backward,
-            cost=cost,
-        )
+    memo_key = _memo_key(key, problem, cost, forwards_before_first_backward)
+    schedule = None if memo_key is None else gencache.get(memo_key)
+    if schedule is None:
+        schedule = _run_generator(key, problem, cost, forwards_before_first_backward)
+        if memo_key is not None:
+            gencache.put(memo_key, schedule)
     from repro.schedules.verify import ensure_verified
 
     ensure_verified(schedule, context=f"{key} generator")
     return schedule
+
+
+def _run_generator(
+    key: str, problem: PipelineProblem, cost: CostModel | None, f: int | None
+) -> Schedule:
+    """Run the generator of ``key``, a lower-cased known method."""
+    if key == "gpipe":
+        return gpipe_schedule(problem)
+    if key == "dapple":
+        return dapple_schedule(problem)
+    if key == "terapipe":
+        return terapipe_schedule(problem)
+    if key == "vpp":
+        return vpp_schedule(problem)
+    if key == "hanayo":
+        return hanayo_schedule(problem, cost)
+    if key == "zb":
+        return zb_schedule(problem, cost)
+    if key == "zbv":
+        return zbv_schedule(problem, cost)
+    if key == "svpp":
+        return svpp_schedule(problem, forwards_before_first_backward=f, cost=cost)
+    return mepipe_schedule(problem, forwards_before_first_backward=f, cost=cost)

@@ -12,8 +12,8 @@ Two implementations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Protocol
+from functools import wraps
+from typing import Any, Callable, Protocol
 
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.comm import ring_all_gather_time, ring_all_reduce_time
@@ -116,58 +116,6 @@ def stamp_byte_sizes(result: object, cost: CostModel) -> None:
         object.__setattr__(result, "comm_bytes_per_message", float(msg_bytes()))
 
 
-def cost_key_table_fingerprint(
-    problem: PipelineProblem, cost: CostModel
-) -> tuple[float, ...] | None:
-    """The cost *key tables* the greedy generator reads, as a flat tuple.
-
-    The generator's output is a deterministic function of the problem,
-    the policy, and the duration/comm values it probes.  For a
-    micro-batch-invariant model those values are fully described by a
-    table over (kind, slice, chunk[, gemm]) plus one comm value per
-    intra-micro-batch dependency edge shape — this function probes
-    exactly that set, in a fixed order, so two cost models with equal
-    fingerprints are indistinguishable *to the generator* (they may
-    still differ on ``act_units``, which the generator never reads —
-    callers caring about activation accounting must not key on this).
-    Returns ``None`` for models that are not micro-batch-invariant:
-    their per-op values cannot be summarized this way, so callers (the
-    generation cache) must decline to share constructions.
-    """
-    if not getattr(cost, "microbatch_invariant", False):
-        return None
-    dur_fn, comm_fn, _act_fn = op_cost_fns(cost)
-    s = problem.num_slices
-    chunks = problem.num_chunks
-    split = problem.split_backward
-    gemms = problem.wgrad_gemms
-    out: list[float] = []
-    for sl in range(s):
-        for c in range(chunks):
-            f = OpId(OpKind.F, 0, sl, c)
-            b = OpId(OpKind.B, 0, sl, c)
-            out.append(dur_fn(f))
-            out.append(dur_fn(b))
-            # Comm values per dependency edge of this cell, in
-            # PipelineProblem.deps order (every edge the generator can
-            # probe is intra-micro-batch).
-            if c > 0:
-                out.append(comm_fn(OpId(OpKind.F, 0, sl, c - 1), f))
-            if sl > 0:
-                out.append(comm_fn(OpId(OpKind.F, 0, sl - 1, c), f))
-            out.append(comm_fn(f, b))
-            if c < chunks - 1:
-                out.append(comm_fn(OpId(OpKind.B, 0, sl, c + 1), b))
-            if sl < s - 1:
-                out.append(comm_fn(OpId(OpKind.B, 0, sl + 1, c), b))
-            if split:
-                for g in range(gemms):
-                    w = OpId(OpKind.W, 0, sl, c, g)
-                    out.append(dur_fn(w))
-                    out.append(comm_fn(b, w))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class UniformCost:
     """Unit-time cost model for schedule-structure analysis.
@@ -209,6 +157,24 @@ class UniformCost:
         return self.problem.activation_units_per_op
 
 
+def _instance_table(method: Callable[..., Any]) -> Callable[..., Any]:
+    """Memoise ``method`` per argument tuple in ``self._tables``, freed
+    with the instance (a class-level ``lru_cache`` keys on ``self`` and
+    pins every cost model a process ever built)."""
+    name = method.__name__
+
+    @wraps(method)
+    def probe(self: Any, *args: Any) -> Any:
+        key = (name, *args)
+        try:
+            return self._tables[key]
+        except KeyError:
+            value = self._tables[key] = method(self, *args)
+            return value
+
+    return probe
+
+
 @dataclass(frozen=True)
 class ClusterCost:
     """Calibrated cost model for one (model, config, cluster) triple.
@@ -241,26 +207,9 @@ class ClusterCost:
     # hosts (no copy engines to spare, host-bridge contention).
     cp_overlap: float = 0.25
     dp_overlap: float = 0.5
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     microbatch_invariant = True
-
-    def __post_init__(self) -> None:
-        # Every @lru_cache probe below hashes `self`; the generated
-        # dataclass hash recurses through the model/cluster/problem
-        # dataclasses each time, which profiles as the hottest call of a
-        # planner sweep.  Freeze it at construction.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((
-                self.spec, self.config, self.cluster, self.problem,
-                self.eff, self.cp_overlap, self.dp_overlap,
-            )),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # ------------------------------------------------------------------
     # Shape helpers
@@ -292,7 +241,7 @@ class ClusterCost:
         """
         return slice_idx * (self.spec.seq_length // self.config.spp)
 
-    @lru_cache(maxsize=None)
+    @_instance_table
     def _chunk_layers(self, chunk: int) -> tuple[int, bool, bool]:
         """(transformer layers, has_embedding, has_head) of a chunk.
 
@@ -319,7 +268,7 @@ class ClusterCost:
         peak = self.cluster.gpu.effective_tflops * 1e12
         return flops / (peak * self.eff.attention(self.efficiency_tokens))
 
-    @lru_cache(maxsize=None)
+    @_instance_table
     def _compute_seconds(self, kind: OpKind, slice_idx: int, chunk: int) -> float:
         tokens = self.tokens_per_op * self.config.cp  # per-slice tokens
         offset = self._slice_offset(slice_idx)
@@ -338,10 +287,7 @@ class ClusterCost:
             t = layers * (self._gemm_seconds(gemm_f) + self._attn_seconds(attn_f))
             if has_head:
                 t += self._gemm_seconds(head.forward)
-            base = t * share
-            if self.config.recompute:
-                return base  # forward unchanged; replay charged to B
-            return base
+            return t * share  # unchanged by recompute: the replay is charged to B
         if kind is OpKind.B:
             attn_b = 2 * attn_f
             gemm_b = per_layer.backward_dgrad - attn_b
@@ -366,7 +312,7 @@ class ClusterCost:
             t += self._gemm_seconds(head_slice_flops(self.spec, tokens).backward_wgrad)
         return t
 
-    @lru_cache(maxsize=None)
+    @_instance_table
     def _tp_layer_overhead(self) -> float:
         """Exposed per-layer TP all-reduce time (forward direction).
 
@@ -382,7 +328,7 @@ class ClusterCost:
         act *= self.config.micro_batch_size
         return 2 * ring_all_reduce_time(act, tp, link)
 
-    @lru_cache(maxsize=None)
+    @_instance_table
     def _cp_layer_overhead(self) -> float:
         """Exposed per-layer CP collective time (forward direction)."""
         cp = self.config.cp
@@ -418,7 +364,7 @@ class ClusterCost:
             return 0.0
         return self._boundary_seconds(stage_a, stage_b)
 
-    @lru_cache(maxsize=None)
+    @_instance_table
     def _boundary_seconds(self, stage_a: int, stage_b: int) -> float:
         """Transfer time of one boundary tensor between two stages.
 

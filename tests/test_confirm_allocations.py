@@ -12,8 +12,8 @@ fence against someone re-adding ``graph.ops`` to the hot path.
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_7B
 from repro.parallel.strategies import ParallelConfig
-from repro.planner.evaluate import _cached_schedule, _prelude, evaluate_config
-from repro.schedules import gencache
+from repro.planner.evaluate import _prelude, evaluate_config
+from repro.schedules import build_schedule, gencache
 from repro.schedules.base import OpId
 from repro.schedules.graph import compiled_graph
 from repro.sim.executor import simulate
@@ -24,12 +24,11 @@ CONFIG = ParallelConfig(dp=8, pp=8, spp=4)
 
 
 def confirm(num_microbatches, monkeypatch):
-    """Sim-tier evaluate one cell from cold generation memos; returns
+    """Sim-tier evaluate one cell from a cold schedule memo; returns
     (OpId constructions, schedule, cost)."""
     gbs = num_microbatches * CONFIG.dp
     # Whatever ran earlier in this process must not have generated the
     # cell (or read its records) already.
-    _cached_schedule.cache_clear()
     gencache.clear()
     made = [0]
     post_init = OpId.__post_init__
@@ -46,7 +45,7 @@ def confirm(num_microbatches, monkeypatch):
     assert result.tier == "sim"
     pre = _prelude("mepipe", LLAMA_7B, RTX4090_CLUSTER, CONFIG, gbs)
     assert pre.problem.num_microbatches == num_microbatches
-    schedule = _cached_schedule("mepipe", pre.problem, pre.cost, pre.auto_f)
+    schedule = build_schedule("mepipe", pre.problem, pre.cost, pre.auto_f)
     return made[0], schedule, pre.cost
 
 

@@ -1,5 +1,8 @@
 """Tests for the calibrated cluster cost model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.hardware import A100_CLUSTER, RTX4090_CLUSTER
@@ -127,3 +130,23 @@ class TestEfficiencyTokens:
     def test_spp_keeps_full_tokens(self):
         spp = make_cost()
         assert spp.efficiency_tokens == spp.tokens_per_op
+
+
+class TestLifetime:
+    def test_probed_models_are_freed_with_their_tables(self):
+        """The per-op tables live on the instance, so a probed model
+        dies with its last reference; as class-level ``lru_cache``
+        tables they pinned every model a process ever built."""
+        refs, seen = [], set()
+        for pp in (2, 4, 8):
+            for spp in (1, 2, 4):
+                cost = make_cost(ParallelConfig(dp=64 // pp, pp=pp, spp=spp))
+                last = cost.problem.num_chunks - 1
+                f, b = OpId(OpKind.F, 0, 0, last), OpId(OpKind.B, 0, 0, last)
+                seen.add((cost.duration(f), cost.duration(b), cost.comm_time(f, b)))
+                seen.add(cost.comm_time(OpId(OpKind.F, 0, 0, 0), OpId(OpKind.F, 0, 0, 1)))
+                refs.append(weakref.ref(cost))
+        assert len(seen) > len(refs)  # distinct models, really probed
+        del cost
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)

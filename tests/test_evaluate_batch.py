@@ -6,7 +6,7 @@ of DAPPLE/VPP.  The stacked ``(n_configs, n_ops)`` evaluator that priced
 such a class in one pass is gone (docs/evaluation.md records the
 measurement); every member now goes through the scalar
 :func:`evaluate_schedule`.  What has to hold for a class is therefore
-member independence: the memos its members share (generation cache,
+member independence: the memos its members share (the schedule memo,
 the graph and topological plan cached on a schedule) never leak one
 member's cost tables into another's result, and each member is
 bit-identical to the heap oracle under its own costs and overhead.

@@ -19,7 +19,6 @@ from dataclasses import replace
 import pytest
 
 import repro.schedules.greedy as greedy
-from repro.schedules import gencache
 from repro.schedules.base import PipelineProblem, ScheduleError
 from repro.schedules.graph import compiled_graph
 from repro.schedules.greedy import GreedyPolicy, greedy_schedule
@@ -50,16 +49,6 @@ POLICIES = [
     GreedyPolicy(strong_reserve=True, wgrad_defer_samples=0.0),
     GreedyPolicy(wgrad_units=0.5, wgrad_defer_samples=1.5),
 ]
-
-
-@pytest.fixture(autouse=True)
-def cold_gen_cache():
-    """Force every generation in this module through the engine."""
-    gencache.clear()
-    gencache.set_enabled(False)
-    yield
-    gencache.set_enabled(None)
-    gencache.clear()
 
 
 def reference_with_fallback(problem, policy, cost):

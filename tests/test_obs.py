@@ -454,8 +454,6 @@ class TestPlannerInstrumentation:
             "cache_hits",
             "evaluated",
             "errors",
-            "gen_cache_hits",
-            "gen_cache_misses",
             "worker_reuse",
         }
 

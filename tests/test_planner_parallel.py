@@ -298,11 +298,7 @@ def _assert_same_sweep(got, want):
 
 def _cold_memos():
     gencache.clear()
-    for memo in (
-        evaluate_module._cached_schedule,
-        evaluate_module._prelude,
-        evaluate_module.config_bounds,
-    ):
+    for memo in (evaluate_module._prelude, evaluate_module.config_bounds):
         memo.cache_clear()
 
 

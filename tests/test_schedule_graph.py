@@ -20,7 +20,7 @@ from repro.schedules.graph import (
 )
 from repro.schedules.methods import build_problem, build_schedule
 
-from tests.test_verify import golden_grid
+from tests.test_verify import clone, golden_grid
 
 
 def _build(method="mepipe", p=4, n=8, s=4, v=1, g=2):
@@ -83,7 +83,7 @@ def test_kind_codes_and_cross_flags():
 
 
 def test_compiled_graph_is_cached_and_invalidates_on_mutation():
-    schedule = _build()
+    schedule = clone(_build())  # build_schedule's result is shared
     g1 = compiled_graph(schedule)
     assert compiled_graph(schedule) is g1
     # In-place reorder changes the fingerprint and recompiles.
@@ -100,21 +100,21 @@ def test_compiled_graph_is_cached_and_invalidates_on_mutation():
 
 
 def test_compile_rejects_foreign_op():
-    schedule = _build(method="dapple", s=1, v=1, g=1)
+    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
     schedule.programs[0].ops.append(OpId(OpKind.F, 999, 0, 0))
     with pytest.raises(ScheduleError, match="cannot compile"):
         compiled_graph(schedule)
 
 
 def test_compile_rejects_duplicate_op():
-    schedule = _build(method="dapple", s=1, v=1, g=1)
+    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
     schedule.programs[0].ops.append(schedule.programs[0].ops[0])
     with pytest.raises(ScheduleError, match="cannot compile"):
         compiled_graph(schedule)
 
 
 def test_compile_rejects_misplaced_op():
-    schedule = _build(method="dapple", s=1, v=1, g=1)
+    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
     moved = schedule.programs[0].ops.pop(0)
     schedule.programs[1].ops.append(moved)
     with pytest.raises(ScheduleError, match="cannot compile"):
@@ -122,7 +122,7 @@ def test_compile_rejects_misplaced_op():
 
 
 def test_compile_rejects_missing_op():
-    schedule = _build(method="dapple", s=1, v=1, g=1)
+    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
     schedule.programs[0].ops.pop()
     with pytest.raises(ScheduleError, match="cannot compile"):
         compiled_graph(schedule)

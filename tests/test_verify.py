@@ -331,6 +331,8 @@ class TestEnforcement:
         token = sched._verify_token  # set by the generator
         ensure_verified(sched)  # cache hit, no recheck
         assert sched._verify_token == token
+        sched = clone(sched)  # build_schedule's result is shared
+        sched._verify_token = token
         swap_dependent_pair(sched)  # in-place corruption, same op count
         with pytest.raises(ScheduleError):
             ensure_verified(sched, context="post-mutation")

@@ -10,11 +10,18 @@ whatever ran before it — CI runs this file both before and after
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import api
-from repro.planner import SweepCache
+from repro.hardware.cluster import RTX4090_CLUSTER
+from repro.model.spec import LLAMA_13B
+from repro.planner import SweepCache, search_method
 from repro.planner import evaluate as evaluate_module
+from repro.planner.search import pareto_frontier
+from repro.schedules import gencache
+from repro.sim.cost import ClusterCost
 
 PLAN = api.PlanRequest(
     model="13b", global_batch_size=32, methods=("mepipe", "zb"), max_spp=4
@@ -104,3 +111,83 @@ def test_memo_keyed_without_batch_size_is_caught(tmp_path, monkeypatch):
     mutant.cache_clear = memo.clear
     monkeypatch.setattr(evaluate_module, "config_bounds", mutant)
     assert not _back_to_back_matches_cold(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# The one schedule memo (repro.schedules.gencache) on planner traffic
+# ----------------------------------------------------------------------
+def _cold_planner_memos():
+    gencache.clear()
+    evaluate_module._prelude.cache_clear()
+    evaluate_module.config_bounds.cache_clear()
+
+
+def test_one_search_builds_each_config_once_and_confirms_from_the_memo(
+    monkeypatch,
+):
+    """Within one search every evaluated config is generated exactly
+    once; the frontier's sim confirmation re-builds nothing."""
+    built = []
+    real = evaluate_module.build_schedule
+
+    def recording(method, problem, cost=None, forwards_before_first_backward=None):
+        built.append((method, problem, cost, forwards_before_first_backward))
+        return real(method, problem, cost, forwards_before_first_backward)
+
+    monkeypatch.setattr(evaluate_module, "build_schedule", recording)
+    _cold_planner_memos()
+    result = search_method(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, 32, max_spp=4, jobs=1, cache=None
+    )
+    frontier = pareto_frontier(result.evaluated)
+    stats = gencache.stats()
+    assert 0 < len(frontier) < len(result.evaluated) <= len(set(built))
+    assert stats["misses"] == len(set(built))
+    assert stats["hits"] == len(frontier)
+    assert len(built) == stats["misses"] + stats["hits"]
+    assert stats["size"] == min(stats["misses"], gencache._MAXSIZE)
+
+
+SMALL_SHAPE = api.ShapeSpec(stages=4, microbatches=8, slices=4, wgrad_gemms=2)
+
+
+def test_small_requests_on_one_shape_build_once():
+    """verify / evaluate / capacity / simulate / check-model on one
+    shape ask for the identical ``(method, problem, None, f)``."""
+    requests = [
+        request(method="mepipe", shape=SMALL_SHAPE)
+        for request in (
+            api.VerifyRequest,
+            api.EvaluateRequest,
+            api.CapacityRequest,
+            api.SimulateRequest,
+        )
+    ] + [api.CheckModelRequest(method="mepipe", model="tiny", shape=SMALL_SHAPE)]
+    gencache.clear()
+    for request in requests:
+        assert api.execute(request).ok
+    assert gencache.stats() == {"hits": 4, "misses": 1, "size": 1}
+
+
+def _live_cluster_costs() -> int:
+    gc.collect()
+    return sum(isinstance(obj, ClusterCost) for obj in gc.get_objects())
+
+
+def test_served_plans_do_not_accumulate_cost_models():
+    """Every plan builds one ``ClusterCost`` per candidate cell; only
+    the bounded memos may keep any alive once the plan is answered."""
+    _cold_planner_memos()
+    held_elsewhere = _live_cluster_costs()
+    for gbs in range(32, 32 + 8 * 27, 8):  # 27 distinct plans
+        request = api.PlanRequest(
+            model="13b",
+            global_batch_size=gbs,
+            methods=("dapple", "vpp"),
+            use_cache=False,
+        )
+        assert api.execute(request).ok
+    capacity = evaluate_module._prelude.cache_info().maxsize + gencache._MAXSIZE
+    built = evaluate_module._prelude.cache_info().misses
+    assert built > 2 * capacity  # the plans built far more than may stay
+    assert _live_cluster_costs() - held_elsewhere <= capacity
