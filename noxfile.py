@@ -24,6 +24,8 @@ Run `nox -s <session>`, or the same commands directly:
 installing the package.)
 """
 
+import time
+
 import nox
 
 nox.options.sessions = [
@@ -134,19 +136,23 @@ def runtime(session: nox.Session) -> None:
     """The executors and the telemetry they emit.
 
     The multi-process runtime is where process lifecycles, shared
-    memory, and timeouts live; its tests prove bit-exactness against
-    the serial golden runtime, measured comm/wgrad overlap, and clean
-    failure (no orphan workers, no leaked segments).  The obs suite
+    memory, and timeouts live; its stage workers are forked, and its
+    tests prove bit-exactness against the serial golden runtime,
+    measured comm/wgrad overlap, fork safety (held locks, inherited
+    signal handlers and atexit hooks), and clean failure (no orphan
+    workers, no leaked segments, gradients untouched).  The obs suite
     covers span nesting, JSONL round-trips, the Chrome-trace golden,
-    and sim-vs-runtime trace alignment.
+    and sim-vs-runtime trace alignment.  Prints the suites' wall time.
     """
     session.install("-e", ".[test]")
+    start = time.perf_counter()
     session.run(
         *PYTEST,
         "tests/test_pipeline_runtime.py",
         "tests/test_parallel_runtime.py",
         "tests/test_obs.py",
     )
+    session.log(f"runtime suites wall time: {time.perf_counter() - start:.1f} s")
 
 
 @nox.session

@@ -31,6 +31,11 @@ Array = np.ndarray
 WgradTask = Callable[[], None]
 
 
+def _ctx_nbytes(ctx: dict) -> int:
+    """Bytes of the arrays one saved forward context holds."""
+    return sum(v.nbytes for v in ctx.values() if isinstance(v, np.ndarray))
+
+
 class Component:
     """Base class: parameters, gradients, and wgrad-task bookkeeping."""
 
@@ -39,9 +44,14 @@ class Component:
         self.grads: dict[str, Array] = {}
         self._wgrad_tasks: dict[tuple[int, int], list[WgradTask]] = {}
         self.live_contexts = 0
+        #: Running total of :meth:`live_bytes`, maintained where forward
+        #: state is stored and released so a runtime can read it per op
+        #: without walking every live context.
+        self.live_nbytes = 0
 
     def live_bytes(self) -> int:
-        """Bytes of stored forward state (activations, caches)."""
+        """Bytes of stored forward state (activations, caches), re-summed
+        from the state itself — the oracle ``live_nbytes`` is held to."""
         return 0
 
     def init_grads(self) -> None:
@@ -93,11 +103,13 @@ class Embedding(Component):
         tokens = np.asarray(x)
         self._ctx[(mb, sl)] = tokens
         self.live_contexts += 1
+        self.live_nbytes += tokens.nbytes
         return self.params["table"][tokens]
 
     def backward(self, mb: int, sl: int, dy: Array | None) -> Array | None:
         tokens = self._ctx.pop((mb, sl))
         self.live_contexts -= 1
+        self.live_nbytes -= tokens.nbytes
         assert dy is not None
         dy_arr = dy
 
@@ -187,15 +199,17 @@ class DecoderLayer(Component):
         return x.reshape(b, self.num_kv_heads, self._group, t, d).sum(axis=2)
 
     def live_bytes(self) -> int:
-        total = 0
-        for ctx in self._ctx.values():
-            total += sum(v.nbytes for v in ctx.values()
-                         if isinstance(v, np.ndarray))
+        total = sum(_ctx_nbytes(ctx) for ctx in self._ctx.values())
         for entries in self._kv.values():
             total += sum(k.nbytes + v.nbytes for k, v in entries)
         for k, v in self._pending.values():
             total += k.nbytes + v.nbytes
         return total
+
+    def _drop_kv(self, mb: int) -> None:
+        """Release one micro-batch's KV cache entries."""
+        for k, v in self._kv.pop(mb, ()):
+            self.live_nbytes -= k.nbytes + v.nbytes
 
     def forward(self, mb: int, sl: int, x: Array) -> Array:
         if self.recompute and sl != 0:
@@ -203,11 +217,11 @@ class DecoderLayer(Component):
         out, ctx = self._compute(mb, sl, x)
         if self.recompute:
             # Keep only the layer input; everything else is replayed.
-            self._ctx[(mb, sl)] = {"x": x}
-            self._kv.pop(mb, None)
-        else:
-            self._ctx[(mb, sl)] = ctx
+            ctx = {"x": x}
+            self._drop_kv(mb)
+        self._ctx[(mb, sl)] = ctx
         self.live_contexts += 1
+        self.live_nbytes += _ctx_nbytes(ctx)
         return out
 
     def _compute(self, mb: int, sl: int, x: Array) -> tuple[Array, dict]:
@@ -223,6 +237,7 @@ class DecoderLayer(Component):
         q_rot = F.rope_apply(q, cos, sin)
         k_rot = F.rope_apply(k, cos, sin)
         self._kv.setdefault(mb, []).append((k_rot, v))
+        self.live_nbytes += k_rot.nbytes + v.nbytes
         k_full = np.concatenate([kk for kk, _vv in self._kv[mb]], axis=2)
         v_full = np.concatenate([vv for _kk, vv in self._kv[mb]], axis=2)
         attn, probs = F.attention_slice(
@@ -247,6 +262,7 @@ class DecoderLayer(Component):
         assert dy is not None
         ctx = self._ctx.pop((mb, sl))
         self.live_contexts -= 1
+        self.live_nbytes -= _ctx_nbytes(ctx)
         if self.recompute:
             _out, ctx = self._compute(mb, sl, ctx["x"])
         p = self.params
@@ -279,6 +295,7 @@ class DecoderLayer(Component):
         dv_own = dv_full[:, :, start : start + t]
         pend = self._pending.pop((mb, sl), None)
         if pend is not None:
+            self.live_nbytes -= pend[0].nbytes + pend[1].nbytes
             dk_own = dk_own + pend[0]
             dv_own = dv_own + pend[1]
         pos = 0
@@ -288,7 +305,10 @@ class DecoderLayer(Component):
             blk_v = dv_full[:, :, pos : pos + tj]
             prev = self._pending.get((mb, j))
             if prev is None:
+                # A later slice's block joins one of the same shape, so
+                # only the first contribution changes the byte count.
                 self._pending[(mb, j)] = (blk_k.copy(), blk_v.copy())
+                self.live_nbytes += blk_k.nbytes + blk_v.nbytes
             else:
                 self._pending[(mb, j)] = (prev[0] + blk_k, prev[1] + blk_v)
             pos += tj
@@ -323,7 +343,7 @@ class DecoderLayer(Component):
         # The KV cache entries for this micro-batch can be dropped once
         # slice 0's backward has consumed them.
         if sl == 0:
-            del self._kv[mb]
+            self._drop_kv(mb)
         return dx
 
 
@@ -345,10 +365,7 @@ class LossHead(Component):
         self.loss_scale = 1.0
 
     def live_bytes(self) -> int:
-        return sum(
-            sum(v.nbytes for v in ctx.values() if isinstance(v, np.ndarray))
-            for ctx in self._ctx.values()
-        )
+        return sum(_ctx_nbytes(ctx) for ctx in self._ctx.values())
 
     def set_targets(self, mb: int, sl: int, targets: Array) -> None:
         """Provide the labels for one slice before its forward runs."""
@@ -359,13 +376,16 @@ class LossHead(Component):
         y, inv = F.rmsnorm(x, self.params["gf"])
         logits = F.linear(y, self.params["wh"])
         loss, dlogits = F.cross_entropy(logits, targets, self.loss_scale)
-        self._ctx[(mb, sl)] = {"x": x, "y": y, "inv": inv, "dlogits": dlogits}
+        ctx = {"x": x, "y": y, "inv": inv, "dlogits": dlogits}
+        self._ctx[(mb, sl)] = ctx
         self.live_contexts += 1
+        self.live_nbytes += _ctx_nbytes(ctx)
         return loss
 
     def backward(self, mb: int, sl: int, dy: Array | None = None) -> Array:
         ctx = self._ctx.pop((mb, sl))
         self.live_contexts -= 1
+        self.live_nbytes -= _ctx_nbytes(ctx)
         dlogits = ctx["dlogits"]
         dy_norm = F.linear_dgrad(dlogits, self.params["wh"])
         dx = F.rmsnorm_dgrad(dy_norm, ctx["x"], self.params["gf"], ctx["inv"])

@@ -16,9 +16,8 @@ The ring lives in one :class:`multiprocessing.shared_memory
 slot and the receiver reads it out of the same pages; no pickling, no
 pipe traffic.  Slot hand-off uses two semaphores (``free``/``used``),
 the classic SPSC protocol; both ends keep their own local slot index
-so no shared counter is needed.  The protocol object is ``spawn``-safe:
-it is pickled into each worker via ``Process`` args (semaphores cannot
-travel over queues), and workers re-attach to the segment by name.
+so no shared counter is needed.  Forked workers inherit the protocol
+object (its semaphores with it) and attach to the segment by name.
 
 Every blocking operation takes a timeout (default
 :data:`DEFAULT_CHANNEL_TIMEOUT`, overridable via the
@@ -112,11 +111,11 @@ class ChannelKey:
 
 
 class ChannelProtocol:
-    """Picklable descriptor + synchronization of one ring channel.
+    """Descriptor + synchronization of one ring channel.
 
     Created by the parent (which owns the shared-memory segment and
-    unlinks it after the run); shipped to exactly two workers via
-    ``Process`` args.  Call :meth:`attach` in the worker to get a
+    unlinks it after the run); inherited by the forked workers, exactly
+    two of which use it.  Call :meth:`attach` in the worker to get a
     usable endpoint, and :meth:`close` when done.
     """
 
@@ -136,16 +135,6 @@ class ChannelProtocol:
         self.used = ctx.Semaphore(0)
         self._shm: SharedMemory | None = None
         self._index = 0  # local slot cursor (SPSC: one per endpoint)
-
-    # -- pickling: drop the attached segment, keep name + semaphores ----
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_shm"] = None
-        state["_index"] = 0
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -248,14 +237,21 @@ def create_channel(
 ) -> tuple[ChannelProtocol, SharedMemory]:
     """Allocate one ring channel's segment and protocol object.
 
-    Returns the protocol (to ship to the two endpoint workers) and the
+    Returns the protocol (for the two endpoint workers) and the
     parent-owned :class:`SharedMemory` handle — the caller must
     ``close()`` and ``unlink()`` it when the run ends, success or not.
+    If the protocol's semaphores cannot be made, the segment is unlinked
+    here before the error propagates.
     """
     slot_bytes = _HEADER_BYTES + slot_payload_bytes
     shm = SharedMemory(
         create=True, size=max(slots * slot_bytes, 1),
         name=f"{name_prefix}c{serial}",
     )
-    protocol = ChannelProtocol(key, shm.name, slots, slot_payload_bytes, ctx)
+    try:
+        protocol = ChannelProtocol(key, shm.name, slots, slot_payload_bytes, ctx)
+    except BaseException:
+        shm.close()
+        shm.unlink()
+        raise
     return protocol, shm

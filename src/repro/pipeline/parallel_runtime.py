@@ -1,13 +1,17 @@
 """True multi-process pipeline execution with measured comm/wgrad overlap.
 
-:class:`ParallelPipelineRuntime` launches one worker **process per
-pipeline stage** (``spawn`` start method), ships each stage only its
-partition chunks, and moves boundary tensors through the shared-memory
-ring channels of :mod:`repro.pipeline.channels`.  Where the serial
-:class:`~repro.pipeline.runtime.PipelineRuntime` merely *interleaves*
-stage programs in one process, here every stage runs on its own clock:
-per-stage busy/idle time, channel wait time, and the bubble ratio
-become measured wall-clock quantities.
+:class:`ParallelPipelineRuntime` **forks** one worker process per
+pipeline stage, so each worker inherits its partition chunks, tokens,
+program and channel endpoints copy-on-write — nothing is pickled on the
+way in — and moves boundary tensors through the shared-memory ring
+channels of :mod:`repro.pipeline.channels`.  Gradients come home through
+shared pages too: workers accumulate into anonymous shared mappings
+the parent staged before forking (:class:`_SharedGrads`), and the only
+thing a worker pickles back is a small array-free report.  Where the
+serial :class:`~repro.pipeline.runtime.PipelineRuntime` merely
+*interleaves* stage programs in one process, here every stage runs on
+its own clock: per-stage busy/idle time, channel wait time, and the
+bubble ratio become measured wall-clock quantities.
 
 The runtime realizes MEPipe's central mechanism for real: while a
 worker is blocked on a channel receive it drains **deferred
@@ -44,18 +48,33 @@ report exceptions (with traceback) through the result queue, and the
 parent converts a dead/stalled worker into a :class:`ScheduleError`
 after terminating the remaining workers and unlinking every
 shared-memory segment — no hangs, no orphans, no leaked ``/dev/shm``
-entries.
+entries.  The model's gradients change only when every stage reported
+success; a failed run leaves them exactly as they were.
+
+Why forking is safe *here*: a worker runs one stage program over NumPy
+arrays and talks to the world through its ring semaphores, the start
+barrier and the result queue — all created for this run, none of them a
+lock another parent thread could hold at fork time.  It never touches
+the planner pool, the service, logging or anything else the embedding
+process may own; it resets ``SIGTERM`` to the default action at entry so
+an inherited handler cannot swallow the parent's ``terminate()``; and it
+leaves through ``os._exit`` (multiprocessing's fork bootstrap), so
+inherited ``atexit`` hooks never run in it.  Workers are direct children
+of the caller, so ``RUSAGE_CHILDREN`` accounts for their CPU and memory.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import secrets
+import signal
 import time
 import traceback
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -78,7 +97,7 @@ from repro.schedules.base import OpId, OpKind, PipelineProblem, Schedule, Schedu
 from repro.sim.executor import OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.context import SpawnContext
+    from multiprocessing.context import ForkContext
     from multiprocessing.shared_memory import SharedMemory
 
 __all__ = ["FaultSpec", "ParallelPipelineRuntime"]
@@ -109,13 +128,14 @@ class FaultSpec:
 
 @dataclass
 class _WorkerConfig:
-    """Everything one stage worker needs, shipped via ``Process`` args."""
+    """Everything one stage worker needs; inherited through ``fork``,
+    never pickled.  The components' ``grads`` are the shared staging
+    buffers of :class:`_SharedGrads` at fork time."""
 
     stage: int
     problem: PipelineProblem
     program: list[OpId]
     chunk_components: dict[int, list[Component]]
-    component_indices: dict[int, list[int]]  #: chunk -> global comp ids
     tokens: Array
     targets: Array
     send_channels: dict[ChannelKey, ChannelProtocol]
@@ -128,7 +148,11 @@ class _WorkerConfig:
 
 @dataclass
 class _WorkerReport:
-    """One stage's execution outcome, shipped back to the parent."""
+    """One stage's execution outcome, pickled back to the parent.
+
+    Carries no arrays — its size does not depend on the model's — the
+    gradients are already in the parent's shared pages.
+    """
 
     stage: int
     t0: float  #: perf_counter at the start barrier (shared clock)
@@ -136,12 +160,93 @@ class _WorkerReport:
     loss: float
     stats: StageStats
     records: list[OpRecord]  #: times relative to this worker's t0
-    grads: dict[int, dict[str, Array]]  #: global comp id -> grads
     comms: CommLog
 
 
+class _SharedGrads:
+    """Every component's gradient buffers, staged in anonymous shared
+    mappings for the length of a run.
+
+    The mappings have no name — nothing to unlink, nothing that can leak
+    into ``/dev/shm`` — and are inherited by forked workers, whose
+    in-place ``+=`` lands in pages the parent reads back.  The staged
+    buffers start from the model's current gradients, so a run
+    accumulates exactly as the serial runtime does.  One mapping per
+    component, so :meth:`adopt` hands each back as soon as it is copied
+    and the parent never holds two full sets of gradients.
+    """
+
+    def __init__(self, components: Sequence[Component]) -> None:
+        def span(grad: Array) -> int:  # each buffer starts cache-line aligned
+            return -(-grad.nbytes // 64) * 64
+
+        self._components = components
+        self._maps: list[mmap.mmap] = []
+        self._staged: list[dict[str, Array]] = []
+        for comp in components:
+            size = sum(span(grad) for grad in comp.grads.values())
+            shared = mmap.mmap(-1, max(size, 1))
+            staged: dict[str, Array] = {}
+            offset = 0
+            for key, grad in comp.grads.items():
+                staged[key] = np.frombuffer(
+                    shared, dtype=grad.dtype, count=grad.size, offset=offset
+                ).reshape(grad.shape)
+                np.copyto(staged[key], grad)
+                offset += span(grad)
+            self._maps.append(shared)
+            self._staged.append(staged)
+
+    @contextmanager
+    def lent(self) -> Iterator[None]:
+        """Swap the staged buffers in as the components' ``grads`` —
+        what a process forked inside the block accumulates into — and
+        give the components their own buffers back on exit."""
+        own = [comp.grads for comp in self._components]
+        for comp, staged in zip(self._components, self._staged):
+            comp.grads = staged
+        try:
+            yield
+        finally:
+            for comp, grads in zip(self._components, own):
+                comp.grads = grads
+
+    def adopt(self) -> None:
+        """Copy the staged gradients into the components' own buffers,
+        releasing each component's mapping once it is home."""
+        for comp, staged, shared in zip(
+            self._components, self._staged, self._maps
+        ):
+            for key in staged:
+                np.copyto(comp.grads[key], staged[key])
+            staged.clear()
+            shared.close()
+
+    def close(self) -> None:
+        """Release whatever :meth:`adopt` did not (the staged views die
+        with their mappings)."""
+        for staged, shared in zip(self._staged, self._maps):
+            staged.clear()
+            shared.close()
+
+
+def _fork_context() -> "ForkContext":
+    """The one multiprocessing context stage workers are born from."""
+    try:
+        return mp.get_context("fork")
+    except ValueError:
+        raise ScheduleError(
+            "parallel pipeline runtime needs the 'fork' start method, which "
+            "this platform's multiprocessing does not provide; run the "
+            "schedule on the single-process PipelineRuntime instead"
+        ) from None
+
+
 def _worker_main(cfg: _WorkerConfig) -> None:
-    """Entry point of one stage worker (top level for ``spawn``)."""
+    """Entry point of one stage worker."""
+    # A handler the embedding process installed must not swallow the
+    # parent's terminate().
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     channels = list(cfg.send_channels.values()) + list(cfg.recv_channels.values())
     try:
         for ch in channels:
@@ -275,11 +380,6 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
         raise ScheduleError(
             f"stage {cfg.stage}: unconsumed local boundary tensors remain")
     executor.assert_drained()
-    grads = {
-        index: dict(comp.grads)
-        for chunk, comps in cfg.chunk_components.items()
-        for index, comp in zip(cfg.component_indices[chunk], comps)
-    }
     return _WorkerReport(
         stage=cfg.stage,
         t0=t0,
@@ -287,7 +387,6 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
         loss=loss,
         stats=stats,
         records=records,
-        grads=grads,
         comms=comms,
     )
 
@@ -406,17 +505,21 @@ class ParallelPipelineRuntime:
     def _build_channels(
         self,
         problem: PipelineProblem,
-        ctx: "SpawnContext",
+        ctx: "ForkContext",
         slots: dict[ChannelKey, int],
-    ) -> tuple[dict[ChannelKey, ChannelProtocol], list["SharedMemory"]]:
+        segments: list["SharedMemory"],
+    ) -> dict[ChannelKey, ChannelProtocol]:
         """One ring per directed cross-stage ``(src, dst, kind)`` edge,
         sized to the certified slot counts from
         :meth:`resolve_capacities`; the slot payload is one boundary
-        tensor — ``(B, T/s, hidden)`` float64."""
+        tensor — ``(B, T/s, hidden)`` float64.
+
+        Each segment is appended to ``segments`` the moment it exists,
+        so the caller's cleanup sees the ones made before a failure.
+        """
         payload_bytes = self._payload_bytes(problem)
         prefix = f"repro{os.getpid() % 100000}x{secrets.token_hex(2)}"
         channels: dict[ChannelKey, ChannelProtocol] = {}
-        segments: list[SharedMemory] = []
         for serial, (key, count) in enumerate(sorted(
             slots.items(),
             key=lambda kv: (kv[0].src_stage, kv[0].dst_stage, kv[0].kind),
@@ -424,9 +527,9 @@ class ParallelPipelineRuntime:
             protocol, shm = create_channel(
                 key, count, payload_bytes, ctx, prefix, serial
             )
-            channels[key] = protocol
             segments.append(shm)
-        return channels, segments
+            channels[key] = protocol
+        return channels
 
     # ------------------------------------------------------------------
     def run(
@@ -442,8 +545,10 @@ class ParallelPipelineRuntime:
         ``executor="parallel"`` and measured per-stage wait/overlap.
 
         Gradients accumulate into the model exactly as the serial
-        runtime's do (workers start from the model's current gradient
-        buffers and the merged results replace them).
+        runtime's do: workers add into shared staging buffers that start
+        from the model's current gradients, and the model adopts them
+        once every stage has reported success.  A run that raises leaves
+        the model's gradients untouched.
 
         ``capacity_mode`` selects ring sizing (see
         :meth:`resolve_capacities`); workers only spawn once the
@@ -457,66 +562,68 @@ class ParallelPipelineRuntime:
         slots, _ = self.plan_channels(schedule, capacity_mode=capacity_mode)
         num_stages = problem.num_stages
         chunks = self.model.partition(problem.num_chunks)
-        component_index: dict[int, list[int]] = {}
-        offset = 0
-        for c, comps in enumerate(chunks):
-            component_index[c] = list(range(offset, offset + len(comps)))
-            offset += len(comps)
+        ctx = _fork_context()
 
-        ctx = mp.get_context("spawn")
-        channels, segments = self._build_channels(problem, ctx, slots)
-        barrier = ctx.Barrier(num_stages)
-        results: Any = ctx.Queue()
+        grads = _SharedGrads(self.model.components)
+        segments: list[SharedMemory] = []
         workers: list[Any] = []
+        results: Any = None
         try:
-            for stage in range(num_stages):
-                cfg = _WorkerConfig(
-                    stage=stage,
-                    problem=problem,
-                    program=schedule.stage_ops(stage),
-                    chunk_components={
-                        c: chunks[c] for c in problem.chunks_of_stage(stage)
-                    },
-                    component_indices={
-                        c: component_index[c]
-                        for c in problem.chunks_of_stage(stage)
-                    },
-                    tokens=self.tokens,
-                    targets=self.targets,
-                    send_channels={
-                        k: ch for k, ch in channels.items()
-                        if k.src_stage == stage
-                    },
-                    recv_channels={
-                        k: ch for k, ch in channels.items()
-                        if k.dst_stage == stage
-                    },
-                    barrier=barrier,
-                    results=results,
-                    timeout=self.timeout,
-                    fault=fault if fault is not None and fault.stage == stage
-                    else None,
-                )
-                proc = ctx.Process(
-                    target=_worker_main, args=(cfg,),
-                    name=f"repro-stage-{stage}", daemon=True,
-                )
-                proc.start()
-                workers.append(proc)
+            channels = self._build_channels(problem, ctx, slots, segments)
+            barrier = ctx.Barrier(num_stages)
+            results = ctx.Queue()
+            with grads.lent():
+                for stage in range(num_stages):
+                    cfg = _WorkerConfig(
+                        stage=stage,
+                        problem=problem,
+                        program=schedule.stage_ops(stage),
+                        chunk_components={
+                            c: chunks[c] for c in problem.chunks_of_stage(stage)
+                        },
+                        tokens=self.tokens,
+                        targets=self.targets,
+                        send_channels={
+                            k: ch for k, ch in channels.items()
+                            if k.src_stage == stage
+                        },
+                        recv_channels={
+                            k: ch for k, ch in channels.items()
+                            if k.dst_stage == stage
+                        },
+                        barrier=barrier,
+                        results=results,
+                        timeout=self.timeout,
+                        fault=fault if fault is not None and fault.stage == stage
+                        else None,
+                    )
+                    proc = ctx.Process(
+                        target=_worker_main, args=(cfg,),
+                        name=f"repro-stage-{stage}", daemon=True,
+                    )
+                    proc.start()
+                    workers.append(proc)
             reports = self._collect(workers, results, num_stages)
+            # Only now: every stage reported ok.
+            grads.adopt()
         finally:
             for proc in workers:
                 if proc.is_alive():
                     proc.terminate()
                 proc.join(timeout=10.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
             for shm in segments:
                 shm.close()
                 try:
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover - already gone
                     pass
-            results.close()
-            results.join_thread()
+            if results is not None:
+                results.close()
+                results.join_thread()
+            grads.close()
 
         # Charge each stage the ring bytes it pins as a consumer — the
         # shm footprint the capacity plan bought (or saved).
@@ -601,9 +708,6 @@ class ParallelPipelineRuntime:
                     comms.messages.get((src, dst), 0) + count
                 )
             comms.bytes_total += r.comms.bytes_total
-        for r in reports:
-            for index, grads in r.grads.items():
-                self.model.components[index].grads = grads
         loss = 0.0
         for r in reports:
             loss += r.loss

@@ -12,11 +12,12 @@ through shared-memory ring channels — so the numerical semantics of an
 op live in exactly one place and the two runtimes cannot drift.
 
 Live-memory accounting is **incremental**: an op only mutates the
-forward state of the components of its own chunk, so the executor
-re-scans just those components before and after the op and applies the
-delta to the stage totals.  The old per-op full re-sum over every
-stage component (O(ops x components) across an iteration) is kept as
-:meth:`StageExecutor.full_live_scan` for tests to assert equality
+forward state of the components of its own chunk, and each component
+keeps running totals (``live_contexts``, ``live_nbytes``) where it
+stores and releases that state, so the executor reads those counters
+before and after the op and applies the delta to the stage totals —
+no context is walked per op.  The re-sum from the state itself is kept
+as :meth:`StageExecutor.full_live_scan` for tests to assert equality
 against.
 """
 
@@ -98,21 +99,14 @@ class StageExecutor:
     # Live accounting
     # ------------------------------------------------------------------
     def full_live_scan(self) -> tuple[int, int]:
-        """O(components) re-sum of live contexts/bytes (test oracle)."""
+        """Re-sum of live contexts/bytes from every component's stored
+        state (test oracle)."""
         contexts = 0
         nbytes = 0
         for comps in self.chunk_components.values():
             for comp in comps:
                 contexts += comp.live_contexts
                 nbytes += comp.live_bytes()
-        return contexts, nbytes
-
-    def _chunk_live(self, chunk: int) -> tuple[int, int]:
-        contexts = 0
-        nbytes = 0
-        for comp in self.chunk_components[chunk]:
-            contexts += comp.live_contexts
-            nbytes += comp.live_bytes()
         return contexts, nbytes
 
     def _sync_peaks(self) -> None:
@@ -168,7 +162,9 @@ class StageExecutor:
         problem = self.problem
         mb, sl, c = op.microbatch, op.slice_idx, op.chunk
         components = self.chunk_components[c]
-        ctx_before, bytes_before = self._chunk_live(c)
+        for comp in components:
+            self._live_contexts -= comp.live_contexts
+            self._live_bytes -= comp.live_nbytes
         outcome = StepOutcome()
 
         if op.kind is OpKind.F:
@@ -211,8 +207,8 @@ class StageExecutor:
             self.stats.wgrad_tasks_run += len(tasks)
 
         self.stats.ops_executed += 1
-        ctx_after, bytes_after = self._chunk_live(c)
-        self._live_contexts += ctx_after - ctx_before
-        self._live_bytes += bytes_after - bytes_before
+        for comp in components:
+            self._live_contexts += comp.live_contexts
+            self._live_bytes += comp.live_nbytes
         self._sync_peaks()
         return outcome

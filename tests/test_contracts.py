@@ -92,3 +92,23 @@ def test_environment_variables_match_the_docs():
     assert read <= _env_vars_named_in(docs), "read under src/ but not in docs/"
     named = _env_vars_named_in([*docs, ROOT / "README.md"])
     assert named <= read, "documented but read nowhere under src/"
+
+
+def test_pipeline_names_one_multiprocessing_context():
+    """Stage workers are born one way.  A second start method — a
+    parameter, a fallback, a ``spawn`` literal — cannot reappear under
+    ``src/repro/pipeline/`` without this noticing."""
+    contexts, literals = [], []
+    for path in sorted((SRC / "repro" / "pipeline").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == "get_context"
+                or getattr(node.func, "id", None) == "get_context"
+            ):
+                contexts.append(ast.unparse(node))
+            elif isinstance(node, ast.Constant) and node.value in (
+                "spawn", "forkserver"
+            ):
+                literals.append(f"{path.name}:{node.lineno}")
+    assert contexts == ["mp.get_context('fork')"]
+    assert literals == []

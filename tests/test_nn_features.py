@@ -125,3 +125,32 @@ class TestLiveBytes:
         model = build_model(MHA_SPEC, seed=0)
         sequential_step(model, tokens, targets)
         assert model.live_bytes() == 0
+
+    @pytest.mark.parametrize("spec,recompute,num_slices", [
+        (MHA_SPEC, False, 3), (GQA_SPEC, False, 2), (MHA_SPEC, True, 1),
+    ])
+    def test_running_count_equals_the_rescan_after_every_call(
+        self, spec, recompute, num_slices
+    ):
+        """``live_nbytes`` is maintained where state is stored and
+        released; ``live_bytes()`` re-sums it from the state itself."""
+        tokens, targets = data(spec)
+        model = build_model(spec, seed=0, recompute=recompute)
+        calls, seen = [0], set()
+
+        def audited(comp, method):
+            def call(*args):
+                out = method(*args)
+                assert comp.live_nbytes == comp.live_bytes()
+                calls[0] += 1
+                seen.add(comp.live_nbytes)
+                return out
+            return call
+
+        for comp in model.components:
+            comp.forward = audited(comp, comp.forward)
+            comp.backward = audited(comp, comp.backward)
+        sequential_step(model, tokens, targets, num_slices=num_slices)
+        assert calls[0] == 2 * len(model.components) * 2 * num_slices
+        assert len(seen) > 2  # the count moved, it did not sit at zero
+        assert all(comp.live_nbytes == 0 for comp in model.components)

@@ -140,8 +140,9 @@ class TestTrainingLoop:
 class TestIncrementalAccounting:
     def test_incremental_live_stats_match_full_scan(self, reference,
                                                     monkeypatch):
-        """The O(1)-per-op delta accounting never drifts from a full
-        re-sum of live_bytes()/live_contexts over every component."""
+        """The per-op delta accounting — read from the components'
+        running counters — never drifts from a full re-sum of
+        live_bytes()/live_contexts over every component."""
         import repro.pipeline.runtime as runtime_mod
         from repro.pipeline.stage import StageExecutor
 
@@ -157,7 +158,6 @@ class TestIncrementalAccounting:
 
         monkeypatch.setattr(runtime_mod, "StageExecutor", AuditingExecutor)
         tokens, targets, _unused, _unused2 = reference
-        for method, kwargs in (("mepipe", {"num_slices": 4, "wgrad_gemms": 3}),
-                               ("vpp", {"virtual_size": 2})):
+        for method, kwargs in ALL_METHODS:
             run_method(method, tokens, targets, **kwargs)
         assert checked["ops"] > 0
