@@ -16,7 +16,7 @@ Run `nox -s <session>`, or the same commands directly:
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
-    service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
+    service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
     tests     python -m pytest -x -q
     bench     python -m pytest -q bench/
 
@@ -160,8 +160,11 @@ def service(session: nox.Session) -> None:
     """The wire surface: ``repro.api`` (the typed request/response
     facade every transport shares) and ``repro.service`` (the asyncio
     job/HTTP layer) — canonical round-trips, fingerprint dedup (32
-    concurrent identical requests -> one computation), SSE progress
-    streams, per-tenant quotas, and structured timeout errors.
+    concurrent identical requests -> one computation and one encode; a
+    finished answer reused, with a Hypothesis state machine over the
+    job store and its seeded mutations), parser and ``from_dict``
+    fuzzing, SSE progress streams, per-tenant quotas, and structured
+    timeout errors.
 
     The warm-path fence (a repeated plan recomputes nothing) runs once
     before and once after the sweep-cache suite — pytest keeps argument
@@ -173,6 +176,8 @@ def service(session: nox.Session) -> None:
         *PYTEST,
         "--keep-duplicates",
         "tests/test_service.py",
+        "tests/test_service_jobs.py",
+        "tests/test_service_fuzz.py",
         "tests/test_api.py",
         "tests/test_warm_path.py",
         "tests/test_planner_parallel.py",

@@ -19,9 +19,10 @@ SHA-256 over everything that determines the result (including the
 planner's cache-schema and analyzer version vector, mirroring
 :func:`repro.planner.parallel.eval_fingerprint`), and excluding knobs
 that are proven not to change results (worker count, cache reuse).
-The service deduplicates concurrent identical requests on it: two
-in-flight plans with equal fingerprints share one computation and one
-byte-identical response.
+The service deduplicates identical requests on it: two plans with
+equal fingerprints share one computation and one byte-identical
+response, whether the second arrives while the first runs or after it
+finished.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class Message:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Request(Message):
-    """Base request: fingerprinting for in-flight deduplication."""
+    """Base request: fingerprinting for the service's deduplication."""
 
     #: Fields that never change the result (worker counts, cache
     #: reuse) and therefore stay out of the dedup fingerprint — the
@@ -358,7 +359,9 @@ class PlanResponse(Response):
     when every configuration OOMs), ``describe`` (its rendered one-line
     summary), ``evaluated``/``skipped`` trails, and ``evaluator``.
     ``gen_cache`` is the serving process's schedule memo over this
-    request: ``hits``, ``misses`` and resident ``size``.
+    request: ``hits``, ``misses`` and resident ``size``.  Both describe
+    the computation that produced the response: a service reply reused
+    from an earlier identical request repeats them unchanged.
     """
 
     KIND: ClassVar[str] = "plan.result"

@@ -691,7 +691,8 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tenant-quota", type=int, default=None,
                         help="max concurrently active jobs per tenant")
     parser.add_argument("--no-dedup", action="store_true",
-                        help="do not share identical in-flight requests")
+                        help="compute every request: do not share identical "
+                             "in-flight requests or reuse finished answers")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not reuse/persist sweep results on disk")
 

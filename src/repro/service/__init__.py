@@ -3,9 +3,10 @@
 The service exposes the typed request/response facade
 (:mod:`repro.api.types`) over HTTP — ``plan``, ``verify``,
 ``check-model``, ``evaluate``, ``capacity``, ``simulate`` — with
-in-flight deduplication onto request fingerprints, per-tenant
-concurrency quotas, structured timeout errors, and per-job progress
-streamed from the :mod:`repro.obs` event bus over Server-Sent Events.
+deduplication onto request fingerprints (in-flight and recently
+finished), per-tenant concurrency quotas, structured timeout errors,
+and per-job progress streamed from the :mod:`repro.obs` event bus over
+Server-Sent Events.
 See ``docs/service.md`` for endpoints and wire formats.
 
 Start it with ``repro serve``; talk to it with ``repro client`` or

@@ -79,9 +79,12 @@ class ServiceConfig:
     #: attaching to an in-flight deduplicated job is not charged.
     tenant_quota: int = field(default_factory=_default_quota)
     #: Default per-request deadline in seconds (knob family above);
-    #: ``None`` resolves through the environment at construction.
+    #: ``None`` resolves through the environment at construction.  It
+    #: also bounds reading each request off the socket.
     request_timeout_s: float | None = None
-    #: Share one computation between identical in-flight requests.
+    #: Deduplicate on request fingerprints: attach to an identical
+    #: in-flight job, and answer a repeat of a recently finished
+    #: ``done`` job from it; ``False`` computes every request.
     dedup: bool = True
     #: Reuse/persist the on-disk sweep cache across requests.
     use_cache: bool = True

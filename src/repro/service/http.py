@@ -31,7 +31,7 @@ import asyncio
 import json
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.api import SCHEMA_VERSION, ErrorInfo, RequestError, Response
+from repro.api import SCHEMA_VERSION, ErrorInfo, RequestError
 from repro.api.types import REQUESTS, JsonDict
 from repro.planner import SweepCache
 from repro.service.config import ServiceConfig
@@ -55,6 +55,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     422: "Unprocessable Content",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -101,7 +102,7 @@ class _HttpRequest:
             raise RequestError(
                 f"timeout={raw!r} is not a number", code="bad-timeout"
             ) from None
-        if value <= 0.0:
+        if not value > 0.0:  # also rejects nan
             raise RequestError(
                 f"timeout must be positive, got {raw!r}", code="bad-timeout"
             )
@@ -154,17 +155,15 @@ class PlannerService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                await self._dispatch(request, writer)
-        except RequestError as exc:
-            await self._send_json(
-                writer, exc.http_status, exc.to_error().to_dict()
-            )
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-        ):  # pragma: no cover - client went away
+            try:
+                request = await self._read_request(reader)
+                if request is not None:
+                    await self._dispatch(request, writer)
+            except RequestError as exc:
+                await self._send_json(
+                    writer, exc.http_status, exc.to_error().to_dict()
+                )
+        except ConnectionError:  # pragma: no cover - client went away
             pass
         except Exception as exc:  # pragma: no cover - defensive
             error = ErrorInfo(
@@ -184,30 +183,44 @@ class PlannerService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> _HttpRequest | None:
+        # One deadline bounds the whole read: a client that stalls
+        # mid-request is answered, not waited on forever.
+        deadline = self.config.request_timeout_s
+        try:
+            return await asyncio.wait_for(self._read(reader), deadline)
+        except asyncio.TimeoutError:
+            message = f"request not received within {deadline:g}s"
+            raise RequestError(message, code="timeout", http_status=408) from None
+
+    async def _read(self, reader: asyncio.StreamReader) -> _HttpRequest | None:
+        headers: dict[str, str] = {}
         try:
             request_line = await reader.readline()
-        except ConnectionError:  # pragma: no cover
-            return None
-        if not request_line:
-            return None
-        try:
+            if not request_line:
+                return None
             method, target, _version = (
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
-        except ValueError:
-            raise RequestError("malformed request line") from None
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+            while (line := await reader.readline()) not in (b"\r\n", b"\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # too few fields, or a line over the stream limit
+            raise RequestError("malformed request head") from None
+        raw = headers.get("content-length", "0") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise RequestError(f"Content-Length {raw[:32]!r} is not a length")
+        length = int(raw)
         if length > _MAX_BODY_BYTES:
             raise RequestError(f"body too large ({length} bytes)")
-        body = await reader.readexactly(length) if length else b""
-        return _HttpRequest(method.upper(), target, headers, body)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            message = f"body truncated at {len(exc.partial)} of {length} bytes"
+            raise RequestError(message) from None
+        try:
+            return _HttpRequest(method.upper(), target, headers, body)
+        except ValueError as exc:  # urlsplit: e.g. an unclosed "[" host
+            raise RequestError(f"malformed request target: {exc}") from None
 
     # -- routing --------------------------------------------------------
 
@@ -255,7 +268,7 @@ class PlannerService:
         if request.body:
             try:
                 data = json.loads(request.body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
+            except (UnicodeDecodeError, ValueError, RecursionError) as exc:
                 raise RequestError(
                     f"payload is not valid JSON: {exc}"
                 ) from None
@@ -271,21 +284,23 @@ class PlannerService:
             )
         timeout_s = request.timeout_s()
         api_request = REQUESTS[kind].from_dict(data)
+        try:
+            job = self.store.submit(api_request, tenant=request.tenant)
+        except QuotaExceeded as exc:
+            await self._send_error(writer, exc.to_error())
+            return
+        except RecursionError:  # fingerprinting a payload nested too deep
+            raise RequestError("payload nests too deeply") from None
         if request.query.get("mode") == "async":
-            try:
-                job = self.store.submit(api_request, tenant=request.tenant)
-            except QuotaExceeded as exc:
-                await self._send_error(writer, exc.to_error())
-                return
             await self._send_json(writer, 202, job.to_dict())
             return
-        result = await self.store.run(
-            api_request, tenant=request.tenant, timeout_s=timeout_s
-        )
+        result = await self.store.wait(job, timeout_s=timeout_s)
         if isinstance(result, ErrorInfo):
             await self._send_error(writer, result)
         else:
-            await self._send_response(writer, result)
+            # Encoded once by the job, whoever else is waiting on it.
+            assert job.body is not None
+            await self._send_raw(writer, 200, job.body)
 
     async def _handle_jobs(
         self, request: _HttpRequest, path: str, writer: asyncio.StreamWriter
@@ -363,11 +378,6 @@ class PlannerService:
         await writer.drain()
 
     # -- responses ------------------------------------------------------
-
-    async def _send_response(
-        self, writer: asyncio.StreamWriter, response: Response
-    ) -> None:
-        await self._send_raw(writer, 200, response.to_json().encode())
 
     async def _send_error(
         self, writer: asyncio.StreamWriter, error: ErrorInfo

@@ -2,10 +2,12 @@
 
 Every service request becomes a :class:`Job`.  The store
 
-- **deduplicates** identical in-flight requests onto one computation,
-  keyed by :meth:`repro.api.Request.fingerprint` (the same
-  version-folding contract as the sweep cache's eval fingerprints), so
-  two tenants asking the same question share one planner sweep;
+- **deduplicates** on :meth:`repro.api.Request.fingerprint` (the same
+  version-folding contract as the sweep cache's eval fingerprints): a
+  request attaches to an identical in-flight job, and one whose
+  question a recent job already answered ``done`` is finished from that
+  job — same response, same bytes, same event stream — without calling
+  a handler (``use_cache=False`` skips this finished tier);
 - enforces **per-tenant quotas** on concurrently active jobs
   (attaching to a deduplicated job is free — it adds no load);
 - runs handlers on a thread pool behind ``run_in_executor`` so the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -47,6 +50,15 @@ PUMP_INTERVAL_S = 0.02
 
 #: Queue sentinel telling an event subscriber the stream is over.
 STREAM_END = None
+
+#: Finished ``done`` jobs the fingerprint index answers repeats from.
+#: The benchmark's steady-state mix asks 28 distinct questions and its
+#: cold-plan list 12; a plan reply is ~15 KB.
+DONE_INDEX_SIZE = 64
+
+#: Finished jobs kept pollable by id (unfinished ones always are): more
+#: than one whole 200-op pass of that mix.
+FINISHED_JOBS_KEPT = 256
 
 
 class QuotaExceeded(Exception):
@@ -89,8 +101,11 @@ class Job:
     tenant: str
     status: str = "queued"  # queued -> running -> done | error
     response: Response | None = None
+    #: ``response`` encoded once, on the executor thread; every reply
+    #: to this job (and to any job reusing it) sends these bytes.
+    body: bytes | None = None
     error: ErrorInfo | None = None
-    #: How many requests were folded onto this computation (1 = no
+    #: How many requests were folded onto this job (1 = no in-flight
     #: dedup; every extra attach proves a shared in-flight hit).
     attached: int = 1
     created_s: float = field(default_factory=time.monotonic)
@@ -125,9 +140,10 @@ class Job:
                 q.put_nowait(d)
 
     def finish(
-        self, response: Response | None, error: ErrorInfo | None
+        self, response: Response | None, error: ErrorInfo | None, body: bytes | None
     ) -> None:
         self.response = response
+        self.body = body
         self.error = error
         self.status = "error" if error is not None else "done"
         self.finished_s = time.monotonic()
@@ -175,12 +191,17 @@ class JobStore:
         self._executor = ThreadPoolExecutor(
             max_workers=config.max_workers, thread_name_prefix="repro-job"
         )
+        #: Retained jobs by id: every unfinished one, plus the newest
+        #: ``FINISHED_JOBS_KEPT`` finished ones (``_finished``, oldest first).
         self._jobs: dict[str, Job] = {}
-        self._inflight: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
+        #: The dedup index, fingerprint -> job: every in-flight job plus
+        #: the newest ``DONE_INDEX_SIZE`` that finished ``done``.
+        self._index: OrderedDict[str, Job] = OrderedDict()
         self._tenant_active: dict[str, int] = {}
         self._ids = itertools.count(1)
         self._tasks: set[asyncio.Task[None]] = set()
-        #: Requests answered by attaching to an in-flight job.
+        #: Requests answered by an in-flight or a finished job.
         self.dedup_hits = 0
         #: Handler invocations actually executed.
         self.executed = 0
@@ -194,16 +215,17 @@ class JobStore:
     def submit(self, request: Request, *, tenant: str = "default") -> Job:
         """Start (or attach to) the job answering ``request``.
 
+        A repeat of a question the index holds a ``done`` job for is
+        finished from that job unless it says ``use_cache=False``.
         Raises :class:`QuotaExceeded` when the tenant is at its
         concurrency quota and no in-flight job can be shared.
         """
         fingerprint = request.fingerprint()
-        if self.config.dedup:
-            existing = self._inflight.get(fingerprint)
-            if existing is not None:
-                existing.attached += 1
-                self.dedup_hits += 1
-                return existing
+        known = self._index.get(fingerprint) if self.config.dedup else None
+        if known is not None and not known.finished:
+            known.attached += 1
+            self.dedup_hits += 1
+            return known
         active = self._tenant_active.get(tenant, 0)
         if active >= self.config.tenant_quota:
             raise QuotaExceeded(tenant, self.config.tenant_quota)
@@ -214,10 +236,12 @@ class JobStore:
             tenant=tenant,
         )
         self._jobs[job.job_id] = job
-        self._inflight[fingerprint] = job
+        if self.config.dedup:
+            self._index[fingerprint] = job
         self._tenant_active[tenant] = active + 1
+        prior = known if getattr(request, "use_cache", True) else None
         task = asyncio.get_running_loop().create_task(
-            self._run(job, request)
+            self._run(job, request, prior)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -260,15 +284,17 @@ class JobStore:
             return exc.to_error()
         return await self.wait(job, timeout_s=timeout_s)
 
-    def _execute(self, request: Request, sink: QueueSink) -> Response:
-        # Runs on an executor thread; closing the sink delivers the
+    def _execute(self, request: Request, sink: QueueSink) -> tuple[Response, bytes]:
+        # Runs on an executor thread, which also encodes the reply once,
+        # off the event loop; closing the sink delivers the
         # end-of-stream sentinel to the asyncio-side pump.
         try:
-            return execute(request, sink=sink, cache=self.cache)
+            response = execute(request, sink=sink, cache=self.cache)
+            return response, response.to_json().encode()
         finally:
             sink.close()
 
-    async def _run(self, job: Job, request: Request) -> None:
+    async def _compute(self, job: Job, request: Request) -> tuple[Response, bytes]:
         loop = asyncio.get_running_loop()
         sink = QueueSink()
         job.status = "running"
@@ -277,18 +303,29 @@ class JobStore:
         future = loop.run_in_executor(
             self._executor, self._execute, request, sink
         )
+        while True:
+            job.publish(sink.drain())
+            if future.done() and sink.finished:
+                break
+            # Wakes on completion or the interval, whichever is first
+            # (``_execute`` closes the sink before the future resolves,
+            # so the next drain after completion ends the loop).
+            await asyncio.wait([future], timeout=PUMP_INTERVAL_S)
+        return future.result()
+
+    async def _run(self, job: Job, request: Request, prior: Job | None) -> None:
         response: Response | None = None
+        body: bytes | None = None
         error: ErrorInfo | None = None
         try:
-            while True:
-                job.publish(sink.drain())
-                if future.done() and sink.finished:
-                    break
-                # Wakes on completion or the interval, whichever is first
-                # (``_execute`` closes the sink before the future resolves,
-                # so the next drain after completion ends the loop).
-                await asyncio.wait([future], timeout=PUMP_INTERVAL_S)
-            response = future.result()
+            if prior is None:
+                response, body = await self._compute(job, request)
+            else:
+                # Answered before: a finished job's outcome and event
+                # stream never change, so this job shares them.
+                job.events = list(prior.events)
+                response, body, error = prior.response, prior.body, prior.error
+                self.dedup_hits += 1
         except RequestError as exc:
             error = exc.to_error()
         except Exception as exc:  # pragma: no cover - defensive
@@ -297,13 +334,29 @@ class JobStore:
                 message=f"{type(exc).__name__}: {exc}",
             )
         finally:
-            self._inflight.pop(job.fingerprint, None)
             remaining = self._tenant_active.get(job.tenant, 1) - 1
             if remaining > 0:
                 self._tenant_active[job.tenant] = remaining
             else:
                 self._tenant_active.pop(job.tenant, None)
-            job.finish(response, error)
+            job.finish(response, error, body)
+            self._file(job)
+
+    def _file(self, job: Job) -> None:
+        """Retire a finished job into the retention window and, if it is
+        ``done``, the index's finished tier; errors leave the index."""
+        self._finished.append(job.job_id)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            del self._jobs[self._finished.popleft()]
+        if self._index.get(job.fingerprint) is not job:
+            return
+        if job.status != "done":
+            del self._index[job.fingerprint]
+            return
+        self._index.move_to_end(job.fingerprint)
+        done = [fp for fp, known in self._index.items() if known.finished]
+        for fingerprint in done[:-DONE_INDEX_SIZE]:
+            del self._index[fingerprint]
 
     async def close(self) -> None:
         """Wait for in-flight jobs, then release the worker pools.
@@ -322,10 +375,14 @@ class JobStore:
     def stats(self) -> dict[str, Any]:
         """Healthz counters: job-store state plus planner reuse.
 
-        ``worker_reuse`` comes from the persistent pool — a process-wide
-        sum, surfaced here because the service is the long-lived
-        process in which cross-request reuse pays off.  ``bounds_memo`` is the build-free bounds memo's own
-        ``cache_info()``: a repeated plan raises ``hits``, not ``misses``.
+        ``jobs`` counts retained jobs, ``inflight`` queued or running
+        ones; ``executed`` counts handler calls, ``dedup_hits`` requests
+        answered without one.  ``worker_reuse`` comes from the persistent
+        pool — a process-wide sum, surfaced here because the service is
+        the long-lived process in which cross-request reuse pays off.
+        ``bounds_memo`` is the build-free bounds memo's own
+        ``cache_info()``: a plan recomputed after an identical one raises
+        ``hits``, not ``misses``.
         """
         from repro.planner import pool
         from repro.planner.evaluate import config_bounds
@@ -333,7 +390,7 @@ class JobStore:
         memo = config_bounds.cache_info()
         return {
             "jobs": len(self._jobs),
-            "inflight": len(self._inflight),
+            "inflight": sum(self._tenant_active.values()),
             "dedup_hits": self.dedup_hits,
             "executed": self.executed,
             "worker_reuse": pool.stats()["worker_reuse"],

@@ -9,11 +9,16 @@ the full wire path (parser, router, job store, SSE framing).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import http.client
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +169,21 @@ def harness(tmp_path, monkeypatch):
     h.shutdown()
 
 
+def raw_post(harness: ServiceHarness, request: api.Request) -> tuple[int, bytes]:
+    """POST ``request`` synchronously; the reply's status and raw bytes."""
+    config = harness.service.config
+    conn = http.client.HTTPConnection(config.host, config.port, timeout=60.0)
+    try:
+        conn.request(
+            "POST", f"/v1/{request.KIND}", body=request.to_json().encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
 class TestHttpEndpoints:
     def test_healthz(self, harness):
         data = harness.client().health()
@@ -186,7 +206,8 @@ class TestHttpEndpoints:
         )
         first = client.request(plan)
         before = client.health()["stats"]["bounds_memo"]
-        second = client.request(plan)
+        # use_cache=False skips the finished-job tier: the sweep reruns.
+        second = client.request(dataclasses.replace(plan, use_cache=False))
         after = client.health()["stats"]["bounds_memo"]
         assert second.methods == first.methods
         assert after["hits"] > before["hits"]
@@ -252,8 +273,6 @@ class TestHttpEndpoints:
         assert data["code"] == "method-not-allowed"
 
     def test_malformed_json_is_400(self, harness):
-        import http.client
-
         conn = http.client.HTTPConnection(
             harness.service.config.host, harness.service.config.port
         )
@@ -401,6 +420,104 @@ class TestJobsAndStreaming:
         assert all(response.ok for response in responses)
         assert harness.store.executed == executed_before + 16
         assert client.health()["stats"]["executed"] == executed_before + 16
+
+
+class TestRepeatedRequests:
+    """A question the service already answered ``done`` is answered
+    from that job: same bytes, no handler call."""
+
+    def test_repeats_are_answered_byte_identically(self, harness):
+        client = harness.client()
+        for request in (
+            api.PlanRequest(
+                model="13b", global_batch_size=32, methods=("zb",), max_spp=4
+            ),
+            api.VerifyRequest(method="mepipe"),
+            api.CheckModelRequest(method="mepipe"),
+            api.EvaluateRequest(method="zb"),
+            api.CapacityRequest(method="zbv"),
+            api.SimulateRequest(method="dapple"),
+        ):
+            first = raw_post(harness, request)
+            before = client.health()["stats"]
+            second = raw_post(harness, request)
+            after = client.health()["stats"]
+            assert first[0] == 200 and second == first, request.KIND
+            assert after["executed"] == before["executed"]
+            assert after["dedup_hits"] == before["dedup_hits"] + 1
+            assert after["bounds_memo"] == before["bounds_memo"]
+
+    def test_async_repeat_is_a_new_job_with_the_same_stream(self, harness):
+        client = harness.client()
+        plan = dataclasses.replace(SMALL_PLAN, use_cache=True)
+        first = client.submit(plan)["job_id"]
+        assert client.wait(first)["status"] == "done"
+        executed = harness.store.executed
+        repeat = client.submit(plan)
+        assert repeat["job_id"] != first
+        assert repeat["status"] in ("queued", "running")
+        assert client.wait(repeat["job_id"])["status"] == "done"
+        assert harness.store.executed == executed
+        original = list(client.events(first))
+        replayed = list(client.events(repeat["job_id"]))
+        assert [e for e in original if e[0] == "obs"], "expected telemetry"
+        assert replayed[:-1] == original[:-1]
+        assert original[-1][0] == replayed[-1][0] == "done"
+        assert replayed[-1][1]["response"] == original[-1][1]["response"]
+
+    @pytest.mark.parametrize(
+        "flags, executed, hits", [((), 1, 1), (("--no-dedup",), 2, 0)]
+    )
+    def test_serve_cli_dedup_flag(self, tmp_path, flags, executed, hits):
+        import repro
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            client = ServiceClient(line.split()[4])
+            request = api.EvaluateRequest(method="zb")
+            assert client.request(request) == client.request(request)
+            stats = client.health()["stats"]
+            assert (stats["executed"], stats["dedup_hits"]) == (executed, hits)
+        finally:
+            proc.terminate()
+            proc.wait(30.0)
+            proc.stdout.close()
+
+    def test_attached_waiters_share_one_encode(self, harness, monkeypatch):
+        encodes: list[str] = []
+        to_json = api.EvaluateResponse.to_json
+
+        def counting(response):
+            encodes.append(threading.current_thread().name)
+            return to_json(response)
+
+        monkeypatch.setattr(api.EvaluateResponse, "to_json", counting)
+        gate = _Gated(jobs_module.execute)
+        monkeypatch.setattr(jobs_module, "execute", gate)
+        request = api.EvaluateRequest(method="zb")
+        hits_before = harness.store.dedup_hits
+        with ThreadPoolExecutor(max_workers=32) as pool:
+            futures = [pool.submit(raw_post, harness, request) for _ in range(32)]
+            deadline = time.monotonic() + 20.0
+            while (
+                harness.store.dedup_hits < hits_before + 31
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            gate.release.set()
+            replies = [f.result() for f in futures]
+        assert replies[0][0] == 200 and len(set(replies)) == 1
+        assert len(encodes) == 1 and encodes[0].startswith("repro-job")
 
 
 class TestCompletionIsEventDriven:
