@@ -13,7 +13,8 @@ Run `nox -s <session>`, or the same commands directly:
               find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
-    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
+    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
+              python tests/fig10_golden.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
     service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
@@ -98,10 +99,12 @@ def replay(session: nox.Session) -> None:
     own arrays), and with links as stages (the queued-link replay's
     golden).  The gate runs the engine golden
     tests, the analytic evaluator's exactness/bounds/first-pass suite,
-    the cost-variant (class member) independence grid, the capacity
-    soundness grid, the seeded EV-rule, CP-rule/slot-edge/oracle-table
-    and link-queue-order mutation suites, the confirm-path allocation
-    guard, and the worker-pool lifecycle suite.
+    the cost-variant (class member) independence grid, the prefix-pruning
+    suite, the capacity soundness grid, the seeded EV-rule,
+    CP-rule/slot-edge/oracle-table and link-queue-order mutation
+    suites, the confirm-path allocation guard, and the worker-pool
+    lifecycle suite; then Figure 10, cache off, at ``jobs`` 1 and 2
+    against ``bench/golden/fig10.txt``.
     """
     session.install("-e", ".[test]")
     session.run(
@@ -110,12 +113,14 @@ def replay(session: nox.Session) -> None:
         "tests/test_evaluate.py",
         "tests/test_evaluate_mutations.py",
         "tests/test_evaluate_batch.py",
+        "tests/test_prefix_prune.py",
         "tests/test_capacity.py",
         "tests/test_capacity_mutations.py",
         "tests/test_network_sim.py",
         "tests/test_confirm_allocations.py",
         "tests/test_planner_pool.py",
     )
+    session.run("python", "tests/fig10_golden.py")
 
 
 @nox.session

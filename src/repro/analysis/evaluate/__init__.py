@@ -24,6 +24,7 @@ from repro.analysis.evaluate.core import (
     EvalCertificate,
     StagePhases,
     evaluate_schedule,
+    ledger_peak_units,
 )
 from repro.analysis.evaluate.dense import (
     DenseTimes,
@@ -45,6 +46,7 @@ __all__ = [
     "dense_schedule_times",
     "evaluate_schedule",
     "iteration_time_bounds",
+    "ledger_peak_units",
     "op_cost_arrays",
     "peak_units_floor",
     "wavefront_times",

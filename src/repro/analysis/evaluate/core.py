@@ -265,6 +265,14 @@ def _ledger_deltas(
     )
 
 
+def ledger_peak_units(graph: ScheduleGraph, act_units: FloatArray) -> float:
+    """:attr:`AnalyticEvaluation.peak_activation_units` (activation-gradient
+    factor 1.0) without pricing: the ledger needs only per-op units."""
+    deltas = _ledger_deltas(graph, act_units, 1.0)
+    stages = (deltas[lo:hi] for lo, hi in graph.stage_bounds if hi > lo)
+    return max([0.0, *(float(np.add.accumulate(d).max()) for d in stages)])
+
+
 def _stage_phases(
     graph: ScheduleGraph, times: DenseTimes, stage: int
 ) -> StagePhases:

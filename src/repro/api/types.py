@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from hashlib import sha256
 from typing import Any, ClassVar, get_type_hints
 
@@ -94,23 +95,36 @@ class ShapeSpec:
             raise RequestError(
                 f"unknown shape field(s) {unknown}; known: {sorted(known)}"
             )
-        return cls(**data)
+        hints = _hints(cls)
+        return cls(**{name: _decode_value(hints[name], v) for name, v in data.items()})
 
 
 #: Shared immutable default shape for request dataclasses.
 DEFAULT_SHAPE = ShapeSpec()
 
 
+@lru_cache(maxsize=64)
+def _hints(cls: type) -> dict[str, Any]:
+    """``get_type_hints`` of a message class, evaluated once per class."""
+    return get_type_hints(cls)
+
+
 def _decode_value(hint: Any, value: Any) -> Any:
     """Decode one JSON field into its dataclass-field shape.
 
-    The wire types are deliberately small: scalars pass through,
-    ``list`` becomes ``tuple`` (with per-element decoding), and nested
-    :class:`ShapeSpec` blocks are revived.  Optional hints unwrap to
-    their non-``None`` arm.
+    The wire types are deliberately small: scalars are type-checked (a
+    mismatch is a :class:`RequestError`; an ``int`` field takes no
+    ``bool``, a ``float`` field takes an ``int``), ``list`` becomes
+    ``tuple`` (with per-element decoding), and nested :class:`ShapeSpec`
+    blocks are revived.  Optional hints unwrap to their non-``None`` arm.
     """
     if value is None:
         return None
+    if hint in (bool, int, float, str):
+        typed = isinstance(value, (int, float) if hint is float else hint)
+        if not typed or (hint is not bool and isinstance(value, bool)):
+            raise RequestError(f"expected {hint.__name__}, got {value!r}")
+        return value
     origin = getattr(hint, "__origin__", None)
     args = getattr(hint, "__args__", ())
     if origin is None and hint is ShapeSpec:
@@ -165,7 +179,7 @@ class Message:
                 f"(this build speaks {SCHEMA_VERSION})",
                 code="schema-mismatch",
             )
-        hints = get_type_hints(cls)
+        hints = _hints(cls)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

@@ -124,15 +124,19 @@ class MemoryBudget:
     framework_overhead: int = FRAMEWORK_OVERHEAD_BYTES
 
     @property
+    def pinned(self) -> int:
+        """Bytes held whatever the schedule: everything but activations."""
+        return (
+            self.static
+            + self.temporary
+            + self.allocator_reserve
+            + self.framework_overhead
+        )
+
+    @property
     def available_for_activations(self) -> int:
         """Bytes left for schedule-managed activations (may be <= 0)."""
-        return (
-            self.capacity
-            - self.static
-            - self.temporary
-            - self.allocator_reserve
-            - self.framework_overhead
-        )
+        return self.capacity - self.pinned
 
 
 def budget_for(

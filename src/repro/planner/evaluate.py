@@ -28,6 +28,8 @@ from repro.analysis.evaluate import (
     DenseTimes,
     evaluate_schedule,
     iteration_time_bounds,
+    ledger_peak_units,
+    op_cost_arrays,
     peak_units_floor,
 )
 from repro.hardware.cluster import ClusterSpec
@@ -36,8 +38,13 @@ from repro.model.memory import GiB, MemoryBudget, budget_for
 from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig, validate_for_cluster
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.graph import toposort_plan
-from repro.schedules.greedy import default_first_stage_cap, min_first_stage_cap
+from repro.schedules.graph import compiled_graph, toposort_plan
+from repro.schedules.greedy import (
+    BuildPruned,
+    MemoryCeiling,
+    default_first_stage_cap,
+    min_first_stage_cap,
+)
 from repro.schedules.methods import build_problem, build_schedule, method_traits
 from repro.schedules.verify import assert_clean
 from repro.sim.cost import ClusterCost
@@ -188,6 +195,7 @@ def evaluate_config(
     auto_select_variant: bool = True,
     tier: str = "sim",
     capacity_mode: str = "backpressure-free",
+    ceiling: int | None = None,
 ) -> EvalResult:
     """Evaluate one configuration; never raises for OOM (returns it).
 
@@ -215,15 +223,28 @@ def evaluate_config(
     and ``"none"`` skips the ledger (pre-capacity-analysis behavior).
     The charge is conservative: the worst stage's ring bytes are added
     to the shared per-stage budget.
+
+    A memory floor (peak memory without ring bytes) at or above
+    ``ceiling`` raises :class:`~repro.schedules.greedy.BuildPruned`
+    unpriced, from inside a greedy build or before pricing.
     """
     pre = _prelude(method, spec, cluster, config, global_batch_size)
     f = forwards_before_first_backward
     if f is None and auto_select_variant:
         f = pre.auto_f
 
+    bound = None
+    if ceiling is not None:
+        bound = MemoryCeiling(
+            ceiling, pre.budget.pinned, pre.cost.activation_bytes_per_unit()
+        )
     # Memoised on its inputs: a cell's analytic pass and its frontier
     # confirmation share one construction, verdict and compiled graph.
-    schedule = build_schedule(method, pre.problem, pre.cost, f)
+    schedule = build_schedule(method, pre.problem, pre.cost, f, ceiling=bound)
+    if bound is not None:
+        floor = bound.floor_bytes(_ledger_peak_units(schedule, pre.cost))
+        if floor >= bound.limit_bytes:
+            raise BuildPruned(floor, 0)
     result: SimResult | AnalyticEvaluation
     cost, overhead = pre.cost, pre.overhead_time
     if tier == "sim":
@@ -282,8 +303,7 @@ def _finalize(
     """
     cost, budget, problem = pre.cost, pre.budget, pre.problem
     act_bytes = int(result.peak_activation_units * cost.activation_bytes_per_unit())
-    peak = budget.static + budget.temporary + budget.allocator_reserve + act_bytes
-    peak += budget.framework_overhead
+    peak = budget.pinned + act_bytes
 
     channel_bytes = 0
     channel_slots = 0
@@ -339,6 +359,17 @@ def _finalize(
     )
 
 
+def _ledger_peak_units(schedule: Schedule, cost: ClusterCost) -> float:
+    """The ledger peak :func:`_finalize` would charge: a greedy build's
+    own (bit-equal, and built under this ``cost``), else the graph's."""
+    peak = getattr(schedule, "ledger_peak_units", None)
+    if peak is not None:
+        return float(peak)
+    graph = compiled_graph(schedule)
+    _, act_units, _ = op_cost_arrays(graph, cost)
+    return ledger_peak_units(graph, act_units)
+
+
 def _dense_times(result: SimResult | AnalyticEvaluation) -> DenseTimes | None:
     """The evaluation's own per-op tables (the sim tier's are the heap
     oracle's arrays), in the capacity ledger's format."""
@@ -362,8 +393,8 @@ class ConfigBounds:
     schedule of this configuration (guard-banded, see
     :mod:`repro.analysis.evaluate.bounds`); ``memory_floor_bytes``
     lower-bounds its peak memory the same way.  A configuration whose
-    lower bound already loses to an evaluated incumbent on *both* axes
-    is certainly dominated and need never be scheduled.
+    lower bound already loses to an evaluated frontier member on *both*
+    axes is certainly dominated and need never be scheduled.
     """
 
     lower_time_s: float
@@ -407,9 +438,7 @@ def config_bounds(
         floor_units = peak_units_floor(
             pre.problem, pre.cost, forwards_floor=pre.auto_f
         )
-        budget = pre.budget
-        floor = budget.static + budget.temporary + budget.allocator_reserve
-        floor += budget.framework_overhead
+        floor = pre.budget.pinned
         floor += int(floor_units * pre.cost.activation_bytes_per_unit())
         return ConfigBounds(
             lower_time_s=bounds.lower,

@@ -45,6 +45,7 @@ from repro.planner import pool
 from repro.planner.evaluate import EvalResult, evaluate_config
 from repro.schedules import gencache
 from repro.schedules.base import ScheduleError
+from repro.schedules.greedy import BuildPruned
 
 #: Bump when the evaluation semantics change so stale cache entries
 #: (computed under the old semantics) can never be replayed.
@@ -70,6 +71,8 @@ class EvalTask:
     ``capacity_mode`` selects the channel-buffer ledger the evaluation
     charges (``"backpressure-free"``, ``"deadlock-free"``, or
     ``"none"``) and is fingerprinted for the same reason.
+    ``ceiling`` (bytes) prunes the cell once its memory floor reaches it;
+    it never changes a result, so it is not fingerprinted.
     """
 
     method: str
@@ -79,19 +82,23 @@ class EvalTask:
     global_batch_size: int
     tier: str = "sim"
     capacity_mode: str = "backpressure-free"
+    ceiling: int | None = None
 
 
 @dataclass(frozen=True)
 class EvalOutcome:
-    """Result of one task: either an :class:`EvalResult` or a rejection.
+    """Result of one task: an :class:`EvalResult`, a rejection, or a prune.
 
     ``error`` carries the rejection reason when the evaluation raised
-    (invalid config, scheduler wedge); exactly one of ``result`` and
-    ``error`` is set.
+    (invalid config, scheduler wedge); ``floor_bytes`` a certified memory
+    floor at or above the task's ceiling (``pruned_ops``: ops its aborted
+    builds emitted).  Exactly one of the three is set.
     """
 
     result: EvalResult | None = None
     error: str | None = None
+    floor_bytes: int | None = None
+    pruned_ops: int = 0
 
     @property
     def ok(self) -> bool:
@@ -150,6 +157,11 @@ class SweepCache:
     thread + ``os.replace``) so concurrent workers, concurrent service
     jobs and interrupted runs can never leave a torn entry; corrupt or
     stale-schema files read as misses and are overwritten.
+
+    A pruned cell is stored as a ``floor`` entry (its certified memory
+    floor, no ``result``, so older readers miss) that answers only a
+    task whose ceiling it reaches and never replaces a complete entry;
+    a complete entry prunes a task whose ceiling its own floor reaches.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -177,10 +189,20 @@ class SweepCache:
                 raise ValueError("stale cache schema")
             if entry["status"] == "error":
                 outcome = EvalOutcome(error=str(entry["reason"]))
+            elif entry["status"] == "floor":
+                floor = int(entry["floor"])
+                if task.ceiling is None or task.ceiling > floor:
+                    raise ValueError("the floor does not decide this task")
+                outcome = EvalOutcome(floor_bytes=floor)
             else:
                 data = entry["result"]
                 data["config"] = ParallelConfig(**data["config"])
-                outcome = EvalOutcome(result=EvalResult(**data))
+                result = EvalResult(**data)
+                floor = result.peak_memory_bytes - result.channel_buffer_bytes
+                if task.ceiling is not None and floor >= task.ceiling:
+                    outcome = EvalOutcome(floor_bytes=floor)
+                else:
+                    outcome = EvalOutcome(result=result)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
@@ -199,13 +221,21 @@ class SweepCache:
             "cluster": task.cluster.name,
             "global_batch_size": task.global_batch_size,
         }
+        path = self._path(fingerprint)
         if outcome.result is not None:
             entry["status"] = "ok"
             entry["result"] = asdict(outcome.result)
+        elif outcome.floor_bytes is not None:
+            try:  # a floor never replaces a complete entry
+                if json.loads(path.read_text())["status"] != "floor":
+                    return
+            except (OSError, ValueError, KeyError, TypeError):
+                pass
+            entry["status"] = "floor"
+            entry["floor"] = outcome.floor_bytes
         else:
             entry["status"] = "error"
             entry["reason"] = outcome.error
-        path = self._path(fingerprint)
         # Unique per writer: pool workers differ in pid, the service's
         # job threads (one pid) in thread id — two writers of one cell
         # must never interleave on one temp file.
@@ -232,8 +262,11 @@ def _run_task(task: EvalTask) -> tuple[EvalOutcome, float]:
                 task.global_batch_size,
                 tier=task.tier,
                 capacity_mode=task.capacity_mode,
+                ceiling=task.ceiling,
             )
         )
+    except BuildPruned as pruned:
+        outcome = EvalOutcome(floor_bytes=pruned.floor_bytes, pruned_ops=pruned.ops)
     except (ScheduleError, ValueError) as exc:
         text = str(exc)
         outcome = EvalOutcome(
@@ -294,7 +327,7 @@ def evaluate_tasks(
     for i, (outcome, seconds) in zip(pending, computed):
         task = tasks[i]
         outcomes[i] = outcome
-        if not outcome.ok:
+        if outcome.error is not None:
             errors += 1
         if cache is not None:
             cache.put(task, outcome)

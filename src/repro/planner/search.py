@@ -14,19 +14,17 @@ result's ``skipped`` trail with the reason, so a sweep is auditable:
 ``evaluated + skipped`` covers the whole enumerated space.
 
 The default ``evaluator="grid"`` routes the sweep through the analytic
-first pass (see ``docs/evaluation.md``): certified build-free bounds
-prune candidates that are provably dominated by an already evaluated
-configuration, the survivors are evaluated with the closed-form
-evaluator (bit-identical numbers, no event replay), and only the
-resulting Pareto frontier is re-evaluated at full ``"sim"``
-provenance.  Each survivor is one independent cell — one schedule, one
-pass of the scalar wavefront kernel — and a cell's prelude and bounds
-are computed once for the whole sweep.  ``evaluator="sim"``
-evaluates every candidate on the simulator instead — the reference the
-tests prove ``"grid"`` against.  Because the analytic tier is exact,
-the returned best, trail values, and frontier are identical across
-``"sim"`` and ``"grid"`` — only the provenance tags and the work done
-differ.
+first pass (see ``docs/evaluation.md``), a branch-and-bound in waves:
+a candidate certainly OOM or strictly dominated by the frontier so far
+is pruned by its certified build-free bounds, or stops building once
+its own prefix proves it.  The survivors are evaluated with the
+closed-form evaluator (bit-identical numbers, no event replay), and
+only the resulting Pareto frontier is re-evaluated at full ``"sim"``
+provenance.  ``evaluator="sim"`` evaluates every candidate on the
+simulator instead — the reference the tests prove ``"grid"`` against:
+the best, the frontier and every evaluated row's numbers are
+identical; only the provenance tags, the rows moved to ``skipped`` and
+the work done differ.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.model.spec import ModelSpec
 from repro.obs.events import NULL_SINK, EventSink
 from repro.parallel.grid import enumerate_configs
 from repro.parallel.strategies import ParallelConfig
-from repro.planner.evaluate import EvalResult, config_bounds_batch
+from repro.planner.evaluate import ConfigBounds, EvalResult, config_bounds_batch
 from repro.planner.parallel import (
     EvalOutcome,
     EvalTask,
@@ -75,7 +73,11 @@ class SearchResult:
 
     @property
     def all_oom(self) -> bool:
-        return self.best is None and bool(self.evaluated)
+        """Nothing fits, and something was evaluated or pruned as OOM."""
+        return self.best is None and (
+            any(r.oom for r in self.evaluated)
+            or any(s.reason.startswith(CERTAIN_OOM) for s in self.skipped)
+        )
 
 
 def search_method(
@@ -104,17 +106,19 @@ def search_method(
     every ``jobs`` value and cache state.
 
     ``evaluator`` selects the pipeline: ``"grid"`` (the default) prunes
-    provably dominated candidates with certified build-free bounds,
-    evaluates survivors analytically, one cell at a time, and
-    re-evaluates the Pareto frontier at ``"sim"`` provenance; ``"sim"`` evaluates every
-    candidate with the full verification + event replay.  The analytic
-    tier is bit-exact, so both settings return the same best and the
-    same numbers (the ``tier`` tags on the trail differ).
+    candidates certainly OOM or dominated — by certified build-free
+    bounds or their own partial build — evaluates survivors
+    analytically, and re-evaluates the Pareto frontier at ``"sim"``
+    provenance; ``"sim"`` evaluates every candidate with the full
+    verification + event replay.  Both return the same best, frontier
+    and numbers (``"grid"`` tags tiers and moves pruned rows to
+    ``skipped``).
 
     An enabled ``sink`` observes the sweep: per-cell ``eval`` spans
     and cache-hit instants from :func:`~repro.planner.parallel
     .evaluate_tasks`, plus one ``skip`` instant per statically or
-    analytically pruned candidate and a final ``skipped`` counter.
+    analytically pruned candidate, the grid sweep's ``pruned`` /
+    ``pruned_ops`` counters and a final ``skipped`` counter.
     """
     if evaluator not in ("sim", "grid"):
         raise ValueError(f"unknown search evaluator {evaluator!r}")
@@ -182,76 +186,79 @@ def search_method(
     )
 
 
+#: Candidates per branch-and-bound wave; ceilings come from earlier
+#: waves only, so every ``jobs`` value prunes alike.  A cold Figure 10
+#: sweep emits 443 069 / 443 131 / 447 503 / 447 545 greedy ops at
+#: waves of 1 / 2 / 4 / 8 (678 912 unpruned): 4 costs 1 % over 1 and
+#: keeps up to four workers busy.
+WAVE = 4
+
+#: Reason prefix of a candidate whose memory floor exceeds the device.
+CERTAIN_OOM = "analytic: certain OOM"
+
+
 def _grid_sweep(
     tasks: list[EvalTask],
     jobs: int,
     cache: SweepCache | None,
     sink: EventSink,
 ) -> tuple[EvalResult | None, list[EvalResult], list[SkippedConfig]]:
-    """The analytic first pass (see module docstring and docs/evaluation.md).
+    """The analytic first pass (module docstring, docs/evaluation.md).
 
-    1. Derive certified build-free bounds for every candidate (no
-       schedule generation; candidates the bound theory cannot cover
-       simply carry no bounds and are always evaluated in full).  The
-       bounds pass shares one cached prelude per cell with the
-       evaluation passes below.
-    2. Probe candidates sequentially in ascending time-lower-bound
-       order until the first non-OOM analytic result — the incumbent.
-       Sequential regardless of ``jobs`` so the incumbent (and thus the
-       prune set) is identical for every worker count.
-    3. Prune every remaining candidate whose time lower bound *and*
-       memory floor both lose to the incumbent: such a candidate is
-       certainly dominated, and transitivity guarantees anything it
-       would have dominated is dominated by the incumbent too — so the
-       Pareto frontier is unchanged (the frontier-soundness argument in
-       docs/evaluation.md).
-    4. Evaluate the survivors analytically (parallel, cached, one
-       ``evaluate_config`` per cell), then re-evaluate the resulting
-       Pareto frontier at ``"sim"`` provenance — full static
-       verification plus event replay — and splice those results into
-       the trail.
+    1. Derive certified build-free bounds for every candidate.
+    2. Visit candidates in ascending ``(time lower bound, sort key)``
+       order, in waves of :data:`WAVE`, each under one byte ceiling
+       from the Pareto frontier of the waves before (:func:`_ceiling`).
+       A build-free memory floor at the ceiling prunes without a build;
+       otherwise the analytic evaluation's build stops once its prefix
+       floor reaches it.  Either way the candidate is certainly OOM or
+       strictly dominated, so the frontier and best are unchanged.
+    3. Re-evaluate the resulting Pareto frontier at ``"sim"``
+       provenance — full static verification plus event replay — and
+       splice those results into the trail.
+
+    Emits ``pruned`` (dispatched candidates a ceiling stopped) and
+    ``pruned_ops`` (ops their aborted builds emitted) on ``sink``.
     """
     bounds = config_bounds_batch(tasks)
-    analytic = [replace(t, tier="analytic") for t in tasks]
 
     def lower(i: int) -> float:
         b = bounds[i]
         return b.lower_time_s if b is not None else float("inf")
 
-    outcomes: dict[int, EvalOutcome] = {}
-    incumbent: EvalResult | None = None
     order = sorted(
         range(len(tasks)), key=lambda i: (lower(i), tasks[i].config.sort_key())
     )
-    for i in order:
-        (outcome,) = evaluate_tasks([analytic[i]], jobs=1, cache=cache, sink=sink)
-        outcomes[i] = outcome
-        if outcome.result is not None and not outcome.result.oom:
-            incumbent = outcome.result
-            break
-
+    outcomes: dict[int, EvalOutcome] = {}
     pruned: dict[int, str] = {}
-    if incumbent is not None:
-        for i, b in enumerate(bounds):
-            if i in outcomes or b is None:
+    frontier: list[EvalResult] = []
+    floor_pruned = pruned_ops = ahead = 0
+    while ahead < len(order):
+        wave: list[tuple[int, int, str]] = []
+        while ahead < len(order) and len(wave) < WAVE:
+            i = order[ahead]
+            ahead += 1
+            ceiling, reason = _ceiling(tasks[i], bounds[i], frontier)
+            b = bounds[i]
+            if b is not None and b.memory_floor_bytes >= ceiling:
+                pruned[i] = reason
+            else:
+                wave.append((i, ceiling, reason))
+        batch = [replace(tasks[i], tier="analytic", ceiling=c) for i, c, _ in wave]
+        done = evaluate_tasks(batch, jobs=jobs, cache=cache, sink=sink)
+        for (i, _, reason), outcome in zip(wave, done):
+            if outcome.floor_bytes is None:
+                outcomes[i] = outcome
                 continue
-            if (
-                b.lower_time_s > incumbent.iteration_time_s
-                and b.memory_floor_bytes >= incumbent.peak_memory_bytes
-            ):
-                pruned[i] = (
-                    f"analytic: dominated by {incumbent.config.describe()} "
-                    f"(time lower bound {b.lower_time_s:.3f} s > "
-                    f"{incumbent.iteration_time_s:.3f} s, memory floor "
-                    f"{b.memory_floor_bytes / GiB:.2f} GiB >= "
-                    f"{incumbent.peak_memory_bytes / GiB:.2f} GiB)"
-                )
-    rest = [i for i in range(len(tasks)) if i not in outcomes and i not in pruned]
-    rest_outcomes = evaluate_tasks(
-        [analytic[i] for i in rest], jobs=jobs, cache=cache, sink=sink
-    )
-    for i, outcome in zip(rest, rest_outcomes):
-        outcomes[i] = outcome
+            pruned[i] = reason
+            floor_pruned += 1
+            pruned_ops += outcome.pruned_ops
+        frontier = pareto_frontier(
+            [outcomes[i].result for i in sorted(outcomes) if outcomes[i].ok]
+        )
+    if sink.enabled:
+        sink.counter("pruned", float(floor_pruned), ts=0.0)
+        sink.counter("pruned_ops", float(pruned_ops), ts=0.0)
 
     skips: list[SkippedConfig] = []
     for i in sorted(pruned):
@@ -295,6 +302,30 @@ def _grid_sweep(
     if dropped:
         evaluated = [r for r in evaluated if r.config not in dropped]
     return best_result(evaluated), evaluated, skips
+
+
+def _ceiling(
+    task: EvalTask, bound: ConfigBounds | None, frontier: list[EvalResult]
+) -> tuple[int, str]:
+    """``min(device bytes + 1, least peak of the frontier members whose
+    time the candidate's lower bound exceeds)`` — a memory floor there
+    means certain OOM or strict domination — and the skip reason, which
+    names the ceiling, never the floor (builds stop early, caches don't).
+    """
+    device = task.cluster.gpu.memory_bytes
+    if bound is not None:
+        rivals = [m for m in frontier if bound.lower_time_s > m.iteration_time_s]
+        if rivals:
+            m = min(rivals, key=lambda r: r.peak_memory_bytes)
+            return m.peak_memory_bytes, (
+                f"analytic: dominated by {m.config.describe()} "
+                f"(time lower bound {bound.lower_time_s:.3f} s > "
+                f"{m.iteration_time_s:.3f} s, memory floor >= "
+                f"{m.peak_memory_bytes / GiB:.2f} GiB)"
+            )
+    return device + 1, (
+        f"{CERTAIN_OOM} (memory floor > {device / GiB:.2f} GiB device memory)"
+    )
 
 
 def pareto_frontier(evaluated: list[EvalResult]) -> list[EvalResult]:

@@ -401,11 +401,39 @@ def _structure_tables(
     )
 
 
+@dataclass(frozen=True)
+class MemoryCeiling:
+    """Stop a build once its memory floor — ``base_bytes + int(ledger
+    peak × bytes_per_unit)``, the planner's peak memory without ring
+    bytes — reaches ``limit_bytes``.  Programs only grow at their end,
+    so the ledger peak of any prefix is a floor on the final one."""
+
+    limit_bytes: int
+    base_bytes: int
+    bytes_per_unit: float
+
+    def floor_bytes(self, peak_units: float) -> int:
+        return self.base_bytes + int(peak_units * self.bytes_per_unit)
+
+
+class BuildPruned(Exception):
+    """A build reached its :class:`MemoryCeiling`: ``floor_bytes`` is a
+    certified lower bound on the finished schedule's memory floor,
+    ``ops`` the ops the pruned attempts emitted.  Not a
+    :class:`ScheduleError`: the schedule is valid, only not wanted."""
+
+    def __init__(self, floor_bytes: int, ops: int) -> None:
+        super().__init__(f"memory floor {floor_bytes} B after {ops} ops")
+        self.floor_bytes = floor_bytes
+        self.ops = ops
+
+
 def greedy_schedule(
     problem: PipelineProblem,
     policy: GreedyPolicy | None = None,
     cost: CostModel | None = None,
     name: str = "greedy",
+    ceiling: MemoryCeiling | None = None,
 ) -> Schedule:
     """Generate a schedule with the greedy policy engine.
 
@@ -416,23 +444,56 @@ def greedy_schedule(
 
     If the fast cap-reservation rule wedges (possible for small ``f``
     with multiple chunk rounds), the generation is retried once with the
-    strong reservation rule, which is deadlock-free.
+    strong reservation rule, which is deadlock-free.  With a ``ceiling``
+    it raises :class:`BuildPruned` exactly when the schedule it would
+    return has a memory floor at or above it.
     """
     policy = policy or GreedyPolicy()
     try:
-        return _greedy_once(problem, policy, cost, name)
+        return _greedy_once(problem, policy, cost, name, ceiling)
+    except BuildPruned as crossed:
+        if policy.strong_reserve or ceiling is None:
+            raise
+        return _settle_fast_crossing(problem, policy, cost, name, ceiling, crossed)
     except ScheduleError as first_err:
         if policy.strong_reserve:
             raise
         try:
             return _greedy_once(
-                problem, replace(policy, strong_reserve=True), cost, name
+                problem, replace(policy, strong_reserve=True), cost, name, ceiling
             )
         except ScheduleError as retry_err:
             # Keep the fast rule's deadlock witness in the chain: when
             # even the strong rule wedges, the first failure is usually
             # the diagnostic one.
             raise retry_err from first_err
+
+
+def _settle_fast_crossing(
+    problem: PipelineProblem,
+    policy: GreedyPolicy,
+    cost: CostModel | None,
+    name: str,
+    ceiling: MemoryCeiling,
+    crossed: BuildPruned,
+) -> Schedule:
+    """The fast attempt crossed ``ceiling``, which proves nothing if it
+    would wedge (the strong retry is then final).  Prune when the strong
+    attempt crosses too; else finish the fast one unbounded: if it wedges
+    the strong schedule is final, otherwise it is, and it has crossed."""
+    strong = replace(policy, strong_reserve=True)
+    try:
+        fallback = _greedy_once(problem, strong, cost, name, ceiling)
+    except BuildPruned as also:
+        raise BuildPruned(
+            min(crossed.floor_bytes, also.floor_bytes), crossed.ops + also.ops
+        ) from None
+    try:
+        final = _greedy_once(problem, policy, cost, name)
+    except ScheduleError:
+        return fallback
+    spent = crossed.ops + fallback.num_ops + final.num_ops
+    raise BuildPruned(ceiling.floor_bytes(final.ledger_peak_units), spent)
 
 
 class _DenseSchedule(Schedule):
@@ -458,9 +519,12 @@ class _DenseSchedule(Schedule):
         stage_codes: list[list[int]],
         token: int,
         graph: ScheduleGraph,
+        ledger_peak_units: float,
     ) -> None:
         # No dataclass __init__: ``programs`` is a lazy property here.
         self.problem = problem
+        self.num_ops = graph.num_ops
+        self.ledger_peak_units = ledger_peak_units
         self.name = name
         self._build_ops = build_ops
         self._stage_codes = stage_codes
@@ -490,7 +554,8 @@ def _greedy_once(
     policy: GreedyPolicy,
     cost: CostModel | None,
     name: str,
-) -> Schedule:
+    ceiling: MemoryCeiling | None = None,
+) -> _DenseSchedule:
     """One generation attempt on the array-native engine.
 
     Byte-identical to the pre-rewrite dict engine (the golden
@@ -517,7 +582,7 @@ def _greedy_once(
     # Memoized per-op-shape planning costs (identical values; see
     # op_cost_fns) — and, for micro-batch-invariant models, probed once
     # per shape and tiled across micro-batches below.
-    dur_fn, comm_fn, _act_fn = op_cost_fns(cost)
+    dur_fn, comm_fn, act_fn = op_cost_fns(cost)
     num_stages = problem.num_stages
     n = problem.num_microbatches
     s = problem.num_slices
@@ -615,6 +680,11 @@ def _greedy_once(
             dur_by_code += [dur_fn(op) for op in ops_w0] * n
     else:
         dur_by_code = [dur_fn(op) for op in full_ops]
+    if invariant:
+        delta = _ledger_deltas(act_fn, ops_f0, ops_b0, ops_w0, problem, n)
+    else:
+        blocks = full_ops[:cells], full_ops[cells : 2 * cells], full_ops[2 * cells :]
+        delta = _ledger_deltas(act_fn, *blocks, problem, 1)
 
     # Per-edge comm times, parallel to the structure tables' flattened
     # successor list ``sflat``.
@@ -671,6 +741,8 @@ def _greedy_once(
     strong = policy.strong_reserve
 
     free_at = [0.0] * num_stages
+    ledger = [0.0] * num_stages
+    peak = 0.0
     live_f = [0.0] * num_stages
     deferred = [0.0] * num_stages
     last_f = [False] * num_stages  # last committed main op was an F
@@ -857,6 +929,14 @@ def _greedy_once(
             free_at[stage] = end
             programs[stage].append(code)
             remaining -= 1
+            held = ledger[stage] + delta[code]
+            ledger[stage] = held
+            if held > peak:
+                peak = held
+                if ceiling is not None:
+                    floor = ceiling.floor_bytes(peak)
+                    if floor >= ceiling.limit_bytes:
+                        raise BuildPruned(floor, total - remaining)
             if code < cells:
                 done[code] = 1
                 live_f[stage] += 1.0
@@ -934,7 +1014,30 @@ def _greedy_once(
         return tuple(ops[code] for codes in programs for code in codes)
 
     graph = graph_from_codes(problem, programs, token, ops_dense)
-    return _DenseSchedule(problem, name, build_ops, programs, token, graph)
+    return _DenseSchedule(problem, name, build_ops, programs, token, graph, peak)
+
+
+def _ledger_deltas(
+    act_fn: Callable[[OpId], float],
+    f_ops: list[OpId],
+    b_ops: list[OpId],
+    w_ops: list[OpId],
+    problem: PipelineProblem,
+    reps: int,
+) -> list[float]:
+    """Pinned-activation ledger step per op code (each block tiled
+    ``reps`` times): :func:`repro.sim.executor._materialize`'s operands
+    at the planner's activation-gradient factor 1.0.  Releases are
+    stored negated (``a - x`` is ``a + (-x)`` in IEEE-754), so running
+    sums are the simulator's bit for bit."""
+    actgrad = 1.0
+    gemms = problem.wgrad_gemms
+    if problem.split_backward:
+        b_steps = [act_fn(op) * actgrad for op in b_ops]
+    else:
+        b_steps = [-act_fn(op) for op in b_ops]
+    w_steps = [-(act_fn(op) * (1.0 + actgrad) / gemms) for op in w_ops]
+    return [act_fn(op) for op in f_ops] * reps + b_steps * reps + w_steps * reps
 
 
 def _stuck_witness(

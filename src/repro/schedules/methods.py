@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Hashable
 from repro.schedules import gencache
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
 from repro.schedules.classic import dapple_schedule, gpipe_schedule, terapipe_schedule
+from repro.schedules.greedy import MemoryCeiling
 from repro.schedules.interleaved import vpp_schedule
 from repro.schedules.svpp import (
     mepipe_problem,
@@ -149,13 +150,18 @@ def build_schedule(
     problem: PipelineProblem,
     cost: CostModel | None = None,
     forwards_before_first_backward: int | None = None,
+    ceiling: MemoryCeiling | None = None,
 ) -> Schedule:
     """Build a method's schedule over ``problem``.
 
-    A pure function of its four arguments, memoised on them
+    A pure function of its first four arguments, memoised on them
     (:mod:`repro.schedules.gencache`): equal inputs return the *same*
     shared object — to mutate one, copy it or call its generator
     (``dapple_schedule`` …) directly.
+
+    ``ceiling`` is not an input: a greedy build under one raises
+    :class:`~repro.schedules.greedy.BuildPruned` once its memory floor
+    reaches it, never memoised; other builds ignore it.
 
     Every returned schedule, built or remembered, passes through the
     static verifier's safety tier (placement, coverage, deadlock): a
@@ -168,7 +174,9 @@ def build_schedule(
     memo_key = _memo_key(key, problem, cost, forwards_before_first_backward)
     schedule = None if memo_key is None else gencache.get(memo_key)
     if schedule is None:
-        schedule = _run_generator(key, problem, cost, forwards_before_first_backward)
+        schedule = _run_generator(
+            key, problem, cost, forwards_before_first_backward, ceiling
+        )
         if memo_key is not None:
             gencache.put(memo_key, schedule)
     from repro.schedules.verify import ensure_verified
@@ -178,7 +186,11 @@ def build_schedule(
 
 
 def _run_generator(
-    key: str, problem: PipelineProblem, cost: CostModel | None, f: int | None
+    key: str,
+    problem: PipelineProblem,
+    cost: CostModel | None,
+    f: int | None,
+    ceiling: MemoryCeiling | None,
 ) -> Schedule:
     """Run the generator of ``key``, a lower-cased known method."""
     if key == "gpipe":
@@ -190,11 +202,11 @@ def _run_generator(
     if key == "vpp":
         return vpp_schedule(problem)
     if key == "hanayo":
-        return hanayo_schedule(problem, cost)
+        return hanayo_schedule(problem, cost, ceiling)
     if key == "zb":
-        return zb_schedule(problem, cost)
+        return zb_schedule(problem, cost, ceiling)
     if key == "zbv":
-        return zbv_schedule(problem, cost)
+        return zbv_schedule(problem, cost, ceiling)
     if key == "svpp":
-        return svpp_schedule(problem, forwards_before_first_backward=f, cost=cost)
-    return mepipe_schedule(problem, forwards_before_first_backward=f, cost=cost)
+        return svpp_schedule(problem, f, cost, ceiling=ceiling)
+    return mepipe_schedule(problem, f, cost, ceiling=ceiling)

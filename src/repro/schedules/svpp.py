@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
 from repro.schedules.greedy import (
     GreedyPolicy,
+    MemoryCeiling,
     default_first_stage_cap,
     greedy_schedule,
     min_first_stage_cap,
@@ -48,6 +49,7 @@ def svpp_schedule(
     forwards_before_first_backward: int | None = None,
     cost: CostModel | None = None,
     optimize_backward_order: bool = True,
+    ceiling: MemoryCeiling | None = None,
 ) -> Schedule:
     """Generate an SVPP schedule (Sections 4.1-4.3).
 
@@ -60,6 +62,7 @@ def svpp_schedule(
         optimize_backward_order: Apply the child-count backward
             prioritization of Section 4.3; False keeps FIFO backwards,
             for the ablation.
+        ceiling: See :func:`~repro.schedules.greedy.greedy_schedule`.
     """
     f = forwards_before_first_backward
     if f is not None and f > default_first_stage_cap(problem):
@@ -77,7 +80,7 @@ def svpp_schedule(
         fill_with_wgrad=False,
     )
     label = "svpp" if f is None else f"svpp(f={f})"
-    return greedy_schedule(problem, policy, cost, name=label)
+    return greedy_schedule(problem, policy, cost, name=label, ceiling=ceiling)
 
 
 def svpp_variants(problem: PipelineProblem) -> list[int]:
@@ -110,6 +113,7 @@ def mepipe_schedule(
     forwards_before_first_backward: int | None = None,
     cost: CostModel | None = None,
     fine_grained_wgrad: bool = True,
+    ceiling: MemoryCeiling | None = None,
 ) -> Schedule:
     """SVPP plus fine-grained weight-gradient computation (Section 5).
 
@@ -125,4 +129,4 @@ def mepipe_schedule(
         fill_with_wgrad=fine_grained_wgrad,
     )
     name = "mepipe" if fine_grained_wgrad else "mepipe(w-immediate)"
-    return greedy_schedule(problem, policy, cost, name=name)
+    return greedy_schedule(problem, policy, cost, name=name, ceiling=ceiling)

@@ -15,7 +15,7 @@ variants, and V-shaped chunk placement for the wave schedules.
 from __future__ import annotations
 
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.greedy import GreedyPolicy, greedy_schedule
+from repro.schedules.greedy import GreedyPolicy, MemoryCeiling, greedy_schedule
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
@@ -34,7 +34,11 @@ def zb_problem(
     )
 
 
-def zb_schedule(problem: PipelineProblem, cost: CostModel | None = None) -> Schedule:
+def zb_schedule(
+    problem: PipelineProblem,
+    cost: CostModel | None = None,
+    ceiling: MemoryCeiling | None = None,
+) -> Schedule:
     """ZB-1P: DAPPLE-like 1F1B with deferred, bubble-filling W ops.
 
     The live-activation cap matches DAPPLE (``p`` on the first stage),
@@ -49,7 +53,7 @@ def zb_schedule(problem: PipelineProblem, cost: CostModel | None = None) -> Sche
         fill_with_wgrad=True,
         wgrad_defer_samples=0.5,  # ZB-1P keeps memory near 1F1B level
     )
-    return greedy_schedule(problem, policy, cost, name="zb")
+    return greedy_schedule(problem, policy, cost, name="zb", ceiling=ceiling)
 
 
 def zbv_problem(
@@ -66,7 +70,11 @@ def zbv_problem(
     )
 
 
-def zbv_schedule(problem: PipelineProblem, cost: CostModel | None = None) -> Schedule:
+def zbv_schedule(
+    problem: PipelineProblem,
+    cost: CostModel | None = None,
+    ceiling: MemoryCeiling | None = None,
+) -> Schedule:
     """ZBV: zero-bubble scheduling over a V-shaped two-chunk placement."""
     if problem.virtual_size != 2 or problem.chunk_placement != "vshape":
         raise ScheduleError("ZBV needs v=2 with vshape placement")
@@ -82,7 +90,7 @@ def zbv_schedule(problem: PipelineProblem, cost: CostModel | None = None) -> Sch
         backward_priority="fifo",
         wgrad_defer_samples=0.5,
     )
-    return greedy_schedule(problem, policy, cost, name="zbv")
+    return greedy_schedule(problem, policy, cost, name="zbv", ceiling=ceiling)
 
 
 def hanayo_problem(
@@ -98,7 +106,9 @@ def hanayo_problem(
 
 
 def hanayo_schedule(
-    problem: PipelineProblem, cost: CostModel | None = None
+    problem: PipelineProblem,
+    cost: CostModel | None = None,
+    ceiling: MemoryCeiling | None = None,
 ) -> Schedule:
     """Hanayo: wave-like scheduling, fused backward.
 
@@ -115,4 +125,4 @@ def hanayo_schedule(
         fill_with_wgrad=False,
         backward_priority="fifo",
     )
-    return greedy_schedule(problem, policy, cost, name="hanayo")
+    return greedy_schedule(problem, policy, cost, name="hanayo", ceiling=ceiling)

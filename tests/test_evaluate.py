@@ -209,12 +209,17 @@ def test_grid_search_matches_sim_search():
     sim_rows = {r.config: row_key(r) for r in sim.evaluated}
     for r in grid.evaluated:
         assert row_key(r) == sim_rows[r.config]
-    # Every pruned candidate names its certified dominator.
+    # Every pruned candidate names its certified dominator, or is a
+    # certain OOM the sim sweep confirms.
     analytic_skips = [
         s for s in grid.skipped if s.reason.startswith("analytic:")
     ]
+    sim_oom = {r.config for r in sim.evaluated if r.oom}
     for skip in analytic_skips:
-        assert "dominated by" in skip.reason
+        assert "dominated by" in skip.reason or (
+            skip.reason.startswith("analytic: certain OOM")
+            and skip.config in sim_oom
+        )
         assert skip.config not in {r.config for r in grid.evaluated}
 
 
@@ -229,8 +234,9 @@ def test_unknown_evaluator_rejected():
 
 
 def test_all_oom_sweeps_survive_tiering():
-    """All-OOM sweeps never find an incumbent, so nothing is pruned and
-    the all-OOM verdict (every row in the trail) is preserved."""
+    """All-OOM sweeps never build a frontier, so only certain OOM prunes
+    and the all-OOM verdict is preserved: every sim row is either the
+    grid's bit-equal row or a grid certain-OOM skip."""
     grid = search_method(
         "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS,
         evaluator="grid", min_dp=16,
@@ -240,9 +246,14 @@ def test_all_oom_sweeps_survive_tiering():
         evaluator="sim", min_dp=16,
     )
     assert grid.all_oom and sim.all_oom
-    assert {row_key(r) for r in grid.evaluated} == {
-        row_key(r) for r in sim.evaluated
+    grid_rows = {r.config: row_key(r) for r in grid.evaluated}
+    certain_oom = {
+        s.config for s in grid.skipped
+        if s.reason.startswith("analytic: certain OOM")
     }
+    assert not certain_oom & grid_rows.keys()
+    for r in sim.evaluated:
+        assert grid_rows.get(r.config) == row_key(r) or r.config in certain_oom
 
 
 # ----------------------------------------------------------------------

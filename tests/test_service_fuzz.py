@@ -263,3 +263,80 @@ def test_from_dict_builds_or_raises_request_error(kind):
         assert len(request.fingerprint()) == 64
 
     check()
+
+
+# ----------------------------------------------------------------------
+# Mistyped scalars: a bad-request answer, never a handler crash
+# ----------------------------------------------------------------------
+SMALL_SHAPE = {"stages": 4, "microbatches": 8, "slices": 2, "wgrad_gemms": 2}
+#: One cheap well-typed payload per kind; each test mistypes one scalar.
+BASES = {
+    "plan": {
+        "kind": "plan", "model": "13b", "global_batch_size": 32,
+        "methods": ["dapple"], "max_spp": 4, "use_cache": False,
+    },
+    **{
+        kind: {"kind": kind, "method": "mepipe", "shape": SMALL_SHAPE}
+        for kind in ("verify", "evaluate", "capacity", "simulate", "check-model")
+    },
+}
+mistyped = st.sampled_from(["4", "", 8.5, 4.0, True, False, [4], {"x": 1}])
+
+
+def scalar_paths(kind: str) -> list[tuple[str, ...]]:
+    """Every scalar field of ``kind``, shape fields as ``("shape", f)``."""
+    names = [f.name for f in fields(REQUESTS[kind])]
+    paths = [(n,) for n in names if n not in ("shape", "methods", "rules")]
+    if "shape" in names:
+        paths += [("shape", f.name) for f in fields(ShapeSpec)]
+    return paths
+
+
+@st.composite
+def mistyped_requests(draw) -> dict:
+    kind = draw(st.sampled_from(sorted(BASES)))
+    payload = json.loads(json.dumps(BASES[kind]))
+    *parents, leaf = draw(st.sampled_from(scalar_paths(kind)))
+    target = payload
+    for name in parents:
+        target = target.setdefault(name, {})
+    target[leaf] = draw(mistyped)
+    return payload
+
+
+def test_mistyped_scalars_never_crash_execute(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # use_cache: True
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=mistyped_requests())
+    def check(data):
+        try:
+            response = api.execute(api.request_from_dict(data))
+        except RequestError as exc:
+            assert exc.http_status in (400, 422)
+            return
+        assert isinstance(response, api.Response)
+
+    check()
+
+
+def test_a_string_where_an_int_belongs_is_rejected_not_fingerprinted():
+    with pytest.raises(RequestError) as caught:
+        api.request_from_dict(dict(BASES["plan"], max_spp="4"))
+    assert caught.value.code == "bad-request"
+
+
+def test_mistyped_shape_over_http_is_400(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    harness = ServiceHarness(ServiceConfig(port=0))
+    try:
+        body = json.dumps(
+            {"method": "mepipe", "shape": dict(SMALL_SHAPE, stages="4")}
+        ).encode()
+        raw = (
+            f"POST /v1/verify HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        status, payload = assert_structured(exchange(harness, raw))
+    finally:
+        harness.shutdown()
+    assert (status, payload["code"]) == (400, "bad-request")

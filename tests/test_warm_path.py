@@ -21,6 +21,7 @@ from repro.planner import SweepCache, search_method
 from repro.planner import evaluate as evaluate_module
 from repro.planner.search import pareto_frontier
 from repro.schedules import gencache
+from repro.schedules.greedy import BuildPruned
 from repro.sim.cost import ClusterCost
 
 PLAN = api.PlanRequest(
@@ -125,14 +126,22 @@ def _cold_planner_memos():
 def test_one_search_builds_each_config_once_and_confirms_from_the_memo(
     monkeypatch,
 ):
-    """Within one search every evaluated config is generated exactly
-    once; the frontier's sim confirmation re-builds nothing."""
-    built = []
+    """Within one search every config is generated at most once; the
+    frontier's sim confirmation re-builds nothing, and a build its
+    memory ceiling aborted is a memo miss that never enters the memo."""
+    built, aborted = [], []
     real = evaluate_module.build_schedule
 
-    def recording(method, problem, cost=None, forwards_before_first_backward=None):
-        built.append((method, problem, cost, forwards_before_first_backward))
-        return real(method, problem, cost, forwards_before_first_backward)
+    def recording(
+        method, problem, cost=None, forwards_before_first_backward=None, ceiling=None
+    ):
+        key = (method, problem, cost, forwards_before_first_backward)
+        built.append(key)
+        try:
+            return real(method, problem, cost, forwards_before_first_backward, ceiling)
+        except BuildPruned:
+            aborted.append(key)
+            raise
 
     monkeypatch.setattr(evaluate_module, "build_schedule", recording)
     _cold_planner_memos()
@@ -141,11 +150,12 @@ def test_one_search_builds_each_config_once_and_confirms_from_the_memo(
     )
     frontier = pareto_frontier(result.evaluated)
     stats = gencache.stats()
-    assert 0 < len(frontier) < len(result.evaluated) <= len(set(built))
+    assert aborted and len(set(aborted)) == len(aborted)
+    assert 0 < len(frontier) <= len(result.evaluated) == len(set(built) - set(aborted))
     assert stats["misses"] == len(set(built))
     assert stats["hits"] == len(frontier)
     assert len(built) == stats["misses"] + stats["hits"]
-    assert stats["size"] == min(stats["misses"], gencache._MAXSIZE)
+    assert stats["size"] == min(stats["misses"] - len(aborted), gencache._MAXSIZE)
 
 
 SMALL_SHAPE = api.ShapeSpec(stages=4, microbatches=8, slices=4, wgrad_gemms=2)
