@@ -17,7 +17,7 @@ Run `nox -s <session>`, or the same commands directly:
               python tests/fig10_golden.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
-    service   python -m pytest -x -q --keep-duplicates tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py tests/test_warm_path.py
+    service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
     bench     python -m pytest -q bench/
 
@@ -169,24 +169,17 @@ def service(session: nox.Session) -> None:
     finished answer reused, with a Hypothesis state machine over the
     job store and its seeded mutations), parser and ``from_dict``
     fuzzing, SSE progress streams, per-tenant quotas, and structured
-    timeout errors.
-
-    The warm-path fence (a repeated plan recomputes nothing) runs once
-    before and once after the sweep-cache suite — pytest keeps argument
-    order, and ``--keep-duplicates`` lets a file appear twice — so the
-    planner's process-wide bounds memo is shown to leak nothing between
-    suites in either order."""
+    timeout errors — plus the warm-path fence (a repeated plan rebuilds
+    nothing) and the sweep-cache suite."""
     session.install("-e", ".[test]")
     session.run(
         *PYTEST,
-        "--keep-duplicates",
         "tests/test_service.py",
         "tests/test_service_jobs.py",
         "tests/test_service_fuzz.py",
         "tests/test_api.py",
         "tests/test_warm_path.py",
         "tests/test_planner_parallel.py",
-        "tests/test_warm_path.py",
     )
 
 

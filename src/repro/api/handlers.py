@@ -46,6 +46,13 @@ if TYPE_CHECKING:
     from repro.schedules.verify.diagnostics import Report
 
 
+#: Most ops a request shape may ask for,
+#: ``stages * virtual * microbatches * slices * (2 + wgrad_gemms)``:
+#: 8x the largest schedule the planner builds (131 072 ops).  A larger
+#: shape is refused before anything is built.
+MAX_SHAPE_OPS = 2**20
+
+
 def _build_schedule(method: str, shape: ShapeSpec) -> "Schedule":
     """Build (problem, schedule) for a request shape.
 
@@ -56,6 +63,14 @@ def _build_schedule(method: str, shape: ShapeSpec) -> "Schedule":
     """
     from repro.schedules import ScheduleError, build_problem, build_schedule
 
+    ops = shape.stages * shape.virtual * shape.microbatches * shape.slices
+    ops *= 2 + shape.wgrad_gemms
+    if ops > MAX_SHAPE_OPS:
+        raise RequestError(
+            f"shape asks for {ops} ops; a request may build at most "
+            f"{MAX_SHAPE_OPS}",
+            code="invalid-shape",
+        )
     try:
         problem = build_problem(
             method,

@@ -683,7 +683,8 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=8731,
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per planner sweep")
+                        help="most worker processes per planner sweep "
+                             "(caps each plan request's jobs)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="default request deadline in seconds "
                              "(default: REPRO_REQUEST_TIMEOUT, then "

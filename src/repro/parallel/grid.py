@@ -58,7 +58,10 @@ def enumerate_configs(
                 dp = rest
                 if global_batch_size % dp != 0:
                     continue
-                vps = range(1, max_vp + 1) if (use_vp and pp > 1) else [1]
+                # A vp above slots // pp fails validate_for_cluster's
+                # divisibility, so the clamp yields the same configs.
+                vp_cap = min(max_vp, spec.balanced_layer_count() // pp)
+                vps = range(1, vp_cap + 1) if (use_vp and pp > 1) else [1]
                 for vp in vps:
                     spps = (
                         [s for s in _powers_of_two_up_to(max_spp) if seq % s == 0]

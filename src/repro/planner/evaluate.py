@@ -72,13 +72,13 @@ class EvalResult:
     #: tiers never alias.
     tier: str = "sim"
     #: Channel-buffer ledger (see :mod:`repro.analysis.capacity`): the
-    #: ring-sizing mode the memory charge assumed (``"none"`` skips the
-    #: ledger entirely), the worst stage's pinned ring bytes (folded
-    #: into ``peak_memory_bytes`` and the OOM check), the total ring
-    #: slots across channels, and whether the charged capacities are
-    #: certified backpressure-free (no critical-path lengthening vs
-    #: unbounded channels — always true for mode "backpressure-free",
-    #: informative for "deadlock-free").
+    #: ring-sizing mode the memory charge assumed (always
+    #: :data:`CAPACITY_MODE` for a fresh evaluation; the field stays
+    #: because it is part of the wire and sweep-cache bytes), the worst
+    #: stage's pinned ring bytes (folded into ``peak_memory_bytes`` and
+    #: the OOM check), the total ring slots across channels, and whether
+    #: the charged capacities are certified backpressure-free (no
+    #: critical-path lengthening vs unbounded channels).
     capacity_mode: str = "none"
     channel_buffer_bytes: int = 0
     channel_slots: int = 0
@@ -100,6 +100,11 @@ class EvalResult:
 #: evaluations; small to keep simulations fast, large enough that gap
 #: filling works.
 WGRAD_GEMMS = 2
+
+#: The channel-buffer ledger every evaluation charges: the smallest
+#: rings that leave the unbounded-channel critical path intact, i.e.
+#: the sizing consistent with the reported iteration time.
+CAPACITY_MODE = "backpressure-free"
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,10 @@ class ConfigPrelude:
     overhead_time: float
 
 
+# Sized for one search: its bounds pass, analytic pass and frontier
+# confirmation each ask for every candidate's prelude, and the largest
+# single search (7B x VPP, Figure 10) has 58 candidates.  A cold
+# Figure 10 sweep answers 186 of its 451 calls here.
 @lru_cache(maxsize=256)
 def _prelude(
     method: str,
@@ -192,17 +201,16 @@ def evaluate_config(
     config: ParallelConfig,
     global_batch_size: int,
     forwards_before_first_backward: int | None = None,
-    auto_select_variant: bool = True,
     tier: str = "sim",
-    capacity_mode: str = "backpressure-free",
     ceiling: int | None = None,
 ) -> EvalResult:
     """Evaluate one configuration; never raises for OOM (returns it).
 
-    For SVPP/MEPipe, ``auto_select_variant`` applies the Section 4.5
-    memory model: the largest ``f`` whose activation footprint fits the
-    device budget is selected (fewer forwards in flight -> more bubbles
-    but less memory, Figure 5).
+    For SVPP/MEPipe without an explicit
+    ``forwards_before_first_backward``, the Section 4.5 memory model
+    selects the largest ``f`` whose activation footprint fits the
+    device budget (fewer forwards in flight -> more bubbles but less
+    memory, Figure 5).
 
     ``tier`` selects how the built schedule is evaluated.  ``"sim"``
     runs the full static verification (``assert_clean``) and the
@@ -212,17 +220,12 @@ def evaluate_config(
     cheap first pass and re-evaluates only the Pareto frontier at
     ``"sim"`` provenance.
 
-    ``capacity_mode`` sets the channel-buffer ledger: ring bytes at the
-    inferred per-channel capacities of that mode
-    (:func:`repro.analysis.capacity.infer_capacities`) are charged to
-    the peak-memory figure and the OOM check.  The default,
-    ``"backpressure-free"``, is the sizing consistent with the reported
-    iteration time — the smallest rings that leave the unbounded-channel
-    critical path intact; ``"deadlock-free"`` charges the absolute
-    minimum rings (iteration time may then understate a bounded run),
-    and ``"none"`` skips the ledger (pre-capacity-analysis behavior).
-    The charge is conservative: the worst stage's ring bytes are added
-    to the shared per-stage budget.
+    The channel-buffer ledger charges ring bytes at the
+    :data:`CAPACITY_MODE` capacities
+    (:func:`repro.analysis.capacity.infer_capacities`) to the
+    peak-memory figure and the OOM check.  The charge is conservative:
+    the worst stage's ring bytes are added to the shared per-stage
+    budget.
 
     A memory floor (peak memory without ring bytes) at or above
     ``ceiling`` raises :class:`~repro.schedules.greedy.BuildPruned`
@@ -230,7 +233,7 @@ def evaluate_config(
     """
     pre = _prelude(method, spec, cluster, config, global_batch_size)
     f = forwards_before_first_backward
-    if f is None and auto_select_variant:
+    if f is None:
         f = pre.auto_f
 
     bound = None
@@ -278,7 +281,6 @@ def evaluate_config(
         schedule,
         result,
         tier,
-        capacity_mode,
     )
 
 
@@ -293,7 +295,6 @@ def _finalize(
     schedule: Schedule,
     result: SimResult | AnalyticEvaluation,
     tier: str,
-    capacity_mode: str,
 ) -> EvalResult:
     """Turn a tier's raw evaluation into an :class:`EvalResult`.
 
@@ -303,38 +304,24 @@ def _finalize(
     """
     cost, budget, problem = pre.cost, pre.budget, pre.problem
     act_bytes = int(result.peak_activation_units * cost.activation_bytes_per_unit())
-    peak = budget.pinned + act_bytes
+    from repro.analysis.capacity import infer_capacities, ring_bytes_per_stage
+    from repro.pipeline.channels import _HEADER_BYTES
 
-    channel_bytes = 0
-    channel_slots = 0
-    backpressure_free = True
-    if capacity_mode != "none":
-        from repro.analysis.capacity import infer_capacities, ring_bytes_per_stage
-        from repro.pipeline.channels import _HEADER_BYTES
-
-        # Priced on the per-op times the tier already computed: the
-        # inference never re-runs the dense kernel.
-        times = _dense_times(result)
-        # The deadlock-free coordinate descent is the analyzer's one
-        # expensive inference and the backpressure-free ledger never
-        # reads it — skip it unless that mode was asked for.
-        plan = infer_capacities(
-            schedule,
-            cost,
-            times=times,
-            include_deadlock_free=(capacity_mode == "deadlock-free"),
-        )
-        caps = plan.capacities(capacity_mode)
-        slot_bytes = _HEADER_BYTES + int(cost.boundary_message_bytes())
-        per_stage = ring_bytes_per_stage(caps, problem.num_stages, slot_bytes)
-        channel_bytes = max(per_stage, default=0)
-        channel_slots = sum(caps.values())
-        backpressure_free = all(
-            ch.backpressure_free is not None
-            and caps[ch.key] >= ch.backpressure_free
-            for ch in plan.channels
-        )
-        peak += channel_bytes
+    # Priced on the per-op times the tier already computed: the
+    # inference never re-runs the dense kernel, and it skips the
+    # deadlock-free coordinate descent this ledger never reads.
+    plan = infer_capacities(
+        schedule, cost, times=_dense_times(result), include_deadlock_free=False
+    )
+    caps = plan.capacities(CAPACITY_MODE)
+    slot_bytes = _HEADER_BYTES + int(cost.boundary_message_bytes())
+    per_stage = ring_bytes_per_stage(caps, problem.num_stages, slot_bytes)
+    channel_bytes = max(per_stage, default=0)
+    backpressure_free = all(
+        ch.backpressure_free is not None and caps[ch.key] >= ch.backpressure_free
+        for ch in plan.channels
+    )
+    peak = budget.pinned + act_bytes + channel_bytes
 
     oom = peak > cluster.gpu.memory_bytes
     flops = model_train_flops(spec, spec.seq_length) * global_batch_size
@@ -352,9 +339,9 @@ def _finalize(
         mfu=mfu,
         forwards_before_first_backward=f,
         tier=tier,
-        capacity_mode=capacity_mode,
+        capacity_mode=CAPACITY_MODE,
         channel_buffer_bytes=channel_bytes,
-        channel_slots=channel_slots,
+        channel_slots=sum(caps.values()),
         backpressure_free=backpressure_free,
     )
 
@@ -402,12 +389,6 @@ class ConfigBounds:
     memory_floor_bytes: int
 
 
-# Sized from measured traffic: one five-method served plan asks for ~48
-# distinct keys (384 across the benchmark's 8-plan warm pool, visited
-# cyclically — more than ``_prelude``'s 256-entry LRU can hold, so that
-# one never hit on it), and an entry is three scalars, so 4096 holds
-# ~85 plans' worth.
-@lru_cache(maxsize=4096)
 def config_bounds(
     method: str,
     spec: ModelSpec,
@@ -424,9 +405,9 @@ def config_bounds(
     cover) comes up — the caller then falls through to the full
     evaluation, which raises or answers authoritatively.
 
-    A pure function of its five (frozen, hashable) inputs, so the
-    verdict — ``None`` included — is memoised per process: a warm sweep
-    re-reads its cells from the sweep cache but re-derives no bound.
+    Not memoised: the grid sweep derives each candidate's bounds once
+    per search, and a repeated request is answered by the service's
+    job index before any search runs.
     """
     try:
         pre = _prelude(method, spec, cluster, config, global_batch_size)
@@ -469,13 +450,11 @@ class EvalTaskLike(Protocol):
     def global_batch_size(self) -> int: ...
     @property
     def tier(self) -> str: ...
-    @property
-    def capacity_mode(self) -> str: ...
 
 
 # Read only by bench/ledger.py's replay; retire it with that replay.
 def task_class_key(task: EvalTaskLike) -> Hashable | None:
-    """``(method, problem, auto_f, tier, capacity_mode)`` of one task.
+    """``(method, problem, auto_f, tier, CAPACITY_MODE)`` of one task.
 
     Tasks sharing this key build their schedules over the same problem
     with the same variant selection.  ``None`` when the prelude rejects
@@ -487,7 +466,7 @@ def task_class_key(task: EvalTaskLike) -> Hashable | None:
         )
     except (ScheduleError, ValueError, KeyError):
         return None
-    return (task.method, pre.problem, pre.auto_f, task.tier, task.capacity_mode)
+    return (task.method, pre.problem, pre.auto_f, task.tier, CAPACITY_MODE)
 
 
 def config_bounds_batch(

@@ -15,7 +15,10 @@ Figure 10 13B row.  This module makes those sweeps cheap twice over:
   rejections) under ``artifacts/cache/``, keyed by a content
   fingerprint of everything that determines the result: the cache
   schema version, method, model spec, cluster spec, config, and global
-  batch size.  A second sweep over overlapping cells replays from disk.
+  batch size.  A second sweep over overlapping cells replays from disk:
+  after a restart, or where experiments share cells.  A served repeat
+  of a whole request never gets here — the service's job index
+  answers it first.
 
 Environment knobs (all optional):
 
@@ -68,9 +71,6 @@ class EvalTask:
     ``tier`` selects the evaluation tier (``"sim"`` or ``"analytic"``,
     see :func:`~repro.planner.evaluate.evaluate_config`); it is part of
     the cache fingerprint, so analytic and sim outcomes never alias.
-    ``capacity_mode`` selects the channel-buffer ledger the evaluation
-    charges (``"backpressure-free"``, ``"deadlock-free"``, or
-    ``"none"``) and is fingerprinted for the same reason.
     ``ceiling`` (bytes) prunes the cell once its memory floor reaches it;
     it never changes a result, so it is not fingerprinted.
     """
@@ -81,7 +81,6 @@ class EvalTask:
     config: ParallelConfig
     global_batch_size: int
     tier: str = "sim"
-    capacity_mode: str = "backpressure-free"
     ceiling: int | None = None
 
 
@@ -134,9 +133,10 @@ def eval_fingerprint(task: EvalTask) -> str:
         # generation engine's version is part of the input too.
         "generator": gencache.GENERATOR_VERSION,
         # The channel-buffer ledger changes peak memory (and therefore
-        # OOM verdicts): both the chosen mode and the capacity
-        # analyzer's version are part of the input.
-        "capacity_mode": task.capacity_mode,
+        # OOM verdicts): both its mode (one since schema 4, kept so
+        # on-disk entries still replay) and the capacity analyzer's
+        # version are part of the input.
+        "capacity_mode": "backpressure-free",
         "capacity": CAPACITY_VERSION,
     }
     # The hashed blob is byte-for-byte the canonical JSON of ``payload``
@@ -261,7 +261,6 @@ def _run_task(task: EvalTask) -> tuple[EvalOutcome, float]:
                 task.config,
                 task.global_batch_size,
                 tier=task.tier,
-                capacity_mode=task.capacity_mode,
                 ceiling=task.ceiling,
             )
         )

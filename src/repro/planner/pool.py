@@ -3,7 +3,7 @@
 The planner's parallel tier used to spin up a fresh
 ``ProcessPoolExecutor`` for every sweep.  That pays the process-spawn
 cost per sweep *and* — worse — throws away every worker-side cache
-each time: the per-process schedule/prelude/bounds memos a worker
+each time: the per-process schedule/prelude memos a worker
 populated while evaluating one sweep were gone before the next request
 arrived.  For the planning service, whose hot path is many small
 sweeps arriving over time, the repeated spawn + cache-cold cost

@@ -110,7 +110,6 @@ class GreedyPolicy:
     first_stage_cap: int | None = None
     cap_slope: int = 1
     backward_priority: str = "children"
-    forward_priority: str = "round_desc"
     fill_with_wgrad: bool = True
     wgrad_units: float = 1.0
     wgrad_defer_samples: float = 0.5
@@ -119,8 +118,6 @@ class GreedyPolicy:
     def __post_init__(self) -> None:
         if self.backward_priority not in ("children", "fifo"):
             raise ValueError(f"unknown backward_priority {self.backward_priority!r}")
-        if self.forward_priority not in _PACKED_FORWARD_KEYS:
-            raise ValueError(f"unknown forward_priority {self.forward_priority!r}")
 
 
 def default_first_stage_cap(problem: PipelineProblem) -> int:
@@ -181,28 +178,6 @@ def _fkeys_round_desc(problem: PipelineProblem) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _fkeys_mb_major(problem: PipelineProblem) -> list[int]:
-    # (mb, -(c // p), sl, c): strict micro-batch-major order with later
-    # rounds preferred within a micro-batch; keeps consecutive samples
-    # from overtaking.
-    n, s = problem.num_microbatches, problem.num_slices
-    chunks, p, v = problem.num_chunks, problem.num_stages, problem.virtual_size
-    return [
-        ((mb * v + (v - 1 - c // p)) * s + sl) * chunks + c
-        for mb in range(n)
-        for sl in range(s)
-        for c in range(chunks)
-    ]
-
-
-@lru_cache(maxsize=64)
-def _fkeys_plain(problem: PipelineProblem) -> list[int]:
-    # (mb, sl, c) is the canonical cell index itself.
-    return list(range(problem.num_microbatches * problem.num_slices
-                      * problem.num_chunks))
-
-
-@lru_cache(maxsize=64)
 def _bkeys_children(problem: PipelineProblem) -> list[int]:
     # (-children, mb, -sl, -c) with children = (sl+1)*(c+1) - 1, the
     # number of B descendants within the same micro-batch (Section 4.3).
@@ -230,15 +205,10 @@ def _bkeys_fifo(problem: PipelineProblem) -> list[int]:
     ]
 
 
-#: Packed-key builders by policy mode.  Module-level (rather than
-#: closed over) so the seeded mutation tests can swap one in and assert
-#: the golden-equivalence harness catches the perturbed tiebreaks.
-_PACKED_FORWARD_KEYS: dict[str, Callable[[PipelineProblem], list[int]]] = {
-    "round_desc": _fkeys_round_desc,
-    "mb_major": _fkeys_mb_major,
-    "plain": _fkeys_plain,
-}
-
+#: Backward packed-key builders by policy mode.  Module-level (rather
+#: than closed over), like ``_fkeys_round_desc``, so the seeded mutation
+#: tests can swap one in and assert the golden-equivalence harness
+#: catches the perturbed tiebreaks.
 _PACKED_BACKWARD_KEYS: dict[str, Callable[[PipelineProblem], list[int]]] = {
     "children": _bkeys_children,
     "fifo": _bkeys_fifo,
@@ -717,9 +687,9 @@ def _greedy_once(
         ]
 
     # Packed selection keys, one per cell (W ops are queue-ordered and
-    # need none).  Read through the module-level builder tables so the
+    # need none).  Read through the module-level builders so the
     # mutation tests can perturb them.
-    fkeys = _PACKED_FORWARD_KEYS[policy.forward_priority](problem)
+    fkeys = _fkeys_round_desc(problem)
     bkeys = _PACKED_BACKWARD_KEYS[policy.backward_priority](problem)
     cap_eps = _CAP_EPS
 

@@ -73,7 +73,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8731
-    #: Worker processes each planner sweep may fan out to.
+    #: Most worker processes a planner sweep may fan out to: a plan
+    #: request asking for more is capped here.
     jobs: int = 1
     #: Maximum concurrently active (queued or running) jobs per tenant;
     #: attaching to an in-flight deduplicated job is not charged.

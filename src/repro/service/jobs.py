@@ -12,7 +12,8 @@ Every service request becomes a :class:`Job`.  The store
   (attaching to a deduplicated job is free — it adds no load);
 - runs handlers on a thread pool behind ``run_in_executor`` so the
   asyncio loop stays responsive (planner sweeps further fan out to the
-  :mod:`repro.planner.parallel` process pool when ``jobs > 1``);
+  :mod:`repro.planner.parallel` process pool when ``jobs > 1``, a
+  request's ``jobs`` capped at :attr:`ServiceConfig.jobs`);
 - bridges each handler's telemetry onto the asyncio side through a
   :class:`repro.obs.QueueSink` pump, feeding per-job subscriber queues
   that back the SSE progress stream; and
@@ -28,12 +29,13 @@ import itertools
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.api import (
     SCHEMA_VERSION,
     ErrorInfo,
+    PlanRequest,
     Request,
     RequestError,
     Response,
@@ -289,6 +291,10 @@ class JobStore:
         # off the event loop; closing the sink delivers the
         # end-of-stream sentinel to the asyncio-side pump.
         try:
+            # ``jobs`` is volatile: capping it at the service's bound
+            # changes neither the fingerprint nor the reply.
+            if isinstance(request, PlanRequest) and request.jobs > self.config.jobs:
+                request = replace(request, jobs=self.config.jobs)
             response = execute(request, sink=sink, cache=self.cache)
             return response, response.to_json().encode()
         finally:
@@ -380,23 +386,13 @@ class JobStore:
         answered without one.  ``worker_reuse`` comes from the persistent
         pool — a process-wide sum, surfaced here because the service is
         the long-lived process in which cross-request reuse pays off.
-        ``bounds_memo`` is the build-free bounds memo's own
-        ``cache_info()``: a plan recomputed after an identical one raises
-        ``hits``, not ``misses``.
         """
         from repro.planner import pool
-        from repro.planner.evaluate import config_bounds
 
-        memo = config_bounds.cache_info()
         return {
             "jobs": len(self._jobs),
             "inflight": sum(self._tenant_active.values()),
             "dedup_hits": self.dedup_hits,
             "executed": self.executed,
             "worker_reuse": pool.stats()["worker_reuse"],
-            "bounds_memo": {
-                "hits": memo.hits,
-                "misses": memo.misses,
-                "size": memo.currsize,
-            },
         }

@@ -39,18 +39,12 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
 
 #: Selection keys for ready forward ops (smaller tuple wins): the
 #: specification the array engine's packed-integer keys
-#: (``greedy._PACKED_FORWARD_KEYS``) must order identically to.
+#: (``greedy._fkeys_round_desc``) must order identically to.
 _FORWARD_KEYS = {
     # Finish later chunk rounds first (drives each sample toward its
     # first backward); micro-batch order breaks ties.
     "round_desc": lambda op, p: (-(op.chunk // p), op.microbatch,
                                  op.slice_idx, op.chunk),
-    # Strict micro-batch-major order with later rounds preferred within
-    # a micro-batch; keeps consecutive samples from overtaking.
-    "mb_major": lambda op, p: (op.microbatch, -(op.chunk // p),
-                               op.slice_idx, op.chunk),
-    # Plain lexicographic order.
-    "plain": lambda op, p: (op.microbatch, op.slice_idx, op.chunk),
 }
 
 
@@ -241,7 +235,7 @@ def greedy_reference(
         front = state.front_f() if policy.strong_reserve else state.front_mb()
         needed = state.pending_f_by_mb[front] if front is not None else 0
         p = problem.num_stages
-        keyfn = _FORWARD_KEYS[policy.forward_priority]
+        keyfn = _FORWARD_KEYS["round_desc"]
         best: OpId | None = None
         best_key: tuple | None = None
         for op, arr in state.avail_f.items():

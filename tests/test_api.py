@@ -225,6 +225,20 @@ def test_execute_bad_shape_is_exit_2():
     assert excinfo.value.code == "invalid-shape"
 
 
+def test_plan_with_unbounded_max_vp_answers_like_the_slot_bound():
+    def methods(max_vp):
+        request = api.PlanRequest(
+            model="13b",
+            global_batch_size=32,
+            methods=("vpp",),
+            max_vp=max_vp,
+            use_cache=False,
+        )
+        return api.execute(request).methods
+
+    assert methods(10**9) == methods(api.get_model("13b").balanced_layer_count())
+
+
 def test_execute_unknown_rule_is_request_error():
     with pytest.raises(api.RequestError) as excinfo:
         api.execute(api.VerifyRequest(method="mepipe", rules=("XX",)))

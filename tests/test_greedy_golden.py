@@ -44,8 +44,7 @@ SHAPES = [
 POLICIES = [
     GreedyPolicy(),
     GreedyPolicy(cap_slope=0, backward_priority="fifo"),
-    GreedyPolicy(forward_priority="mb_major"),
-    GreedyPolicy(forward_priority="plain", fill_with_wgrad=False),
+    GreedyPolicy(fill_with_wgrad=False),
     GreedyPolicy(strong_reserve=True, wgrad_defer_samples=0.0),
     GreedyPolicy(wgrad_units=0.5, wgrad_defer_samples=1.5),
 ]
@@ -199,9 +198,9 @@ def _swapped(keys):
 
 def test_mutation_forward_tiebreak_is_caught(monkeypatch):
     original = greedy._fkeys_round_desc
-    monkeypatch.setitem(
-        greedy._PACKED_FORWARD_KEYS,
-        "round_desc",
+    monkeypatch.setattr(
+        greedy,
+        "_fkeys_round_desc",
         lambda problem: _swapped(original(problem)),
     )
     assert count_divergences() > 0

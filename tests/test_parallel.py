@@ -1,5 +1,7 @@
 """Tests for repro.parallel."""
 
+import time
+
 import pytest
 
 from repro.model import LLAMA_13B
@@ -110,6 +112,17 @@ class TestGrid:
         spp_configs = list(enumerate_configs(LLAMA_13B, 64, 128, use_spp=True))
         assert any(c.spp > 1 for c in spp_configs)
         assert all(c.cp == 1 for c in spp_configs)
+
+    def test_unbounded_max_vp_yields_the_slot_bounded_grid(self):
+        slots = LLAMA_13B.balanced_layer_count()
+        start = time.perf_counter()
+        unbounded = list(
+            enumerate_configs(LLAMA_13B, 64, 128, use_vp=True, max_vp=10**9)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert unbounded == list(
+            enumerate_configs(LLAMA_13B, 64, 128, use_vp=True, max_vp=slots)
+        )
 
     def test_dapple_search_space_contains_paper_optimum(self):
         """Table 5: DAPPLE's optimum at GBS 128 is (PP=8, CP=2, VP=1)."""

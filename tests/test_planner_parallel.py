@@ -60,7 +60,8 @@ def test_fingerprint_is_stable_and_input_sensitive():
 
 def _reference_fingerprint(task):
     """The fingerprint formula on-disk caches were written under: one
-    ``json.dumps`` over fresh ``asdict`` payloads."""
+    ``json.dumps`` over fresh ``asdict`` payloads, with the one capacity
+    mode every evaluation charges."""
     payload = {
         "schema": CACHE_SCHEMA,
         "method": task.method,
@@ -71,7 +72,7 @@ def _reference_fingerprint(task):
         "tier": task.tier,
         "evaluator": EVALUATOR_VERSION,
         "generator": gencache.GENERATOR_VERSION,
-        "capacity_mode": task.capacity_mode,
+        "capacity_mode": "backpressure-free",
         "capacity": CAPACITY_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -87,7 +88,6 @@ def test_fingerprint_matches_the_on_disk_formula():
             config,
             gbs,
             tier=tier,
-            capacity_mode=mode,
         )
         for method in ("mepipe", "zb")
         for model, cluster in (("13b", "rtx4090-64"), ("7b", "a100-32"))
@@ -96,7 +96,7 @@ def test_fingerprint_matches_the_on_disk_formula():
             ParallelConfig(dp=2, pp=16, cp=2, vp=2, recompute=True),
         )
         for gbs in (32, 128)
-        for tier, mode in (("sim", "backpressure-free"), ("analytic", "none"))
+        for tier in ("sim", "analytic")
     ]
     assert len({eval_fingerprint(t) for t in tasks}) == len(tasks)
     for task in tasks:
@@ -298,8 +298,7 @@ def _assert_same_sweep(got, want):
 
 def _cold_memos():
     gencache.clear()
-    for memo in (evaluate_module._prelude, evaluate_module.config_bounds):
-        memo.cache_clear()
+    evaluate_module._prelude.cache_clear()
 
 
 def test_grid_sweep_prices_each_survivor_once(monkeypatch):

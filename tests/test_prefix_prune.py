@@ -67,7 +67,6 @@ def cold_memos():
     def clear():
         gencache.clear()
         evaluate_module._prelude.cache_clear()
-        evaluate_module.config_bounds.cache_clear()
 
     clear()
     yield

@@ -35,6 +35,9 @@ from hypothesis.stateful import (
 
 from repro import api
 from repro.obs import Event
+from repro.planner import evaluate as evaluate_module
+from repro.planner import pool
+from repro.schedules import gencache
 from repro.service import JobStore, QuotaExceeded, ServiceConfig
 from repro.service import jobs as jobs_module
 
@@ -483,3 +486,28 @@ def test_retention_catches_evicting_an_unfinished_job(tmp_path, monkeypatch):
     )
     with pytest.raises(AssertionError):
         check_retention(tmp_path, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# The service's worker bound caps a request's own ``jobs``
+# ----------------------------------------------------------------------
+def test_a_plan_forks_no_more_workers_than_the_service_allows():
+    async def answer(request: api.PlanRequest) -> tuple[bytes | None, int]:
+        store = JobStore(ServiceConfig(jobs=1, use_cache=False))
+        try:
+            job = store.submit(request)
+            await store.wait(job, timeout_s=60.0)
+            assert job.status == "done", job.error
+            return job.body, pool.stats()["pool_workers"]
+        finally:
+            await store.close()
+
+    replies = []
+    for jobs in (8, 1):
+        pool.shutdown()
+        gencache.clear()
+        evaluate_module._prelude.cache_clear()
+        body, workers = asyncio.run(answer(replace(PLAN, jobs=jobs, use_cache=False)))
+        assert workers == 0
+        replies.append(body)
+    assert replies[0] == replies[1]

@@ -384,6 +384,12 @@ class TestCli:
         assert main(["verify", "dapple", "--rules", "XX999"]) == 2
         assert "unknown rule" in capsys.readouterr().out
 
+    def test_verify_absurd_shape_exits_two_before_building(self, capsys):
+        from repro.cli import main
+
+        assert main(["verify", "dapple", "--n", str(10**7)]) == 2
+        assert "a request may build at most" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # Golden sweep: every shipped schedule verifies error-clean

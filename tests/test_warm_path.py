@@ -1,11 +1,10 @@
 """The warm-plan fence: counts, not timings.
 
 A repeated ``plan`` re-reads every cell from the sweep cache (hit
-counts, trail and skip reasons are part of the wire contract) but must
-recompute nothing: no certified bound, no interface report, no schedule.
-The bounds memo behind that is process-wide, so every test here holds
-whatever ran before it — CI runs this file both before and after
-``tests/test_planner_parallel.py`` to prove it.
+counts, trail and skip reasons are part of the wire contract) and
+rebuilds no interface report and no schedule.  Its certified bounds are
+derived again, exactly once per candidate: nothing memoises them, so a
+memo keyed on too little cannot serve one plan's bounds to another.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ PLAN = api.PlanRequest(
     model="13b", global_batch_size=32, methods=("mepipe", "zb"), max_spp=4
 )
 
-#: The pure recomputations a warm plan used to pay for, as bound in
+#: The pure recomputations a warm plan never pays for, as bound in
 #: ``repro.planner.evaluate`` (where every planner call site reads them).
-RECOMPUTED = ("iteration_time_bounds", "interface_report", "build_schedule")
+RECOMPUTED = ("interface_report", "build_schedule")
 
 
 @pytest.fixture()
@@ -52,16 +51,48 @@ def calls(monkeypatch):
     return counts
 
 
-def test_repeated_plan_recomputes_nothing(tmp_path, calls):
+@pytest.fixture()
+def bounded(monkeypatch):
+    """The ``(method, config)`` of every ``config_bounds`` call."""
+    seen: list[tuple] = []
+    real = evaluate_module.config_bounds
+
+    def recording(method, spec, cluster, config, global_batch_size):
+        seen.append((method, config))
+        return real(method, spec, cluster, config, global_batch_size)
+
+    monkeypatch.setattr(evaluate_module, "config_bounds", recording)
+    return seen
+
+
+def _candidates(response) -> int:
+    """Candidates the plan's grid sweeps visited: each evaluated row and
+    each row the sweep itself pruned or rejected."""
+    swept = ("analytic:", "rejected:")
+    return sum(
+        entry["evaluated"]
+        + sum(skip["reason"].startswith(swept) for skip in entry["skipped"])
+        for entry in response.methods
+    )
+
+
+def test_repeated_plan_recomputes_nothing(tmp_path, calls, bounded):
     cache = SweepCache(tmp_path)
     first = api.execute(PLAN, cache=cache)
     assert first.ok and cache.misses > 0
     after_first = (cache.hits, cache.misses)
     calls.update(dict.fromkeys(RECOMPUTED, 0))
 
-    second = api.execute(PLAN, cache=cache)
+    def repeat():
+        bounded.clear()
+        response = api.execute(PLAN, cache=cache)
+        # Bounds are derived again, exactly once per candidate.
+        assert len(bounded) == len(set(bounded)) == _candidates(first) > 0
+        return response
+
+    second = repeat()
     after_second = (cache.hits, cache.misses)
-    third = api.execute(PLAN, cache=cache)
+    third = repeat()
 
     assert calls == dict.fromkeys(RECOMPUTED, 0)
     assert cache.misses == after_first[1]
@@ -83,13 +114,18 @@ def _plan_gbs(gbs: int, root) -> tuple:
     return response.methods
 
 
+def _cold_planner_memos():
+    gencache.clear()
+    evaluate_module._prelude.cache_clear()
+
+
 def _back_to_back_matches_cold(tmp_path) -> bool:
-    """Plan GBS 32 then 64 on one memo; is the second answer the one a
-    cold memo gives?"""
-    evaluate_module.config_bounds.cache_clear()
+    """Plan GBS 32 then 64 on one set of memos; is the second answer
+    the one cold memos give?"""
+    _cold_planner_memos()
     _plan_gbs(32, tmp_path / "a32")
     warm = _plan_gbs(64, tmp_path / "a64")
-    evaluate_module.config_bounds.cache_clear()
+    _cold_planner_memos()
     return warm == _plan_gbs(64, tmp_path / "b64")
 
 
@@ -98,9 +134,10 @@ def test_two_batch_sizes_back_to_back(tmp_path):
 
 
 def test_memo_keyed_without_batch_size_is_caught(tmp_path, monkeypatch):
-    # Seeded mutation: the same memo, minus ``global_batch_size`` in its
-    # key, serves GBS 32's bounds to GBS 64 — the fence above must see it.
-    real = evaluate_module.config_bounds.__wrapped__
+    # Seeded mutation: the prelude memo, minus ``global_batch_size`` in
+    # its key, serves GBS 32's problem to GBS 64 — the fence above must
+    # see it.
+    real = evaluate_module._prelude.__wrapped__
     memo: dict[tuple, object] = {}
 
     def mutant(method, spec, cluster, config, global_batch_size):
@@ -110,19 +147,13 @@ def test_memo_keyed_without_batch_size_is_caught(tmp_path, monkeypatch):
         return memo[key]
 
     mutant.cache_clear = memo.clear
-    monkeypatch.setattr(evaluate_module, "config_bounds", mutant)
+    monkeypatch.setattr(evaluate_module, "_prelude", mutant)
     assert not _back_to_back_matches_cold(tmp_path)
 
 
 # ----------------------------------------------------------------------
 # The one schedule memo (repro.schedules.gencache) on planner traffic
 # ----------------------------------------------------------------------
-def _cold_planner_memos():
-    gencache.clear()
-    evaluate_module._prelude.cache_clear()
-    evaluate_module.config_bounds.cache_clear()
-
-
 def test_one_search_builds_each_config_once_and_confirms_from_the_memo(
     monkeypatch,
 ):
