@@ -13,7 +13,7 @@ Run `nox -s <session>`, or the same commands directly:
               find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
-    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py
+    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
@@ -102,8 +102,10 @@ def replay(session: nox.Session) -> None:
     the cost-variant (class member) independence grid, the prefix-pruning
     suite, the capacity soundness grid, the seeded EV-rule,
     CP-rule/slot-edge/oracle-table and link-queue-order mutation
-    suites, the confirm-path allocation guard, and the worker-pool
-    lifecycle suite; then Figure 10, cache off, at ``jobs`` 1 and 2
+    suites, the confirm-path allocation guard, the worker-pool
+    lifecycle suite, the tabular bounds against their per-``OpId``
+    reference (``tests/oracles``) and the chunk-class and shape-gate
+    memo suites; then Figure 10, cache off, at ``jobs`` 1 and 2
     against ``bench/golden/fig10.txt``.
     """
     session.install("-e", ".[test]")
@@ -119,6 +121,8 @@ def replay(session: nox.Session) -> None:
         "tests/test_network_sim.py",
         "tests/test_confirm_allocations.py",
         "tests/test_planner_pool.py",
+        "tests/test_bounds_oracle.py",
+        "tests/test_bound_memos.py",
     )
     session.run("python", "tests/fig10_golden.py")
 

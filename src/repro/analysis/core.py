@@ -29,6 +29,7 @@ malformed schedule is the verifier's job, not this package's.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 
 from repro.analysis.coverage import check_coverage
 from repro.analysis.extract import partition_from_model, partition_from_spec
@@ -124,15 +125,38 @@ def interface_report(
     graph, no arrays).
 
     Raises :class:`ValueError` when the model cannot even be cut into
-    ``problem.num_chunks`` chunks.
+    ``problem.num_chunks`` chunks.  The findings are memoised per
+    (spec, chunk count, stage placement) — all the pass reads of
+    ``problem`` — and each call gets its own report under its own
+    ``name``.
     """
-    partition = partition_from_spec(spec, problem.num_chunks)
-    findings, _io = check_shapes(partition, problem)
+    placement = PipelineProblem(
+        problem.num_stages,
+        1,
+        virtual_size=problem.virtual_size,
+        chunk_placement=problem.chunk_placement,
+    )
     return Report(
         schedule_name=name,
-        findings=list(findings),
+        findings=list(_interface_findings(spec, placement)),
         checked_rules=SHAPE_RULES,
     )
+
+
+# A grid search asks every candidate for its interface report, and the
+# candidates of a plan share a handful of partitions (12 distinct over
+# the 848 calls of the served cold plans).  Module-level, so
+# ``cache_clear`` returns it to cold.
+@lru_cache(maxsize=64)
+def _interface_findings(
+    spec: ModelSpec, placement: PipelineProblem
+) -> tuple[Finding, ...]:
+    """Shape findings of ``spec`` cut into ``placement``'s chunks on
+    its stages (``placement`` is a one-micro-batch problem carrying
+    only the chunking); exceptions are not cached."""
+    partition = partition_from_spec(spec, placement.num_chunks)
+    findings, _io = check_shapes(partition, placement)
+    return tuple(findings)
 
 
 def model_program(

@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.evaluate.core import EvalCertificate
-from repro.schedules.base import OpId, OpKind, PipelineProblem
-from repro.sim.cost import CostModel, op_cost_fns
+from repro.schedules.base import PipelineProblem
+from repro.sim.cost import CostModel, cost_table
 
 #: Relative guard band on certified bounds: float summation order
 #: differs between these closed forms and the simulator's sequential
@@ -62,49 +62,39 @@ def iteration_time_bounds(
     """Certified ``[lower, upper]`` on the iteration time, build-free.
 
     Returns ``None`` when the cost model does not declare
-    ``microbatch_invariant`` — the tables below probe micro-batch 0
-    only, which is only sound when costs do not depend on the
-    micro-batch index (both built-in models qualify).
+    ``microbatch_invariant`` — the :func:`~repro.sim.cost.cost_table`
+    read below holds micro-batch 0 only, which is only sound when costs
+    do not depend on the micro-batch index (both built-in models
+    qualify).  Every sum adds the table's floats in the order the
+    per-``OpId`` derivation did (``tests/oracles/bounds_reference.py``),
+    so the bounds are equal to it bit for bit.
     """
-    if not getattr(cost, "microbatch_invariant", False):
+    table = cost_table(problem, cost)
+    if table is None:
         return None
-    dur_fn, comm_fn, _act_fn = op_cost_fns(cost)
     n = problem.num_microbatches
     s = problem.num_slices
     chunks = problem.num_chunks
     split = problem.split_backward
     gemms = problem.wgrad_gemms
     p = problem.num_stages
+    sc = s * chunks
+    dur, w0 = table.dur, 2 * sc  # w0: the W block's first mb-0 code
 
-    def f_op(sl: int, c: int) -> OpId:
-        return OpId(OpKind.F, 0, sl, c)
-
-    def b_op(sl: int, c: int) -> OpId:
-        return OpId(OpKind.B, 0, sl, c)
-
-    def w_op(sl: int, c: int, g: int) -> OpId:
-        return OpId(OpKind.W, 0, sl, c, g)
-
-    # Per-(slice, chunk) cost tables.
-    d_f = [[dur_fn(f_op(sl, c)) for c in range(chunks)] for sl in range(s)]
-    d_b = [[dur_fn(b_op(sl, c)) for c in range(chunks)] for sl in range(s)]
+    # Per-(slice, chunk) cost tables, rows sliced out of the mb-0 codes.
+    rows = [range(sl * chunks, (sl + 1) * chunks) for sl in range(s)]
+    d_f = [dur[r.start : r.stop] for r in rows]
+    d_b = [dur[sc + r.start : sc + r.stop] for r in rows]
     d_w = [
-        [
-            sum(dur_fn(w_op(sl, c, g)) for g in range(gemms)) if split else 0.0
-            for c in range(chunks)
-        ]
-        for sl in range(s)
+        [sum(dur[w0 + b * gemms : w0 + (b + 1) * gemms]) for b in r]
+        if split
+        else [0.0] * chunks
+        for r in rows
     ]
     # Forward-chain comm into chunk c (edge F(c-1) -> F(c)).
-    c_f = [
-        [comm_fn(f_op(sl, c - 1), f_op(sl, c)) for c in range(1, chunks)]
-        for sl in range(s)
-    ]
+    c_f = [table.f_next_chunk[r.start : r.stop - 1] for r in rows]
     # Backward-chain comm into chunk c (edge B(c+1) -> B(c)).
-    c_b = [
-        [comm_fn(b_op(sl, c + 1), b_op(sl, c)) for c in range(chunks - 1)]
-        for sl in range(s)
-    ]
+    c_b = [table.b_prev_chunk[r.start + 1 : r.stop] for r in rows]
 
     # busy(k): every stage must run all its ops.
     stage_busy: list[float] = []
@@ -130,12 +120,10 @@ def iteration_time_bounds(
     chains: list[float] = []
     for sl in range(s):
         chain = sum(d_f[sl]) + sum(c_f[sl]) + sum(d_b[sl]) + sum(c_b[sl])
-        chain += comm_fn(f_op(sl, chunks - 1), b_op(sl, chunks - 1))
+        chain += table.f_to_b[rows[sl].stop - 1]
         if split:
-            chain += min(
-                dur_fn(w_op(sl, 0, g)) + comm_fn(b_op(sl, 0), w_op(sl, 0, g))
-                for g in range(gemms)
-            )
+            w = rows[sl].start * gemms  # W(sl, 0, g) is W offset w + g
+            chain += min(dur[w0 + w + g] + table.b_to_w[w + g] for g in range(gemms))
         chains.append(chain)
 
     lb_raw = max(
@@ -147,16 +135,14 @@ def iteration_time_bounds(
     total_comm = 0.0
     for sl in range(s):
         total_comm += sum(c_f[sl]) + sum(c_b[sl])
-        for c in range(chunks):
+        for b in rows[sl]:
             if sl > 0:
-                total_comm += comm_fn(f_op(sl - 1, c), f_op(sl, c))
+                total_comm += table.f_next_slice[b - chunks]
             if sl < s - 1:
-                total_comm += comm_fn(b_op(sl + 1, c), b_op(sl, c))
-            total_comm += comm_fn(f_op(sl, c), b_op(sl, c))
+                total_comm += table.b_prev_slice[b + chunks]
+            total_comm += table.f_to_b[b]
             if split:
-                total_comm += sum(
-                    comm_fn(b_op(sl, c), w_op(sl, c, g)) for g in range(gemms)
-                )
+                total_comm += sum(table.b_to_w[b * gemms : (b + 1) * gemms])
     ub_raw = sum(stage_busy) + n * total_comm
 
     lower = lb_raw * (1.0 - GUARD) + overhead_time
@@ -197,14 +183,10 @@ def peak_units_floor(
     it is pre-scaled by :data:`GUARD` to absorb summation-order
     rounding against the simulator's ledger.
     """
-    if not getattr(cost, "microbatch_invariant", False):
+    table = cost_table(problem, cost)
+    if table is None:
         return 0.0
-    _dur_fn, _comm_fn, act_fn = op_cost_fns(cost)
-    min_units = min(
-        act_fn(OpId(OpKind.F, 0, sl, c))
-        for sl in range(problem.num_slices)
-        for c in range(problem.num_chunks)
-    )
+    min_units = min(table.act[: problem.num_slices * problem.num_chunks])
     # A stage's first chunk sees n*s forwards in total, so the in-flight
     # count can never legitimately exceed that — cap the asserted floor.
     available = problem.num_microbatches * problem.num_slices

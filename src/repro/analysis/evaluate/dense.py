@@ -16,13 +16,13 @@ here.
 Two optimizations keep this path an order of magnitude cheaper than
 the event-driven replay without touching a single float:
 
-* **Key-table cost probing** — when the cost model declares
-  ``microbatch_invariant`` (the same contract
-  :func:`~repro.sim.cost.op_cost_fns` memoizes on), every op cost is a
-  pure function of ``(kind, slice, chunk, gemm)``.  The tables are
-  probed once per distinct key (a few dozen calls) and broadcast to all
-  ops/edges with NumPy gathers, instead of one Python-level cost call
-  per op and per edge.
+* **Table cost reads** — when the cost model declares
+  ``microbatch_invariant``, every op cost is a pure function of
+  ``(kind, slice, chunk, gemm)``, and the model's mb-0
+  :func:`~repro.sim.cost.cost_table` (probed once per problem and
+  model, shared with the build-free bounds and the greedy generator)
+  is broadcast to all ops/edges with NumPy gathers, instead of one
+  Python-level cost call per op and per edge.
 * **Plan caching** — the topological evaluation order and dependency
   height depend only on the graph, not the cost model, so they are
   computed once (Kahn) and cached on the compiled graph; replaying the
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.schedules.graph import ScheduleGraph, toposort_plan
-from repro.sim.cost import CostModel, op_cost_fns
+from repro.schedules.graph import KIND_F, KIND_W, ScheduleGraph, toposort_plan
+from repro.sim.cost import CostModel, cost_table
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
@@ -70,85 +70,67 @@ def op_cost_arrays(
 ) -> tuple[FloatArray, FloatArray, FloatArray]:
     """``(duration, act_units, comm)`` flat cost tables for ``graph``.
 
-    Micro-batch-invariant cost models are probed once per distinct
-    ``(kind, slice, chunk, gemm)`` key — exactly the key the event
-    engine's :func:`op_cost_fns` memo collapses to, so two ops sharing
-    a key receive the identical float either way and the tables are
-    bit-for-bit the simulator's.  The few representative ``OpId``\\ s
-    those probes need come from ``graph.op_at`` (decoded from the dense
-    tables), so ``graph.ops`` (the full 10k+ tuple) is never
-    materialized on this path.  Non-invariant models fall back to one
-    probe per op and per edge over the full op tuple.
+    Micro-batch-invariant cost models are read from their mb-0
+    :func:`~repro.sim.cost.cost_table`: each op gathers its
+    ``(kind, slice, chunk, gemm)`` entry and each dependency edge its
+    producer's entry of the edge's kind, so two ops sharing a key
+    receive the identical float the model returns for it, and the
+    tables are bit-for-bit the simulator's.  Non-invariant models fall
+    back to one probe per op and per edge over the full op tuple.
     """
     num_ops = graph.num_ops
-    if not getattr(cost, "microbatch_invariant", False):
+    table = cost_table(graph.problem, cost)
+    if table is None:
         ops = graph.ops
-        dur_fn, comm_fn, act_fn = op_cost_fns(cost)
         duration = np.fromiter(
-            (dur_fn(op) for op in ops), dtype=np.float64, count=num_ops
+            (cost.duration(op) for op in ops), dtype=np.float64, count=num_ops
         )
         act_units = np.fromiter(
-            (act_fn(op) for op in ops), dtype=np.float64, count=num_ops
+            (cost.act_units(op) for op in ops), dtype=np.float64, count=num_ops
         )
         pred_indptr, pred = graph.pred_indptr, graph.pred
         comm = np.empty(len(pred), dtype=np.float64)
         for i in range(num_ops):
             op = ops[i]
             for e in range(pred_indptr[i], pred_indptr[i + 1]):
-                comm[e] = comm_fn(ops[pred[e]], op)
+                comm[e] = cost.comm_time(ops[pred[e]], op)
         return duration, act_units, comm
 
     problem = graph.problem
     chunks = problem.num_chunks
-    s = problem.num_slices
-    gemms = problem.wgrad_gemms
-    if num_ops == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty.copy(), np.zeros(len(graph.pred), dtype=np.float64)
-
+    sc = problem.num_slices * chunks
     kind = np.asarray(graph.kind, dtype=np.int64)
-    cell = np.asarray(graph.cell, dtype=np.int64)
-    gemm = np.asarray(graph.gemm, dtype=np.int64)  # -1 for F/B ops
-    sl = (cell // chunks) % s
-    c = cell % chunks
-    # Dense memo key: (kind, slice, chunk, gemm), gemm shifted to >= 0.
-    code = ((kind * s + sl) * chunks + c) * (gemms + 1) + (gemm + 1)
-    uniq, inverse = np.unique(code, return_inverse=True)
-    rep = np.empty(uniq.shape[0], dtype=np.int64)
-    rep[inverse] = np.arange(num_ops, dtype=np.int64)
-
-    op_at = graph.op_at
-    dur_table = np.fromiter(
-        (cost.duration(op_at(i)) for i in rep),
-        dtype=np.float64,
-        count=uniq.shape[0],
+    # mb-0 cell sl*chunks + c, and mb-0 code: F -> cell, B -> sc + cell,
+    # W(g) -> 2*sc + cell*gemms + g (the table's layout).
+    cell = np.asarray(graph.cell, dtype=np.int64) % sc
+    gemm = np.asarray(graph.gemm, dtype=np.int64)
+    code = np.where(
+        kind == KIND_W, 2 * sc + cell * problem.wgrad_gemms + gemm, kind * sc + cell
     )
-    act_table = np.fromiter(
-        (cost.act_units(op_at(i)) for i in rep),
-        dtype=np.float64,
-        count=uniq.shape[0],
-    )
-    duration = dur_table[inverse]
-    act_units = act_table[inverse]
+    duration = np.asarray(table.dur, dtype=np.float64)[code]
+    act_units = np.asarray(table.act, dtype=np.float64)[code]
 
     pred = np.asarray(graph.pred, dtype=np.int64)
-    pred_indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
-    if pred.shape[0] == 0:
-        return duration, act_units, np.zeros(0, dtype=np.float64)
     edge_op = np.repeat(
-        np.arange(num_ops, dtype=np.int64), np.diff(pred_indptr)
+        np.arange(num_ops, dtype=np.int64), np.diff(np.asarray(graph.pred_indptr))
     )
-    span = np.int64(int(code.max()) + 1)
-    ecode = code[pred] * span + code[edge_op]
-    euniq, einverse = np.unique(ecode, return_inverse=True)
-    erep = np.empty(euniq.shape[0], dtype=np.int64)
-    erep[einverse] = np.arange(ecode.shape[0], dtype=np.int64)
-    comm_table = np.fromiter(
-        (cost.comm_time(op_at(int(pred[e])), op_at(int(edge_op[e]))) for e in erep),
+    # Edge kinds in table order: F->F along the chunks, F->F across
+    # slices, F->B, B->B along the chunks, B->B across slices (each
+    # indexed by the producer's cell), then B->W (by the W offset).
+    by_kind = np.asarray(
+        table.f_next_chunk
+        + table.f_next_slice
+        + table.f_to_b
+        + table.b_prev_chunk
+        + table.b_prev_slice
+        + table.b_to_w,
         dtype=np.float64,
-        count=euniq.shape[0],
     )
-    return duration, act_units, comm_table[einverse]
+    src, dst = kind[pred], kind[edge_op]
+    across = (cell[pred] // chunks != cell[edge_op] // chunks).astype(np.int64)
+    block = np.where(dst == KIND_F, across, np.where(src == KIND_F, 2, 3 + across))
+    slot = np.where(dst == KIND_W, 3 * sc + code[edge_op], block * sc + cell[pred])
+    return duration, act_units, by_kind[slot]
 
 
 def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:

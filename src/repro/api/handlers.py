@@ -363,12 +363,26 @@ def _handle_plan(
     from repro.model import get_model
     from repro.planner import SweepCache, search_method
     from repro.schedules import gencache
+    from repro.schedules.methods import method_traits
 
     if request.evaluator not in ("sim", "grid"):
         raise RequestError(
             f"unknown search evaluator {request.evaluator!r}",
             code="unknown-evaluator",
         )
+    # Refused before the first sweep: a bad last method or a batch size
+    # no configuration can take must not cost the sweeps before it.
+    for method in request.methods:
+        try:
+            method_traits(method)
+        except KeyError as exc:
+            raise RequestError(exc.args[0], code="unknown-method") from None
+    for name in ("global_batch_size", "max_spp", "max_vp", "min_dp"):
+        value = getattr(request, name)
+        if value < 1:
+            raise RequestError(
+                f"{name} must be >= 1, got {value}", code="invalid-plan"
+            )
     try:
         spec = get_model(request.model)
         cluster = get_cluster(request.cluster)
@@ -383,24 +397,19 @@ def _handle_plan(
     gen_before = gencache.stats()
     methods: list[JsonDict] = []
     for method in request.methods:
-        try:
-            result = search_method(
-                method,
-                spec,
-                cluster,
-                request.global_batch_size,
-                max_spp=request.max_spp,
-                max_vp=request.max_vp,
-                min_dp=request.min_dp,
-                jobs=request.jobs,
-                cache=cache,
-                sink=sink,
-                evaluator=request.evaluator,
-            )
-        except KeyError as exc:
-            raise RequestError(
-                exc.args[0] if exc.args else str(exc), code="unknown-method"
-            ) from None
+        result = search_method(
+            method,
+            spec,
+            cluster,
+            request.global_batch_size,
+            max_spp=request.max_spp,
+            max_vp=request.max_vp,
+            min_dp=request.min_dp,
+            jobs=request.jobs,
+            cache=cache,
+            sink=sink,
+            evaluator=request.evaluator,
+        )
         best = result.best
         methods.append(
             {

@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.schedules.base import (
     OpId,
@@ -55,6 +55,8 @@ from repro.schedules.graph import ScheduleGraph, graph_from_codes
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
+
+_Op = TypeVar("_Op")
 
 #: Tolerance for "has this op's input arrived by now?" comparisons.
 #:
@@ -259,8 +261,6 @@ def _structure_tables(
     list[int],
     list[int],
     list[int],
-    list[list[int]],
-    list[list[int]],
     list[int],
     list[int],
     list[list[int]],
@@ -269,19 +269,18 @@ def _structure_tables(
 
     Everything here depends only on the problem (not the policy or
     cost model), so it is memoized across generations like the cost
-    memos in :func:`repro.sim.cost.op_cost_fns`.  Returns
-    ``(stage_of_cell, stage_by_code, unmet0, f_blk, b_blk, sidx,
-    sflat, pf0)``:
+    table in :func:`repro.sim.cost.cost_table`.  Returns
+    ``(stage_of_cell, stage_by_code, unmet0, sidx, sflat, pf0)``:
 
     * ``stage_of_cell`` / ``stage_by_code`` — home stage per cell/code;
     * ``unmet0`` — initial unmet-dependency count per code (edges never
       cross micro-batches, so the per-micro-batch pattern tiles);
-    * ``f_blk`` / ``b_blk`` — mb=0 consumer codes of each F/B cell, in
-      the dependency transpose's visit order;
     * ``sidx`` / ``sflat`` — the flattened successor table:
       ``sflat[sidx[code]:sidx[code+1]]`` are op ``code``'s consumer
-      codes (F/B consumers shift per micro-batch by the cell-region
-      offset, W consumers by the gemms-times-larger W-region offset);
+      codes in a fixed order (an F cell: next chunk, next slice, own
+      B; a B cell: previous slice, previous chunk, own W GEMMs); F/B
+      consumers shift per micro-batch by the cell-region offset, W
+      consumers by the gemms-times-larger W-region offset;
     * ``pf0`` — per-stage, per-micro-batch cell counts (the initial
       pending-forward/backward counters).
 
@@ -363,8 +362,6 @@ def _structure_tables(
         stage_of_cell,
         stage_by_code,
         unmet0,
-        f_blk,
-        b_blk,
         sidx,
         sflat,
         pf0,
@@ -546,13 +543,13 @@ def _greedy_once(
     * every float is produced by the same expression over the same
       memoized cost-table values (no reassociation).
     """
-    from repro.sim.cost import UniformCost, op_cost_fns
+    from repro.sim.cost import UniformCost, cost_table
 
     cost = cost or UniformCost(problem)
-    # Memoized per-op-shape planning costs (identical values; see
-    # op_cost_fns) — and, for micro-batch-invariant models, probed once
-    # per shape and tiled across micro-batches below.
-    dur_fn, comm_fn, act_fn = op_cost_fns(cost)
+    # A micro-batch-invariant model's mb-0 cost table (probed once per
+    # problem and model, tiled across micro-batches below); ``None``
+    # means every op and edge is probed.
+    table = cost_table(problem, cost)
     num_stages = problem.num_stages
     n = problem.num_microbatches
     s = problem.num_slices
@@ -563,13 +560,10 @@ def _greedy_once(
     sc = s * chunks
     total = 2 * cells + (cells * gemms if split else 0)
     arrival_eps = ARRIVAL_EPS
-    invariant = bool(getattr(cost, "microbatch_invariant", False))
     (
         stage_of_cell,
         stage_by_code,
         unmet0,
-        f_blk,
-        b_blk,
         sidx,
         sflat,
         pf0,
@@ -579,10 +573,9 @@ def _greedy_once(
     # ScheduleGraph's layout): F -> base, B -> cells + base,
     # W(g) -> 2*cells + base*gemms + g, with base=(mb*s+sl)*chunks+c.
     # The hot loop never touches OpId objects.  For micro-batch-
-    # invariant cost models only the mb=0 probe blocks are built
-    # eagerly (op_cost_fns drops the micro-batch from its memo keys, so
-    # mb=0 probes return the exact floats any micro-batch would); the
-    # full code -> OpId index is deferred until something materializes
+    # invariant cost models the costs come from the mb=0 cost table
+    # (whose floats any micro-batch would get) and the full
+    # code -> OpId index is deferred until something materializes
     # programs, graph.ops, or a deadlock witness.
     ops_cache: list[OpId] | None = None
 
@@ -613,75 +606,46 @@ def _greedy_once(
             ops_cache = full
         return full
 
-    if invariant:
-        ops_f0 = [
-            OpId(OpKind.F, 0, sl, c) for sl in range(s) for c in range(chunks)
-        ]
-        ops_b0 = [
-            OpId(OpKind.B, 0, sl, c) for sl in range(s) for c in range(chunks)
-        ]
-        ops_w0 = (
-            [
-                OpId(OpKind.W, 0, sl, c, g)
-                for sl in range(s)
-                for c in range(chunks)
-                for g in range(gemms)
-            ]
-            if split
-            else []
+    unmet = unmet0.copy()
+
+    # Durations, ledger steps and per-edge comm times (the latter
+    # parallel to the structure tables' flattened successor list
+    # ``sflat``) replicate per micro-batch for micro-batch-invariant
+    # cost models: the mb=0 table tiled ``n`` times.
+    if table is not None:
+        dur0, act0, w_lo = table.dur, table.act, 2 * sc
+        dur_by_code = dur0[:sc] * n + dur0[sc:w_lo] * n + dur0[w_lo:] * n
+        delta = _ledger_deltas(
+            lambda code: act0[code],
+            range(sc),
+            range(sc, w_lo),
+            range(w_lo, len(dur0)),
+            problem,
+            n,
         )
+        # Successors in ``sflat``'s order (see _structure_tables).
+        comm0_f: list[float] = []
+        comm0_b: list[float] = []
+        for b in range(sc):
+            if b % chunks < chunks - 1:
+                comm0_f.append(table.f_next_chunk[b])
+            if b + chunks < sc:
+                comm0_f.append(table.f_next_slice[b])
+            comm0_f.append(table.f_to_b[b])
+            if b >= chunks:
+                comm0_b.append(table.b_prev_slice[b])
+            if b % chunks:
+                comm0_b.append(table.b_prev_chunk[b])
+            comm0_b += table.b_to_w[b * gemms : (b + 1) * gemms]
+        scomm = comm0_f * n + comm0_b * n
     else:
         # Per-micro-batch probes need every OpId anyway.
         full_ops = build_ops()
-        ops_f0 = full_ops[:sc]
-        ops_b0 = full_ops[cells : cells + sc]
-        ops_w0 = full_ops[2 * cells : 2 * cells + sc * gemms] if split else []
-
-    unmet = unmet0.copy()
-
-    # Durations and per-edge comm times replicate per micro-batch for
-    # micro-batch-invariant cost models: probe the mb=0 block once and
-    # tile it.  Tiled floats are the exact memo values dur_fn/comm_fn
-    # would return for any mb.
-    if invariant:
-        dur_by_code = [dur_fn(op) for op in ops_f0] * n
-        dur_by_code += [dur_fn(op) for op in ops_b0] * n
-        if split:
-            dur_by_code += [dur_fn(op) for op in ops_w0] * n
-    else:
-        dur_by_code = [dur_fn(op) for op in full_ops]
-    if invariant:
-        delta = _ledger_deltas(act_fn, ops_f0, ops_b0, ops_w0, problem, n)
-    else:
+        dur_by_code = [cost.duration(op) for op in full_ops]
         blocks = full_ops[:cells], full_ops[cells : 2 * cells], full_ops[2 * cells :]
-        delta = _ledger_deltas(act_fn, *blocks, problem, 1)
-
-    # Per-edge comm times, parallel to the structure tables' flattened
-    # successor list ``sflat``.
-    if invariant:
-
-        def probe(code: int) -> OpId:
-            # Probe-block lookup: every mb=0 edge endpoint by code.
-            if code < cells:
-                return ops_f0[code]
-            if code < 2 * cells:
-                return ops_b0[code - cells]
-            return ops_w0[code - 2 * cells]
-
-        comm0_f = [
-            cm
-            for b in range(sc)
-            for cm in (comm_fn(ops_f0[b], probe(d)) for d in f_blk[b])
-        ]
-        comm0_b = [
-            cm
-            for b in range(sc)
-            for cm in (comm_fn(ops_b0[b], probe(d)) for d in b_blk[b])
-        ]
-        scomm = comm0_f * n + comm0_b * n
-    else:
+        delta = _ledger_deltas(cost.act_units, *blocks, problem, 1)
         scomm = [
-            comm_fn(full_ops[src], full_ops[dc])
+            cost.comm_time(full_ops[src], full_ops[dc])
             for src in range(2 * cells)
             for dc in sflat[sidx[src] : sidx[src + 1]]
         ]
@@ -988,18 +952,19 @@ def _greedy_once(
 
 
 def _ledger_deltas(
-    act_fn: Callable[[OpId], float],
-    f_ops: list[OpId],
-    b_ops: list[OpId],
-    w_ops: list[OpId],
+    act_fn: Callable[[_Op], float],
+    f_ops: Sequence[_Op],
+    b_ops: Sequence[_Op],
+    w_ops: Sequence[_Op],
     problem: PipelineProblem,
     reps: int,
 ) -> list[float]:
     """Pinned-activation ledger step per op code (each block tiled
     ``reps`` times): :func:`repro.sim.executor._materialize`'s operands
-    at the planner's activation-gradient factor 1.0.  Releases are
-    stored negated (``a - x`` is ``a + (-x)`` in IEEE-754), so running
-    sums are the simulator's bit for bit."""
+    at the planner's activation-gradient factor 1.0.  An op is whatever
+    ``act_fn`` reads — an ``OpId``, or an mb=0 cost-table code.
+    Releases are stored negated (``a - x`` is ``a + (-x)`` in
+    IEEE-754), so running sums are the simulator's bit for bit."""
     actgrad = 1.0
     gemms = problem.wgrad_gemms
     if problem.split_backward:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Protocol
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.comm import ring_all_gather_time, ring_all_reduce_time
 from repro.hardware.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
-from repro.model.flops import head_slice_flops, layer_slice_flops
+from repro.model.flops import attention_score_flops, head_slice_flops, layer_slice_flops
 from repro.model.memory import HALF, sample_activation_bytes
 from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig
@@ -31,9 +31,11 @@ class CostModel(Protocol):
     Implementations may additionally set a class attribute
     ``microbatch_invariant = True`` to declare that ``duration``,
     ``comm_time``, and ``act_units`` do not depend on the micro-batch
-    index of their arguments; the executor and the greedy generator
-    then memoize per-op costs across micro-batches (see
-    :func:`op_cost_fns`).  Both built-in models qualify.
+    index of their arguments.  Such a model is probed once per
+    (problem, model), for micro-batch 0 only, into a
+    :class:`CostTable` (:func:`cost_table`) that the build-free bounds,
+    the greedy generator and the dense replay read; the heap engine
+    keeps its own per-key probes.  Both built-in models qualify.
     """
 
     def duration(self, op: OpId) -> float:
@@ -49,59 +51,87 @@ class CostModel(Protocol):
         ...
 
 
-def op_cost_fns(
-    cost: CostModel,
-) -> tuple[
-    Callable[[OpId], float],
-    Callable[[OpId, OpId], float],
-    Callable[[OpId], float],
-]:
-    """``(duration, comm_time, act_units)`` callables for ``cost``.
+@dataclass(frozen=True)
+class CostTable:
+    """Micro-batch-0 costs of one (problem, cost model) pair, indexed
+    without ``OpId``\\ s.
 
-    When the model declares ``microbatch_invariant``, each callable
-    memoizes on the op coordinates *minus* the micro-batch index, so a
-    replay touches the underlying model O(kinds × slices × chunks)
-    times instead of once per op/edge.  Values are identical to direct
-    calls — the memo only removes repeated evaluation — so simulation
-    results are unchanged bit for bit.
+    ``dur`` and ``act`` are indexed by mb-0 op code, the compiled
+    graph's layout at one micro-batch: F(sl, c) at ``b = sl*chunks +
+    c``, B at ``sc + b``, W(sl, c, g) at ``2*sc + b*gemms + g`` (``sc =
+    s*chunks``; no W block unless the backward is split).  Comm is one
+    list per dependency kind, indexed by the producer's cell ``b``
+    (``b_to_w`` by the W offset ``b*gemms + g``); an edge the problem
+    does not have reads 0.0.  Every float is the model's own answer
+    for that op or edge, so readers see exactly what a per-op probe
+    returns.  All lists are read-only to callers.
+    """
+
+    dur: list[float]
+    act: list[float]
+    f_next_chunk: list[float]  # F(sl, c) -> F(sl, c + 1)
+    f_next_slice: list[float]  # F(sl, c) -> F(sl + 1, c)
+    f_to_b: list[float]  # F(sl, c) -> B(sl, c)
+    b_prev_chunk: list[float]  # B(sl, c) -> B(sl, c - 1)
+    b_prev_slice: list[float]  # B(sl, c) -> B(sl - 1, c)
+    b_to_w: list[float]  # B(sl, c) -> W(sl, c, g)
+
+
+def cost_table(problem: PipelineProblem, cost: CostModel) -> CostTable | None:
+    """The :class:`CostTable` of ``problem`` under ``cost``, or ``None``
+    when the model does not declare ``microbatch_invariant``.
+
+    Built once per (problem, model) and kept in the model's
+    ``_tables`` (both built-in models have one; another model is probed
+    afresh per call): the one place a micro-batch-invariant model is
+    probed for the build-free bounds, the greedy generator and the
+    dense replay.
     """
     if not getattr(cost, "microbatch_invariant", False):
-        return cost.duration, cost.comm_time, cost.act_units
+        return None
+    tables = getattr(cost, "_tables", None)
+    if tables is None:
+        return _probe_table(problem, cost)
+    key = ("cost_table", problem)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _probe_table(problem, cost)
+    return table
 
-    # Keys use interned kind tags (C-level string hash) rather than the
-    # enum member's ``.value``, whose descriptor protocol would dominate
-    # the probe cost; the identity-keyed table turns the tag lookup into
-    # one dict probe.
-    tag = {OpKind.F: "F", OpKind.B: "B", OpKind.W: "W"}
-    dur_memo: dict[tuple[str, int, int, int], float] = {}
-    comm_memo: dict[tuple, float] = {}
-    act_memo: dict[tuple[str, int, int, int], float] = {}
 
-    def duration(op: OpId) -> float:
-        key = (tag[op.kind], op.slice_idx, op.chunk, op.gemm)
-        v = dur_memo.get(key)
-        if v is None:
-            v = dur_memo[key] = cost.duration(op)
-        return v
-
-    def comm_time(dep: OpId, op: OpId) -> float:
-        key = (
-            tag[dep.kind], dep.slice_idx, dep.chunk, dep.gemm,
-            tag[op.kind], op.slice_idx, op.chunk, op.gemm,
-        )
-        v = comm_memo.get(key)
-        if v is None:
-            v = comm_memo[key] = cost.comm_time(dep, op)
-        return v
-
-    def act_units(op: OpId) -> float:
-        key = (tag[op.kind], op.slice_idx, op.chunk, op.gemm)
-        v = act_memo.get(key)
-        if v is None:
-            v = act_memo[key] = cost.act_units(op)
-        return v
-
-    return duration, comm_time, act_units
+def _probe_table(problem: PipelineProblem, cost: CostModel) -> CostTable:
+    s, chunks, gemms = problem.num_slices, problem.num_chunks, problem.wgrad_gemms
+    sc = s * chunks
+    f_ops = [OpId(OpKind.F, 0, sl, c) for sl in range(s) for c in range(chunks)]
+    b_ops = [OpId(OpKind.B, 0, sl, c) for sl in range(s) for c in range(chunks)]
+    w_ops = [
+        OpId(OpKind.W, 0, b // chunks, b % chunks, g)
+        for b in range(sc if problem.split_backward else 0)
+        for g in range(gemms)
+    ]
+    ops = f_ops + b_ops + w_ops
+    comm = cost.comm_time
+    return CostTable(
+        dur=[cost.duration(op) for op in ops],
+        act=[cost.act_units(op) for op in ops],
+        f_next_chunk=[
+            comm(f_ops[b], f_ops[b + 1]) if b % chunks < chunks - 1 else 0.0
+            for b in range(sc)
+        ],
+        f_next_slice=[
+            comm(f_ops[b], f_ops[b + chunks]) if b + chunks < sc else 0.0
+            for b in range(sc)
+        ],
+        f_to_b=[comm(f, b) for f, b in zip(f_ops, b_ops)],
+        b_prev_chunk=[
+            comm(b_ops[b], b_ops[b - 1]) if b % chunks else 0.0 for b in range(sc)
+        ],
+        b_prev_slice=[
+            comm(b_ops[b], b_ops[b - chunks]) if b >= chunks else 0.0
+            for b in range(sc)
+        ],
+        b_to_w=[comm(b_ops[i // gemms], w) for i, w in enumerate(w_ops)],
+    )
 
 
 def stamp_byte_sizes(result: object, cost: CostModel) -> None:
@@ -132,6 +162,7 @@ class UniformCost:
     tb: float = 2.0
     tw: float = 0.0
     imbalance: tuple[float, ...] = ()
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     microbatch_invariant = True
 
@@ -269,47 +300,63 @@ class ClusterCost:
         return flops / (peak * self.eff.attention(self.efficiency_tokens))
 
     @_instance_table
-    def _compute_seconds(self, kind: OpKind, slice_idx: int, chunk: int) -> float:
+    def _slice_seconds(
+        self, slice_idx: int
+    ) -> tuple[float, float, float, float, float, float]:
+        """FLOP seconds every chunk of slice ``slice_idx`` combines: one
+        transformer layer's forward, backward (dgrad) and weight
+        gradient, then the head's three.  A chunk's layer class only
+        scales and adds them, so the FLOP math runs once per slice."""
         tokens = self.tokens_per_op * self.config.cp  # per-slice tokens
         offset = self._slice_offset(slice_idx)
         per_layer = layer_slice_flops(self.spec, tokens, offset)
         head = head_slice_flops(self.spec, tokens)
+        attn_f = attention_score_flops(self.spec, tokens, offset)
+        attn_b = 2 * attn_f
+        gemm = self._gemm_seconds
+        return (
+            gemm(per_layer.forward - attn_f) + self._attn_seconds(attn_f),
+            gemm(per_layer.backward_dgrad - attn_b) + self._attn_seconds(attn_b),
+            gemm(per_layer.backward_wgrad),
+            gemm(head.forward),
+            gemm(head.backward_dgrad),
+            gemm(head.backward_wgrad),
+        )
+
+    def _compute_seconds(
+        self, kind: OpKind, slice_idx: int, layer_class: tuple[int, bool, bool]
+    ) -> float:
+        """FLOP seconds of one op on a chunk of ``layer_class``."""
+        fwd, bwd, _w, head_f, head_b, _hw = self._slice_seconds(slice_idx)
+        layers, _unused, has_head = layer_class
         # CP splits every op's FLOPs across its group; TP splits every
         # GEMM and every attention head across its group.
         share = self.config.micro_batch_size / (self.config.cp * self.config.tp)
-        layers, has_emb, has_head = self._chunk_layers(chunk)
-
-        from repro.model.flops import attention_score_flops
-
-        attn_f = attention_score_flops(self.spec, tokens, offset)
-        gemm_f = per_layer.forward - attn_f
         if kind is OpKind.F:
-            t = layers * (self._gemm_seconds(gemm_f) + self._attn_seconds(attn_f))
+            t = layers * fwd
             if has_head:
-                t += self._gemm_seconds(head.forward)
+                t += head_f
             return t * share  # unchanged by recompute: the replay is charged to B
         if kind is OpKind.B:
-            attn_b = 2 * attn_f
-            gemm_b = per_layer.backward_dgrad - attn_b
-            t = layers * (self._gemm_seconds(gemm_b) + self._attn_seconds(attn_b))
+            t = layers * bwd
             if has_head:
-                t += self._gemm_seconds(head.backward_dgrad)
+                t += head_b
             if not self.problem.split_backward:
-                t += self._wgrad_chunk_seconds(slice_idx, chunk)
+                t += self._wgrad_chunk_seconds(slice_idx, layer_class)
             if self.config.recompute:
                 # Replay the chunk's forward before its backward.
-                t += layers * (self._gemm_seconds(gemm_f) + self._attn_seconds(attn_f))
+                t += layers * fwd
             return t * share
-        return self._wgrad_chunk_seconds(slice_idx, chunk) * share
+        return self._wgrad_chunk_seconds(slice_idx, layer_class) * share
 
-    def _wgrad_chunk_seconds(self, slice_idx: int, chunk: int) -> float:
-        tokens = self.tokens_per_op * self.config.cp
-        offset = self._slice_offset(slice_idx)
-        per_layer = layer_slice_flops(self.spec, tokens, offset)
-        layers, _unused, has_head = self._chunk_layers(chunk)
-        t = layers * self._gemm_seconds(per_layer.backward_wgrad)
+    def _wgrad_chunk_seconds(
+        self, slice_idx: int, layer_class: tuple[int, bool, bool]
+    ) -> float:
+        _f, _b, wgrad, _hf, _hb, head_w = self._slice_seconds(slice_idx)
+        layers, _unused, has_head = layer_class
+        t = layers * wgrad
         if has_head:
-            t += self._gemm_seconds(head_slice_flops(self.spec, tokens).backward_wgrad)
+            t += head_w
         return t
 
     @_instance_table
@@ -348,12 +395,21 @@ class ClusterCost:
     # CostModel interface
     # ------------------------------------------------------------------
     def duration(self, op: OpId) -> float:
-        base = self._compute_seconds(op.kind, op.slice_idx, op.chunk)
-        if op.kind is OpKind.W:
+        return self._op_seconds(op.kind, op.slice_idx, self._chunk_layers(op.chunk))
+
+    @_instance_table
+    def _op_seconds(
+        self, kind: OpKind, slice_idx: int, layer_class: tuple[int, bool, bool]
+    ) -> float:
+        """Duration of one op on a chunk of ``layer_class``
+        (:meth:`_chunk_layers`).  The chunk is read only through its
+        class, so the memo holds one entry per (kind, slice, class)
+        and chunks of one class share it."""
+        base = self._compute_seconds(kind, slice_idx, layer_class)
+        if kind is OpKind.W:
             return base / self.problem.wgrad_gemms
-        layers, _unused, _unused2 = self._chunk_layers(op.chunk)
-        extra = layers * (self._cp_layer_overhead() + self._tp_layer_overhead())
-        if op.kind is OpKind.B:
+        extra = layer_class[0] * (self._cp_layer_overhead() + self._tp_layer_overhead())
+        if kind is OpKind.B:
             extra *= 2.0  # backward needs the mirrored collectives
         return base + extra
 

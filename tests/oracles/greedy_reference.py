@@ -101,7 +101,9 @@ def greedy_reference(
     name: str,
 ) -> Schedule:
     """One generation attempt with the pre-rewrite engine (no fallback)."""
-    from repro.sim.cost import UniformCost, op_cost_fns
+    from repro.sim.cost import UniformCost
+
+    from tests.oracles.cost_memo import op_cost_fns
 
     cost = cost or UniformCost(problem)
     # Memoized per-op-shape planning costs (identical values; see

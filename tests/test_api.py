@@ -225,6 +225,42 @@ def test_execute_bad_shape_is_exit_2():
     assert excinfo.value.code == "invalid-shape"
 
 
+INVALID_PLANS = [
+    ({"methods": ("mepipe", "bogus")}, "unknown-method"),
+    ({"global_batch_size": -8}, "invalid-plan"),
+    ({"global_batch_size": 0}, "invalid-plan"),
+    ({"max_spp": 0}, "invalid-plan"),
+    ({"max_vp": 0}, "invalid-plan"),
+    ({"min_dp": -1}, "invalid-plan"),
+]
+
+
+@pytest.fixture()
+def no_sweep(monkeypatch):
+    """Make any grid search fail the test: a refused plan runs none."""
+    import repro.planner
+
+    def search_method(*args, **kwargs):
+        raise AssertionError("a sweep ran for a request that must be refused")
+
+    monkeypatch.setattr(repro.planner, "search_method", search_method)
+
+
+@pytest.mark.parametrize("fields,code", INVALID_PLANS, ids=lambda v: str(v))
+def test_invalid_plan_is_refused_before_any_sweep(no_sweep, fields, code):
+    request = api.PlanRequest(**{"global_batch_size": 32, "use_cache": False, **fields})
+    with pytest.raises(api.RequestError) as excinfo:
+        api.execute(request)
+    assert excinfo.value.exit_status == 2
+    assert excinfo.value.http_status == 400
+    assert excinfo.value.code == code
+    if code == "unknown-method":
+        assert "'bogus'" in excinfo.value.message
+    else:
+        (name,) = fields
+        assert excinfo.value.message.startswith(f"{name} must be >= 1")
+
+
 def test_plan_with_unbounded_max_vp_answers_like_the_slot_bound():
     def methods(max_vp):
         request = api.PlanRequest(

@@ -231,6 +231,30 @@ class TestHttpEndpoints:
         assert excinfo.value.status == 400
         assert excinfo.value.error.code == "unknown-evaluator"
 
+    @pytest.mark.parametrize(
+        "fields,code",
+        [
+            ({"methods": ("mepipe", "bogus")}, "unknown-method"),
+            ({"global_batch_size": -8}, "invalid-plan"),
+            ({"global_batch_size": 0}, "invalid-plan"),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_invalid_plan_is_refused_before_any_sweep(
+        self, harness, monkeypatch, fields, code
+    ):
+        import repro.planner
+
+        def search_method(*args, **kwargs):
+            raise AssertionError("a sweep ran for a request that must be refused")
+
+        monkeypatch.setattr(repro.planner, "search_method", search_method)
+        request = api.PlanRequest(**{"global_batch_size": 32, **fields})
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client().request(request)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.code == code
+
     def test_absurd_shape_is_refused_before_it_is_built(self, harness):
         request = api.VerifyRequest(
             method="dapple", shape=api.ShapeSpec(microbatches=10**7)
@@ -367,7 +391,7 @@ class TestJobsAndStreaming:
         stats = client.health()["stats"]
         assert stats["executed"] == executed_before + 1
 
-    def test_dedup_respects_fingerprint_volatile_fields(self, harness):
+    def test_dedup_respects_fingerprint_volatile_fields(self, harness, monkeypatch):
         # jobs/use_cache are volatile: they never change the planner's
         # answer, so requests differing only there still share a job.
         client = harness.client()
@@ -381,11 +405,23 @@ class TestJobsAndStreaming:
         )
         assert variant.fingerprint() == SMALL_PLAN.fingerprint()
         executed_before = harness.store.executed
+        hits_before = harness.store.dedup_hits
+        # Dedup is in-flight-only: hold the execution open until the
+        # second request has attached, however fast the plan itself is.
+        gate = _Gated(jobs_module.execute)
+        monkeypatch.setattr(jobs_module, "execute", gate)
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [
                 pool.submit(client.request, SMALL_PLAN),
                 pool.submit(client.request, variant),
             ]
+            deadline = time.monotonic() + 20.0
+            while (
+                harness.store.dedup_hits < hits_before + 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            gate.release.set()
             results = [f.result() for f in futures]
         assert results[0] == results[1]
         assert harness.store.executed <= executed_before + 1
