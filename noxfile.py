@@ -15,7 +15,8 @@ Run `nox -s <session>`, or the same commands directly:
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
-    generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_gencache.py
+    generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
+              python tests/function_lengths.py src/repro/schedules/greedy.py 150
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
     service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
@@ -39,6 +40,7 @@ LINT_TARGETS = ("src", "tests")
 PYTEST = ("python", "-m", "pytest", "-x", "-q")
 #: ``src/`` lines, then files: the size metric CHANGES.md tracks per PR.
 SRC_SIZE = "find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l"
+GREEDY = "src/repro/schedules/greedy.py"
 
 
 @nox.session
@@ -134,10 +136,18 @@ def generate(session: nox.Session) -> None:
     The array-native greedy engine's claim is byte-identical output to
     the preserved reference engine (``tests/oracles``); the gate runs
     the golden-equivalence grid, the seeded tiebreak/epsilon mutation
-    tests, and the schedule memo's identity/aliasing suite.
+    tests, the generator's property tests, and the schedule memo's
+    identity/aliasing suite, then holds every generator function to
+    150 lines.
     """
     session.install("-e", ".[test]")
-    session.run(*PYTEST, "tests/test_greedy_golden.py", "tests/test_gencache.py")
+    session.run(
+        *PYTEST,
+        "tests/test_greedy_golden.py",
+        "tests/test_greedy_properties.py",
+        "tests/test_gencache.py",
+    )
+    session.run("python", "tests/function_lengths.py", GREEDY, "150")
 
 
 @nox.session

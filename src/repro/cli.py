@@ -153,43 +153,6 @@ def _emit_report_response(
     return 0 if response.ok else 1
 
 
-def _build_for_cli(args: argparse.Namespace, method: str, **overrides):
-    """Build (problem, schedule) from CLI shape flags.
-
-    Returns ``(schedule, None)`` on success or ``(None, exit_code)``
-    after printing the diagnosis — shared by every schedule-shaped
-    command.
-    """
-    from repro.schedules import ScheduleError, build_problem, build_schedule
-
-    kwargs = {
-        "num_slices": args.slices,
-        "virtual_size": args.virtual,
-        "wgrad_gemms": args.wgrad_gemms,
-    }
-    kwargs.update(overrides)
-    try:
-        problem = build_problem(
-            method, args.stages, args.microbatches, **kwargs
-        )
-        schedule = build_schedule(
-            method, problem, forwards_before_first_backward=args.forwards
-        )
-    except KeyError as exc:  # unknown method name
-        print(exc.args[0] if exc.args else exc)
-        return None, 2
-    except ValueError as exc:  # out-of-range shape (p/n/s/v/g)
-        print(exc)
-        return None, 2
-    except ScheduleError as exc:
-        # Invalid shape for the method, or the generator itself produced
-        # a schedule the safety tier rejects — either way the message is
-        # the diagnosis.
-        print(exc)
-        return None, 1
-    return schedule, None
-
-
 def _tiny_spec_for(problem: "PipelineProblem") -> "ModelSpec":
     """A miniature model spec executable under ``problem``.
 
@@ -277,14 +240,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.api import RequestError
+    from repro.api.handlers import _build_schedule
     from repro.obs.chrome import write_sim_trace
     from repro.sim import UniformCost, simulate
     from repro.viz import render_memory_profile, render_timeline
 
-    schedule, status = _build_for_cli(args, args.method)
-    if schedule is None:
-        assert status is not None
-        return status
+    try:
+        schedule = _build_schedule(args.method, _shape_from_args(args))
+    except RequestError as exc:
+        print(exc)
+        return exc.exit_status
     result = simulate(schedule, UniformCost(schedule.problem, tw=args.tw))
     print(render_timeline(result, width=args.width))
     if args.memory:
@@ -428,13 +394,16 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.api import RequestError
+    from repro.api.handlers import _build_schedule
     from repro.obs.record import record_iteration
     from repro.obs.sinks import ChromeTraceSink
 
-    schedule, status = _build_for_cli(args, args.method)
-    if schedule is None:
-        assert status is not None
-        return status
+    try:
+        schedule = _build_schedule(args.method, _shape_from_args(args))
+    except RequestError as exc:
+        print(exc)
+        return exc.exit_status
     executor = "parallel" if args.substrate == "parallel" else "serial"
     sim_result, run_result = _run_both_substrates(args, schedule, executor=executor)
     sink = ChromeTraceSink(
@@ -459,10 +428,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    schedule, status = _build_for_cli(args, args.method)
-    if schedule is None:
-        assert status is not None
-        return status
+    from repro.api import RequestError
+    from repro.api.handlers import _build_schedule
+
+    try:
+        schedule = _build_schedule(args.method, _shape_from_args(args))
+    except RequestError as exc:
+        print(exc)
+        return exc.exit_status
     sim_result, run_result = _run_both_substrates(args, schedule)
     sim_metrics = sim_result.metrics()
     run_metrics = run_result.metrics()

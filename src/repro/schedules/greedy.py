@@ -1,8 +1,9 @@
 """Policy-driven greedy schedule generation.
 
 MEPipe's scheduler (Sections 4.3 and 5) is reproduced here as an
-event-driven greedy construction: each stage, whenever it is free,
-chooses its next op under a policy of
+event-driven greedy construction (:func:`_drain` is the event loop):
+each stage, whenever it is free, picks its next op in two steps.  The
+**skeleton pick** (:func:`_next_fb`) chooses the next F or B op:
 
 * **forward-first under a memory cap** — a stage runs a ready F op
   while its live activation count stays below the cap; each backward
@@ -13,14 +14,16 @@ chooses its next op under a policy of
 * **front-micro-batch reservation** — an F op may not consume the cap
   slots that the earliest unfinished micro-batch's remaining forwards
   will need (the first backward of a sample depends on *all* of its
-  forwards, Section 4.2), which keeps every variant deadlock-free;
-* **weight-gradient gap filling** — when neither an F nor a B op is
-  runnable (waiting on communication, or F is capped), the stage pops a
-  deferred W GEMM from its queue (Section 5, Figure 7); stages defer at
-  most what their memory slack allows, so later stages postpone more.
+  forwards, Section 4.2), which keeps every variant deadlock-free.
 
-The same engine generates the zero-bubble (ZB/ZBV) and Hanayo baselines
-with micro-batch-granular problems and the corresponding caps.
+**W placement** (:func:`_next_w`) places the deferred weight-gradient
+GEMMs (Section 5, Figure 7): a stage retires one as soon as its
+deferred state exceeds its memory slack (so later stages postpone
+more), and otherwise fills an idle gap with one, unless a published
+F/B op — arrived but capped, or in flight — is due within half the
+GEMM's runtime.  The same engine generates the zero-bubble (ZB/ZBV)
+and Hanayo baselines with micro-batch-granular problems and the
+corresponding caps.
 
 The hot loop is **array-native**: ops are canonical integer codes (the
 compiled :class:`~repro.schedules.graph.ScheduleGraph` layout), the
@@ -37,10 +40,11 @@ generator's dense tables, see :func:`repro.schedules.graph
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import accumulate
+from functools import cache, lru_cache, partial
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, product
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.schedules.base import (
@@ -75,10 +79,23 @@ ARRIVAL_EPS: float = 1e-12
 #: this only guards against pathological float drift).
 _CAP_EPS: float = 1e-9
 
+#: Activation-gradient units a deferred W pins, relative to the
+#: activations of one F op.
+WGRAD_UNITS: float = 1.0
+
+#: How many *samples'* worth of deferred weight-gradient state
+#: (activations + activation gradients) every stage may pin beyond its
+#: structural slack of ``cap_slope * k`` units.  Expressed in samples so
+#: the slack scales with the slice count (Section 5: later stages hold
+#: fewer activations and can postpone more weight gradients).
+WGRAD_DEFER_SAMPLES: float = 0.5
+
 
 @dataclass(frozen=True)
 class GreedyPolicy:
-    """Knobs of the greedy generator.
+    """Knobs of the greedy generator: ``fill_with_wgrad`` shapes W
+    placement, the others the skeleton pick (``cap_slope`` also sets
+    W placement's structural slack).
 
     Attributes:
         first_stage_cap: Max live F ops on stage 0 — the paper's ``f``.
@@ -91,16 +108,9 @@ class GreedyPolicy:
             most descendants first (the Section 4.3 rescheduling
             optimization); ``"fifo"`` processes B ops in arrival order
             (the unoptimized variant, for ablation).
-        fill_with_wgrad: Whether idle gaps may run deferred W GEMMs
-            (Section 5); False reproduces "W immediately after B".
-        wgrad_units: Activation-gradient units a deferred W pins,
-            relative to the activations of one F op.
-        wgrad_defer_samples: How many *samples'* worth of deferred
-            weight-gradient state (activations + activation gradients)
-            every stage may pin beyond its structural slack of
-            ``cap_slope * k`` units.  Expressed in samples so the slack
-            scales with the slice count (Section 5: later stages hold
-            fewer activations and can postpone more weight gradients).
+        fill_with_wgrad: Whether W placement may defer W GEMMs into idle
+            gaps (Section 5) within the ``WGRAD_DEFER_SAMPLES`` budget;
+            False reproduces "W immediately after B".
         strong_reserve: Reserve cap slots for the earliest micro-batch
             with *pending forwards* instead of pending backwards.  This
             is a stricter admission rule that guarantees progress for
@@ -113,8 +123,6 @@ class GreedyPolicy:
     cap_slope: int = 1
     backward_priority: str = "children"
     fill_with_wgrad: bool = True
-    wgrad_units: float = 1.0
-    wgrad_defer_samples: float = 0.5
     strong_reserve: bool = False
 
     def __post_init__(self) -> None:
@@ -257,22 +265,15 @@ def _op_hashes(
 @lru_cache(maxsize=64)
 def _structure_tables(
     problem: PipelineProblem,
-) -> tuple[
-    list[int],
-    list[int],
-    list[int],
-    list[int],
-    list[int],
-    list[list[int]],
-]:
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """Pure-structure tables shared by every generation of ``problem``.
 
     Everything here depends only on the problem (not the policy or
     cost model), so it is memoized across generations like the cost
     table in :func:`repro.sim.cost.cost_table`.  Returns
-    ``(stage_of_cell, stage_by_code, unmet0, sidx, sflat, pf0)``:
+    ``(stage_by_code, unmet0, sidx, sflat)``:
 
-    * ``stage_of_cell`` / ``stage_by_code`` — home stage per cell/code;
+    * ``stage_by_code`` — home stage per code;
     * ``unmet0`` — initial unmet-dependency count per code (edges never
       cross micro-batches, so the per-micro-batch pattern tiles);
     * ``sidx`` / ``sflat`` — the flattened successor table:
@@ -280,9 +281,7 @@ def _structure_tables(
       codes in a fixed order (an F cell: next chunk, next slice, own
       B; a B cell: previous slice, previous chunk, own W GEMMs); F/B
       consumers shift per micro-batch by the cell-region offset, W
-      consumers by the gemms-times-larger W-region offset;
-    * ``pf0`` — per-stage, per-micro-batch cell counts (the initial
-      pending-forward/backward counters).
+      consumers by the gemms-times-larger W-region offset.
 
     All returned lists are read-only to callers; the engine copies the
     ones it mutates.
@@ -353,19 +352,7 @@ def _structure_tables(
             (dst0_b + shift_b * offs).ravel(),
         ]
     ).tolist()
-
-    pf0 = [[0] * n for _ in range(problem.num_stages)]
-    for b, st in enumerate(stage_of_cell):
-        pf0[st][b // sc] += 1
-
-    return (
-        stage_of_cell,
-        stage_by_code,
-        unmet0,
-        sidx,
-        sflat,
-        pf0,
-    )
+    return stage_by_code, unmet0, sidx, sflat
 
 
 @dataclass(frozen=True)
@@ -527,7 +514,7 @@ def _greedy_once(
 
     Byte-identical to the pre-rewrite dict engine (the golden
     reference under ``tests/oracles/``): same program orders, same
-    deadlock witnesses.  Equivalence rests on four facts,
+    deadlock witnesses.  Equivalence rests on five facts,
     each exercised by the golden suite:
 
     * packed keys order exactly like the priority tuples, and are
@@ -536,85 +523,88 @@ def _greedy_once(
       its last predecessor commits), so the pending→ready transfer at
       ``arr <= now + ARRIVAL_EPS`` admits exactly the ops the
       reference's per-scan arrival filter admits;
+    * admitting arrivals at the skeleton pick only (not on a pick that
+      retires a W) is exact: ``now`` never decreases, so the ready set
+      at every skeleton pick is unchanged;
     * the wake-event queue sees the same ``(time, counter, stage)``
       stream — one push per commit plus one per successor edge,
-      W edges included — and its time-bucketed form (see the loop)
-      drains in exactly the reference heap's (time, counter) order;
+      W edges included — and drains in the same order: :func:`_drain`
+      coalesces same-time events into per-timestamp FIFO buckets under
+      a heap of the *distinct* timestamps.  Pushes happen in
+      processing order, so each bucket is in push-counter order; a
+      same-time push made while its bucket drains opens a *fresh*
+      bucket (its entry was popped from ``buckets``), which the times
+      heap yields next — again counter order — without a tuple
+      allocation and three-way comparison per event.  This relies on
+      durations and comm times being non-negative (wake times never
+      precede ``now``), true of every cost model here;
     * every float is produced by the same expression over the same
       memoized cost-table values (no reassociation).
     """
-    from repro.sim.cost import UniformCost, cost_table
+    from repro.sim.cost import UniformCost
 
-    cost = cost or UniformCost(problem)
-    # A micro-batch-invariant model's mb-0 cost table (probed once per
-    # problem and model, tiled across micro-batches below); ``None``
-    # means every op and edge is probed.
+    # The code -> OpId index, built on first call: the hot loop never
+    # touches OpId objects, so for micro-batch-invariant cost models
+    # nothing builds it until something materializes programs,
+    # ``graph.ops``, or a deadlock witness.
+    build_ops = cache(partial(_all_ops, problem))
+    costs = _code_costs(problem, cost or UniformCost(problem), build_ops)
+    wdefer = (
+        WGRAD_DEFER_SAMPLES
+        * problem.virtual_size
+        * problem.num_slices
+        * (1.0 + WGRAD_UNITS)
+    )
+    # Every placement hosts v chunks per stage: v*s cells per micro-batch.
+    pending = [problem.virtual_size * problem.num_slices] * problem.num_microbatches
+    stages = [
+        _Stage(
+            stage_cap(problem, policy, st) + _CAP_EPS,
+            (policy.cap_slope * st + wdefer) + _CAP_EPS
+            if policy.fill_with_wgrad
+            else -math.inf,
+            pending,
+            policy.strong_reserve,
+        )
+        for st in range(problem.num_stages)
+    ]
+    peak = _drain(problem, policy, stages, costs, ceiling, build_ops)
+    return _emit(problem, name, [st.program for st in stages], build_ops, peak)
+
+
+def _all_ops(problem: PipelineProblem) -> list[OpId]:
+    """Every op of ``problem``, indexed by canonical code."""
+    n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
+    cells = list(product(range(n), range(s), range(chunks)))
+    ops = [OpId(OpKind.F, *cell) for cell in cells]
+    ops += [OpId(OpKind.B, *cell) for cell in cells]
+    if problem.split_backward:
+        gemms = range(problem.wgrad_gemms)
+        ops += [OpId(OpKind.W, *cell, g) for cell in cells for g in gemms]
+    return ops
+
+
+def _code_costs(
+    problem: PipelineProblem, cost: CostModel, build_ops: Callable[[], list[OpId]]
+) -> tuple[list[float], list[float], list[float]]:
+    """Durations and ledger steps per canonical op code (F -> base,
+    B -> cells + base, W(g) -> 2*cells + base*gemms + g, with
+    base=(mb*s+sl)*chunks+c), and comm times per successor edge,
+    parallel to the structure tables' flattened ``sflat``.
+
+    A micro-batch-invariant model's mb-0 cost table (probed once per
+    problem and model; any micro-batch would get its floats) is tiled
+    ``n`` times; otherwise every op and edge is probed.
+    """
+    from repro.sim.cost import cost_table
+
     table = cost_table(problem, cost)
-    num_stages = problem.num_stages
-    n = problem.num_microbatches
-    s = problem.num_slices
-    chunks = problem.num_chunks
-    split = problem.split_backward
+    n, chunks = problem.num_microbatches, problem.num_chunks
     gemms = problem.wgrad_gemms
-    cells = n * s * chunks
-    sc = s * chunks
-    total = 2 * cells + (cells * gemms if split else 0)
-    arrival_eps = ARRIVAL_EPS
-    (
-        stage_of_cell,
-        stage_by_code,
-        unmet0,
-        sidx,
-        sflat,
-        pf0,
-    ) = _structure_tables(problem)
-
-    # Dense tables indexed by canonical op code (the compiled
-    # ScheduleGraph's layout): F -> base, B -> cells + base,
-    # W(g) -> 2*cells + base*gemms + g, with base=(mb*s+sl)*chunks+c.
-    # The hot loop never touches OpId objects.  For micro-batch-
-    # invariant cost models the costs come from the mb=0 cost table
-    # (whose floats any micro-batch would get) and the full
-    # code -> OpId index is deferred until something materializes
-    # programs, graph.ops, or a deadlock witness.
-    ops_cache: list[OpId] | None = None
-
-    def build_ops() -> list[OpId]:
-        nonlocal ops_cache
-        full = ops_cache
-        if full is None:
-            full = [
-                OpId(OpKind.F, mb, sl, c)
-                for mb in range(n)
-                for sl in range(s)
-                for c in range(chunks)
-            ]
-            full += [
-                OpId(OpKind.B, mb, sl, c)
-                for mb in range(n)
-                for sl in range(s)
-                for c in range(chunks)
-            ]
-            if split:
-                full += [
-                    OpId(OpKind.W, mb, sl, c, g)
-                    for mb in range(n)
-                    for sl in range(s)
-                    for c in range(chunks)
-                    for g in range(gemms)
-                ]
-            ops_cache = full
-        return full
-
-    unmet = unmet0.copy()
-
-    # Durations, ledger steps and per-edge comm times (the latter
-    # parallel to the structure tables' flattened successor list
-    # ``sflat``) replicate per micro-batch for micro-batch-invariant
-    # cost models: the mb=0 table tiled ``n`` times.
+    sc = problem.num_slices * chunks
     if table is not None:
         dur0, act0, w_lo = table.dur, table.act, 2 * sc
-        dur_by_code = dur0[:sc] * n + dur0[sc:w_lo] * n + dur0[w_lo:] * n
+        durs = dur0[:sc] * n + dur0[sc:w_lo] * n + dur0[w_lo:] * n
         delta = _ledger_deltas(
             lambda code: act0[code],
             range(sc),
@@ -637,264 +627,265 @@ def _greedy_once(
             if b % chunks:
                 comm0_b.append(table.b_prev_chunk[b])
             comm0_b += table.b_to_w[b * gemms : (b + 1) * gemms]
-        scomm = comm0_f * n + comm0_b * n
-    else:
-        # Per-micro-batch probes need every OpId anyway.
-        full_ops = build_ops()
-        dur_by_code = [cost.duration(op) for op in full_ops]
-        blocks = full_ops[:cells], full_ops[cells : 2 * cells], full_ops[2 * cells :]
-        delta = _ledger_deltas(cost.act_units, *blocks, problem, 1)
-        scomm = [
-            cost.comm_time(full_ops[src], full_ops[dc])
-            for src in range(2 * cells)
-            for dc in sflat[sidx[src] : sidx[src + 1]]
-        ]
+        return durs, delta, comm0_f * n + comm0_b * n
+    # Per-micro-batch probes need every OpId anyway.
+    cells = n * sc
+    full_ops = build_ops()
+    durs = [cost.duration(op) for op in full_ops]
+    blocks = full_ops[:cells], full_ops[cells : 2 * cells], full_ops[2 * cells :]
+    delta = _ledger_deltas(cost.act_units, *blocks, problem, 1)
+    sidx, sflat = _structure_tables(problem)[2:]
+    scomm = [
+        cost.comm_time(full_ops[src], full_ops[dc])
+        for src in range(2 * cells)
+        for dc in sflat[sidx[src] : sidx[src + 1]]
+    ]
+    return durs, delta, scomm
 
+
+class _Stage:
+    """One stage's state during a build.
+
+    Published-but-not-arrived ops wait in the ``pend_*`` heaps ordered
+    by (arrival, packed entry); once the stage's clock reaches an op's
+    arrival it moves to the ``ready_*`` heaps, ordered by packed entry
+    alone (entry = key*total + code, so entry order is key order and
+    the code is recoverable).  ``minarr`` tracks every published unrun
+    F/B op's arrival for the gap-filling imminence check.  Committed ops
+    are dropped lazily from the heaps (an F sits in both ``ready_f`` and
+    its micro-batch's ``ready_f_mb``).  ``pub`` logs publish order for
+    deadlock witnesses only: the reference engine reports stuck ops in
+    dict-insertion (= publish) order, which the heaps do not preserve.
+    """
+
+    __slots__ = (
+        "free_at", "ledger", "live_f", "cap", "last_f", "program",
+        "pf", "pb", "front", "front_counts",
+        "wq", "whead", "deferred", "allow",
+        "pend_f", "pend_b", "ready_f", "ready_b", "ready_f_mb", "minarr",
+        "pub",
+    )
+
+    def __init__(
+        self, cap: float, allow: float, pending: list[int], strong: bool
+    ) -> None:
+        self.free_at = 0.0  # the stage clock
+        self.ledger = 0.0  # pinned activation units
+        self.live_f = 0.0  # live F ops
+        self.cap = cap  # the live-F cap plus _CAP_EPS
+        self.last_f = False  # the last committed F/B was an F
+        self.program: list[int] = []
+        # Pending forwards/backwards per micro-batch, and the reservation
+        # front: the earliest micro-batch with any left in
+        # ``front_counts`` (forwards under the strong rule, else
+        # backwards).
+        self.pf = pending.copy()
+        self.pb = pending.copy()
+        self.front = 0
+        self.front_counts = self.pf if strong else self.pb
+        # Deferred W queue (popleft() as the index ``whead``), the units
+        # it pins, and the budget past which one retires (-inf when W
+        # never defers).
+        self.wq: list[int] = []
+        self.whead = 0
+        self.deferred = 0.0
+        self.allow = allow
+        self.pend_f: list[tuple[float, int]] = []
+        self.pend_b: list[tuple[float, int]] = []
+        self.ready_f: list[int] = []
+        self.ready_b: list[int] = []
+        self.ready_f_mb: list[list[int]] = [[] for _ in pending]
+        self.minarr: list[tuple[float, int]] = []
+        self.pub: list[int] = []
+
+
+def _next_fb(
+    st: _Stage, thresh: float, total: int, sc: int, n: int, done: bytearray
+) -> int:
+    """The skeleton pick (Sections 4.3-4.4): the F or B op code ``st``
+    runs next, or -1.
+
+    Ops that arrived by ``thresh`` move into the ready heaps first.
+    Steady state is one-forward-one-backward alternation, the rhythm of
+    every published interleaved schedule: after an F prefer the next B,
+    after a B refill the freed slot with an F (the cap bounds the
+    warm-up depth).  Whichever kind is not ready falls back to the other.
+    """
+    pend = st.pend_f
+    if pend and pend[0][0] <= thresh:
+        rf = st.ready_f
+        rfm = st.ready_f_mb
+        while pend and pend[0][0] <= thresh:
+            ent = heappop(pend)[1]
+            heappush(rf, ent)
+            heappush(rfm[ent % total // sc], ent)
+    rb = st.ready_b
+    pend = st.pend_b
+    while pend and pend[0][0] <= thresh:
+        heappush(rb, heappop(pend)[1])
+    if rb and st.last_f:
+        return heappop(rb) % total
+    # Forward admission under the cap.  The stage's next backward
+    # transitively needs every still-pending forward of the earliest
+    # unfinished micro-batch (the front); an F op may not eat the cap
+    # slots those forwards will need, or the pipeline wedges.  The strong
+    # rule protects the earliest micro-batch with pending *forwards*
+    # instead, which is strictly safer (see GreedyPolicy.strong_reserve).
+    rf = st.ready_f
+    while rf and done[rf[0] % total]:
+        heappop(rf)
+    if rf:
+        cnt = st.front_counts
+        fr = st.front
+        while fr < n and cnt[fr] == 0:
+            fr += 1
+        st.front = fr
+        needed = st.pf[fr] if fr < n else 0
+        if not st.live_f + 1.0 + needed > st.cap:
+            return heappop(rf) % total
+        if fr < n and not st.live_f + 1.0 + (needed - 1) > st.cap:
+            rfm = st.ready_f_mb[fr]
+            while rfm and done[rfm[0] % total]:
+                heappop(rfm)
+            if rfm:
+                return heappop(rfm) % total
+    if rb:
+        return heappop(rb) % total
+    return -1
+
+
+def _next_w(st: _Stage, now: float, durs: list[float], done: bytearray) -> int:
+    """W placement (Section 5): the queued W GEMM code ``st`` runs now,
+    or -1.
+
+    Past the deferral budget (``allow``: ~cap_slope*stage structural
+    slack plus ``WGRAD_DEFER_SAMPLES``) the queue head retires before
+    the skeleton advances.  Otherwise it fills the gap the skeleton
+    left — but only when no published F/B op (a capped forward
+    included) is due within half the GEMM's runtime, or the
+    non-preemptive W would push the critical path.
+    """
+    head = st.whead
+    code = st.wq[head]
+    if not st.deferred > st.allow:
+        ma = st.minarr
+        while ma and done[ma[0][1]]:
+            heappop(ma)
+        if ma and ma[0][0] <= now + 0.5 * durs[code]:
+            return -1
+    st.whead = head + 1
+    return code
+
+
+def _drain(
+    problem: PipelineProblem,
+    policy: GreedyPolicy,
+    stages: list[_Stage],
+    costs: tuple[list[float], list[float], list[float]],
+    ceiling: MemoryCeiling | None,
+    build_ops: Callable[[], list[OpId]],
+) -> float:
+    """The event loop: wake each stage when it may act, pick its next
+    op, and commit it — advance the stage clock, book the ledger
+    (:class:`BuildPruned` at ``ceiling``), and publish each successor
+    whose last input it was, waking its stage at the arrival moment.
+    Returns the ledger peak."""
+    durs, delta, scomm = costs
+    n = problem.num_microbatches
+    sc = problem.num_slices * problem.num_chunks
+    cells = n * sc
+    split = problem.split_backward
+    gemms = problem.wgrad_gemms
+    total = len(durs)
+    arrival_eps = ARRIVAL_EPS
+    stage_by_code, unmet0, sidx, sflat = _structure_tables(problem)
     # Packed selection keys, one per cell (W ops are queue-ordered and
     # need none).  Read through the module-level builders so the
     # mutation tests can perturb them.
     fkeys = _fkeys_round_desc(problem)
     bkeys = _PACKED_BACKWARD_KEYS[policy.backward_priority](problem)
-    cap_eps = _CAP_EPS
-
-    # Per-stage state, all indexed by stage.
-    caps = [stage_cap(problem, policy, st) for st in range(num_stages)]
-    cap_plus = [cap + cap_eps for cap in caps]
-    wdefer = (
-        policy.wgrad_defer_samples
-        * problem.virtual_size
-        * problem.num_slices
-        * (1.0 + policy.wgrad_units)
-    )
-    allow_plus = [
-        (policy.cap_slope * st + wdefer) + cap_eps for st in range(num_stages)
-    ]
-    w_add = 1.0 + policy.wgrad_units
-    w_rel = (1.0 + policy.wgrad_units) / gemms
-    fill_wgrad = policy.fill_with_wgrad
-    strong = policy.strong_reserve
-
-    free_at = [0.0] * num_stages
-    ledger = [0.0] * num_stages
-    peak = 0.0
-    live_f = [0.0] * num_stages
-    deferred = [0.0] * num_stages
-    last_f = [False] * num_stages  # last committed main op was an F
-    programs: list[list[int]] = [[] for _ in range(num_stages)]
-    wqs: list[list[int]] = [[] for _ in range(num_stages)]
-    wq_head = [0] * num_stages  # popleft() as an index into wqs[st]
-    pf_cnt = [row.copy() for row in pf0]
-    pb_cnt = [row.copy() for row in pf0]
-    front_f = [0] * num_stages
-    front_b = [0] * num_stages
-
-    # Ready structures.  Published-but-not-arrived ops wait in pend_*
-    # heaps ordered by (arrival, packed entry); once the stage's clock
-    # reaches an op's arrival it moves to the ready heaps, ordered by
-    # packed entry alone (entry = key*total + code, so entry order is
-    # key order and the code is recoverable).  minarr tracks every
-    # published unrun F/B op's arrival for the gap-filling imminence
-    # check; done[] marks committed ops so stale heap entries (an op
-    # sits in both the global and the per-micro-batch forward heap) are
-    # dropped lazily.
-    pend_f: list[list[tuple[float, int]]] = [[] for _ in range(num_stages)]
-    pend_b: list[list[tuple[float, int]]] = [[] for _ in range(num_stages)]
-    ready_f: list[list[int]] = [[] for _ in range(num_stages)]
-    ready_b: list[list[int]] = [[] for _ in range(num_stages)]
-    ready_f_mb: list[list[list[int]]] = [
-        [[] for _ in range(n)] for _ in range(num_stages)
-    ]
-    minarr: list[list[tuple[float, int]]] = [[] for _ in range(num_stages)]
+    w_add = 1.0 + WGRAD_UNITS
+    w_rel = (1.0 + WGRAD_UNITS) / gemms
+    push, pop = heappush, heappop
+    unmet = unmet0.copy()
     done = bytearray(total)
     arrival = [0.0] * total
-    # Publish-order log per stage, for deadlock witnesses only: the
-    # reference engine reports stuck ops in dict-insertion (= publish)
-    # order, which the heaps do not preserve.
-    pub_f: list[list[int]] = [[] for _ in range(num_stages)]
-    pub_b: list[list[int]] = [[] for _ in range(num_stages)]
+    peak = 0.0
 
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    # Only the F(mb, 0, 0) ops start with no dependencies, all on the
+    # stage hosting chunk 0.
+    sd = stages[stage_by_code[0]]
+    for code in range(0, cells, sc):
+        sd.pend_f.append((0.0, fkeys[code] * total + code))
+        sd.minarr.append((0.0, code))
+        sd.pub.append(code)
+    heapify(sd.pend_f)
+    heapify(sd.minarr)
 
-    # Only the F(mb, 0, 0) ops start with no dependencies.
-    for mb in range(n):
-        code = mb * sc
-        st = stage_by_code[code]
-        pend_f[st].append((0.0, fkeys[code] * total + code))
-        minarr[st].append((0.0, code))
-        pub_f[st].append(code)
-    for st in range(num_stages):
-        heapq.heapify(pend_f[st])
-        heapq.heapify(minarr[st])
-
-    # Wake-event queue.  The reference engine pops a heap of
-    # (time, push-counter, stage) tuples; here same-time events are
-    # coalesced into per-timestamp FIFO buckets under a heap of the
-    # *distinct* timestamps.  Pushes happen in processing order, so each
-    # bucket's list is already in push-counter order; a same-time push
-    # made while its bucket is being drained opens a *fresh* bucket for
-    # that timestamp (its entry was popped from ``buckets``), which the
-    # times heap yields immediately after — again counter order.  The
-    # drain order is therefore exactly the reference's (time, counter)
-    # order, without a tuple allocation and three-way comparison per
-    # event.  Relies on durations and comm times being non-negative
-    # (wake times never precede ``now``), true of every cost model here.
-    buckets: dict[float, list[int]] = {0.0: list(range(num_stages))}
+    buckets: dict[float, list[int]] = {0.0: list(range(len(stages)))}
     times: list[float] = [0.0]
     remaining = total
-
     while remaining:
         if not times:
             raise ScheduleError(
                 "greedy deadlock; runnable-but-unscheduled: "
-                f"{_stuck_witness(build_ops(), done, pub_f, pub_b, wqs, wq_head)}"
+                f"{_stuck_witness(build_ops(), done, stages, cells)}"
             )
-        now = heappop(times)
+        now = pop(times)
+        thresh = now + arrival_eps
         for stage in buckets.pop(now):
             if not remaining:
                 break
-            if now + arrival_eps < free_at[stage]:
+            st = stages[stage]
+            if thresh < st.free_at:
                 continue  # stage busy; its completion wake is queued
-            # Move everything that arrived by now into the ready heaps.
-            thresh = now + arrival_eps
-            pend = pend_f[stage]
-            if pend and pend[0][0] <= thresh:
-                rf = ready_f[stage]
-                rfm = ready_f_mb[stage]
-                while pend and pend[0][0] <= thresh:
-                    ent = heappop(pend)[1]
-                    heappush(rf, ent)
-                    heappush(rfm[ent % total // sc], ent)
-            pend = pend_b[stage]
-            if pend and pend[0][0] <= thresh:
-                rb = ready_b[stage]
-                while pend and pend[0][0] <= thresh:
-                    heappush(rb, heappop(pend)[1])
-
-            wq = wqs[stage]
-            head = wq_head[stage]
-            have_w = head < len(wq)
-            code = -1
-            if have_w and (
-                not fill_wgrad or deferred[stage] > allow_plus[stage]
-            ):
-                # "W immediately after B" (the unoptimized Figure 11
-                # behavior), or deferred weight gradients exceed this
-                # stage's memory slack (~cap_slope*stage structural
-                # slack plus the configured per-sample budget): retire
-                # one before advancing the pipeline.
-                code = wq[head]
-                wq_head[stage] = head + 1
+            # W placement first once past the deferral budget, else
+            # the skeleton pick, else a gap-filling W.
+            wq = st.wq
+            if st.whead < len(wq) and st.deferred > st.allow:
+                code = _next_w(st, now, durs, done)
             else:
-                # Steady state is one-forward-one-backward alternation,
-                # the rhythm of every published interleaved schedule:
-                # after an F prefer the next B, after a B refill the
-                # freed slot with an F (the cap bounds the warm-up
-                # depth).  Whichever kind is not ready yet falls back to
-                # the other.
-                want_b_first = last_f[stage]
-                for _attempt in range(2):
-                    if want_b_first:
-                        rb = ready_b[stage]
-                        if rb:
-                            code = heappop(rb) % total
-                            break
-                    else:
-                        # Forward admission under the cap.  The stage's
-                        # next backward transitively needs every still-
-                        # pending forward of the earliest unfinished
-                        # micro-batch (the "front"); an F op may not eat
-                        # the cap slots those forwards will need, or the
-                        # pipeline wedges.  The strong rule protects the
-                        # earliest micro-batch with pending *forwards*
-                        # instead, which is strictly safer (see
-                        # GreedyPolicy.strong_reserve).
-                        rf = ready_f[stage]
-                        while rf and done[rf[0] % total]:
-                            heappop(rf)
-                        if rf:
-                            cnt = pf_cnt[stage] if strong else pb_cnt[stage]
-                            fr = front_f[stage] if strong else front_b[stage]
-                            while fr < n and cnt[fr] == 0:
-                                fr += 1
-                            if strong:
-                                front_f[stage] = fr
-                            else:
-                                front_b[stage] = fr
-                            needed = pf_cnt[stage][fr] if fr < n else 0
-                            if (
-                                not live_f[stage] + 1.0 + needed
-                                > cap_plus[stage]
-                            ):
-                                code = heappop(rf) % total
-                                break
-                            if (
-                                fr < n
-                                and not live_f[stage] + 1.0 + (needed - 1)
-                                > cap_plus[stage]
-                            ):
-                                rfm = ready_f_mb[stage][fr]
-                                while rfm and done[rfm[0] % total]:
-                                    heappop(rfm)
-                                if rfm:
-                                    code = heappop(rfm) % total
-                                    break
-                    want_b_first = not want_b_first
-                if code < 0 and have_w:
-                    # Gap filling (Section 5) — but only when no F/B is
-                    # about to arrive within the GEMM's runtime,
-                    # otherwise the non-preemptive W would push the
-                    # critical path.
-                    wcode = wq[head]
-                    horizon = now + 0.5 * dur_by_code[wcode]
-                    ma = minarr[stage]
-                    while ma and done[ma[0][1]]:
-                        heappop(ma)
-                    if not (ma and ma[0][0] <= horizon):
-                        code = wcode
-                        wq_head[stage] = head + 1
+                code = _next_fb(st, thresh, total, sc, n, done)
+                if code < 0 and st.whead < len(wq):
+                    code = _next_w(st, now, durs, done)
             if code < 0:
                 continue
 
             # Commit.
-            free = free_at[stage]
+            free = st.free_at
             start = now if now > free else free
-            end = start + dur_by_code[code]
-            free_at[stage] = end
-            programs[stage].append(code)
+            end = start + durs[code]
+            st.free_at = end
+            st.program.append(code)
             remaining -= 1
-            held = ledger[stage] + delta[code]
-            ledger[stage] = held
+            held = st.ledger + delta[code]
+            st.ledger = held
             if held > peak:
                 peak = held
                 if ceiling is not None:
                     floor = ceiling.floor_bytes(peak)
                     if floor >= ceiling.limit_bytes:
                         raise BuildPruned(floor, total - remaining)
+            done[code] = 1
             if code < cells:
-                done[code] = 1
-                live_f[stage] += 1.0
-                pf_cnt[stage][code // sc] -= 1
-                last_f[stage] = True
+                st.live_f += 1.0
+                st.pf[code // sc] -= 1
+                st.last_f = True
             elif code < 2 * cells:
-                done[code] = 1
-                live_f[stage] -= 1.0
+                st.live_f -= 1.0
                 b = code - cells
-                pb_cnt[stage][b // sc] -= 1
-                last_f[stage] = False
+                st.pb[b // sc] -= 1
+                st.last_f = False
                 if split:
                     w0 = 2 * cells + b * gemms
                     wq.extend(range(w0, w0 + gemms))
-                    deferred[stage] += w_add
+                    st.deferred += w_add
             else:
-                deferred[stage] -= w_rel
-            last_b = buckets.get(end)
-            if last_b is None:
-                last_b = buckets[end] = [stage]
-                heappush(times, end)
-            else:
-                last_b.append(stage)
-            last_t = end
+                st.deferred -= w_rel
+            last_t, last_b = end, buckets.setdefault(end, [])
+            if not last_b:
+                push(times, end)
+            last_b.append(stage)
             lo = sidx[code]
             hi = sidx[code + 1]
             for dc, cm in zip(sflat[lo:hi], scomm[lo:hi]):
@@ -909,33 +900,41 @@ def _greedy_once(
                     # last predecessor), so the pend heaps order
                     # correctly.
                     arr = arrival[dc]
+                    sd = stages[dst]
                     if dc < cells:
-                        heappush(pend_f[dst], (arr, fkeys[dc] * total + dc))
-                        pub_f[dst].append(dc)
+                        push(sd.pend_f, (arr, fkeys[dc] * total + dc))
                     else:
-                        heappush(
-                            pend_b[dst], (arr, bkeys[dc - cells] * total + dc)
-                        )
-                        pub_b[dst].append(dc)
-                    heappush(minarr[dst], (arr, dc))
+                        push(sd.pend_b, (arr, bkeys[dc - cells] * total + dc))
+                    push(sd.minarr, (arr, dc))
+                    sd.pub.append(dc)
                 # Wake the consumer's stage at the arrival moment (most
                 # edges are same-stage zero-comm, so the commit wake's
                 # bucket is cached and re-used).
-                if when == last_t:
-                    last_b.append(dst)
-                else:
-                    bkt = buckets.get(when)
-                    if bkt is None:
-                        bkt = buckets[when] = [dst]
-                        heappush(times, when)
-                    else:
-                        bkt.append(dst)
-                    last_t = when
-                    last_b = bkt
+                if when != last_t:
+                    last_t, last_b = when, buckets.setdefault(when, [])
+                    if not last_b:
+                        push(times, when)
+                last_b.append(dst)
+    return peak
 
-    # Content fingerprint from the memoized per-code op hashes (equal
-    # to hashing the materialized programs' OpIds, see _op_hashes).
-    hashes = _op_hashes(n, s, chunks, split, gemms)
+
+def _emit(
+    problem: PipelineProblem,
+    name: str,
+    programs: list[list[int]],
+    build_ops: Callable[[], list[OpId]],
+    peak: float,
+) -> _DenseSchedule:
+    """The finished build's schedule, its content fingerprint taken
+    from the memoized per-code op hashes (equal to hashing the
+    materialized programs' OpIds, see _op_hashes)."""
+    hashes = _op_hashes(
+        problem.num_microbatches,
+        problem.num_slices,
+        problem.num_chunks,
+        problem.split_backward,
+        problem.wgrad_gemms,
+    )
     token = hash(
         tuple(
             (st, tuple(map(hashes.__getitem__, codes)))
@@ -976,23 +975,15 @@ def _ledger_deltas(
 
 
 def _stuck_witness(
-    ops_by_code: list[OpId],
-    done: bytearray,
-    pub_f: list[list[int]],
-    pub_b: list[list[int]],
-    wqs: list[list[int]],
-    wq_head: list[int],
+    ops_by_code: list[OpId], done: bytearray, stages: list[_Stage], cells: int
 ) -> list[str]:
     """Runnable-but-unscheduled ops in the reference engine's order:
     per stage, available forwards then backwards in publish order, then
     the deferred W queue."""
     stuck: list[str] = []
-    for st in range(len(pub_f)):
-        for code in pub_f[st]:
-            if not done[code]:
-                stuck.append(str(ops_by_code[code]))
-        for code in pub_b[st]:
-            if not done[code]:
-                stuck.append(str(ops_by_code[code]))
-        stuck.extend(str(ops_by_code[code]) for code in wqs[st][wq_head[st]:])
+    for st in stages:
+        avail = [code for code in st.pub if not done[code]]
+        stuck += [str(ops_by_code[code]) for code in avail if code < cells]
+        stuck += [str(ops_by_code[code]) for code in avail if code >= cells]
+        stuck += [str(ops_by_code[code]) for code in st.wq[st.whead :]]
     return stuck[:8]

@@ -22,7 +22,7 @@ from repro.schedules.base import Schedule, ScheduleError
 from repro.schedules.graph import ScheduleGraph, compiled_graph, fingerprint
 from repro.schedules.verify.channels import check_channels
 from repro.schedules.verify.deps import check_deadlock, check_structure
-from repro.schedules.verify.diagnostics import Finding, Report, Severity
+from repro.schedules.verify.diagnostics import Report
 from repro.schedules.verify.liveness import check_closed_form, check_liveness
 
 #: Rules whose violation makes a schedule unexecutable.
@@ -146,8 +146,3 @@ def assert_clean(
         raise ScheduleError(report.render_text())
     schedule._verify_token = _fingerprint(schedule)  # type: ignore[attr-defined]
     return report
-
-
-def findings_of(report: Report, severity: Severity) -> list[Finding]:
-    """Convenience filter used by the CLI renderers."""
-    return [f for f in report.findings if f.severity is severity]

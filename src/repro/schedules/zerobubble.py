@@ -51,7 +51,6 @@ def zb_schedule(
     policy = GreedyPolicy(
         first_stage_cap=problem.num_stages,
         fill_with_wgrad=True,
-        wgrad_defer_samples=0.5,  # ZB-1P keeps memory near 1F1B level
     )
     return greedy_schedule(problem, policy, cost, name="zb", ceiling=ceiling)
 
@@ -88,7 +87,6 @@ def zbv_schedule(
         cap_slope=0,
         fill_with_wgrad=True,
         backward_priority="fifo",
-        wgrad_defer_samples=0.5,
     )
     return greedy_schedule(problem, policy, cost, name="zbv", ceiling=ceiling)
 

@@ -31,7 +31,12 @@ from repro.schedules.base import (
     ScheduleError,
     StageProgram,
 )
-from repro.schedules.greedy import GreedyPolicy, stage_cap
+from repro.schedules.greedy import (
+    WGRAD_DEFER_SAMPLES,
+    WGRAD_UNITS,
+    GreedyPolicy,
+    stage_cap,
+)
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
@@ -276,12 +281,12 @@ def greedy_reference(
                 state.wgrad_queue.extend(
                     ops_by_code[w0 + g] for g in range(gemms)
                 )
-                state.deferred_units += 1.0 + policy.wgrad_units
+                state.deferred_units += 1.0 + WGRAD_UNITS
         else:
             code = 2 * cells + base * gemms + op.gemm
             # W ops are only ever committed from the queue head.
             state.wgrad_queue.popleft()
-            state.deferred_units -= (1.0 + policy.wgrad_units) / gemms
+            state.deferred_units -= (1.0 + WGRAD_UNITS) / gemms
         heapq.heappush(heap, (end, next(counter), state.stage))
         for dc in succ_by_code[code]:
             dependent = ops_by_code[dc]
@@ -310,10 +315,10 @@ def greedy_reference(
         # 0; that slack, plus the configured per-sample budget, is what
         # it may fill with deferred weight-gradient state.
         allowance = policy.cap_slope * stage + (
-            policy.wgrad_defer_samples
+            WGRAD_DEFER_SAMPLES
             * problem.virtual_size
             * problem.num_slices
-            * (1.0 + policy.wgrad_units)
+            * (1.0 + WGRAD_UNITS)
         )
         if not policy.fill_with_wgrad and state.wgrad_queue:
             # "W immediately after B": drain weight gradients before

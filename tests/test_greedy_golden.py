@@ -45,8 +45,7 @@ POLICIES = [
     GreedyPolicy(),
     GreedyPolicy(cap_slope=0, backward_priority="fifo"),
     GreedyPolicy(fill_with_wgrad=False),
-    GreedyPolicy(strong_reserve=True, wgrad_defer_samples=0.0),
-    GreedyPolicy(wgrad_units=0.5, wgrad_defer_samples=1.5),
+    GreedyPolicy(strong_reserve=True),
 ]
 
 

@@ -8,6 +8,10 @@ error-clean across the acceptance grid.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +393,33 @@ class TestCli:
 
         assert main(["verify", "dapple", "--n", str(10**7)]) == 2
         assert "a request may build at most" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["schedule", "trace", "report"])
+    def test_schedule_commands_refuse_absurd_shape_before_building(self, command):
+        # In a child capped at 1.5 GB of address space: building this
+        # shape would run for seconds and die of MemoryError, while the
+        # shape guard refuses it at once.
+        import repro
+
+        argv = [command, "mepipe", "--stages", "4", "--microbatches", str(10**7)]
+        script = (
+            "import resource, sys\n"
+            "cap = 1536 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from repro.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "a request may build at most" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
