@@ -12,7 +12,8 @@ Run `nox -s <session>`, or the same commands directly:
               mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
               find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
-              python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
+              python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_schedule_graph.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
+              python tests/function_lengths.py src/repro/schedules/graph.py src/repro/schedules/verify/liveness.py 150
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
@@ -41,6 +42,8 @@ PYTEST = ("python", "-m", "pytest", "-x", "-q")
 #: ``src/`` lines, then files: the size metric CHANGES.md tracks per PR.
 SRC_SIZE = "find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l"
 GREEDY = "src/repro/schedules/greedy.py"
+#: The compiler (the structure gate) and the liveness walk.
+VERIFIER = ("src/repro/schedules/graph.py", "src/repro/schedules/verify/liveness.py")
 
 
 @nox.session
@@ -76,7 +79,9 @@ def static(session: nox.Session) -> None:
     coverage, and hazard freedom for every E0 (method × partition)
     pair and exits non-zero on any ERROR-severity finding; the suites
     are the schedule verifier's and the model analyzer's golden sweeps
-    and seeded mutations.
+    and seeded mutations, and the schedule compiler's (a successful
+    compile is the verifier's structure verdict).  Then the compiler
+    and the liveness walk are held to 150 lines per function.
     """
     session.install("-e", ".[test]")
     session.run("python", "-m", "repro", "check-model", "grid")
@@ -84,10 +89,12 @@ def static(session: nox.Session) -> None:
         *PYTEST,
         "tests/test_verify.py",
         "tests/test_verify_mutations.py",
+        "tests/test_schedule_graph.py",
         "tests/test_model_analysis.py",
         "tests/test_analysis_mutations.py",
         "tests/test_analysis_memory.py",
     )
+    session.run("python", "tests/function_lengths.py", *VERIFIER, "150")
 
 
 @nox.session

@@ -8,10 +8,8 @@ batch size 128, and derives the cost-effectiveness ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.experiments.common import ExperimentReport, ms, search
-from repro.hardware.cluster import A100_CLUSTER, RTX4090_CLUSTER, ClusterSpec
+from repro.hardware.cluster import A100_CLUSTER, RTX4090_CLUSTER
 from repro.model.spec import LLAMA_7B, LLAMA_13B, LLAMA_34B, ModelSpec
 from repro.parallel.grid import enumerate_configs
 from repro.planner.evaluate import EvalResult
@@ -26,14 +24,6 @@ PAPER = {
     "llama-13b": ((6131, 221.4), (5852, 116.0)),
     "llama-34b": ((16167, 213.9), (17043, 101.5)),
 }
-
-
-@dataclass
-class ClusterOutcome:
-    """Best result for one model on one cluster."""
-
-    cluster: ClusterSpec
-    best: EvalResult
 
 
 def best_on_a100(spec: ModelSpec, gbs: int = GBS) -> EvalResult | None:

@@ -13,10 +13,6 @@ from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig, validate_for_cluster
 
 
-def _divisors(x: int) -> list[int]:
-    return [d for d in range(1, x + 1) if x % d == 0]
-
-
 def _powers_of_two_up_to(x: int) -> list[int]:
     out = [1]
     while out[-1] * 2 <= x:

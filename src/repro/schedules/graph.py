@@ -12,10 +12,14 @@ probe.
 
 Contract:
 
-* The graph compiles only from *structurally clean* schedules — one
-  program per stage in order, every op of the problem exactly once, on
-  its home stage.  Anything else raises ``ScheduleError``; diagnosing
-  malformed schedules stays with the legacy dict-of-``OpId`` walks in
+* One compiler: a schedule's programs are encoded to canonical op codes
+  (a greedy emission already holds them), and :func:`graph_from_codes`
+  builds every table from the codes.  It compiles only *structurally
+  clean* schedules — one program per stage in order, every op of the
+  problem exactly once, on its home stage.  Anything else raises
+  ``ScheduleError("cannot compile ...")``, so a successful compile is
+  the verifier's structure verdict; itemizing what is wrong with a
+  malformed schedule stays with the ``OpId`` walks in
   :mod:`repro.schedules.verify`, which produce the full witness output.
 * Ops are numbered stage-major: ``stage_bounds[s] = (lo, hi)`` and the
   ops of stage ``s`` occupy ``[lo, hi)`` in program order, so the
@@ -80,7 +84,6 @@ class ScheduleGraph:
         self,
         problem: PipelineProblem,
         fingerprint: int,
-        ops: tuple[OpId, ...] | None,
         kind: tuple[int, ...],
         cell: tuple[int, ...],
         gemm: tuple[int, ...],
@@ -92,13 +95,11 @@ class ScheduleGraph:
         pred_cross: tuple[bool, ...],
         succ_indptr: tuple[int, ...],
         succ: tuple[int, ...],
-        ops_factory: Callable[[], tuple[OpId, ...]] | None = None,
+        ops_factory: Callable[[], tuple[OpId, ...]],
     ) -> None:
-        if ops is None and ops_factory is None:
-            raise ValueError("ScheduleGraph needs ops or an ops_factory")
         self.problem = problem
         self.fingerprint = fingerprint
-        self._ops = ops
+        self._ops: tuple[OpId, ...] | None = None
         self._ops_factory = ops_factory
         self.kind = kind
         self.cell = cell
@@ -122,18 +123,14 @@ class ScheduleGraph:
 
     @property
     def ops(self) -> tuple[OpId, ...]:
-        """``OpId`` of each dense index.
-
-        Graphs emitted directly by the greedy engine build this tuple
-        lazily — the integer tables carry all structure, and many
-        consumers (fingerprint checks, bounds evaluation) never touch
-        the ``OpId`` objects at all.
+        """``OpId`` of each dense index, built on first use by the
+        compiler's ``ops_factory`` — the integer tables carry all
+        structure, and many consumers (fingerprint checks, bounds
+        evaluation) never touch the ``OpId`` objects at all.
         """
         materialized = self._ops
         if materialized is None:
-            factory = self._ops_factory
-            assert factory is not None  # enforced in __init__
-            materialized = self._ops = factory()
+            materialized = self._ops = self._ops_factory()
         return materialized
 
     @property
@@ -152,18 +149,7 @@ class ScheduleGraph:
         materialized = self._ops
         if materialized is not None:
             return materialized[i]
-        problem = self.problem
-        chunks = problem.num_chunks
-        s = problem.num_slices
-        kc, ce = self.kind[i], self.cell[i]
-        kind = OpKind.F if kc == KIND_F else OpKind.W if kc == KIND_W else OpKind.B
-        return OpId(
-            kind,
-            ce // (chunks * s),
-            (ce // chunks) % s,
-            ce % chunks,
-            self.gemm[i],
-        )
+        return _decode(self.problem, self.kind[i], self.cell[i], self.gemm[i])
 
     def preds_of(self, i: int) -> tuple[int, ...]:
         """Dependency predecessors of op ``i`` (dense indices)."""
@@ -172,6 +158,13 @@ class ScheduleGraph:
     def succs_of(self, i: int) -> tuple[int, ...]:
         """Dependency successors of op ``i`` (dense indices)."""
         return self.succ[self.succ_indptr[i] : self.succ_indptr[i + 1]]
+
+
+def _decode(problem: PipelineProblem, kc: int, ce: int, g: int) -> OpId:
+    """The ``OpId`` of kind code ``kc``, cell ``ce`` and gemm ``g``."""
+    chunks, s = problem.num_chunks, problem.num_slices
+    kind = OpKind.F if kc == KIND_F else OpKind.W if kc == KIND_W else OpKind.B
+    return OpId(kind, ce // (chunks * s), (ce // chunks) % s, ce % chunks, g)
 
 
 def fingerprint(schedule: Schedule) -> int:
@@ -285,86 +278,75 @@ def toposort_plan(graph: ScheduleGraph) -> TopoPlan:
 
 
 def _compile(schedule: Schedule, token: int) -> ScheduleGraph:
+    """Lower ``schedule`` to canonical op codes, then to its graph.
+
+    A dense-emitted schedule (the greedy engine's) whose ``OpId``
+    programs are still unmaterialized hands over its per-stage codes
+    as they are, and its ``OpId`` tuple is built only on demand.  Any
+    other schedule is encoded here in one pass over its programs; the
+    graph's ``ops`` is the tuple of ops snapshotted by that pass, so a
+    later in-place edit of a program never shows through.
+    """
+    problem = schedule.problem
+    emitted = getattr(schedule, "_stage_codes", None)
+    if emitted is not None and getattr(schedule, "_programs", 0) is None:
+        build_ops = schedule._build_ops  # type: ignore[attr-defined]
+
+        def ops_factory() -> tuple[OpId, ...]:
+            ops = build_ops()
+            return tuple(ops[code] for codes in emitted for code in codes)
+
+        return graph_from_codes(problem, emitted, token, ops_factory, schedule.name)
+    stage_codes, snapshot = _encode(schedule)
+    return graph_from_codes(
+        problem, stage_codes, token, lambda: snapshot, schedule.name
+    )
+
+
+def _encode(schedule: Schedule) -> tuple[list[list[int]], tuple[OpId, ...]]:
+    """Per-stage canonical codes of ``schedule``'s programs, plus the
+    ops in dense (stage-major program) order.
+
+    Codes: ``F -> cell``, ``B -> cells + cell``, ``W(g) -> 2*cells +
+    cell*gemms + g``.  Raises ``ScheduleError`` on programs out of stage
+    order and on any op the canonical code space does not hold.
+    """
     problem = schedule.problem
     p = problem.num_stages
-    if [program.stage for program in schedule.programs] != list(range(p)):
+    programs = schedule.programs
+    if [program.stage for program in programs] != list(range(p)):
         raise ScheduleError(
             f"cannot compile {schedule.name!r}: expected one program per "
             f"stage in order 0..{p - 1}"
         )
-
     n, s = problem.num_microbatches, problem.num_slices
     chunks = problem.num_chunks
     split = problem.split_backward
     gemms = problem.wgrad_gemms
     cells = n * s * chunks
-    # Canonical op codes: F -> cell, B -> cells + cell,
-    # W(g) -> 2*cells + cell*gemms + g.
-    total = cells * 2 + (cells * gemms if split else 0)
-    stage_of_chunk = problem._placement_tables[0]
-
-    dense_of = [-1] * total
-    ops: list[OpId] = []
-    kind_arr: list[int] = []
-    cell_arr: list[int] = []
-    gemm_arr: list[int] = []
-    stage_arr: list[int] = []
-    pos_arr: list[int] = []
-    code_arr: list[int] = []
-    stage_bounds: list[tuple[int, int]] = []
-
-    for program in schedule.programs:
-        lo = len(ops)
-        for idx, op in enumerate(program.ops):
+    stage_codes: list[list[int]] = []
+    for program in programs:
+        codes: list[int] = []
+        for op in program.ops:
             mb, sl, c, g = op.microbatch, op.slice_idx, op.chunk, op.gemm
-            if not (0 <= mb < n and 0 <= sl < s and 0 <= c < chunks):
-                raise ScheduleError(
-                    f"cannot compile {schedule.name!r}: op {op} is not "
-                    f"part of the problem"
-                )
             base = (mb * s + sl) * chunks + c
-            if op.kind is OpKind.F:
-                ok, code, kc = g == -1, base, KIND_F
-            elif op.kind is OpKind.B:
-                ok, code, kc = g == -1, cells + base, KIND_B
+            kind = op.kind
+            if kind is OpKind.F:
+                ok, code = g == -1, base
+            elif kind is OpKind.B:
+                ok, code = g == -1, cells + base
             else:
                 ok = split and 0 <= g < gemms
-                code, kc = 2 * cells + base * gemms + g, KIND_W
-            if not ok:
+                code = 2 * cells + base * gemms + g
+            if not (ok and 0 <= mb < n and 0 <= sl < s and 0 <= c < chunks):
                 raise ScheduleError(
                     f"cannot compile {schedule.name!r}: op {op} is not "
                     f"part of the problem"
                 )
-            if dense_of[code] != -1:
-                raise ScheduleError(
-                    f"cannot compile {schedule.name!r}: duplicate op {op}"
-                )
-            if stage_of_chunk[c] != program.stage:
-                raise ScheduleError(
-                    f"cannot compile {schedule.name!r}: op {op} scheduled "
-                    f"on stage {program.stage}, belongs to stage "
-                    f"{stage_of_chunk[c]}"
-                )
-            dense_of[code] = len(ops)
-            ops.append(op)
-            kind_arr.append(kc)
-            cell_arr.append(base)
-            gemm_arr.append(g)
-            stage_arr.append(program.stage)
-            pos_arr.append(idx)
-            code_arr.append(code)
-        stage_bounds.append((lo, len(ops)))
-
-    if len(ops) != total:
-        raise ScheduleError(
-            f"cannot compile {schedule.name!r}: {total - len(ops)} op(s) "
-            f"missing from the schedule"
-        )
-
-    return _finish(
-        problem, token, ops, kind_arr, cell_arr, gemm_arr, stage_arr,
-        pos_arr, stage_bounds, dense_of, cells, chunks, s,
-    )
+            codes.append(code)
+        stage_codes.append(codes)
+    snapshot = tuple(op for program in programs for op in program.ops)
+    return stage_codes, snapshot
 
 
 def graph_from_codes(
@@ -372,32 +354,45 @@ def graph_from_codes(
     stage_codes: list[list[int]],
     token: int,
     ops_factory: Callable[[], tuple[OpId, ...]],
+    name: str,
 ) -> ScheduleGraph:
-    """Compile directly from a generator's dense code tables.
+    """Compile per-stage canonical op codes into a :class:`ScheduleGraph`.
 
-    ``stage_codes[k]`` is stage ``k``'s program as canonical op codes.
-    The caller (the array-native greedy engine, which schedules every
-    code of the problem exactly once on its home stage) guarantees
-    structural cleanliness, so :func:`_compile`'s validation — and the
-    per-``OpId`` attribute walk it validates with — is skipped: every
-    table derives from code arithmetic, vectorized, and the ``OpId``
-    tuple itself is built lazily by ``ops_factory`` (which must return
-    the ops in dense = stage-major program order).  The emitted tables
-    are identical to compiling the materialized schedule, asserted by
-    ``tests/test_greedy_golden.py``.
+    ``stage_codes[k]`` is stage ``k``'s program as codes (see
+    :func:`_encode`); ``ops_factory`` must return the ops in dense =
+    stage-major program order.  The codes must hold every op of the
+    problem exactly once, on its home stage: a code out of range, a
+    duplicate, a missing code or an op on the wrong stage raises
+    ``ScheduleError("cannot compile ...")``, so a successful compile
+    is the structure verdict.  Every table derives from code
+    arithmetic, vectorized.
     """
     import numpy as np
 
+    p = problem.num_stages
+    if len(stage_codes) != p:
+        raise ScheduleError(
+            f"cannot compile {name!r}: expected one program per stage in "
+            f"order 0..{p - 1}"
+        )
     n, s = problem.num_microbatches, problem.num_slices
     chunks = problem.num_chunks
     gemms = problem.wgrad_gemms
     cells = n * s * chunks
+    total = cells * 2 + (cells * gemms if problem.split_backward else 0)
     counts = [len(codes) for codes in stage_codes]
-    total = sum(counts)
+    num_ops = sum(counts)
 
     code = np.concatenate(
         [np.asarray(codes, dtype=np.int64) for codes in stage_codes]
     )
+    foreign = (code < 0) | (code >= total)
+    if foreign.any():
+        bad = int(code[int(foreign.argmax())])
+        raise ScheduleError(
+            f"cannot compile {name!r}: op code {bad} is not part of the "
+            f"problem"
+        )
     is_f = code < cells
     is_b = ~is_f & (code < 2 * cells)
     is_w = ~is_f & ~is_b
@@ -405,7 +400,31 @@ def graph_from_codes(
     kind = np.where(is_f, KIND_F, np.where(is_b, KIND_B, KIND_W))
     cell = np.where(is_f, code, np.where(is_b, code - cells, wrem // gemms))
     gemm = np.where(is_w, wrem % gemms, -1)
-    stage = np.repeat(np.arange(len(stage_codes), dtype=np.int64), counts)
+    stage = np.repeat(np.arange(p, dtype=np.int64), counts)
+
+    def named(i: int) -> OpId:
+        return _decode(problem, int(kind[i]), int(cell[i]), int(gemm[i]))
+
+    repeated = np.bincount(code, minlength=total)[code] > 1
+    if repeated.any():
+        raise ScheduleError(
+            f"cannot compile {name!r}: duplicate op {named(int(repeated.argmax()))}"
+        )
+    stage_of_chunk = np.asarray(problem._placement_tables[0], dtype=np.int64)
+    home = stage_of_chunk[cell % chunks]
+    misplaced = home != stage
+    if misplaced.any():
+        i = int(misplaced.argmax())
+        raise ScheduleError(
+            f"cannot compile {name!r}: op {named(i)} scheduled on stage "
+            f"{int(stage[i])}, belongs to stage {int(home[i])}"
+        )
+    if num_ops != total:
+        raise ScheduleError(
+            f"cannot compile {name!r}: {total - num_ops} op(s) missing "
+            f"from the schedule"
+        )
+
     pos = np.concatenate([np.arange(k, dtype=np.int64) for k in counts])
     dense_of = np.empty(total, dtype=np.int64)
     dense_of[code] = np.arange(total, dtype=np.int64)
@@ -437,9 +456,8 @@ def graph_from_codes(
     pred_indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(slots >= 0, axis=1), out=pred_indptr[1:])
 
-    # Successors = the transpose: stable sort of edges by target keeps
-    # the source order ascending within each group, matching
-    # ``_finish``'s ``succ_lists[j].append(i)`` with ``i`` ascending.
+    # Successors = the transpose: a stable sort of edges by target keeps
+    # each group's sources ascending.
     order = np.argsort(pred_dense, kind="stable")
     succ = edge_src[order]
     succ_indptr = np.zeros(total + 1, dtype=np.int64)
@@ -448,7 +466,6 @@ def graph_from_codes(
     return ScheduleGraph(
         problem=problem,
         fingerprint=token,
-        ops=None,
         kind=tuple(kind.tolist()),
         cell=tuple(cell.tolist()),
         gemm=tuple(gemm.tolist()),
@@ -461,78 +478,4 @@ def graph_from_codes(
         succ_indptr=tuple(succ_indptr.tolist()),
         succ=tuple(succ.tolist()),
         ops_factory=ops_factory,
-    )
-
-
-def _finish(
-    problem: PipelineProblem,
-    token: int,
-    ops: list[OpId],
-    kind_arr: list[int],
-    cell_arr: list[int],
-    gemm_arr: list[int],
-    stage_arr: list[int],
-    pos_arr: list[int],
-    stage_bounds: list[tuple[int, int]],
-    dense_of: list[int],
-    cells: int,
-    chunks: int,
-    s: int,
-) -> ScheduleGraph:
-    """Edge tables + assembly shared by :func:`_compile` and
-    :func:`graph_from_codes` (predecessor order matches
-    ``PipelineProblem.deps``; successors are its transpose)."""
-    num_ops = len(ops)
-    pred_indptr: list[int] = [0]
-    pred_list: list[int] = []
-    cross_list: list[bool] = []
-    succ_lists: list[list[int]] = [[] for _ in range(num_ops)]
-    for i in range(num_ops):
-        kc = kind_arr[i]
-        base = cell_arr[i]
-        c = base % chunks
-        sl = (base // chunks) % s
-        dep_codes: list[int] = []
-        if kc == KIND_F:
-            if c > 0:
-                dep_codes.append(base - 1)
-            if sl > 0:
-                dep_codes.append(base - chunks)
-        elif kc == KIND_B:
-            dep_codes.append(base)
-            if c < chunks - 1:
-                dep_codes.append(cells + base + 1)
-            if sl < s - 1:
-                dep_codes.append(cells + base + chunks)
-        else:
-            dep_codes.append(cells + base)
-        st = stage_arr[i]
-        for code in dep_codes:
-            j = dense_of[code]
-            pred_list.append(j)
-            cross_list.append(stage_arr[j] != st)
-            succ_lists[j].append(i)
-        pred_indptr.append(len(pred_list))
-
-    succ_indptr: list[int] = [0]
-    succ_list: list[int] = []
-    for js in succ_lists:
-        succ_list.extend(js)
-        succ_indptr.append(len(succ_list))
-
-    return ScheduleGraph(
-        problem=problem,
-        fingerprint=token,
-        ops=tuple(ops),
-        kind=tuple(kind_arr),
-        cell=tuple(cell_arr),
-        gemm=tuple(gemm_arr),
-        stage=tuple(stage_arr),
-        pos=tuple(pos_arr),
-        stage_bounds=tuple(stage_bounds),
-        pred_indptr=tuple(pred_indptr),
-        pred=tuple(pred_list),
-        pred_cross=tuple(cross_list),
-        succ_indptr=tuple(succ_indptr),
-        succ=tuple(succ_list),
     )

@@ -33,9 +33,10 @@ structures (heaps over packed keys) instead of scanning dicts of
 ``OpId``.  The result is proven byte-identical to the pre-rewrite
 engine — preserved verbatim under ``tests/oracles/`` — by
 ``tests/test_greedy_golden.py`` across the full acceptance grid.
-Generated schedules carry their compiled graph (built directly from the
-generator's dense tables, see :func:`repro.schedules.graph
-.graph_from_codes`) and materialize their ``OpId`` programs lazily.
+Generated schedules carry their per-stage code programs: the compiled
+graph is built from those codes on first use (see
+:func:`repro.schedules.graph.compiled_graph`), and the ``OpId``
+programs are materialized lazily.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.schedules.base import (
     ScheduleError,
     StageProgram,
 )
-from repro.schedules.graph import ScheduleGraph, graph_from_codes
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
@@ -453,11 +453,11 @@ def _settle_fast_crossing(
 class _DenseSchedule(Schedule):
     """A schedule emitted by the array engine.
 
-    Carries the generator's dense tables (the per-stage canonical-code
-    programs and the shared ``ops_by_code`` index) plus the compiled
-    :class:`~repro.schedules.graph.ScheduleGraph`, pre-attached under
-    the standard ``_graph_cache`` slot so the verifier and every
-    evaluator get a compile-free cache hit.  The ``OpId``-based
+    Carries the generator's dense tables: the per-stage canonical-code
+    programs (``_stage_codes``) and the shared ``ops_by_code`` index
+    (``_build_ops``).  :func:`repro.schedules.graph.compiled_graph`
+    compiles the codes directly on first use, so a build nobody
+    verifies or evaluates is never compiled.  The ``OpId``-based
     ``programs`` list is materialized on first access; until then the
     content fingerprint is served from the precomputed token (the
     object cannot have been mutated before anyone could reach its
@@ -472,19 +472,17 @@ class _DenseSchedule(Schedule):
         build_ops: Callable[[], list[OpId]],
         stage_codes: list[list[int]],
         token: int,
-        graph: ScheduleGraph,
         ledger_peak_units: float,
     ) -> None:
         # No dataclass __init__: ``programs`` is a lazy property here.
         self.problem = problem
-        self.num_ops = graph.num_ops
+        self.num_ops = sum(map(len, stage_codes))
         self.ledger_peak_units = ledger_peak_units
         self.name = name
         self._build_ops = build_ops
         self._stage_codes = stage_codes
         self._programs: list[StageProgram] | None = None
         self._dense_token = token
-        self._graph_cache = (token, graph)
 
     @property
     def programs(self) -> list[StageProgram]:
@@ -927,7 +925,8 @@ def _emit(
 ) -> _DenseSchedule:
     """The finished build's schedule, its content fingerprint taken
     from the memoized per-code op hashes (equal to hashing the
-    materialized programs' OpIds, see _op_hashes)."""
+    materialized programs' OpIds, see _op_hashes).  Its graph is
+    compiled from ``programs`` on first use."""
     hashes = _op_hashes(
         problem.num_microbatches,
         problem.num_slices,
@@ -941,13 +940,7 @@ def _emit(
             for st, codes in enumerate(programs)
         )
     )
-
-    def ops_dense() -> tuple[OpId, ...]:
-        ops = build_ops()
-        return tuple(ops[code] for codes in programs for code in codes)
-
-    graph = graph_from_codes(problem, programs, token, ops_dense)
-    return _DenseSchedule(problem, name, build_ops, programs, token, graph, peak)
+    return _DenseSchedule(problem, name, build_ops, programs, token, peak)
 
 
 def _ledger_deltas(

@@ -69,11 +69,12 @@ def verify_schedule(
     # structure findings already explain why.
     orderable = not (index.has_duplicates or index.has_foreign)
 
-    # Structurally clean schedules (the hot path) get the compiled graph
-    # IR: the deadlock, channel, and liveness analyses all walk its flat
-    # arrays, and the simulator reuses the same cached graph.  Schedules
-    # with structure findings keep the legacy dict-of-OpId walks, whose
-    # diagnostics tolerate missing/duplicated/misplaced ops.
+    # A structurally clean schedule is one that compiled: check_structure
+    # cached its graph, and the deadlock, channel, and liveness analyses
+    # (and later the simulator) walk that graph's flat arrays.  A
+    # schedule with structure findings has no graph; those analyses walk
+    # its OpId programs, whose diagnostics tolerate missing, duplicated
+    # or misplaced ops.
     graph: ScheduleGraph | None = None
     if not structure:
         graph = compiled_graph(schedule)

@@ -4,7 +4,9 @@ Two layers:
 
 * :func:`check_structure` — placement, coverage, duplicates: is every
   op of the problem scheduled exactly once on the stage that hosts its
-  chunk?
+  chunk?  The verdict is the compile: a schedule that
+  :func:`~repro.schedules.graph.compiled_graph` accepts is clean, and
+  only a rejected one is walked op by op for itemized findings.
 * :func:`check_deadlock` — a Kahn ready-queue pass over the combined
   graph (Section 4.1 dependency edges + per-stage program-order edges),
   O(V+E) where the old token-passing validator was O(V^2).  On failure
@@ -18,10 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.schedules.base import OpId, OpKind, Schedule, ScheduleError
-from repro.schedules.graph import ScheduleGraph, toposort_plan
+from repro.schedules.graph import ScheduleGraph, compiled_graph, toposort_plan
 from repro.schedules.verify.diagnostics import Finding
 
 #: BFS-per-node budget for cycle minimization; beyond this SCC size the
@@ -39,133 +39,26 @@ class ScheduleIndex:
     has_foreign: bool = False
 
 
-def _dense_structure_clean(schedule: Schedule) -> bool | None:
-    """ST001-ST004 verdict straight from a dense engine's code tables.
-
-    Schedules emitted by the array-native greedy engine carry their
-    per-stage programs as canonical op codes (``_stage_codes``) until
-    something materializes ``OpId`` programs.  The ST rules are pure
-    code arithmetic — in-range (ST004, and kind/gemm validity, since
-    the canonical code space enumerates exactly the problem's ops),
-    home-stage placement (ST001), no duplicates (ST003), full coverage
-    (ST002) — so this path checks the codes with vectorized NumPy and
-    never builds an ``OpId``.  Keeping the programs unmaterialized also
-    keeps :func:`~repro.schedules.graph.fingerprint` on its precomputed
-    token, so every later verdict/graph cache probe stays O(1).
-
-    Returns ``None`` when not applicable (no code tables, or programs
-    already materialized — then nothing is saved by the dense path),
-    ``True`` when clean, ``False`` on any anomaly (the caller falls
-    through to the detailed diagnostic pass).
-    """
-    codes_by_stage = getattr(schedule, "_stage_codes", None)
-    if codes_by_stage is None or getattr(schedule, "_programs", 0) is not None:
-        return None
-    problem = schedule.problem
-    # The dense programs property emits stages 0..len-1 in order, so
-    # ST005 reduces to the stage count.
-    if len(codes_by_stage) != problem.num_stages:
-        return False
-    n, s = problem.num_microbatches, problem.num_slices
-    chunks = problem.num_chunks
-    split = problem.split_backward
-    gemms = problem.wgrad_gemms
-    cells = n * s * chunks
-    total = cells * 2 + (cells * gemms if split else 0)
-    counts = [len(codes) for codes in codes_by_stage]
-    if sum(counts) != total:
-        return False  # ST002 missing / ST003 duplicate by count
-    if total == 0:
-        return True
-    code = np.concatenate(
-        [np.asarray(codes, dtype=np.int64) for codes in codes_by_stage]
-    )
-    if int(code.min()) < 0 or int(code.max()) >= total:
-        return False  # ST004 foreign (out of the canonical code space)
-    seen = np.zeros(total, dtype=bool)
-    seen[code] = True
-    if not seen.all():
-        return False  # some code absent => another duplicated (ST002/ST003)
-    g_div = gemms if gemms else 1  # np.where evaluates both branches
-    base = np.where(
-        code < cells,
-        code,
-        np.where(code < 2 * cells, code - cells, (code - 2 * cells) // g_div),
-    )
-    stage_of_chunk = np.asarray(problem._placement_tables[0], dtype=np.int64)
-    stage = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    if not bool(np.all(stage_of_chunk[base % chunks] == stage)):
-        return False  # ST001 misplaced
-    return True
-
-
-def _structure_clean_fast(schedule: Schedule) -> bool:
-    """Whether the schedule passes ST001-ST004 — no diagnostics.
-
-    Arithmetic membership over canonical op codes: each in-range op maps
-    to a unique integer, a bytearray marks first occurrences, and a
-    placement table replaces the per-op stage branch.  No ``OpId`` set
-    is materialized and nothing is hashed; the detailed (and allocating)
-    pass below runs only when this scan finds an anomaly.
-    """
-    problem = schedule.problem
-    n, s = problem.num_microbatches, problem.num_slices
-    chunks = problem.num_chunks
-    split = problem.split_backward
-    gemms = problem.wgrad_gemms
-    cells = n * s * chunks
-    total = cells * 2 + (cells * gemms if split else 0)
-    stage_of_chunk = problem._placement_tables[0]
-    seen = bytearray(total)
-    count = 0
-    for program in schedule.programs:
-        stage = program.stage
-        for op in program.ops:
-            mb, sl, c, g = op.microbatch, op.slice_idx, op.chunk, op.gemm
-            if not (0 <= mb < n and 0 <= sl < s and 0 <= c < chunks):
-                return False  # ST004 foreign
-            if stage_of_chunk[c] != stage:
-                return False  # ST001 misplaced
-            base = (mb * s + sl) * chunks + c
-            kind = op.kind
-            if kind is OpKind.F:
-                if g != -1:
-                    return False
-                code = base
-            elif kind is OpKind.B:
-                if g != -1:
-                    return False
-                code = cells + base
-            else:
-                if not split or not 0 <= g < gemms:
-                    return False
-                code = 2 * cells + base * gemms + g
-            if seen[code]:
-                return False  # ST003 duplicate
-            seen[code] = 1
-            count += 1
-    return count == total  # ST002 missing otherwise
-
-
 def check_structure(schedule: Schedule) -> tuple[list[Finding], ScheduleIndex]:
     """Placement, coverage, and duplication invariants (ST rules).
 
-    Clean schedules (the hot path) are recognized by a single
-    allocation-free arithmetic scan and return an *empty*
-    :class:`ScheduleIndex` — downstream analyses use the compiled
+    The compiler enforces exactly these invariants, so a schedule that
+    compiles (the hot path) is clean: it returns an *empty*
+    :class:`ScheduleIndex`, and downstream analyses use the cached
     :class:`~repro.schedules.graph.ScheduleGraph` instead of the
-    positions dict.  Only anomalous schedules take the detailed pass
-    that materializes positions and itemized findings.
+    positions dict.  A greedy emission compiles from its code tables
+    without materializing ``OpId`` programs.  Only a schedule the
+    compiler rejects takes the detailed pass that materializes
+    positions and itemized findings.
     """
     problem = schedule.problem
     findings: list[Finding] = []
     index = ScheduleIndex()
-
-    # Dense engines are verified from their code tables without ever
-    # materializing OpId programs — materialization would disarm the
-    # precomputed fingerprint token and re-hash every later cache probe.
-    dense_verdict = _dense_structure_clean(schedule)
-    if dense_verdict:
+    try:
+        compiled_graph(schedule)
+    except ScheduleError:
+        pass
+    else:
         return findings, index
 
     stages_seen = [program.stage for program in schedule.programs]
@@ -177,9 +70,6 @@ def check_structure(schedule: Schedule) -> tuple[list[Finding], ScheduleIndex]:
                 f"0..{problem.num_stages - 1}, got stages {stages_seen}",
             )
         )
-        return findings, index
-
-    if dense_verdict is None and _structure_clean_fast(schedule):
         return findings, index
 
     expected = set(problem.all_ops())

@@ -15,7 +15,9 @@ Because memory on a stage changes only at that stage's own ops, and a
 stage executes its program strictly in order, the per-stage peak is a
 *static* property of the program — no timing needed.  That is what
 makes the closed-form cross-check (AN001) possible: the walked peak of
-the peak stage must not exceed the method's Table 3 expression.
+the peak stage must not exceed the method's Table 3 expression.  One
+walk serves both sources of rows: a compiled graph's ``kind``/``cell``
+tables, or the ``OpId`` programs of a schedule that did not compile.
 
 Defects reported:
 
@@ -30,9 +32,11 @@ Defects reported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import Callable, Sequence, TypeVar
 
-from repro.schedules.base import OpId, OpKind, Schedule
-from repro.schedules.graph import KIND_B, KIND_F, ScheduleGraph
+from repro.schedules.base import OpId, OpKind, PipelineProblem, Schedule
+from repro.schedules.graph import KIND_B, KIND_F, KIND_W, ScheduleGraph
 from repro.schedules.verify.diagnostics import Finding
 
 #: Numerical slack for comparing sums of activation units against the
@@ -41,6 +45,10 @@ _UNIT_TOL = 1e-6
 
 #: Cap on individually reported leaked/violating ops per stage.
 _MAX_DETAIL = 4
+
+#: An activation key of the walk: a compiled graph's cell index, or a
+#: ``(mb, sl, c)`` tuple when walking ``OpId`` programs.
+_Key = TypeVar("_Key", int, tuple[int, int, int])
 
 
 @dataclass
@@ -53,31 +61,79 @@ class StagePeak:
     peak_op: OpId | None  #: first op at which ``peak_units`` is reached
 
 
-def _check_liveness_graph(
-    graph: ScheduleGraph, actgrad_factor: float
+def check_liveness(
+    schedule: Schedule,
+    actgrad_factor: float = 1.0,
+    graph: ScheduleGraph | None = None,
 ) -> tuple[list[Finding], list[StagePeak]]:
-    """The same per-stage walk over the compiled graph.
+    """Lint every stage program; returns findings and per-stage peaks.
 
-    Keys the ``live``/``b_done`` state on the graph's integer cell
-    index instead of ``(mb, sl, c)`` tuples — no tuple allocation or
-    hashing per op — and accumulates in identical order, so peaks match
-    the dict walk bit for bit.  Ints sort like the tuples they encode,
-    so leak listings come out in the same order too.  Only the ops a
-    finding or a ``peak_op`` names are decoded (``graph.op_at``); the
-    full ``OpId`` tuple is never materialized.
+    With a compiled ``graph`` the walk reads its ``kind``/``cell``
+    tables and keys activations by the integer cell, decoding only the
+    ops a finding or a ``peak_op`` names.  Without one (a schedule with
+    structure findings) it reads the programs' ``OpId``s and keys by
+    ``(mb, sl, c)`` tuples, since a foreign op's cell index could
+    collide with a real one.  Int cells sort like the tuples they
+    encode, so both sources report identically.
     """
-    problem = graph.problem
+    if graph is not None:
+        problem = graph.problem
+        s, chunks = problem.num_slices, problem.num_chunks
+        rows = [
+            (stage, lo, graph.kind[lo:hi], graph.cell[lo:hi])
+            for stage, (lo, hi) in enumerate(graph.stage_bounds)
+        ]
+
+        def label(k: int) -> str:
+            return f"F{k // (s * chunks)}.{(k // chunks) % s}c{k % chunks}"
+
+        return _walk(problem, rows, graph.op_at, label, actgrad_factor)
+
+    code_of = {OpKind.F: KIND_F, OpKind.B: KIND_B, OpKind.W: KIND_W}
+    ops: list[OpId] = []
+    tuple_rows: list[tuple[int, int, list[int], list[tuple[int, int, int]]]] = []
+    for program in schedule.programs:
+        tuple_rows.append(
+            (
+                program.stage,
+                len(ops),
+                [code_of[op.kind] for op in program.ops],
+                [(op.microbatch, op.slice_idx, op.chunk) for op in program.ops],
+            )
+        )
+        ops.extend(program.ops)
+
+    def tuple_label(key: tuple[int, int, int]) -> str:
+        mb, sl, c = key
+        return f"F{mb}.{sl}c{c}"
+
+    return _walk(
+        schedule.problem, tuple_rows, ops.__getitem__, tuple_label,
+        actgrad_factor,
+    )
+
+
+def _walk(
+    problem: PipelineProblem,
+    rows: Sequence[tuple[int, int, Sequence[int], Sequence[_Key]]],
+    op_at: Callable[[int], OpId],
+    label: Callable[[_Key], str],
+    actgrad_factor: float,
+) -> tuple[list[Finding], list[StagePeak]]:
+    """The per-stage walk.  ``rows`` holds, per stage, its number, the
+    index ``op_at`` gives its first op, and its ops' kind codes and
+    activation keys in program order."""
     unit = problem.activation_units_per_op
     gemms = problem.wgrad_gemms
     split = problem.split_backward
-    s, chunks = problem.num_slices, problem.num_chunks
-    op_at, kind, cell = graph.op_at, graph.kind, graph.cell
     findings: list[Finding] = []
     peaks: list[StagePeak] = []
 
-    for stage, (lo, hi) in enumerate(graph.stage_bounds):
-        live: dict[int, int] = {}
-        b_done: set[int] = set()
+    for stage, start, kinds, keys in rows:
+        # key -> number of W GEMM shares still to release; fused-backward
+        # activations use a single share.
+        live: dict[_Key, int] = {}
+        b_done: set[_Key] = set()
         current = 0.0
         act_current = 0.0
         peak = 0.0
@@ -93,9 +149,7 @@ def _check_liveness_graph(
                     Finding("LV001", message, stage=stage, op=op)
                 )
 
-        for i in range(lo, hi):
-            key = cell[i]
-            kc = kind[i]
+        for i, kc, key in zip(count(start), kinds, keys):
             if kc == KIND_F:
                 if key in live:
                     op = op_at(i)
@@ -170,10 +224,7 @@ def _check_liveness_graph(
             )
         if live:
             leaked = sorted(live)[:_MAX_DETAIL]
-            detail = ", ".join(
-                f"F{k // (s * chunks)}.{(k // chunks) % s}c{k % chunks}"
-                for k in leaked
-            )
+            detail = ", ".join(map(label, leaked))
             suffix = ", ..." if len(live) > _MAX_DETAIL else ""
             findings.append(
                 Finding(
@@ -183,9 +234,7 @@ def _check_liveness_graph(
                     f"~{len(live) * unit:.4f} A leaked per iteration",
                     stage=stage,
                     witness=tuple(
-                        f"F{k // (s * chunks)}.{(k // chunks) % s}"
-                        f"c{k % chunks}: materialized but never fully "
-                        f"released"
+                        f"{label(k)}: materialized but never fully released"
                         for k in leaked
                     ),
                 )
@@ -196,140 +245,6 @@ def _check_liveness_graph(
                 peak_units=peak,
                 peak_activation_units=act_peak,
                 peak_op=op_at(peak_at) if peak_at >= 0 else None,
-            )
-        )
-    return findings, peaks
-
-
-def check_liveness(
-    schedule: Schedule,
-    actgrad_factor: float = 1.0,
-    graph: ScheduleGraph | None = None,
-) -> tuple[list[Finding], list[StagePeak]]:
-    """Lint every stage program; returns findings and per-stage peaks."""
-    if graph is not None:
-        return _check_liveness_graph(graph, actgrad_factor)
-    problem = schedule.problem
-    unit = problem.activation_units_per_op
-    gemms = problem.wgrad_gemms
-    findings: list[Finding] = []
-    peaks: list[StagePeak] = []
-
-    for program in schedule.programs:
-        stage = program.stage
-        # (mb, sl, c) -> number of W GEMM shares still to release;
-        # fused-backward activations use a single share.
-        live: dict[tuple[int, int, int], int] = {}
-        b_done: set[tuple[int, int, int]] = set()
-        current = 0.0
-        act_current = 0.0
-        peak = 0.0
-        act_peak = 0.0
-        peak_op: OpId | None = None
-        violations = 0
-
-        def violation(op: OpId, message: str) -> None:
-            nonlocal violations
-            violations += 1
-            if violations <= _MAX_DETAIL:
-                findings.append(
-                    Finding("LV001", message, stage=stage, op=op)
-                )
-
-        for op in program.ops:
-            key = (op.microbatch, op.slice_idx, op.chunk)
-            if op.kind is OpKind.F:
-                if key in live:
-                    violation(
-                        op,
-                        f"{op} re-materializes an activation that is "
-                        f"still live (earlier forward not yet consumed)",
-                    )
-                live[key] = gemms if problem.split_backward else 1
-                current += unit
-                act_current += unit
-            elif op.kind is OpKind.B:
-                if key not in live:
-                    violation(
-                        op,
-                        f"{op} consumes activations of F{op.microbatch}."
-                        f"{op.slice_idx}c{op.chunk} that are not live on "
-                        f"stage {stage} (freed or never materialized)",
-                    )
-                elif key in b_done:
-                    violation(
-                        op,
-                        f"{op} re-runs a backward whose activations are "
-                        f"already being drained by W GEMMs",
-                    )
-                if problem.split_backward:
-                    b_done.add(key)
-                    current += unit * actgrad_factor
-                else:
-                    live.pop(key, None)
-                    current -= unit
-                    act_current -= unit
-            else:  # W
-                if key not in b_done:
-                    violation(
-                        op,
-                        f"{op} runs before its backward B{op.microbatch}."
-                        f"{op.slice_idx}c{op.chunk} produced the "
-                        f"activation gradients it consumes",
-                    )
-                elif key not in live or live[key] <= 0:
-                    violation(
-                        op,
-                        f"{op} releases an activation share of "
-                        f"F{op.microbatch}.{op.slice_idx}c{op.chunk} that "
-                        f"was already freed (use-after-free)",
-                    )
-                else:
-                    live[key] -= 1
-                    if live[key] == 0:
-                        del live[key]
-                    current -= unit * (1.0 + actgrad_factor) / gemms
-                    act_current -= unit / gemms
-            if current > peak + 1e-12:
-                peak = current
-                peak_op = op
-            act_peak = max(act_peak, act_current)
-
-        if violations > _MAX_DETAIL:
-            findings.append(
-                Finding(
-                    "LV001",
-                    f"... and {violations - _MAX_DETAIL} more liveness "
-                    f"violation(s) on stage {stage}",
-                    stage=stage,
-                )
-            )
-        if live:
-            leaked = sorted(live)[:_MAX_DETAIL]
-            detail = ", ".join(
-                f"F{mb}.{sl}c{c}" for mb, sl, c in leaked
-            )
-            suffix = ", ..." if len(live) > _MAX_DETAIL else ""
-            findings.append(
-                Finding(
-                    "LV002",
-                    f"stage {stage} ends the iteration with {len(live)} "
-                    f"activation(s) still pinned ({detail}{suffix}); "
-                    f"~{len(live) * unit:.4f} A leaked per iteration",
-                    stage=stage,
-                    witness=tuple(
-                        f"F{mb}.{sl}c{c}: materialized but never fully "
-                        f"released"
-                        for mb, sl, c in leaked
-                    ),
-                )
-            )
-        peaks.append(
-            StagePeak(
-                stage=stage,
-                peak_units=peak,
-                peak_activation_units=act_peak,
-                peak_op=peak_op,
             )
         )
     return findings, peaks

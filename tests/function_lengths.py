@@ -1,6 +1,6 @@
 """Fail when a function in a module is longer than a line budget.
 
-Run from the repository root:
+Run from the repository root with one or more modules, budget last:
 ``python tests/function_lengths.py src/repro/schedules/greedy.py 150``.
 Counts each function's lines from its ``def`` to its last line
 (docstring, comments and blank lines included), nested functions on
@@ -27,13 +27,16 @@ def long_functions(path: str, budget: int) -> list[tuple[str, int]]:
 
 
 def main(argv: list[str]) -> int:
-    path, budget = argv[0], int(argv[1])
-    found = long_functions(path, budget)
-    for name, lines in found:
-        print(f"{path}: {name} is {lines} lines (budget {budget})")
-    if not found:
-        print(f"{path}: every function within {budget} lines")
-    return 1 if found else 0
+    paths, budget = argv[:-1], int(argv[-1])
+    failed = False
+    for path in paths:
+        found = long_functions(path, budget)
+        for name, lines in found:
+            print(f"{path}: {name} is {lines} lines (budget {budget})")
+        if not found:
+            print(f"{path}: every function within {budget} lines")
+        failed = failed or bool(found)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ from repro.schedules.graph import (
     compiled_graph,
     fingerprint,
 )
+from repro.schedules.greedy import _DenseSchedule
 from repro.schedules.methods import build_problem, build_schedule
+from repro.schedules.verify import verify_schedule
 
 from tests.test_verify import clone, golden_grid
 
@@ -53,8 +55,11 @@ def test_csr_edges_match_problem_deps(method, p, n, s, v, g):
     graph = compiled_graph(schedule)
     index_of = {op: i for i, op in enumerate(graph.ops)}
     for i, op in enumerate(graph.ops):
+        # Exact order: the evaluator's critical-path tie-break reads it.
         expect = [index_of[d] for d in problem.deps(op)]
-        assert sorted(graph.preds_of(i)) == sorted(expect), op
+        assert list(graph.preds_of(i)) == expect, op
+        succs = list(graph.succs_of(i))
+        assert succs == sorted(succs), op
     # Successor arrays are the exact transpose of the predecessors.
     edges = {
         (graph.pred[e], i)
@@ -126,6 +131,66 @@ def test_compile_rejects_missing_op():
     schedule.programs[0].ops.pop()
     with pytest.raises(ScheduleError, match="cannot compile"):
         compiled_graph(schedule)
+
+
+#: An op outside every test problem, indexed by the first code past
+#: the problem's code space.
+FOREIGN = OpId(OpKind.F, 999, 0, 0)
+
+
+def _dense_variant(edit):
+    """A fresh greedy-emitted schedule whose code programs ``edit``
+    corrupted, and the op the corrupted code stands for."""
+    base = _build()
+    assert isinstance(base, _DenseSchedule)
+    codes = [list(stage) for stage in base._stage_codes]
+    code = edit(codes)
+    ops = base._build_ops() + [FOREIGN]
+    schedule = _DenseSchedule(
+        base.problem, base.name, lambda: ops, codes, hash(repr(codes)),
+        base.ledger_peak_units,
+    )
+    return schedule, ops[code]
+
+
+def _duplicate(codes):
+    # Overwrite, so the op count still matches the problem's.
+    codes[0][1] = codes[0][0]
+    return codes[0][0]
+
+
+def _drop(codes):
+    return codes[0].pop()
+
+
+def _out_of_range(codes):
+    total = sum(map(len, codes))
+    codes[0][-1] = total
+    return total
+
+
+def _move(codes):
+    moved = codes[0].pop(0)
+    codes[1].append(moved)
+    return moved
+
+
+@pytest.mark.parametrize(
+    "edit,rule",
+    [
+        (_duplicate, "ST003"),
+        (_drop, "ST002"),
+        (_out_of_range, "ST004"),
+        (_move, "ST001"),
+    ],
+    ids=["duplicate", "missing", "out-of-range", "misplaced"],
+)
+def test_compile_rejects_bad_codes(edit, rule):
+    schedule, op = _dense_variant(edit)
+    with pytest.raises(ScheduleError, match="cannot compile"):
+        compiled_graph(schedule)
+    # The detailed pass still itemizes the defect, naming the op.
+    assert op in {f.op for f in verify_schedule(schedule).by_rule(rule)}
 
 
 def test_graph_is_slotted():

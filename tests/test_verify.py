@@ -35,9 +35,11 @@ from repro.schedules.verify import (
     Report,
     Severity,
     assert_clean,
+    check_liveness,
     ensure_verified,
     verify_schedule,
 )
+from repro.schedules.graph import compiled_graph
 
 F, B, W = OpKind.F, OpKind.B, OpKind.W
 
@@ -255,6 +257,27 @@ class TestChannels:
 # ---------------------------------------------------------------------------
 
 
+def swap_wgrad_before_backward(sched: Schedule) -> None:
+    """Move stage 0's first W ahead of its own B (structure stays clean)."""
+    ops = sched.programs[0].ops
+    b = next(op for op in ops if op.kind is B)
+    w = next(
+        op for op in ops
+        if op.kind is W
+        and (op.microbatch, op.slice_idx, op.chunk)
+        == (b.microbatch, b.slice_idx, b.chunk)
+    )
+    i, j = ops.index(b), ops.index(w)
+    ops[i], ops[j] = ops[j], ops[i]
+
+
+def gpipe_order(sched: Schedule) -> None:
+    """Re-order stage 0 as all forwards, then all backwards."""
+    sched.programs[0].ops.sort(
+        key=lambda op: (op.kind is not F, op.microbatch if op.kind is F else -op.microbatch)
+    )
+
+
 class TestLiveness:
     def test_duplicate_backward_is_use_after_free(self):
         sched = clone(small_dapple())
@@ -274,16 +297,7 @@ class TestLiveness:
 
     def test_wgrad_before_backward_is_use_after_free(self):
         sched = clone(build_schedule("zb", build_problem("zb", 2, 4)))
-        ops = sched.programs[0].ops
-        b = next(op for op in ops if op.kind is B)
-        w = next(
-            op for op in ops
-            if op.kind is W
-            and (op.microbatch, op.slice_idx, op.chunk)
-            == (b.microbatch, b.slice_idx, b.chunk)
-        )
-        i, j = ops.index(b), ops.index(w)
-        ops[i], ops[j] = ops[j], ops[i]
+        swap_wgrad_before_backward(sched)
         rep = verify_schedule(sched)
         assert "LV001" in rep.rule_ids() or "DL001" in rep.rule_ids()
 
@@ -291,8 +305,7 @@ class TestLiveness:
         # Re-order stage 0 as all-forwards-then-all-backwards: peak n
         # units, while the DAPPLE closed form promises p in-flight.
         sched = clone(small_dapple(p=2, n=6))
-        ops = sched.programs[0].ops
-        ops.sort(key=lambda op: (op.kind is not F, op.microbatch if op.kind is F else -op.microbatch))
+        gpipe_order(sched)
         rep = verify_schedule(sched, method="dapple")
         (f,) = rep.by_rule("AN001")
         assert "exceeds" in f.message
@@ -300,8 +313,7 @@ class TestLiveness:
 
     def test_an001_needs_method(self):
         sched = clone(small_dapple(p=2, n=6))
-        ops = sched.programs[0].ops
-        ops.sort(key=lambda op: (op.kind is not F, op.microbatch if op.kind is F else -op.microbatch))
+        gpipe_order(sched)
         rep = verify_schedule(sched)  # no method -> no closed form
         assert "AN001" not in rep.rule_ids()
 
@@ -461,3 +473,44 @@ def test_shipped_schedules_verify_clean(method, p, n, s, v, g):
     assert not unexpected, report.render_text()
     if method not in ("svpp", "mepipe"):
         assert not report.warnings, report.render_text()
+
+
+def _liveness_sources_agree(schedule: Schedule) -> None:
+    """``check_liveness`` over ``OpId`` rows equals the walk over the
+    compiled graph's rows: findings, peak floats and peak ops."""
+    by_ops = check_liveness(schedule)
+    by_graph = check_liveness(schedule, graph=compiled_graph(schedule))
+    assert by_ops == by_graph
+    for a, b in zip(by_ops[1], by_graph[1]):
+        assert a.peak_units.hex() == b.peak_units.hex()
+        assert a.peak_activation_units.hex() == b.peak_activation_units.hex()
+        assert str(a.peak_op) == str(b.peak_op)
+
+
+@pytest.mark.parametrize(
+    "method,p,n,s,v,g",
+    list(golden_grid()),
+    ids=lambda val: str(val),
+)
+def test_liveness_rows_from_ops_and_graph_agree(method, p, n, s, v, g):
+    problem = build_problem(method, p, n, num_slices=s, virtual_size=v, wgrad_gemms=g)
+    _liveness_sources_agree(build_schedule(method, problem))
+
+
+@pytest.mark.parametrize(
+    "base,mutate,rules",
+    [
+        (
+            lambda: build_schedule("zb", build_problem("zb", 2, 4)),
+            swap_wgrad_before_backward,
+            ["LV001", "LV002"],
+        ),
+        (lambda: small_dapple(p=2, n=6), gpipe_order, []),
+    ],
+    ids=["wgrad-before-backward", "gpipe-order"],
+)
+def test_liveness_rows_agree_on_clean_mutations(base, mutate, rules):
+    sched = clone(base())
+    mutate(sched)
+    assert [f.rule_id for f in check_liveness(sched)[0]] == rules
+    _liveness_sources_agree(sched)
