@@ -114,8 +114,8 @@ def replay(session: nox.Session) -> None:
     suites, the confirm-path allocation guard, the worker-pool
     lifecycle suite, the tabular bounds against their per-``OpId``
     reference (``tests/oracles``) and the chunk-class and shape-gate
-    memo suites; then Figure 10, cache off, at ``jobs`` 1 and 2
-    against ``bench/golden/fig10.txt``.
+    memo suites; then the allocation guard alone, and Figure 10, cache
+    off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``.
     """
     session.install("-e", ".[test]")
     session.run(
@@ -133,6 +133,9 @@ def replay(session: nox.Session) -> None:
         "tests/test_bounds_oracle.py",
         "tests/test_bound_memos.py",
     )
+    # The allocation guard again on its own, where no earlier test has
+    # warmed a memo it counts through.
+    session.run(*PYTEST, "tests/test_confirm_allocations.py")
     session.run("python", "tests/fig10_golden.py")
 
 

@@ -174,21 +174,20 @@ def peak_units_floor(
 
     ``forwards_floor`` asserts that some stage holds at least that many
     forward ops' activations live at once (the schedule family's
-    forwards-before-first-backward knob); without it, the floor is the
-    single cheapest forward — the instant before the first backward
-    starts, at least one forward's activation is pinned.
+    forwards-before-first-backward knob); without it, the floor is one
+    forward — the instant before the first backward starts, at least
+    one forward's activation is pinned.
 
-    The bound multiplies the *cheapest* per-forward units, so it is
-    sound for any mix of slices/chunks the floor's forwards cover, and
-    it is pre-scaled by :data:`GUARD` to absorb summation-order
-    rounding against the simulator's ledger.
+    Every forward pins the problem's one slice-activation unit, and the
+    bound is pre-scaled by :data:`GUARD` to absorb summation-order
+    rounding against the simulator's ledger.  A model that does not
+    declare ``microbatch_invariant`` gets no bound (0.0), like
+    :func:`iteration_time_bounds`.
     """
-    table = cost_table(problem, cost)
-    if table is None:
+    if not getattr(cost, "microbatch_invariant", False):
         return 0.0
-    min_units = min(table.act[: problem.num_slices * problem.num_chunks])
     # A stage's first chunk sees n*s forwards in total, so the in-flight
     # count can never legitimately exceed that — cap the asserted floor.
     available = problem.num_microbatches * problem.num_slices
     count = max(1, min(forwards_floor or 1, available))
-    return count * min_units * (1.0 - GUARD)
+    return count * problem.activation_units_per_op * (1.0 - GUARD)

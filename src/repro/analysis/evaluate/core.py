@@ -41,6 +41,7 @@ from repro.schedules.base import PipelineProblem, Schedule
 from repro.schedules.graph import (
     KIND_B,
     KIND_F,
+    KIND_W,
     ScheduleGraph,
     compiled_graph,
 )
@@ -236,39 +237,19 @@ class AnalyticEvaluation:
         return "\n".join(lines)
 
 
-def _ledger_deltas(
-    graph: ScheduleGraph,
-    act_units: FloatArray,
-    actgrad_factor: float,
-) -> FloatArray:
-    """Per-op ledger deltas replicating ``_Ledger.apply`` exactly.
-
-    Each delta is computed with the same float expression the
-    simulator's ledger uses (``a - x`` equals ``a + (-x)`` in IEEE-754,
-    so accumulating negated deltas preserves every partial sum bit for
-    bit).
-    """
-    problem = graph.problem
-    kind = np.asarray(graph.kind, dtype=np.int64)
-    if problem.split_backward:
-        b_delta = act_units * actgrad_factor
-        w_delta = -(
-            act_units * (1.0 + actgrad_factor) / problem.wgrad_gemms
-        )
-    else:
-        b_delta = -act_units
-        w_delta = np.zeros_like(act_units)
-    return np.where(
-        kind == KIND_F,
-        act_units,
-        np.where(kind == KIND_B, b_delta, w_delta),
-    )
+def _ledger_deltas(graph: ScheduleGraph) -> FloatArray:
+    """Per-op ledger deltas: the problem's F/B/W steps
+    (:attr:`PipelineProblem.ledger_steps`) gathered by kind code, the
+    floats the simulator's program-order ledger adds."""
+    steps = np.empty(3, dtype=np.float64)
+    steps[[KIND_F, KIND_B, KIND_W]] = graph.problem.ledger_steps
+    return steps[np.asarray(graph.kind, dtype=np.int64)]
 
 
-def ledger_peak_units(graph: ScheduleGraph, act_units: FloatArray) -> float:
-    """:attr:`AnalyticEvaluation.peak_activation_units` (activation-gradient
-    factor 1.0) without pricing: the ledger needs only per-op units."""
-    deltas = _ledger_deltas(graph, act_units, 1.0)
+def ledger_peak_units(graph: ScheduleGraph) -> float:
+    """:attr:`AnalyticEvaluation.peak_activation_units` without pricing:
+    the ledger reads only the graph's kind codes."""
+    deltas = _ledger_deltas(graph)
     stages = (deltas[lo:hi] for lo, hi in graph.stage_bounds if hi > lo)
     return max([0.0, *(float(np.add.accumulate(d).max()) for d in stages)])
 
@@ -338,7 +319,6 @@ def evaluate_schedule(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float = 0.0,
-    actgrad_factor: float = 1.0,
     sink: EventSink = NULL_SINK,
 ) -> AnalyticEvaluation:
     """Statically evaluate ``schedule`` under ``cost``.
@@ -359,7 +339,7 @@ def evaluate_schedule(
     graph = compiled_graph(schedule)
     times = dense_schedule_times(graph, cost)
 
-    deltas = _ledger_deltas(graph, times.act_units, actgrad_factor)
+    deltas = _ledger_deltas(graph)
     stage_busy: list[float] = []
     stage_peak: list[float] = []
     stage_ends: list[float] = []

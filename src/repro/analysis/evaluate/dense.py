@@ -56,7 +56,6 @@ class DenseTimes:
     start: FloatArray
     end: FloatArray
     duration: FloatArray
-    act_units: FloatArray
     comm: FloatArray
     levels: int
 
@@ -67,8 +66,8 @@ class DenseTimes:
 
 def op_cost_arrays(
     graph: ScheduleGraph, cost: CostModel
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """``(duration, act_units, comm)`` flat cost tables for ``graph``.
+) -> tuple[FloatArray, FloatArray]:
+    """``(duration, comm)`` flat cost tables for ``graph``.
 
     Micro-batch-invariant cost models are read from their mb-0
     :func:`~repro.sim.cost.cost_table`: each op gathers its
@@ -85,16 +84,13 @@ def op_cost_arrays(
         duration = np.fromiter(
             (cost.duration(op) for op in ops), dtype=np.float64, count=num_ops
         )
-        act_units = np.fromiter(
-            (cost.act_units(op) for op in ops), dtype=np.float64, count=num_ops
-        )
         pred_indptr, pred = graph.pred_indptr, graph.pred
         comm = np.empty(len(pred), dtype=np.float64)
         for i in range(num_ops):
             op = ops[i]
             for e in range(pred_indptr[i], pred_indptr[i + 1]):
                 comm[e] = cost.comm_time(ops[pred[e]], op)
-        return duration, act_units, comm
+        return duration, comm
 
     problem = graph.problem
     chunks = problem.num_chunks
@@ -108,7 +104,6 @@ def op_cost_arrays(
         kind == KIND_W, 2 * sc + cell * problem.wgrad_gemms + gemm, kind * sc + cell
     )
     duration = np.asarray(table.dur, dtype=np.float64)[code]
-    act_units = np.asarray(table.act, dtype=np.float64)[code]
 
     pred = np.asarray(graph.pred, dtype=np.int64)
     edge_op = np.repeat(
@@ -130,7 +125,7 @@ def op_cost_arrays(
     across = (cell[pred] // chunks != cell[edge_op] // chunks).astype(np.int64)
     block = np.where(dst == KIND_F, across, np.where(src == KIND_F, 2, 3 + across))
     slot = np.where(dst == KIND_W, 3 * sc + code[edge_op], block * sc + cell[pred])
-    return duration, act_units, by_kind[slot]
+    return duration, by_kind[slot]
 
 
 def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
@@ -140,7 +135,7 @@ def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
     contains a cycle — the same deadlock the simulator's engines
     detect.
     """
-    duration, act_units, comm = op_cost_arrays(graph, cost)
+    duration, comm = op_cost_arrays(graph, cost)
     # The graph's cached topological plan: one Kahn pass serves the
     # verifier's deadlock verdict and this replay order.
     plan = toposort_plan(graph)
@@ -156,7 +151,6 @@ def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
         start=np.asarray(start, dtype=np.float64),
         end=np.asarray(end, dtype=np.float64),
         duration=duration,
-        act_units=act_units,
         comm=comm,
         levels=plan.levels,
     )

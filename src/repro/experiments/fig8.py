@@ -42,12 +42,6 @@ class Fig8Cell:
     global_batch_size: int
     result: SearchResult
 
-    @property
-    def time_ms(self) -> float | None:
-        if self.result.best is None:
-            return None
-        return self.result.best.iteration_time_s * 1e3
-
 
 def compute(
     spec: ModelSpec = LLAMA_13B,

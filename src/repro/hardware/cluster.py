@@ -59,11 +59,6 @@ class ClusterSpec:
         """Purchase price of the cluster (per-server pricing, Table 9)."""
         return self.num_nodes * self.gpu.server_price_usd
 
-    @property
-    def total_power_watts(self) -> float:
-        """Aggregate GPU board power."""
-        return self.num_devices * self.gpu.power_watts
-
 
 #: The paper's main testbed: 8 servers x 8 RTX 4090, PCIe 4.0 inside a
 #: node, 100 Gbps InfiniBand between nodes.

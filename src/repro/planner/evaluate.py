@@ -29,7 +29,6 @@ from repro.analysis.evaluate import (
     evaluate_schedule,
     iteration_time_bounds,
     ledger_peak_units,
-    op_cost_arrays,
     peak_units_floor,
 )
 from repro.hardware.cluster import ClusterSpec
@@ -245,7 +244,7 @@ def evaluate_config(
     # confirmation share one construction, verdict and compiled graph.
     schedule = build_schedule(method, pre.problem, pre.cost, f, ceiling=bound)
     if bound is not None:
-        floor = bound.floor_bytes(_ledger_peak_units(schedule, pre.cost))
+        floor = bound.floor_bytes(_ledger_peak_units(schedule))
         if floor >= bound.limit_bytes:
             raise BuildPruned(floor, 0)
     result: SimResult | AnalyticEvaluation
@@ -346,15 +345,13 @@ def _finalize(
     )
 
 
-def _ledger_peak_units(schedule: Schedule, cost: ClusterCost) -> float:
+def _ledger_peak_units(schedule: Schedule) -> float:
     """The ledger peak :func:`_finalize` would charge: a greedy build's
-    own (bit-equal, and built under this ``cost``), else the graph's."""
+    own (bit-equal), else the compiled graph's."""
     peak = getattr(schedule, "ledger_peak_units", None)
     if peak is not None:
         return float(peak)
-    graph = compiled_graph(schedule)
-    _, act_units, _ = op_cost_arrays(graph, cost)
-    return ledger_peak_units(graph, act_units)
+    return ledger_peak_units(compiled_graph(schedule))
 
 
 def _dense_times(result: SimResult | AnalyticEvaluation) -> DenseTimes | None:
@@ -365,7 +362,7 @@ def _dense_times(result: SimResult | AnalyticEvaluation) -> DenseTimes | None:
     t = result.op_times
     if t is None:
         return None
-    tables = (t.start, t.end, t.duration, t.act_units, t.comm)
+    tables = (t.start, t.end, t.duration, t.comm)
     return DenseTimes(
         *(np.asarray(table, dtype=np.float64) for table in tables),
         levels=toposort_plan(t.graph).levels,

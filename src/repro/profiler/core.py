@@ -61,9 +61,6 @@ class ProfiledCost:
             return self.comm_seconds
         return 0.0
 
-    def act_units(self, op: OpId) -> float:
-        return self.problem.activation_units_per_op
-
     def imbalance_ratio(self, chunk: int = 0) -> float:
         """Measured forward-time ratio of slice 0 to the last slice."""
         s = self.problem.num_slices

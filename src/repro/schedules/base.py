@@ -173,6 +173,25 @@ class PipelineProblem:
         """
         return 1.0 / (self.num_chunks * self.num_slices)
 
+    @property
+    def ledger_steps(self) -> tuple[float, float, float]:
+        """Section 4.5's activation ledger: ``(f, b, w)``, the units one
+        F, B and W op add to its stage's pinned memory (releases
+        negated).
+
+        An F op pins its slice activation until consumed: a fused B
+        frees it; a split B additionally pins the same size of
+        activation gradients, and each of the ``g`` W GEMMs releases a
+        ``1/g`` share of both.  With a fused backward there are no W
+        ops, so ``w`` is 0.0.  Adding a negated release equals
+        subtracting it in IEEE-754, so every ledger reading these steps
+        accumulates the same bits.
+        """
+        unit = self.activation_units_per_op
+        if not self.split_backward:
+            return unit, -unit, 0.0
+        return unit, unit, -(unit * 2.0 / self.wgrad_gemms)
+
     # ------------------------------------------------------------------
     # Op enumeration and dependencies
     # ------------------------------------------------------------------
@@ -230,10 +249,6 @@ class PipelineProblem:
     def is_cross_stage(self, dep: OpId, op: OpId) -> bool:
         """Whether satisfying ``dep -> op`` requires a stage-to-stage send."""
         return self.stage_of(dep) != self.stage_of(op)
-
-    def first_backward_chunk(self) -> int:
-        """The chunk on which each sample's first backward runs."""
-        return self.num_chunks - 1
 
 
 @dataclass

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable
 
 from repro.schedules.base import (
     OpId,
@@ -59,8 +59,6 @@ from repro.schedules.base import (
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
-
-_Op = TypeVar("_Op")
 
 #: Tolerance for "has this op's input arrived by now?" comparisons.
 #:
@@ -600,17 +598,10 @@ def _code_costs(
     n, chunks = problem.num_microbatches, problem.num_chunks
     gemms = problem.wgrad_gemms
     sc = problem.num_slices * chunks
+    delta = _ledger_deltas(problem)
     if table is not None:
-        dur0, act0, w_lo = table.dur, table.act, 2 * sc
+        dur0, w_lo = table.dur, 2 * sc
         durs = dur0[:sc] * n + dur0[sc:w_lo] * n + dur0[w_lo:] * n
-        delta = _ledger_deltas(
-            lambda code: act0[code],
-            range(sc),
-            range(sc, w_lo),
-            range(w_lo, len(dur0)),
-            problem,
-            n,
-        )
         # Successors in ``sflat``'s order (see _structure_tables).
         comm0_f: list[float] = []
         comm0_b: list[float] = []
@@ -630,8 +621,6 @@ def _code_costs(
     cells = n * sc
     full_ops = build_ops()
     durs = [cost.duration(op) for op in full_ops]
-    blocks = full_ops[:cells], full_ops[cells : 2 * cells], full_ops[2 * cells :]
-    delta = _ledger_deltas(cost.act_units, *blocks, problem, 1)
     sidx, sflat = _structure_tables(problem)[2:]
     scomm = [
         cost.comm_time(full_ops[src], full_ops[dc])
@@ -943,28 +932,16 @@ def _emit(
     return _DenseSchedule(problem, name, build_ops, programs, token, peak)
 
 
-def _ledger_deltas(
-    act_fn: Callable[[_Op], float],
-    f_ops: Sequence[_Op],
-    b_ops: Sequence[_Op],
-    w_ops: Sequence[_Op],
-    problem: PipelineProblem,
-    reps: int,
-) -> list[float]:
-    """Pinned-activation ledger step per op code (each block tiled
-    ``reps`` times): :func:`repro.sim.executor._materialize`'s operands
-    at the planner's activation-gradient factor 1.0.  An op is whatever
-    ``act_fn`` reads — an ``OpId``, or an mb=0 cost-table code.
-    Releases are stored negated (``a - x`` is ``a + (-x)`` in
-    IEEE-754), so running sums are the simulator's bit for bit."""
-    actgrad = 1.0
-    gemms = problem.wgrad_gemms
-    if problem.split_backward:
-        b_steps = [act_fn(op) * actgrad for op in b_ops]
-    else:
-        b_steps = [-act_fn(op) for op in b_ops]
-    w_steps = [-(act_fn(op) * (1.0 + actgrad) / gemms) for op in w_ops]
-    return [act_fn(op) for op in f_ops] * reps + b_steps * reps + w_steps * reps
+def _ledger_deltas(problem: PipelineProblem) -> list[float]:
+    """Pinned-activation ledger step per canonical op code: the
+    problem's F, B and W steps (:attr:`PipelineProblem.ledger_steps`,
+    the floats :func:`repro.sim.executor._materialize` adds) tiled over
+    the F, B and W code blocks, so running sums are the simulator's
+    bit for bit."""
+    f, b, w = problem.ledger_steps
+    cells = problem.num_microbatches * problem.num_slices * problem.num_chunks
+    w_codes = cells * problem.wgrad_gemms if problem.split_backward else 0
+    return [f] * cells + [b] * cells + [w] * w_codes
 
 
 def _stuck_witness(

@@ -40,7 +40,6 @@ def verify_schedule(
     schedule: Schedule,
     method: str | None = None,
     rules: Iterable[str] | None = None,
-    actgrad_factor: float = 1.0,
 ) -> Report:
     """Statically verify ``schedule`` and return a :class:`Report`.
 
@@ -51,9 +50,6 @@ def verify_schedule(
             has a Table 3 row.
         rules: Rule ids to check (default: :data:`ALL_RULES`).  Checks
             whose rules are all excluded are skipped entirely.
-        actgrad_factor: Size of one op's activation gradients relative
-            to its activations, for the liveness ledger (matches the
-            simulator's parameter).
     """
     selected = tuple(rules) if rules is not None else ALL_RULES
     wanted = set(selected)
@@ -87,7 +83,7 @@ def verify_schedule(
         report.findings.extend(check_channels(schedule, index, graph))
 
     if wanted & {"LV001", "LV002", "AN001"}:
-        liveness, peaks = check_liveness(schedule, actgrad_factor, graph)
+        liveness, peaks = check_liveness(schedule, graph)
         report.findings.extend(liveness)
         # A deadlocked schedule never reaches iteration end; its peak
         # is not comparable to the steady-state closed form.
@@ -130,7 +126,6 @@ def ensure_verified(schedule: Schedule, context: str = "") -> None:
 def assert_clean(
     schedule: Schedule,
     method: str | None = None,
-    actgrad_factor: float = 1.0,
 ) -> Report:
     """Run the full rule set; raise :class:`ScheduleError` on errors.
 
@@ -140,9 +135,7 @@ def assert_clean(
     included, so a misgenerated configuration is actionable from the
     error alone.
     """
-    report = verify_schedule(
-        schedule, method=method, actgrad_factor=actgrad_factor
-    )
+    report = verify_schedule(schedule, method=method)
     if not report.ok:
         raise ScheduleError(report.render_text())
     schedule._verify_token = _fingerprint(schedule)  # type: ignore[attr-defined]

@@ -1,8 +1,9 @@
 """Static activation liveness and memory lint (LV/AN rules).
 
 Walks each stage's program under the Section 4.5 activation model —
-the same accounting the discrete-event executor's ledger applies at
-simulation time, but derived purely from the op table:
+the ledger steps the discrete-event executor adds at simulation time
+(:attr:`~repro.schedules.base.PipelineProblem.ledger_steps`), but
+derived purely from the op table:
 
 * ``F(mb, sl, c)`` materializes one slice-activation
   (``1/(v*p*s)`` of ``A``) on its stage, live until consumed;
@@ -63,7 +64,6 @@ class StagePeak:
 
 def check_liveness(
     schedule: Schedule,
-    actgrad_factor: float = 1.0,
     graph: ScheduleGraph | None = None,
 ) -> tuple[list[Finding], list[StagePeak]]:
     """Lint every stage program; returns findings and per-stage peaks.
@@ -87,7 +87,7 @@ def check_liveness(
         def label(k: int) -> str:
             return f"F{k // (s * chunks)}.{(k // chunks) % s}c{k % chunks}"
 
-        return _walk(problem, rows, graph.op_at, label, actgrad_factor)
+        return _walk(problem, rows, graph.op_at, label)
 
     code_of = {OpKind.F: KIND_F, OpKind.B: KIND_B, OpKind.W: KIND_W}
     ops: list[OpId] = []
@@ -107,10 +107,7 @@ def check_liveness(
         mb, sl, c = key
         return f"F{mb}.{sl}c{c}"
 
-    return _walk(
-        schedule.problem, tuple_rows, ops.__getitem__, tuple_label,
-        actgrad_factor,
-    )
+    return _walk(schedule.problem, tuple_rows, ops.__getitem__, tuple_label)
 
 
 def _walk(
@@ -118,12 +115,12 @@ def _walk(
     rows: Sequence[tuple[int, int, Sequence[int], Sequence[_Key]]],
     op_at: Callable[[int], OpId],
     label: Callable[[_Key], str],
-    actgrad_factor: float,
 ) -> tuple[list[Finding], list[StagePeak]]:
     """The per-stage walk.  ``rows`` holds, per stage, its number, the
     index ``op_at`` gives its first op, and its ops' kind codes and
     activation keys in program order."""
     unit = problem.activation_units_per_op
+    f_step, b_step, w_step = problem.ledger_steps
     gemms = problem.wgrad_gemms
     split = problem.split_backward
     findings: list[Finding] = []
@@ -159,7 +156,7 @@ def _walk(
                         f"still live (earlier forward not yet consumed)",
                     )
                 live[key] = gemms if split else 1
-                current += unit
+                current += f_step
                 act_current += unit
             elif kc == KIND_B:
                 if key not in live:
@@ -177,12 +174,11 @@ def _walk(
                         f"{op} re-runs a backward whose activations are "
                         f"already being drained by W GEMMs",
                     )
+                current += b_step
                 if split:
                     b_done.add(key)
-                    current += unit * actgrad_factor
                 else:
                     live.pop(key, None)
-                    current -= unit
                     act_current -= unit
             else:  # W
                 if key not in b_done:
@@ -205,7 +201,7 @@ def _walk(
                     live[key] -= 1
                     if live[key] == 0:
                         del live[key]
-                    current -= unit * (1.0 + actgrad_factor) / gemms
+                    current += w_step
                     act_current -= unit / gemms
             if current > peak + 1e-12:
                 peak = current

@@ -211,9 +211,6 @@ class JobStore:
     def get(self, job_id: str) -> Job | None:
         return self._jobs.get(job_id)
 
-    def active_jobs(self, tenant: str) -> int:
-        return self._tenant_active.get(tenant, 0)
-
     def submit(self, request: Request, *, tenant: str = "default") -> Job:
         """Start (or attach to) the job answering ``request``.
 

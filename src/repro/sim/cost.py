@@ -28,14 +28,16 @@ from repro.schedules.base import OpId, OpKind, PipelineProblem
 class CostModel(Protocol):
     """Per-op timing interface consumed by the executor.
 
-    Implementations may additionally set a class attribute
-    ``microbatch_invariant = True`` to declare that ``duration``,
-    ``comm_time``, and ``act_units`` do not depend on the micro-batch
-    index of their arguments.  Such a model is probed once per
-    (problem, model), for micro-batch 0 only, into a
-    :class:`CostTable` (:func:`cost_table`) that the build-free bounds,
-    the greedy generator and the dense replay read; the heap engine
-    keeps its own per-key probes.  Both built-in models qualify.
+    A cost model prices time only: the activation memory an op pins is
+    the problem's (:attr:`PipelineProblem.ledger_steps`), not the
+    model's.  Implementations may additionally set a class attribute
+    ``microbatch_invariant = True`` to declare that ``duration`` and
+    ``comm_time`` do not depend on the micro-batch index of their
+    arguments.  Such a model is probed once per (problem, model), for
+    micro-batch 0 only, into a :class:`CostTable` (:func:`cost_table`)
+    that the build-free bounds, the greedy generator and the dense
+    replay read; the heap engine keeps its own per-key probes.  Both
+    built-in models qualify.
     """
 
     def duration(self, op: OpId) -> float:
@@ -46,29 +48,24 @@ class CostModel(Protocol):
         """Transfer time of the tensor satisfying the edge ``dep -> op``."""
         ...
 
-    def act_units(self, op: OpId) -> float:
-        """Activation memory an F op pins, as a fraction of ``A``."""
-        ...
-
 
 @dataclass(frozen=True)
 class CostTable:
     """Micro-batch-0 costs of one (problem, cost model) pair, indexed
     without ``OpId``\\ s.
 
-    ``dur`` and ``act`` are indexed by mb-0 op code, the compiled
-    graph's layout at one micro-batch: F(sl, c) at ``b = sl*chunks +
-    c``, B at ``sc + b``, W(sl, c, g) at ``2*sc + b*gemms + g`` (``sc =
-    s*chunks``; no W block unless the backward is split).  Comm is one
-    list per dependency kind, indexed by the producer's cell ``b``
-    (``b_to_w`` by the W offset ``b*gemms + g``); an edge the problem
-    does not have reads 0.0.  Every float is the model's own answer
-    for that op or edge, so readers see exactly what a per-op probe
-    returns.  All lists are read-only to callers.
+    ``dur`` is indexed by mb-0 op code, the compiled graph's layout at
+    one micro-batch: F(sl, c) at ``b = sl*chunks + c``, B at ``sc + b``,
+    W(sl, c, g) at ``2*sc + b*gemms + g`` (``sc = s*chunks``; no W
+    block unless the backward is split).  Comm is one list per
+    dependency kind, indexed by the producer's cell ``b`` (``b_to_w`` by
+    the W offset ``b*gemms + g``); an edge the problem does not have
+    reads 0.0.  Every float is the model's own answer for that op or
+    edge, so readers see exactly what a per-op probe returns.  All
+    lists are read-only to callers.
     """
 
     dur: list[float]
-    act: list[float]
     f_next_chunk: list[float]  # F(sl, c) -> F(sl, c + 1)
     f_next_slice: list[float]  # F(sl, c) -> F(sl + 1, c)
     f_to_b: list[float]  # F(sl, c) -> B(sl, c)
@@ -113,7 +110,6 @@ def _probe_table(problem: PipelineProblem, cost: CostModel) -> CostTable:
     comm = cost.comm_time
     return CostTable(
         dur=[cost.duration(op) for op in ops],
-        act=[cost.act_units(op) for op in ops],
         f_next_chunk=[
             comm(f_ops[b], f_ops[b + 1]) if b % chunks < chunks - 1 else 0.0
             for b in range(sc)
@@ -183,9 +179,6 @@ class UniformCost:
 
     def comm_time(self, dep: OpId, op: OpId) -> float:
         return 0.0
-
-    def act_units(self, op: OpId) -> float:
-        return self.problem.activation_units_per_op
 
 
 def _instance_table(method: Callable[..., Any]) -> Callable[..., Any]:
@@ -458,9 +451,6 @@ class ClusterCost:
         rank_a %= self.cluster.num_devices
         rank_b %= self.cluster.num_devices
         return self.cluster.link_between(rank_a, rank_b)
-
-    def act_units(self, op: OpId) -> float:
-        return self.problem.activation_units_per_op
 
     # ------------------------------------------------------------------
     # Iteration-level extras

@@ -102,7 +102,6 @@ def cross_validate(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float = 0.0,
-    actgrad_factor: float = 1.0,
     evaluation: AnalyticEvaluation | None = None,
     bounds: TimeBounds | None = None,
 ) -> Report:
@@ -115,19 +114,8 @@ def cross_validate(
     ``checked_rules`` cover the whole ``EV`` family.
     """
     if evaluation is None:
-        evaluation = evaluate_schedule(
-            schedule,
-            cost,
-            overhead_time=overhead_time,
-            actgrad_factor=actgrad_factor,
-        )
-    sim = simulate(
-        schedule,
-        cost,
-        overhead_time=overhead_time,
-        actgrad_factor=actgrad_factor,
-        engine="heap",
-    )
+        evaluation = evaluate_schedule(schedule, cost, overhead_time=overhead_time)
+    sim = simulate(schedule, cost, overhead_time=overhead_time, engine="heap")
     findings: list[Finding] = []
 
     # EV003: internal consistency before comparing against the sim.

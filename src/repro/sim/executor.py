@@ -90,7 +90,6 @@ class OpTimes:
     start: list[float]
     end: list[float]
     duration: list[float]
-    act_units: list[float]
     comm: list[float]
 
 
@@ -255,7 +254,6 @@ def simulate(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float = 0.0,
-    actgrad_factor: float = 1.0,
     engine: str = "event",
     sink: EventSink = NULL_SINK,
     channel_capacities: Mapping[Any, int] | None = None,
@@ -294,11 +292,9 @@ def simulate(
         raise ValueError(f"unknown simulation engine {engine!r}")
     ensure_verified(schedule, context="simulate")
     if channel_capacities is not None or engine == "heap":
-        result = _simulate_heap(
-            schedule, cost, overhead_time, actgrad_factor, channel_capacities
-        )
+        result = _simulate_heap(schedule, cost, overhead_time, channel_capacities)
     else:
-        result = _simulate_dense(schedule, cost, overhead_time, actgrad_factor)
+        result = _simulate_dense(schedule, cost, overhead_time)
 
     stamp_byte_sizes(result, cost)
     if sink.enabled:
@@ -310,28 +306,20 @@ def simulate(
 
 
 def _materialize(
-    schedule: Schedule,
-    times: OpTimes,
-    overhead_time: float,
-    actgrad_factor: float,
+    schedule: Schedule, times: OpTimes, overhead_time: float
 ) -> SimResult:
     """Per-op times over the compiled graph -> ledger, metrics, result.
 
     Per-stage accumulation over the kind codes in program order, so
     every engine reports the same bits for the same times.  The ledger
-    tracks pinned activation (and activation-gradient) memory: an F op
-    pins its activations until they are consumed — at B completion for
-    fused backward, or gradually over the op's W GEMMs when the
-    backward pass is split (each retired W GEMM releases its share of
-    both the activations and the activation gradients that B
-    materialized, sized ``actgrad_factor`` relative to the
-    activations).  Records are built on first read.
+    tracks pinned activation (and activation-gradient) memory with the
+    problem's own F/B/W steps (:attr:`PipelineProblem.ledger_steps`).
+    Records are built on first read.
     """
     problem = schedule.problem
     graph = times.graph
-    kind, end = graph.kind, times.end
-    duration, act_units = times.duration, times.act_units
-    split, gemms = problem.split_backward, problem.wgrad_gemms
+    kind, end, duration = graph.kind, times.end, times.duration
+    f_step, b_step, w_step = problem.ledger_steps
     metrics: list[StageMetrics] = []
     makespan = 0.0
     for s, (lo, hi) in enumerate(graph.stage_bounds):
@@ -340,14 +328,11 @@ def _materialize(
             busy += duration[i]
             kc = kind[i]
             if kc == KIND_F:
-                current += act_units[i]
+                current += f_step
             elif kc == KIND_B:
-                if split:
-                    current += act_units[i] * actgrad_factor
-                else:
-                    current -= act_units[i]
+                current += b_step
             else:
-                current -= act_units[i] * (1.0 + actgrad_factor) / gemms
+                current += w_step
             if current > peak:
                 peak = current
         metrics.append(StageMetrics(s, busy, peak, hi - lo))
@@ -365,10 +350,7 @@ def _materialize(
 
 
 def _simulate_dense(
-    schedule: Schedule,
-    cost: CostModel,
-    overhead_time: float,
-    actgrad_factor: float,
+    schedule: Schedule, cost: CostModel, overhead_time: float
 ) -> SimResult:
     """Plan-order replay over the compiled graph's CSR arrays (``"event"``).
 
@@ -382,12 +364,11 @@ def _simulate_dense(
     times = dense_schedule_times(graph, cost)
     # tolist() round-trips exactly: the records carry Python floats with
     # the same bits the kernel computed.
-    tables = (times.start, times.end, times.duration, times.act_units, times.comm)
+    tables = (times.start, times.end, times.duration, times.comm)
     return _materialize(
         schedule,
         OpTimes(graph, *(table.tolist() for table in tables)),
         overhead_time,
-        actgrad_factor,
     )
 
 
@@ -466,7 +447,6 @@ def _simulate_heap(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float,
-    actgrad_factor: float,
     channel_capacities: Mapping[Any, int] | None,
 ) -> SimResult:
     """Event-driven heap replay over the compiled graph (``"heap"``).
@@ -498,14 +478,10 @@ def _simulate_heap(
     else:
         keys, op_at = range(num_ops), graph.ops.__getitem__
     dur_of: dict[int, float] = {}
-    act_of: dict[int, float] = {}
     for i, key in enumerate(keys):
         if key not in dur_of:
-            op = op_at(i)
-            dur_of[key] = cost.duration(op)
-            act_of[key] = cost.act_units(op)
+            dur_of[key] = cost.duration(op_at(i))
     duration = [dur_of[key] for key in keys]
-    act_units = [act_of[key] for key in keys]
     span = max(keys, default=0) + 1
     comm_of: dict[int, float] = {}
     dep_comm = [0.0] * len(pred)
@@ -578,9 +554,8 @@ def _simulate_heap(
 
     return _materialize(
         schedule,
-        OpTimes(graph, start, end, duration, act_units, dep_comm),
+        OpTimes(graph, start, end, duration, dep_comm),
         overhead_time,
-        actgrad_factor,
     )
 
 

@@ -118,7 +118,6 @@ def simulate_with_network(
     cost: CostModel,
     network: NetworkModel,
     overhead_time: float = 0.0,
-    actgrad_factor: float = 1.0,
 ) -> SimResult:
     """Replay ``schedule`` with queued transfers.
 
@@ -134,7 +133,7 @@ def simulate_with_network(
     ensure_verified(schedule, context="simulate_with_network")
     graph = compiled_graph(schedule)
     num_ops, num_edges = graph.num_ops, len(graph.pred)
-    op_duration, act_units, _static_comm = op_cost_arrays(graph, cost)
+    op_duration, _static_comm = op_cost_arrays(graph, cost)
 
     # Ops keep their indices; transfer nodes follow, one link after
     # another in queue order, exactly like the ops of one stage.  The
@@ -180,11 +179,9 @@ def simulate_with_network(
             start[:num_ops],
             end[:num_ops],
             duration[:num_ops],
-            act_units.tolist(),
             [0.0] * num_edges,
         ),
         overhead_time,
-        actgrad_factor,
     )
     result.schedule_name += "+network"
     return result

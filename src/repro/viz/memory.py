@@ -11,29 +11,25 @@ from repro.schedules.base import OpKind
 from repro.sim.executor import SimResult
 
 
-def activation_series(result: SimResult, stage: int,
-                      actgrad_factor: float = 1.0) -> list[tuple[float, float]]:
+def activation_series(result: SimResult, stage: int) -> list[tuple[float, float]]:
     """(time, pinned units of A) steps for one stage.
 
-    Mirrors the executor's ledger semantics: F pins at completion, a
-    fused B releases, a split B pins activation gradients until the W
-    fragments retire.
+    Adds the executor's ledger steps
+    (:attr:`~repro.schedules.base.PipelineProblem.ledger_steps`) at
+    each op's completion: F pins, a fused B releases, a split B pins
+    activation gradients until the W fragments retire.
     """
-    problem = result.problem
-    units = problem.activation_units_per_op
+    f_step, b_step, w_step = result.problem.ledger_steps
     series: list[tuple[float, float]] = [(0.0, 0.0)]
     current = 0.0
     for record in result.stage_records(stage):
         kind = record.op.kind
         if kind is OpKind.F:
-            current += units
+            current += f_step
         elif kind is OpKind.B:
-            if problem.split_backward:
-                current += units * actgrad_factor
-            else:
-                current -= units
+            current += b_step
         else:
-            current -= units * (1.0 + actgrad_factor) / problem.wgrad_gemms
+            current += w_step
         series.append((record.end, current))
     return series
 

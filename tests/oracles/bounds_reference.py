@@ -37,7 +37,7 @@ def iteration_time_bounds(
     """
     if not getattr(cost, "microbatch_invariant", False):
         return None
-    dur_fn, comm_fn, _act_fn = op_cost_fns(cost)
+    dur_fn, comm_fn = op_cost_fns(cost)
     n = problem.num_microbatches
     s = problem.num_slices
     chunks = problem.num_chunks
@@ -157,23 +157,17 @@ def peak_units_floor(
 
     ``forwards_floor`` asserts that some stage holds at least that many
     forward ops' activations live at once (the schedule family's
-    forwards-before-first-backward knob); without it, the floor is the
-    single cheapest forward — the instant before the first backward
-    starts, at least one forward's activation is pinned.
+    forwards-before-first-backward knob); without it, the floor is one
+    forward — the instant before the first backward starts, at least
+    one forward's activation is pinned.
 
-    The bound multiplies the *cheapest* per-forward units, so it is
-    sound for any mix of slices/chunks the floor's forwards cover, and
-    it is pre-scaled by :data:`GUARD` to absorb summation-order
+    Every forward pins the problem's one slice-activation unit, and the
+    bound is pre-scaled by :data:`GUARD` to absorb summation-order
     rounding against the simulator's ledger.
     """
     if not getattr(cost, "microbatch_invariant", False):
         return 0.0
-    _dur_fn, _comm_fn, act_fn = op_cost_fns(cost)
-    min_units = min(
-        act_fn(OpId(OpKind.F, 0, sl, c))
-        for sl in range(problem.num_slices)
-        for c in range(problem.num_chunks)
-    )
+    min_units = problem.activation_units_per_op
     # A stage's first chunk sees n*s forwards in total, so the in-flight
     # count can never legitimately exceed that — cap the asserted floor.
     available = problem.num_microbatches * problem.num_slices

@@ -17,12 +17,8 @@ from repro.sim.cost import CostModel
 
 def op_cost_fns(
     cost: CostModel,
-) -> tuple[
-    Callable[[OpId], float],
-    Callable[[OpId, OpId], float],
-    Callable[[OpId], float],
-]:
-    """``(duration, comm_time, act_units)`` callables for ``cost``.
+) -> tuple[Callable[[OpId], float], Callable[[OpId, OpId], float]]:
+    """``(duration, comm_time)`` callables for ``cost``.
 
     When the model declares ``microbatch_invariant``, each callable
     memoizes on the op coordinates *minus* the micro-batch index, so a
@@ -32,7 +28,7 @@ def op_cost_fns(
     results are unchanged bit for bit.
     """
     if not getattr(cost, "microbatch_invariant", False):
-        return cost.duration, cost.comm_time, cost.act_units
+        return cost.duration, cost.comm_time
 
     # Keys use interned kind tags (C-level string hash) rather than the
     # enum member's ``.value``, whose descriptor protocol would dominate
@@ -41,7 +37,6 @@ def op_cost_fns(
     tag = {OpKind.F: "F", OpKind.B: "B", OpKind.W: "W"}
     dur_memo: dict[tuple[str, int, int, int], float] = {}
     comm_memo: dict[tuple, float] = {}
-    act_memo: dict[tuple[str, int, int, int], float] = {}
 
     def duration(op: OpId) -> float:
         key = (tag[op.kind], op.slice_idx, op.chunk, op.gemm)
@@ -60,11 +55,4 @@ def op_cost_fns(
             v = comm_memo[key] = cost.comm_time(dep, op)
         return v
 
-    def act_units(op: OpId) -> float:
-        key = (tag[op.kind], op.slice_idx, op.chunk, op.gemm)
-        v = act_memo.get(key)
-        if v is None:
-            v = act_memo[key] = cost.act_units(op)
-        return v
-
-    return duration, comm_time, act_units
+    return duration, comm_time

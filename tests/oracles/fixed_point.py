@@ -6,7 +6,9 @@ activation ledger as an object per stage.  It never reads the compiled
 :class:`~repro.schedules.graph.ScheduleGraph`, its topological plan or
 any cost table, so it shares nothing with the replay kernel
 (``analysis.evaluate.dense.wavefront_times``) or the heap oracle
-(``sim.executor._simulate_heap``) beyond the cost model's own methods.
+(``sim.executor._simulate_heap``) beyond the cost model's own methods
+and the problem's activation unit (it keeps its own ledger rule rather
+than reading :attr:`PipelineProblem.ledger_steps`).
 The golden suites (``tests/test_engine_golden.py``, the capacity and
 evaluator mutation suites) hold both to it bit for bit; nothing in
 ``src/`` calls it, which is why it lives beside those tests.
@@ -110,7 +112,7 @@ def simulate_fixed_point(
                 m = metrics[stage]
                 m.busy_time += dur
                 m.op_count += 1
-                ledgers[stage].apply(op, cost.act_units(op))
+                ledgers[stage].apply(op, problem.activation_units_per_op)
                 heads[stage] += 1
                 remaining -= 1
                 progressed = True

@@ -114,7 +114,7 @@ def greedy_reference(
     # Memoized per-op-shape planning costs (identical values; see
     # op_cost_fns) — the generator probes durations and comm times for
     # every op and edge, which dominates sweep time otherwise.
-    dur_fn, comm_fn, _act_fn = op_cost_fns(cost)
+    dur_fn, comm_fn = op_cost_fns(cost)
     num_stages = problem.num_stages
     n = problem.num_microbatches
     s = problem.num_slices

@@ -14,6 +14,7 @@ pin the ``repro capacity`` / ``repro verify --capacity`` JSON contract.
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -325,11 +326,11 @@ def gemm_subject():
 
 class TestOracleTableMutations:
     """The heap oracle probes costs through its own integer-key memo,
-    the materializer runs the ledger over the kind codes, and records
-    are laid out from the stage bounds on first read.  Each is mutated
-    here and must be caught by a certificate that predates it: the
-    analytic cross-validation (EV001), the static liveness peaks, and
-    the fixed-point engine's records."""
+    the materializer runs the problem's shared ledger steps over the
+    kind codes, and records are laid out from the stage bounds on first
+    read.  Each is mutated here and must be caught by a certificate
+    that predates it: the analytic cross-validation (EV001), the static
+    liveness peaks, and the fixed-point engine's records and peaks."""
 
     def test_unmutated_subject_is_clean(self):
         schedule, cost = gemm_subject()
@@ -395,6 +396,27 @@ class TestOracleTableMutations:
         assert all(
             "peak ledger units" in f.message for f in report.by_rule("EV001")
         )
+
+    def test_w_step_one_ulp_short_changes_the_peaks(self, monkeypatch):
+        schedule, cost = gemm_subject()
+        fixed = simulate_fixed_point(schedule, cost)
+        real = PipelineProblem.ledger_steps
+
+        def short_w_release(problem):
+            f, b, w = real.fget(problem)
+            return f, b, math.nextafter(w, 0.0)
+
+        # Both engines and the analytic evaluator read the one shared
+        # rule; only the fixed-point engine's own ledger can see it move.
+        monkeypatch.setattr(
+            PipelineProblem, "ledger_steps", property(short_w_release)
+        )
+        for engine in ("heap", "event"):
+            mutant = simulate(schedule, cost, engine=engine)
+            assert [s.peak_activation_units for s in mutant.stages] != [
+                s.peak_activation_units for s in fixed.stages
+            ]
+        assert cross_validate(schedule, cost).ok
 
     def test_shifted_stage_bounds_put_records_on_the_wrong_stage(self):
         schedule, cost = gemm_subject()

@@ -9,6 +9,7 @@ tuple stays unbuilt.  The count is exact and deterministic; this is the
 fence against someone re-adding ``graph.ops`` to the hot path.
 """
 
+from repro.analysis.core import _interface_findings
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_7B
 from repro.parallel.strategies import ParallelConfig
@@ -28,8 +29,12 @@ def confirm(num_microbatches, monkeypatch):
     (OpId constructions, schedule, cost)."""
     gbs = num_microbatches * CONFIG.dp
     # Whatever ran earlier in this process must not have generated the
-    # cell (or read its records) already.
+    # cell (or read its records) already, and both measurements start
+    # equally cold: the shape-gate and prelude memos build ``OpId``s on
+    # a miss.
     gencache.clear()
+    _interface_findings.cache_clear()
+    _prelude.cache_clear()
     made = [0]
     post_init = OpId.__post_init__
 

@@ -148,9 +148,6 @@ class _EdgeTaxCost:
     def comm_time(self, dep: OpId, op: OpId) -> float:
         return 0.125 + 0.0625 * ((dep.microbatch + op.chunk) % 2)
 
-    def act_units(self, op: OpId) -> float:
-        return 1.0
-
 
 def test_engines_agree_with_edge_charging_cost():
     problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)

@@ -114,9 +114,7 @@ def test_exactness_survives_overhead_and_actgrad():
     schedule = build_schedule("mepipe", problem)
     cost = UniformCost(problem, tw=0.5)
     with crossval_on_fixed_point():
-        report = cross_validate(
-            schedule, cost, overhead_time=0.25, actgrad_factor=0.5
-        )
+        report = cross_validate(schedule, cost, overhead_time=0.25)
     assert report.ok, report.render_text()
 
 
@@ -174,9 +172,6 @@ def test_non_invariant_cost_declines_bounds():
 
         def comm_time(self, dep, op):
             return 0.0
-
-        def act_units(self, op):
-            return 1.0
 
     assert iteration_time_bounds(problem, PerMicrobatchCost()) is None
     assert peak_units_floor(problem, PerMicrobatchCost()) == 0.0

@@ -155,9 +155,6 @@ class _NonInvariantCost:
     def comm_time(self, dep, op):
         return 0.0
 
-    def act_units(self, op):
-        return self.problem.activation_units_per_op
-
 
 @dataclass
 class _MutableCost(_NonInvariantCost):

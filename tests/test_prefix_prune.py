@@ -233,9 +233,10 @@ def test_mutation_ledger_without_w_releases_is_caught(monkeypatch):
 
     real = greedy._ledger_deltas
 
-    def no_w_release(act_fn, f_ops, b_ops, w_ops, problem, reps):
-        steps = real(act_fn, f_ops, b_ops, w_ops, problem, reps)
-        kept = (len(f_ops) + len(b_ops)) * reps
+    def no_w_release(problem):
+        steps = real(problem)
+        cells = problem.num_microbatches * problem.num_slices * problem.num_chunks
+        kept = 2 * cells  # every F and B step
         return steps[:kept] + [0.0] * (len(steps) - kept)
 
     gencache.clear()

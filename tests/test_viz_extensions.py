@@ -8,6 +8,7 @@ from repro.obs.chrome import sim_chrome_trace, write_sim_trace
 from repro.schedules import build_problem, build_schedule
 from repro.sim import UniformCost, simulate
 from repro.viz import activation_series, render_memory_profile
+from tests.test_verify import golden_grid
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +30,22 @@ class TestActivationSeries:
         assert series[0][1] == 0.0
         assert series[-1][1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_peak_matches_executor_ledger(self, svpp_result):
-        series = activation_series(svpp_result, 0)
-        peak = max(v for _t, v in series)
-        assert peak == pytest.approx(
-            svpp_result.stages[0].peak_activation_units)
+    @pytest.mark.parametrize(
+        "method,p,n,s,v,g", list(golden_grid()), ids=lambda val: str(val)
+    )
+    def test_peak_matches_executor_ledger(self, method, p, n, s, v, g):
+        # The series is the executor's ledger replayed in record order,
+        # so every stage's peak is the simulator's, bit for bit.
+        problem = build_problem(
+            method, p, n, num_slices=s, virtual_size=v, wgrad_gemms=g
+        )
+        schedule = build_schedule(method, problem)
+        for tw in (0.0, 0.5):
+            result = simulate(schedule, UniformCost(problem, tw=tw))
+            for stage in result.stages:
+                series = activation_series(result, stage.stage)
+                peak = max(units for _t, units in series)
+                assert peak == stage.peak_activation_units, (tw, stage.stage)
 
     def test_split_backward_series_balances(self, mepipe_result):
         series = activation_series(mepipe_result, 1)
