@@ -13,7 +13,7 @@ Run `nox -s <session>`, or the same commands directly:
               find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_schedule_graph.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
-              python tests/function_lengths.py src/repro/schedules/graph.py src/repro/schedules/verify/liveness.py 150
+              python tests/function_lengths.py src/repro/schedules/graph.py src/repro/schedules/verify/liveness.py src/repro/analysis/capacity/core.py src/repro/schedules/verify/channels.py src/repro/sim/network.py 150
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
@@ -42,8 +42,15 @@ PYTEST = ("python", "-m", "pytest", "-x", "-q")
 #: ``src/`` lines, then files: the size metric CHANGES.md tracks per PR.
 SRC_SIZE = "find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l"
 GREEDY = "src/repro/schedules/greedy.py"
-#: The compiler (the structure gate) and the liveness walk.
-VERIFIER = ("src/repro/schedules/graph.py", "src/repro/schedules/verify/liveness.py")
+#: The compiler (the structure gate), the liveness walk, and the three
+#: readers of the compiled graph's channel table.
+VERIFIER = (
+    "src/repro/schedules/graph.py",
+    "src/repro/schedules/verify/liveness.py",
+    "src/repro/analysis/capacity/core.py",
+    "src/repro/schedules/verify/channels.py",
+    "src/repro/sim/network.py",
+)
 
 
 @nox.session
@@ -80,8 +87,9 @@ def static(session: nox.Session) -> None:
     pair and exits non-zero on any ERROR-severity finding; the suites
     are the schedule verifier's and the model analyzer's golden sweeps
     and seeded mutations, and the schedule compiler's (a successful
-    compile is the verifier's structure verdict).  Then the compiler
-    and the liveness walk are held to 150 lines per function.
+    compile is the verifier's structure verdict).  Then the compiler,
+    the liveness walk and the channel table's readers (FIFO lint,
+    capacity analyzer, link replay) are held to 150 lines per function.
     """
     session.install("-e", ".[test]")
     session.run("python", "-m", "repro", "check-model", "grid")

@@ -58,11 +58,7 @@ from repro.analysis.ir import (
     PartitionSpec,
     SymTensor,
 )
-from repro.analysis.memory import (
-    StageMemory,
-    infer_channel_buffers,
-    infer_stage_memory,
-)
+from repro.analysis.memory import StageMemory, infer_stage_memory
 from repro.analysis.program import ModelProgram, TaskRef, build_program
 from repro.analysis.rules import (
     COVERAGE_RULES,
@@ -107,7 +103,6 @@ __all__ = [
     "ensure_model_verified",
     "evaluate_schedule",
     "infer_capacities",
-    "infer_channel_buffers",
     "infer_stage_memory",
     "interface_report",
     "iteration_time_bounds",

@@ -8,7 +8,10 @@ message beyond the first ``K``: send ``#i`` cannot start before recv
 ``#(i-K)`` completes, because the producer blocks until the consumer
 frees a slot.  This module augments the compiled
 :class:`~repro.schedules.graph.ScheduleGraph` with exactly those
-*slot-reuse edges* and answers three questions in closed form:
+*slot-reuse edges*, drawn from the graph's
+:func:`~repro.schedules.graph.channel_table` and walked by its one
+Kahn (:func:`~repro.schedules.graph.kahn_order`), and answers three
+questions in closed form:
 
 * **Safety** — is the schedule deadlock-free at the configured
   capacities?  Execution order on each stage is fixed by its program,
@@ -19,7 +22,8 @@ frees a slot.  This module augments the compiled
 * **Minimal deadlock-free capacity** — the all-ones vector is tested
   first with a single Kahn pass; when it is acyclic it is the global
   componentwise minimum (one slot per channel is the floor).  Otherwise
-  a coordinate descent from the canonical-order occupancy peaks
+  a coordinate descent from the canonical-order occupancy peaks (or,
+  when a non-FIFO channel makes them cyclic, the message counts)
   binary-searches each channel down while every probe keeps the *full*
   current vector acyclic, yielding a componentwise-minimal vector:
   lowering any single coordinate of the result re-adds a superset of
@@ -46,8 +50,8 @@ bit-level disagreement.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
+from itertools import repeat
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -62,18 +66,18 @@ from repro.analysis.evaluate.dense import (
     wavefront_times,
 )
 from repro.schedules.base import OpId, Schedule, ScheduleError
-from repro.schedules.graph import ScheduleGraph, compiled_graph, toposort_plan
+from repro.schedules.graph import (
+    Channel,
+    ChannelId,
+    ScheduleGraph,
+    channel_table,
+    compiled_graph,
+    kahn_order,
+    toposort_plan,
+)
 from repro.schedules.verify.deps import _edge_label, _minimal_cycle
 from repro.schedules.verify.diagnostics import Finding, Report
 from repro.sim.cost import CostModel
-
-#: A channel's identity: ``(src_stage, dst_stage, kind)`` with kind one
-#: of ``"F"``/``"B"``/``"W"`` — the same granularity the FIFO verifier
-#: (CH001) and the runtime's shared-memory rings use.
-ChannelId = tuple[int, int, str]
-
-_KIND_CHARS = ("F", "B", "W")
-
 
 def _channel_str(key: ChannelId) -> str:
     """Render a channel like the runtime's ``ChannelKey.__str__``."""
@@ -101,96 +105,51 @@ def normalize_capacities(
 
 
 # ----------------------------------------------------------------------
-# Channel extraction and slot-reuse edges
+# Occupancy tables and slot-reuse edges
 # ----------------------------------------------------------------------
 @dataclass
 class _GraphTables:
-    """Cost-independent channel tables, cached on the compiled graph.
+    """Cost-independent capacity tables, cached on the compiled graph.
 
-    ``arrays`` carries each channel's ``(src_ops, dst_ops)`` as dense
-    int arrays in slot-claim order (the vectorized twin of
-    ``channels``); ``rank`` is each op's position in the cached
-    unbounded topological plan.  ``dl_caps`` is filled lazily — the
-    coordinate descent behind it is the one genuinely expensive
-    inference, and cost-model consumers (the planner's
-    backpressure-free ledger) never need it.
+    ``peaks`` is each channel's in-flight peak along the cached
+    unbounded topological plan and ``rank`` each op's position in that
+    plan.  ``dl_caps`` is filled lazily — the coordinate descent behind
+    it is the one genuinely expensive inference, and cost-model
+    consumers (the planner's backpressure-free ledger) never need it.
+    The messages themselves are the graph's
+    :func:`~repro.schedules.graph.channel_table`.
     """
 
-    arrays: dict[ChannelId, tuple[IntArray, IntArray]]
     peaks: dict[ChannelId, int]
     rank: IntArray
     dl_caps: dict[ChannelId, int] | None = None
-    _channels: dict[ChannelId, list[tuple[int, int]]] | None = None
-
-    @property
-    def channels(self) -> dict[ChannelId, list[tuple[int, int]]]:
-        """``arrays`` as Python pair lists, materialized on first use.
-
-        Only the Kahn-based paths (deadlock inference, the bounded
-        replay fallback, witness search) walk these lists; the
-        planner's vectorized ledger never pays for them.
-        """
-        if self._channels is None:
-            self._channels = {
-                key: list(zip(sa.tolist(), da.tolist(), strict=True))
-                for key, (sa, da) in self.arrays.items()
-            }
-        return self._channels
 
 
 def _graph_tables(graph: ScheduleGraph) -> _GraphTables:
-    """Extract (and cache) every channel's message tables, vectorized.
+    """Build (and cache) the occupancy peaks and plan ranks.
 
-    One pass over the CSR predecessor arrays classifies cross-stage
-    edges into channels; a lexsort orders each channel's messages by
-    the producer's program position — the order ring slots are claimed
-    in.  Occupancy peaks fall out of a per-channel cumulative sum of
-    ±1 events along the cached topological plan.
+    Peaks fall out of a per-channel cumulative sum of ±1 events along
+    the cached topological plan.
     """
     cached = graph._capacity_tables
     if isinstance(cached, _GraphTables):
         return cached
     num_ops = graph.num_ops
-    indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
-    pred = np.asarray(graph.pred, dtype=np.int64)
-    cross = np.asarray(graph.pred_cross, dtype=bool)
-    stage = np.asarray(graph.stage, dtype=np.int64)
-    kind = np.asarray(graph.kind, dtype=np.int64)
-    pos = np.asarray(graph.pos, dtype=np.int64)
-    heads = np.repeat(np.arange(num_ops, dtype=np.int64), np.diff(indptr))
-    srcs = pred[cross]
-    dsts = heads[cross]
-    order = np.lexsort((pos[srcs], kind[srcs], stage[dsts], stage[srcs]))
-    srcs = srcs[order]
-    dsts = dsts[order]
     rank = np.empty(num_ops, dtype=np.int64)
     rank[np.asarray(toposort_plan(graph).order, dtype=np.int64)] = np.arange(
         num_ops, dtype=np.int64
     )
-    arrays: dict[ChannelId, tuple[IntArray, IntArray]] = {}
     peaks: dict[ChannelId, int] = {}
-    if srcs.size:
-        ss, ds, ks = stage[srcs], stage[dsts], kind[srcs]
-        change = (
-            np.flatnonzero(
-                (np.diff(ss) != 0) | (np.diff(ds) != 0) | (np.diff(ks) != 0)
-            )
-            + 1
+    for key, (sa, da, _edges) in channel_table(graph).items():
+        # A message is in flight from its producer to its consumer
+        # along the plan; distinct ops have distinct ranks, so the
+        # signed events sort unambiguously.
+        deltas = np.concatenate(
+            (np.ones(sa.size, np.int64), -np.ones(da.size, np.int64))
         )
-        bounds = np.concatenate(([0], change, [srcs.size]))
-        for b, e in zip(bounds[:-1], bounds[1:]):
-            key = (int(ss[b]), int(ds[b]), _KIND_CHARS[int(ks[b])])
-            sa, da = srcs[b:e], dsts[b:e]
-            arrays[key] = (sa, da)
-            # A message is in flight from its producer to its consumer
-            # along the plan; distinct ops have distinct ranks, so the
-            # signed events sort unambiguously.
-            deltas = np.concatenate(
-                (np.ones(sa.size, np.int64), -np.ones(da.size, np.int64))
-            )
-            ev = np.argsort(np.concatenate((rank[sa], rank[da])))
-            peaks[key] = int(np.cumsum(deltas[ev]).max())
-    tables = _GraphTables(arrays=arrays, peaks=peaks, rank=rank)
+        ev = np.argsort(np.concatenate((rank[sa], rank[da])))
+        peaks[key] = int(np.cumsum(deltas[ev]).max())
+    tables = _GraphTables(peaks=peaks, rank=rank)
     graph._capacity_tables = tables
     return tables
 
@@ -202,76 +161,36 @@ def channel_messages(
 
     Returns ``{(src_stage, dst_stage, kind): [(src_op, dst_op), ...]}``
     with dense op indices, each channel's list sorted by the producer's
-    program position — the order ring slots are claimed in.
+    program position — the order ring slots are claimed in.  A view of
+    the graph's :func:`~repro.schedules.graph.channel_table`.
     """
-    return _graph_tables(graph).channels
+    return {
+        key: list(zip(sa.tolist(), da.tolist(), strict=True))
+        for key, (sa, da, _edges) in channel_table(graph).items()
+    }
 
 
 def _slot_edges(
-    channels: Mapping[ChannelId, list[tuple[int, int]]],
+    table: Mapping[ChannelId, Channel],
     capacities: Mapping[ChannelId, int],
 ) -> list[tuple[int, int, ChannelId]]:
-    """Slot-reuse edges ``dst[i-K] -> src[i]`` for every channel."""
+    """Slot-reuse edges ``dst[i-K] -> src[i]`` for every channel, by
+    sorted channel key and ascending message."""
     edges: list[tuple[int, int, ChannelId]] = []
-    for key in sorted(channels):
-        msgs = channels[key]
+    for key in sorted(table):
+        sa, da, _edges = table[key]
         k = capacities[key]
-        for i in range(k, len(msgs)):
-            edges.append((msgs[i - k][1], msgs[i][0], key))
+        if k < sa.size:
+            edges.extend(
+                zip(da[: sa.size - k].tolist(), sa[k:].tolist(), repeat(key))
+            )
     return edges
 
 
-def _bounded_order(
-    graph: ScheduleGraph, edges: list[tuple[int, int, ChannelId]]
-) -> tuple[list[int], list[int]]:
-    """Kahn over dependency + program-order + slot-reuse edges.
-
-    Returns ``(order, residual)``; a non-empty residual means the
-    slot-augmented graph is cyclic (bounded-channel deadlock).
-    """
-    num_ops = graph.num_ops
-    pred_indptr = graph.pred_indptr
-    succ_indptr, succ = graph.succ_indptr, graph.succ
-    pos = graph.pos
-    slot_succ: dict[int, list[int]] = {}
-    indeg = [
-        pred_indptr[i + 1] - pred_indptr[i] + (1 if pos[i] > 0 else 0)
-        for i in range(num_ops)
-    ]
-    for tail, head, _key in edges:
-        slot_succ.setdefault(tail, []).append(head)
-        indeg[head] += 1
-    queue = deque(i for i in range(num_ops) if indeg[i] == 0)
-    order: list[int] = []
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for e in range(succ_indptr[i], succ_indptr[i + 1]):
-            j = succ[e]
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-        j = i + 1
-        if j < num_ops and pos[j] > 0:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-        for j in slot_succ.get(i, ()):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    residual = [i for i in range(num_ops) if indeg[i] > 0]
-    return order, residual
-
-
-def _feasible(
-    graph: ScheduleGraph,
-    channels: Mapping[ChannelId, list[tuple[int, int]]],
-    capacities: Mapping[ChannelId, int],
-) -> bool:
+def _feasible(graph: ScheduleGraph, capacities: Mapping[ChannelId, int]) -> bool:
     """Whether the slot-augmented graph is acyclic at ``capacities``."""
-    order, _residual = _bounded_order(graph, _slot_edges(channels, capacities))
-    return len(order) == graph.num_ops
+    edges = _slot_edges(channel_table(graph), capacities)
+    return not kahn_order(graph, edges)[2]
 
 
 # ----------------------------------------------------------------------
@@ -285,33 +204,33 @@ def _deadlock_free_capacities(
     Fast path: one slot per channel is the componentwise floor, so if
     the all-ones vector is acyclic it is *the* global componentwise
     minimum and a single Kahn pass settles everything.  Otherwise a
-    coordinate descent from a known-feasible start (occupancy peaks,
-    verified; message counts as fallback) binary-searches each channel
-    in deterministic key order with all other channels at their current
-    values — every accepted value keeps the full vector acyclic, so
-    feasibility is an invariant and the result is componentwise
-    minimal.
+    coordinate descent from a feasible start binary-searches each
+    channel in deterministic key order with all other channels at their
+    current values — every accepted value keeps the full vector acyclic,
+    so feasibility is an invariant and the result is componentwise
+    minimal.  The start is the occupancy peaks when they are acyclic
+    and the message counts (no slot edge at all) otherwise: on a
+    channel that is not FIFO (its receive order inverts its send order,
+    CH001) the peaks along the unbounded plan can still close a cycle.
     """
-    channels, peaks = tables.channels, tables.peaks
-    if not channels:
+    table, peaks = channel_table(graph), tables.peaks
+    if not table:
         return {}
-    ones = dict.fromkeys(channels, 1)
-    if all(p <= 1 for p in peaks.values()) or _feasible(
-        graph, channels, ones
-    ):
-        # Capacities at (or above) the plan-order occupancy peaks are
-        # always acyclic — the plan itself witnesses the order — so
-        # all-ones peaks need no Kahn pass at all.
+    ones = dict.fromkeys(table, 1)
+    if all(p <= 1 for p in peaks.values()) or _feasible(graph, ones):
+        # All-ones peaks: along the plan every send follows the previous
+        # message's receive, so each unit slot edge points forward in
+        # the plan and the ones vector is acyclic without a Kahn pass.
         return ones
     caps = dict(peaks)
-    if not _feasible(graph, channels, caps):
-        caps = {key: len(msgs) for key, msgs in channels.items()}
-    for key in sorted(channels):
+    if not _feasible(graph, caps):
+        caps = {key: channel.src_ops.size for key, channel in table.items()}
+    for key in sorted(table):
         lo, hi = 1, caps[key]
         while lo < hi:
             mid = (lo + hi) // 2
             caps[key] = mid
-            if _feasible(graph, channels, caps):
+            if _feasible(graph, caps):
                 hi = mid
             else:
                 lo = mid + 1
@@ -328,7 +247,7 @@ def _deadlock_caps(graph: ScheduleGraph) -> dict[ChannelId, int]:
 
 
 def _backpressure_free_capacities(
-    arrays: Mapping[ChannelId, tuple[IntArray, IntArray]],
+    table: Mapping[ChannelId, Channel],
     times: DenseTimes,
 ) -> dict[ChannelId, int]:
     """Smallest per-channel capacities that cannot delay any send.
@@ -344,7 +263,7 @@ def _backpressure_free_capacities(
     start = times.start
     end = times.end
     caps: dict[ChannelId, int] = {}
-    for key, (sa, da) in arrays.items():
+    for key, (sa, da, _edges) in table.items():
         sends = start[sa]
         running = np.maximum.accumulate(end[da])
         idx = np.arange(sends.size, dtype=np.int64)
@@ -505,23 +424,25 @@ def infer_capacities(
     backpressure-free ledger never reads it).
     """
     graph = compiled_graph(schedule)
-    tables = _graph_tables(graph)
-    arrays, peaks = tables.arrays, tables.peaks
+    table = channel_table(graph)
+    peaks = _graph_tables(graph).peaks
     dl_caps = _deadlock_caps(graph) if include_deadlock_free else None
     bp_caps: dict[ChannelId, int] | None = None
     unbounded = bounded = None
     if times is None and cost is not None:
         times = dense_schedule_times(graph, cost)
-    if times is not None and arrays:
-        bp_caps = _backpressure_free_capacities(tables.arrays, times)
+    if times is not None and table:
+        bp_caps = _backpressure_free_capacities(table, times)
         unbounded = float(times.end.max()) if times.num_ops else 0.0
         try:
             bounded_times = bounded_dense_times(graph, bp_caps, times=times)
         except ScheduleError:
             # Zero-duration ties can make the closed-form vector cyclic
             # even though the times are satisfiable; widening to the
-            # known-feasible occupancy peaks removes slot edges without
-            # weakening the no-delay property.
+            # occupancy peaks removes slot edges without weakening the
+            # no-delay property.  The peaks are not always acyclic (a
+            # channel that is not FIFO can close a cycle at them), so
+            # this retry may still raise.
             bp_caps = {k: max(v, peaks[k]) for k, v in bp_caps.items()}
             bounded_times = bounded_dense_times(graph, bp_caps, times=times)
         bounded = (
@@ -534,12 +455,12 @@ def infer_capacities(
             src_stage=key[0],
             dst_stage=key[1],
             kind=key[2],
-            messages=int(arrays[key][0].size),
+            messages=int(table[key].src_ops.size),
             occupancy_peak=peaks[key],
             deadlock_free=None if dl_caps is None else dl_caps[key],
             backpressure_free=None if bp_caps is None else bp_caps[key],
         )
-        for key in sorted(arrays)
+        for key in sorted(table)
     )
     return CapacityPlan(
         schedule_name=schedule.name,
@@ -571,9 +492,9 @@ def bounded_dense_times(
         if cost is None:
             raise ValueError("bounded_dense_times needs a cost model or times")
         times = dense_schedule_times(graph, cost)
-    tables = _graph_tables(graph)
+    table = channel_table(graph)
     caps = normalize_capacities(capacities)
-    bad = sorted(k for k in tables.arrays if caps.get(k, 0) < 1)
+    bad = sorted(k for k in table if caps.get(k, 0) < 1)
     if bad:
         listed = ", ".join(_channel_str(k) for k in bad)
         raise ScheduleError(
@@ -587,11 +508,11 @@ def bounded_dense_times(
     # the unbounded times already solve the bounded recurrence, bit
     # for bit, with no per-op replay needed.
     trank = np.empty(graph.num_ops, dtype=np.int64)
-    trank[np.lexsort((tables.rank, times.start))] = np.arange(
+    trank[np.lexsort((_graph_tables(graph).rank, times.start))] = np.arange(
         graph.num_ops, dtype=np.int64
     )
     clean = True
-    for key, (sa, da) in tables.arrays.items():
+    for key, (sa, da, _edges) in table.items():
         k = caps[key]
         if k < sa.size:
             tails, heads = da[: sa.size - k], sa[k:]
@@ -602,21 +523,14 @@ def bounded_dense_times(
                 break
     if clean:
         return times
-    edges = _slot_edges(tables.channels, caps)
-    # The cached unbounded plan is usually already a topological order
-    # of the augmented graph (slot edges point forward in it); only
-    # when some edge disagrees is a fresh Kahn pass needed.
-    rank = tables.rank
-    if all(int(rank[tail]) < int(rank[head]) for tail, head, _key in edges):
-        order = toposort_plan(graph).order
-    else:
-        order, residual = _bounded_order(graph, edges)
-        if residual:
-            stuck = [str(graph.op_at(i)) for i in residual[:8]]
-            raise ScheduleError(
-                f"bounded-channel deadlock; blocked ops: {stuck} "
-                f"(run `repro capacity` for a minimal-cycle witness)"
-            )
+    edges = _slot_edges(table, caps)
+    order, _levels, residual = kahn_order(graph, edges)
+    if residual:
+        stuck = [str(graph.op_at(i)) for i in residual[:8]]
+        raise ScheduleError(
+            f"bounded-channel deadlock; blocked ops: {stuck} "
+            f"(run `repro capacity` for a minimal-cycle witness)"
+        )
     pred_indptr, pred, comm = _slot_augmented_preds(graph, times.comm, edges)
     start, end = wavefront_times(
         graph.pos, pred_indptr, pred, comm, times.duration.tolist(), order
@@ -646,6 +560,11 @@ def _slot_augmented_preds(
     heads = np.fromiter((e[1] for e in edges), np.int64, count=len(edges))
     # Each slot edge lands at the end of its head's predecessor run;
     # every later run shifts right by the slot edges inserted before it.
+    # Sorted by head first: an op without dependency predecessors shares
+    # its insertion point with the next op, and ``np.insert`` keeps the
+    # given order at a shared point.
+    by_head = np.argsort(heads, kind="stable")
+    tails, heads = tails[by_head], heads[by_head]
     at = indptr[heads + 1]
     shift = np.cumsum(np.bincount(heads, minlength=graph.num_ops))
     indptr[1:] += shift
@@ -735,17 +654,33 @@ def check_capacities(
     one and CP003 warns about any backpressure.
     """
     graph = compiled_graph(schedule)
-    tables = _graph_tables(graph)
-    channels = tables.channels
-    checked: tuple[str, ...] = (
-        ("CP001", "CP002", "CP003") if cost is not None else ("CP001", "CP002")
-    )
-    findings: list[Finding] = []
     caps = (
         dict(_deadlock_caps(graph))
         if capacities is None
         else normalize_capacities(capacities)
     )
+    findings, _priced = _check(graph, caps, cost)
+    return Report(
+        schedule_name=schedule.name,
+        findings=findings,
+        checked_rules=(
+            ("CP001", "CP002", "CP003")
+            if cost is not None
+            else ("CP001", "CP002")
+        ),
+    )
+
+
+def _check(
+    graph: ScheduleGraph,
+    caps: dict[ChannelId, int],
+    cost: CostModel | None,
+) -> tuple[list[Finding], tuple[DenseTimes, DenseTimes] | None]:
+    """The CP001-CP003 findings of ``caps``, plus the unbounded and
+    bounded times when the CP003 comparison priced them (so a caller
+    that needs them again does not replay twice)."""
+    channels = channel_table(graph)
+    findings: list[Finding] = []
     for key in sorted(set(caps) - set(channels)):
         findings.append(
             Finding(
@@ -759,7 +694,7 @@ def check_capacities(
             )
         )
     for key in sorted(channels):
-        msgs = len(channels[key])
+        msgs = int(channels[key].src_ops.size)
         if key not in caps:
             findings.append(
                 Finding(
@@ -781,53 +716,42 @@ def check_capacities(
                 )
             )
     if findings:
-        return Report(
-            schedule_name=schedule.name,
-            findings=findings,
-            checked_rules=checked,
-        )
+        return findings, None
 
     edges = _slot_edges(channels, caps)
-    _order, residual = _bounded_order(graph, edges)
+    residual = kahn_order(graph, edges)[2]
     if residual:
         findings.append(_deadlock_witness(graph, residual, edges, caps))
-        return Report(
-            schedule_name=schedule.name,
-            findings=findings,
-            checked_rules=checked,
-        )
+        return findings, None
 
-    if cost is not None and channels:
-        times = dense_schedule_times(graph, cost)
-        unbounded = float(times.end.max()) if times.num_ops else 0.0
-        bounded_times = bounded_dense_times(graph, caps, times=times)
-        bounded = float(bounded_times.end.max()) if times.num_ops else 0.0
-        if bounded > unbounded:
-            bp_caps = _backpressure_free_capacities(tables.arrays, times)
-            tight = [
-                f"channel {_channel_str(key)}: capacity {caps[key]} < "
-                f"backpressure-free {bp_caps[key]}"
-                for key in sorted(channels)
-                if caps[key] < bp_caps[key]
-            ]
-            findings.append(
-                Finding(
-                    "CP003",
-                    f"channel backpressure: the configured capacities "
-                    f"lengthen the critical path by "
-                    f"{bounded - unbounded!r}",
-                    witness=(
-                        f"unbounded makespan: {unbounded!r}",
-                        f"bounded makespan:   {bounded!r}",
-                        *tight,
-                    ),
-                )
+    if cost is None or not channels:
+        return findings, None
+    times = dense_schedule_times(graph, cost)
+    unbounded = float(times.end.max()) if times.num_ops else 0.0
+    bounded_times = bounded_dense_times(graph, caps, times=times)
+    bounded = float(bounded_times.end.max()) if times.num_ops else 0.0
+    if bounded > unbounded:
+        bp_caps = _backpressure_free_capacities(channels, times)
+        tight = [
+            f"channel {_channel_str(key)}: capacity {caps[key]} < "
+            f"backpressure-free {bp_caps[key]}"
+            for key in sorted(channels)
+            if caps[key] < bp_caps[key]
+        ]
+        findings.append(
+            Finding(
+                "CP003",
+                f"channel backpressure: the configured capacities "
+                f"lengthen the critical path by "
+                f"{bounded - unbounded!r}",
+                witness=(
+                    f"unbounded makespan: {unbounded!r}",
+                    f"bounded makespan:   {bounded!r}",
+                    *tight,
+                ),
             )
-    return Report(
-        schedule_name=schedule.name,
-        findings=findings,
-        checked_rules=checked,
-    )
+        )
+    return findings, (times, bounded_times)
 
 
 def certify_capacities(
@@ -879,8 +803,8 @@ def cross_validate_capacities(
     from repro.sim.executor import simulate
 
     caps = certificate.caps()
-    base = check_capacities(schedule, caps, cost)
-    findings = list(base.findings)
+    graph = compiled_graph(schedule)
+    findings, priced = _check(graph, caps, cost)
     if any(f.rule_id == "CP001" for f in findings):
         findings.append(
             Finding(
@@ -897,10 +821,11 @@ def cross_validate_capacities(
             checked_rules=CAPACITY_RULES,
         )
 
-    graph = compiled_graph(schedule)
-    times = dense_schedule_times(graph, cost)
+    if priced is None:
+        times = dense_schedule_times(graph, cost)
+        priced = (times, bounded_dense_times(graph, caps, times=times))
+    times, bounded_times = priced
     unbounded = float(times.end.max()) if times.num_ops else 0.0
-    bounded_times = bounded_dense_times(graph, caps, times=times)
     bounded = float(bounded_times.end.max()) if times.num_ops else 0.0
     if certificate.unbounded_makespan != unbounded:
         findings.append(

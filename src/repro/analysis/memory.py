@@ -18,9 +18,7 @@ property tests assert bit-exact agreement over the E0 grid.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.analysis.ir import ComponentSpec, PartitionSpec
 from repro.schedules.graph import KIND_B, KIND_F, ScheduleGraph
@@ -35,9 +33,9 @@ class StageMemory:
 
     ``channel_buffer_bytes`` is the shared-memory ring footprint the
     stage pins as a message consumer under a given capacity plan — see
-    :func:`infer_channel_buffers`; it stays zero unless the caller
-    stamps it, because ring sizing is a runtime/capacity choice, not a
-    property of the program alone.
+    :func:`repro.analysis.capacity.ring_bytes_per_stage`; it stays zero
+    unless the caller stamps it, because ring sizing is a
+    runtime/capacity choice, not a property of the program alone.
     """
 
     stage: int
@@ -140,36 +138,6 @@ class _ComponentState:
             )
         if sl == 0:
             self.kv.pop(mb, None)
-
-
-def infer_channel_buffers(
-    graph: ScheduleGraph,
-    capacities: Mapping[Any, int],
-    slot_payload_bytes: int,
-) -> list[int]:
-    """Per-stage channel-buffer (ring) bytes under ``capacities``.
-
-    The channel-buffer ledger of the capacity analyzer
-    (:mod:`repro.analysis.capacity`): each ring's
-    ``slots × (header + payload)`` bytes are charged to the consumer
-    stage, mirroring how :class:`~repro.pipeline.parallel_runtime
-    .ParallelPipelineRuntime` stamps ``StageStats
-    .channel_buffer_bytes``.  ``capacities`` accepts the same keys as
-    :func:`repro.analysis.capacity.normalize_capacities`.
-    """
-    from repro.analysis.capacity import (
-        normalize_capacities,
-        ring_bytes_per_stage,
-    )
-    from repro.pipeline.channels import _HEADER_BYTES
-
-    return list(
-        ring_bytes_per_stage(
-            normalize_capacities(capacities),
-            graph.problem.num_stages,
-            _HEADER_BYTES + slot_payload_bytes,
-        )
-    )
 
 
 def infer_stage_memory(

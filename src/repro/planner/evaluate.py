@@ -316,10 +316,6 @@ def _finalize(
     slot_bytes = _HEADER_BYTES + int(cost.boundary_message_bytes())
     per_stage = ring_bytes_per_stage(caps, problem.num_stages, slot_bytes)
     channel_bytes = max(per_stage, default=0)
-    backpressure_free = all(
-        ch.backpressure_free is not None and caps[ch.key] >= ch.backpressure_free
-        for ch in plan.channels
-    )
     peak = budget.pinned + act_bytes + channel_bytes
 
     oom = peak > cluster.gpu.memory_bytes
@@ -341,7 +337,9 @@ def _finalize(
         capacity_mode=CAPACITY_MODE,
         channel_buffer_bytes=channel_bytes,
         channel_slots=sum(caps.values()),
-        backpressure_free=backpressure_free,
+        backpressure_free=(
+            plan.backpressure_free_makespan == plan.unbounded_makespan
+        ),
     )
 
 

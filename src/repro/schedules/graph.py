@@ -27,8 +27,11 @@ Contract:
   ``i - 1 -> i``.
 * ``pred_indptr``/``pred`` list each op's dependency predecessors in
   the exact order ``PipelineProblem.deps`` returns them;
-  ``pred_cross[e]`` flags edges that cross a stage boundary.
   ``succ_indptr``/``succ`` is the transpose.
+* Cross-stage traffic is worked out here once: :func:`channel_table`
+  groups the dependency edges whose endpoints sit on different stages
+  into channels, each in slot-claim order, and the FIFO lint, the
+  capacity analyzer and the network replay all read it.
 * ``cell[i]`` is the canonical ``(mb * s + sl) * chunks + c`` index of
   op ``i``'s (micro-batch, slice, chunk) coordinate — the key the
   liveness ledger shares between an F op and its B/W counterparts.
@@ -39,8 +42,9 @@ Contract:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.schedules.base import (
     OpId,
@@ -55,6 +59,17 @@ from repro.schedules.base import (
 KIND_F: int = 0
 KIND_B: int = 1
 KIND_W: int = 2
+_KIND_CHARS = ("F", "B", "W")
+
+#: A channel's identity: ``(src stage, dst stage, kind)``, ``kind`` one
+#: of ``"F"``/``"B"``/``"W"``.
+ChannelId = tuple[int, int, str]
+
+if TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
+
+    IntArray = npt.NDArray[np.int64]
 
 
 class ScheduleGraph:
@@ -73,10 +88,10 @@ class ScheduleGraph:
         "stage_bounds",
         "pred_indptr",
         "pred",
-        "pred_cross",
         "succ_indptr",
         "succ",
         "_dense_plan",
+        "_channel_table",
         "_capacity_tables",
     )
 
@@ -92,7 +107,6 @@ class ScheduleGraph:
         stage_bounds: tuple[tuple[int, int], ...],
         pred_indptr: tuple[int, ...],
         pred: tuple[int, ...],
-        pred_cross: tuple[bool, ...],
         succ_indptr: tuple[int, ...],
         succ: tuple[int, ...],
         ops_factory: Callable[[], tuple[OpId, ...]],
@@ -109,14 +123,16 @@ class ScheduleGraph:
         self.stage_bounds = stage_bounds
         self.pred_indptr = pred_indptr
         self.pred = pred
-        self.pred_cross = pred_cross
         self.succ_indptr = succ_indptr
         self.succ = succ
         # Cost-independent topological plan, built on first use by
         # toposort_plan (order + height depend only on the graph, never
         # on the cost model).
         self._dense_plan: TopoPlan | None = None
-        # Channel messages + minimal deadlock-free capacities, lazily
+        # Cross-stage messages by channel, built on first use by
+        # channel_table (structural, like the plan).
+        self._channel_table: dict[ChannelId, Channel] | None = None
+        # Occupancy peaks + minimal deadlock-free capacities, lazily
         # built and cached by repro.analysis.capacity (also purely
         # structural — cost models only affect backpressure analysis).
         self._capacity_tables: object | None = None
@@ -221,28 +237,53 @@ class TopoPlan:
     structural consumer — the verifier's deadlock verdict (the plan
     exists iff the combined edge relation is acyclic), the analytic
     evaluator's replay order, the capacity ledger's op ranks — so the
-    Kahn pass over a graph runs at most once.
+    Kahn pass over a graph runs at most once.  The same
+    :func:`kahn_order` also walks the capacity analyzer's slot-augmented
+    graphs, and the plan's neighbour :func:`channel_table` holds the
+    cross-stage messages those slot edges are drawn from.
     """
 
     order: list[int]
     levels: int
 
 
-def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
-    """Kahn's algorithm over dependency + program-order edges.
+def kahn_order(
+    graph: ScheduleGraph, extra: Sequence[tuple[int, ...]] = ()
+) -> tuple[list[int], int, list[int]]:
+    """Kahn's algorithm over dependency + program-order edges, plus the
+    ``extra`` edges (``(tail, head, ...)``; later fields are ignored).
 
-    Raises :class:`ScheduleError` if the combined edge relation has a
-    cycle (the frontier stalls before covering every op) — the same
-    deadlock the simulator's engines detect.
+    Returns ``(order, levels, residual)``: the ops in wavefront order,
+    the number of wavefronts, and the ops the frontier never reached in
+    ascending index order — non-empty iff the combined edge relation
+    has a cycle.
     """
     num_ops = graph.num_ops
     pred_indptr = graph.pred_indptr
-    succ_indptr, succ = graph.succ_indptr, graph.succ
+    succ_indptr: Sequence[int] = graph.succ_indptr
+    succ: Sequence[int] = graph.succ
     pos = graph.pos
     indeg = [
         pred_indptr[i + 1] - pred_indptr[i] + (1 if pos[i] > 0 else 0)
         for i in range(num_ops)
     ]
+    if extra:
+        import numpy as np
+
+        # Each extra edge joins the end of its tail's successor run, so
+        # the wavefront loop below stays the plain one.  Sorted by tail
+        # first: consecutive empty runs share one insertion point.
+        tails = np.fromiter((e[0] for e in extra), np.int64, count=len(extra))
+        heads = np.fromiter((e[1] for e in extra), np.int64, count=len(extra))
+        by_tail = np.argsort(tails, kind="stable")
+        tails, heads = tails[by_tail], heads[by_tail]
+        indptr = np.asarray(succ_indptr, dtype=np.int64)
+        at = indptr[tails + 1]
+        indptr[1:] += np.cumsum(np.bincount(tails, minlength=num_ops))
+        succ_indptr = indptr.tolist()
+        succ = np.insert(np.asarray(succ, dtype=np.int64), at, heads).tolist()
+        for j in heads.tolist():
+            indeg[j] += 1
     frontier = [i for i in range(num_ops) if indeg[i] == 0]
     order: list[int] = []
     levels = 0
@@ -262,8 +303,24 @@ def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
                 if indeg[j] == 0:
                     nxt.append(j)
         frontier = nxt
-    if len(order) != num_ops:
-        stuck = [str(graph.ops[i]) for i in range(num_ops) if indeg[i] > 0][:8]
+    residual = (
+        [i for i in range(num_ops) if indeg[i] > 0]
+        if len(order) != num_ops
+        else []
+    )
+    return order, levels, residual
+
+
+def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
+    """The graph's :class:`TopoPlan`, by :func:`kahn_order`.
+
+    Raises :class:`ScheduleError` if the combined edge relation has a
+    cycle (the frontier stalls before covering every op) — the same
+    deadlock the simulator's engines detect.
+    """
+    order, levels, residual = kahn_order(graph)
+    if residual:
+        stuck = [str(graph.ops[i]) for i in residual[:8]]
         raise ScheduleError(f"evaluation deadlock; blocked ops: {stuck}")
     return TopoPlan(order=order, levels=levels)
 
@@ -275,6 +332,63 @@ def toposort_plan(graph: ScheduleGraph) -> TopoPlan:
     if plan is None:
         plan = graph._dense_plan = build_topo_plan(graph)
     return plan
+
+
+class Channel(NamedTuple):
+    """One channel's messages, in the order they claim ring slots."""
+
+    src_ops: IntArray  #: producers (the sends), ascending program position
+    dst_ops: IntArray  #: the consumer of each message (the receives)
+    edges: IntArray  #: each message's dependency edge, an index into ``pred``
+
+
+def channel_table(graph: ScheduleGraph) -> dict[ChannelId, Channel]:
+    """Every cross-stage message of ``graph``, grouped by channel.
+
+    A dependency edge whose producer and consumer sit on different
+    stages is one message on channel ``(src stage, dst stage, kind)``,
+    ``kind`` the producer's ``"F"``/``"B"``/``"W"``: forward activations
+    and backward gradients travel on separate channels, as in the
+    runtime's rings and the FIFO lint.  A channel's messages are listed
+    in the producer's program order, the order its sends claim slots;
+    channels come in ``(src, dst, kind code)`` order.  Built on first use
+    and cached on the graph, like :func:`toposort_plan`; the FIFO lint,
+    the capacity analyzer and the network replay all read this one
+    table.
+    """
+    table = graph._channel_table
+    if table is None:
+        table = graph._channel_table = _build_channel_table(graph)
+    return table
+
+
+def _build_channel_table(graph: ScheduleGraph) -> dict[ChannelId, Channel]:
+    """One sort of the cross-stage edges by channel, then by producer
+    index (program order: a channel's producers share one stage), split
+    at channel boundaries."""
+    import numpy as np
+
+    num_ops = graph.num_ops
+    pred = np.asarray(graph.pred, dtype=np.int64)
+    stage = np.asarray(graph.stage, dtype=np.int64)
+    kind = np.asarray(graph.kind, dtype=np.int64)
+    heads = np.repeat(
+        np.arange(num_ops, dtype=np.int64),
+        np.diff(np.asarray(graph.pred_indptr, dtype=np.int64)),
+    )
+    edges = np.flatnonzero(stage[pred] != stage[heads])
+    srcs, dsts = pred[edges], heads[edges]
+    chan = (stage[srcs] * graph.problem.num_stages + stage[dsts]) * 3 + kind[srcs]
+    order = np.argsort(chan * num_ops + srcs)
+    edges, srcs, dsts, chan = edges[order], srcs[order], dsts[order], chan[order]
+    bounds = [0, *(np.flatnonzero(np.diff(chan)) + 1).tolist(), int(srcs.size)]
+    table: dict[ChannelId, Channel] = {}
+    for b, e in zip(bounds[:-1], bounds[1:]):
+        if e > b:  # no cross-stage edge at all leaves one empty run
+            j, i = int(srcs[b]), int(dsts[b])
+            key = (int(stage[j]), int(stage[i]), _KIND_CHARS[int(kind[j])])
+            table[key] = Channel(srcs[b:e], dsts[b:e], edges[b:e])
+    return table
 
 
 def _compile(schedule: Schedule, token: int) -> ScheduleGraph:
@@ -452,7 +566,6 @@ def graph_from_codes(
     active = flat >= 0
     pred_dense = dense_of[flat[active]]
     edge_src = np.repeat(np.arange(total, dtype=np.int64), 3)[active]
-    pred_cross = stage[pred_dense] != stage[edge_src]
     pred_indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(slots >= 0, axis=1), out=pred_indptr[1:])
 
@@ -474,7 +587,6 @@ def graph_from_codes(
         stage_bounds=stage_bounds,
         pred_indptr=tuple(pred_indptr.tolist()),
         pred=tuple(pred_dense.tolist()),
-        pred_cross=tuple(pred_cross.tolist()),
         succ_indptr=tuple(succ_indptr.tolist()),
         succ=tuple(succ.tolist()),
         ops_factory=ops_factory,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.schedules.base import OpId, OpKind, Schedule
-from repro.schedules.graph import ScheduleGraph
+from repro.schedules.graph import ScheduleGraph, channel_table
 from repro.schedules.verify.deps import ScheduleIndex, _positions_of
 from repro.schedules.verify.diagnostics import Finding
 
@@ -46,55 +46,30 @@ class _Message:
     recv_pos: int  #: index of ``dst`` in the receiver's program
 
 
-_KIND_OF_CODE = (OpKind.F, OpKind.B, OpKind.W)
-
-
 def _channels_from_graph(
     graph: ScheduleGraph,
 ) -> dict[tuple[int, int, OpKind], list[_Message]]:
     """Message lists for exactly the channels holding a FIFO reorder.
 
-    Vectorized over the compiled edge arrays: cross-stage edges are
-    grouped by channel ``(src stage, dst stage, payload kind)`` with a
-    stable sort — which preserves the dense receive order the
-    positions-dict walk produces — and a channel is *dirty* iff some
-    adjacent same-channel send-position pair decreases.  Clean channels
-    contribute no CH001 findings, so omitting them leaves
-    :func:`check_channels`'s output unchanged; only the (rare) dirty
-    channels get their ``_Message`` lists built, with the few ``OpId``\\ s
-    the findings name decoded on demand — the full ops tuple is never
-    materialized.
+    The graph's :func:`~repro.schedules.graph.channel_table` lists each
+    channel's messages in send order, and dense op indices are program
+    order, so a channel is *dirty* iff its consumers ever step back.
+    Clean channels contribute no CH001 findings, so omitting them
+    leaves :func:`check_channels`'s output unchanged; only the (rare)
+    dirty channels get their ``_Message`` lists built, with the few
+    ``OpId``\\ s the findings name decoded on demand — the full ops
+    tuple is never materialized.
     """
+    pos = graph.pos
     channels: dict[tuple[int, int, OpKind], list[_Message]] = {}
-    cross = np.asarray(graph.pred_cross, dtype=bool)
-    if not cross.any():
-        return channels
-    pred = np.asarray(graph.pred, dtype=np.int64)
-    pred_indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
-    edge_op = np.repeat(
-        np.arange(graph.num_ops, dtype=np.int64), np.diff(pred_indptr)
-    )
-    src = pred[cross]
-    dst = edge_op[cross]
-    stage = np.asarray(graph.stage, dtype=np.int64)
-    kind = np.asarray(graph.kind, dtype=np.int64)
-    pos = np.asarray(graph.pos, dtype=np.int64)
-    num_stages = int(graph.problem.num_stages)
-    channel = (stage[src] * num_stages + stage[dst]) * 3 + kind[src]
-    order = np.argsort(channel, kind="stable")
-    chan_sorted = channel[order]
-    send_sorted = pos[src][order]
-    same = chan_sorted[1:] == chan_sorted[:-1]
-    descent = same & (np.diff(send_sorted) < 0)
-    if not bool(descent.any()):
-        return channels
-    dirty = set(chan_sorted[:-1][descent].tolist())
-    for k in np.nonzero(np.isin(channel, np.asarray(sorted(dirty))))[0]:
-        j, i = int(src[k]), int(dst[k])
-        key = (int(stage[j]), int(stage[i]), _KIND_OF_CODE[int(kind[j])])
-        channels.setdefault(key, []).append(
-            _Message(graph.op_at(j), graph.op_at(i), int(pos[j]), int(pos[i]))
-        )
+    for (src_stage, dst_stage, kind), (src_ops, dst_ops, _edges) in (
+        channel_table(graph).items()
+    ):
+        if (np.diff(dst_ops) < 0).any():
+            channels[(src_stage, dst_stage, OpKind(kind))] = [
+                _Message(graph.op_at(j), graph.op_at(i), pos[j], pos[i])
+                for j, i in zip(src_ops.tolist(), dst_ops.tolist())
+            ]
     return channels
 
 

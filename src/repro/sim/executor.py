@@ -53,7 +53,13 @@ from repro.schedules.base import (
     Schedule,
     ScheduleError,
 )
-from repro.schedules.graph import KIND_B, KIND_F, ScheduleGraph, compiled_graph
+from repro.schedules.graph import (
+    KIND_B,
+    KIND_F,
+    ScheduleGraph,
+    channel_table,
+    compiled_graph,
+)
 from repro.sim.cost import CostModel, stamp_byte_sizes
 
 
@@ -388,15 +394,11 @@ def _slot_reuse_csr(
     unbounded one.  Returns ``(pred_indptr, pred, comm, succ_indptr,
     succ)``.
     """
-    from repro.analysis.capacity.core import (
-        _slot_edges,
-        channel_messages,
-        normalize_capacities,
-    )
+    from repro.analysis.capacity.core import _slot_edges, normalize_capacities
 
     caps = normalize_capacities(channel_capacities)
-    channels = channel_messages(graph)
-    bad = sorted(key for key in channels if caps.get(key, 0) < 1)
+    table = channel_table(graph)
+    bad = sorted(key for key in table if caps.get(key, 0) < 1)
     if bad:
         listed = ", ".join(
             f"stage {a} -> stage {b} ({kind})" for a, b, kind in bad
@@ -406,7 +408,7 @@ def _slot_reuse_csr(
         )
     slot_pred: dict[int, list[int]] = {}
     slot_succ: dict[int, list[int]] = {}
-    for tail, head, _key in _slot_edges(channels, caps):
+    for tail, head, _key in _slot_edges(table, caps):
         slot_pred.setdefault(head, []).append(tail)
         slot_succ.setdefault(tail, []).append(head)
 

@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.schedules.base import Schedule, ScheduleError
-from repro.schedules.graph import ScheduleGraph, compiled_graph, toposort_plan
+from repro.schedules.graph import (
+    ScheduleGraph,
+    channel_table,
+    compiled_graph,
+    toposort_plan,
+)
 from repro.sim.cost import CostModel
 from repro.sim.executor import OpTimes, SimResult, _materialize
 
@@ -97,20 +102,24 @@ def _link_queues(graph: ScheduleGraph) -> dict[tuple[int, int], list[int]]:
     """Each link's cross-stage dependency edges (indices into
     ``graph.pred``) in queue order.
 
-    A link's FIFO queue fills in the order its sender executes the
-    producers, and dense op indices are stage-major program order, so
-    sorting a link's edges by producer index is the queue order.
+    A link carries every channel of the graph's
+    :func:`~repro.schedules.graph.channel_table` between its two stages,
+    and its FIFO queue fills in the order its sender executes the
+    producers: dense op indices are stage-major program order, so
+    merging the link's channels by producer index is the queue order.
     """
-    stage, pred, indptr = graph.stage, graph.pred, graph.pred_indptr
-    queues: dict[tuple[int, int], list[int]] = {}
-    for consumer in range(graph.num_ops):
-        for e in range(indptr[consumer], indptr[consumer + 1]):
-            if stage[pred[e]] != stage[consumer]:
-                link = (stage[pred[e]], stage[consumer])
-                queues.setdefault(link, []).append(e)
-    for queue in queues.values():
-        queue.sort(key=pred.__getitem__)
-    return queues
+    merged: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (src, dst, _kind), channel in channel_table(graph).items():
+        merged.setdefault((src, dst), []).extend(
+            zip(channel.src_ops.tolist(), channel.edges.tolist())
+        )
+    queues = {
+        link: [e for _producer, e in sorted(sends)]
+        for link, sends in merged.items()
+    }
+    # Links in the order a consumer-major walk of ``graph.pred`` meets
+    # them, so a missing link is named at the same first consumer.
+    return dict(sorted(queues.items(), key=lambda item: min(item[1])))
 
 
 def simulate_with_network(

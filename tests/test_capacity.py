@@ -28,6 +28,7 @@ from repro.nn import build_model
 from repro.pipeline import ParallelPipelineRuntime, PipelineRuntime
 from repro.schedules import ScheduleError, build_problem, build_schedule
 from repro.schedules.graph import compiled_graph
+from repro.schedules.verify import verify_schedule
 from repro.sim import UniformCost, simulate
 
 #: The E0 acceptance grid: every method at its native shape.
@@ -43,13 +44,25 @@ GRID = [
 
 IDS = [m for m, _ in GRID]
 
+#: The golden shapes whose wrap channel is not FIFO (CH001 reorders):
+#: their occupancy peaks along the unbounded plan close a cycle, so the
+#: deadlock-free descent starts from the message counts instead.
+NON_FIFO = [
+    (method, {"p": p, "num_slices": 4, "virtual_size": 2, "wgrad_gemms": g})
+    for method, g in (("svpp", 1), ("mepipe", 2))
+    for p in (4, 8)
+]
+NON_FIFO_IDS = [f"{m}-p{kwargs['p']}-non-fifo" for m, kwargs in NON_FIFO]
+
 
 def build(method, p=4, n=8, **kwargs):
     problem = build_problem(method, p, n, **kwargs)
     return build_schedule(method, problem)
 
 
-@pytest.fixture(scope="module", params=GRID, ids=IDS)
+@pytest.fixture(
+    scope="module", params=GRID + NON_FIFO, ids=IDS + NON_FIFO_IDS
+)
 def subject(request):
     method, kwargs = request.param
     schedule = build(method, **kwargs)
@@ -167,6 +180,16 @@ class TestGridSoundness:
             simulate(schedule, cost, channel_capacities=starved)
 
 
+@pytest.mark.parametrize("method,kwargs", NON_FIFO, ids=NON_FIFO_IDS)
+def test_occupancy_peaks_deadlock_on_non_fifo_shapes(method, kwargs):
+    schedule = build(method, **kwargs)
+    assert verify_schedule(schedule).by_rule("CH001")
+    plan = infer_capacities(schedule)
+    peaks = {c.key: c.occupancy_peak for c in plan.channels}
+    report = check_capacities(schedule, capacities=peaks)
+    assert report.rule_ids() == {"CP001"}, report.render_text()
+
+
 # ----------------------------------------------------------------------
 # End-to-end: the parallel runtime at inferred capacities
 # ----------------------------------------------------------------------
@@ -259,14 +282,16 @@ class TestParallelRuntimeAtInferredCaps:
         assert 1.0 - total_auto / total_full > 0.5
 
     def test_ledger_matches_memory_analyzer(self, data):
-        from repro.analysis import infer_channel_buffers
+        from repro.analysis.capacity import ring_bytes_per_stage
+        from repro.pipeline.channels import _HEADER_BYTES
 
         schedule = build("mepipe", n=N, num_slices=4, wgrad_gemms=3)
         _, runtime = parallel_runtime(data)
         slots, total = runtime.plan_channels(schedule, capacity_mode="auto")
-        per_stage = infer_channel_buffers(
-            compiled_graph(schedule), slots,
-            runtime._payload_bytes(schedule.problem),
+        per_stage = ring_bytes_per_stage(
+            slots,
+            schedule.problem.num_stages,
+            _HEADER_BYTES + runtime._payload_bytes(schedule.problem),
         )
         assert sum(per_stage) == total
 

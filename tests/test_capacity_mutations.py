@@ -6,6 +6,7 @@ stage-0 program deadlocks under unit rings (CP001), invalid and
 incomplete capacity maps (CP002), deliberately starved-but-live rings
 (CP003), tampered certificates and a kernel or oracle that drops its
 slot-reuse edges (CP004).  Beside the slot-edge mutations sit the
+splice checks of both sides, the planner's backpressure flag, and the
 mutations of the oracle's integer tables (cost key, array ledger, lazy
 record layout).  The CLI round-trip tests
 pin the ``repro capacity`` / ``repro verify --capacity`` JSON contract.
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.capacity import (
@@ -25,6 +27,10 @@ from repro.analysis.capacity import (
     cross_validate_capacities,
     infer_capacities,
 )
+from repro.hardware import RTX4090_CLUSTER
+from repro.model import LLAMA_13B
+from repro.parallel import ParallelConfig
+from repro.planner import evaluate_config
 from repro.schedules import (
     PipelineProblem,
     Schedule,
@@ -33,7 +39,7 @@ from repro.schedules import (
     build_schedule,
 )
 from repro.schedules.base import OpId, OpKind
-from repro.schedules.graph import compiled_graph
+from repro.schedules.graph import channel_table, compiled_graph, kahn_order
 from repro.schedules.verify.liveness import check_liveness
 from repro.sim import UniformCost, simulate
 from repro.sim.crossval import cross_validate
@@ -307,6 +313,67 @@ class TestSlotEdgeMutations:
             (finding,) = report.by_rule("CP004")
             assert "bounded event simulation disagrees" in finding.message
             assert f"analytic:  {cert.makespan!r}" in finding.witness
+
+
+class TestSlotSplice:
+    """The kernel and the Kahn pass splice every slot edge into its own
+    endpoint's run, also where consecutive ops share one insertion
+    point.  On svpp (p=8, s=4, v=2) a B channel's slot edge heads the op
+    just before an ``F(mb, 0, 0)`` that has no dependency predecessors;
+    the kernel once swapped the two ops' slot edges there and certified
+    a makespan the heap oracle did not reproduce (CP004 in
+    ``tests/test_capacity.py``'s ``svpp-p8-non-fifo`` cell).  On vpp
+    (p=2, v=2) the slot edges leave ops with no successors in between,
+    out of tail order."""
+
+    SHAPES = [
+        ("svpp", dict(num_slices=4, virtual_size=2), 8),
+        ("vpp", dict(virtual_size=2), 2),
+    ]
+
+    @pytest.mark.parametrize("method,kwargs,p", SHAPES)
+    def test_kernel_and_kahn_place_each_edge_on_its_op(self, method, kwargs, p):
+        from repro.analysis.capacity import core
+
+        schedule = build_schedule(method, build_problem(method, p, 8, **kwargs))
+        graph = compiled_graph(schedule)
+        caps = infer_capacities(schedule).capacities("deadlock-free")
+        edges = core._slot_edges(channel_table(graph), caps)
+        indptr, pred, _comm = core._slot_augmented_preds(
+            graph, np.zeros(len(graph.pred)), edges
+        )
+        slot_tails = {}
+        for tail, head, _key in edges:
+            slot_tails.setdefault(head, []).append(tail)
+        for i in range(graph.num_ops):
+            expect = [*graph.preds_of(i), *slot_tails.get(i, ())]
+            assert pred[indptr[i] : indptr[i + 1]] == expect, i
+        order, _levels, residual = kahn_order(graph, edges)
+        rank = {op: r for r, op in enumerate(order)}
+        assert not residual
+        assert all(rank[tail] < rank[head] for tail, head, _key in edges)
+
+
+class TestPlannerBackpressureFlag:
+    """``EvalResult.backpressure_free`` reads the inference's certificate
+    (bounded makespan equal to the unbounded one), so a charged vector
+    that backpressures must clear it."""
+
+    CONFIG = ("dapple", LLAMA_13B, RTX4090_CLUSTER,
+              ParallelConfig(dp=4, pp=8, cp=2), 64)
+
+    def test_inferred_vector_is_backpressure_free(self):
+        assert evaluate_config(*self.CONFIG).backpressure_free
+
+    def test_backpressuring_vector_clears_the_flag(self, monkeypatch):
+        from repro.analysis.capacity import core
+
+        monkeypatch.setattr(
+            core,
+            "_backpressure_free_capacities",
+            lambda table, times: dict.fromkeys(table, 1),
+        )
+        assert not evaluate_config(*self.CONFIG).backpressure_free
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,8 +34,7 @@ from repro.sim.cost import UniformCost
 
 GRAPH_FIELDS = (
     "fingerprint", "ops", "kind", "cell", "gemm", "stage", "pos",
-    "stage_bounds", "pred_indptr", "pred", "pred_cross",
-    "succ_indptr", "succ",
+    "stage_bounds", "pred_indptr", "pred", "succ_indptr", "succ",
 )
 
 #: One buildable (stages, microbatches, slices, virtual) per method.

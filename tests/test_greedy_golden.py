@@ -28,8 +28,7 @@ from tests.oracles.greedy_reference import greedy_reference
 
 GRAPH_FIELDS = (
     "fingerprint", "ops", "kind", "cell", "gemm", "stage", "pos",
-    "stage_bounds", "pred_indptr", "pred", "pred_cross",
-    "succ_indptr", "succ",
+    "stage_bounds", "pred_indptr", "pred", "succ_indptr", "succ",
 )
 
 SHAPES = [

@@ -15,6 +15,7 @@ from repro.schedules.graph import (
     KIND_F,
     KIND_W,
     ScheduleGraph,
+    channel_table,
     compiled_graph,
     fingerprint,
 )
@@ -81,10 +82,23 @@ def test_kind_codes_and_cross_flags():
     problem = schedule.problem
     for i, op in enumerate(graph.ops):
         assert graph.kind[i] == code_of[op.kind]
-    for i in range(graph.num_ops):
-        for e in range(graph.pred_indptr[i], graph.pred_indptr[i + 1]):
-            dep, op = graph.ops[graph.pred[e]], graph.ops[i]
-            assert graph.pred_cross[e] == problem.is_cross_stage(dep, op)
+    cross = {
+        e
+        for i in range(graph.num_ops)
+        for e in range(graph.pred_indptr[i], graph.pred_indptr[i + 1])
+        if problem.is_cross_stage(graph.ops[graph.pred[e]], graph.ops[i])
+    }
+    table = channel_table(graph)
+    listed = [e for channel in table.values() for e in channel.edges.tolist()]
+    assert sorted(listed) == sorted(cross)
+    for (src, dst, kind), (src_ops, dst_ops, edges) in table.items():
+        for e, j, i in zip(edges.tolist(), src_ops.tolist(), dst_ops.tolist()):
+            assert graph.pred[e] == j
+            assert graph.pred_indptr[i] <= e < graph.pred_indptr[i + 1]
+            assert (graph.stage[j], graph.stage[i]) == (src, dst)
+            assert graph.ops[j].kind.value == kind
+        # Slot-claim order: the producer's program order.
+        assert sorted(src_ops.tolist()) == src_ops.tolist()
 
 
 def test_compiled_graph_is_cached_and_invalidates_on_mutation():

@@ -40,6 +40,8 @@ from repro.schedules.verify import (
     verify_schedule,
 )
 from repro.schedules.graph import compiled_graph
+from repro.schedules.verify.channels import check_channels
+from repro.schedules.verify.deps import ScheduleIndex
 
 F, B, W = OpKind.F, OpKind.B, OpKind.W
 
@@ -514,3 +516,33 @@ def test_liveness_rows_agree_on_clean_mutations(base, mutate, rules):
     mutate(sched)
     assert [f.rule_id for f in check_liveness(sched)[0]] == rules
     _liveness_sources_agree(sched)
+
+
+def _channel_sources_agree(schedule: Schedule) -> list[Finding]:
+    """``check_channels`` over the compiled graph's channel table equals
+    the walk that derives every message from ``problem.deps`` — the
+    independent reference for the table the FIFO lint, the capacity
+    analyzer and the network replay share."""
+    by_graph = check_channels(schedule, ScheduleIndex(), compiled_graph(schedule))
+    assert by_graph == check_channels(schedule, ScheduleIndex(), None)
+    return by_graph
+
+
+@pytest.mark.parametrize(
+    "method,p,n,s,v,g",
+    list(golden_grid()),
+    ids=lambda val: str(val),
+)
+def test_channel_findings_from_table_and_deps_agree(method, p, n, s, v, g):
+    problem = build_problem(method, p, n, num_slices=s, virtual_size=v, wgrad_gemms=g)
+    findings = _channel_sources_agree(build_schedule(method, problem))
+    assert {f.rule_id for f in findings} <= {"CH001"}
+
+
+def test_channel_findings_agree_on_receive_reorder():
+    sched = clone(small_dapple(p=2, n=4))
+    ops = sched.programs[0].ops
+    i0, i1 = ops.index(OpId(B, 0, 0, 0)), ops.index(OpId(B, 1, 0, 0))
+    ops[i0], ops[i1] = ops[i1], ops[i0]
+    (finding,) = _channel_sources_agree(sched)
+    assert finding.rule_id == "CH001"
