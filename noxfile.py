@@ -16,6 +16,7 @@ Run `nox -s <session>`, or the same commands directly:
               python tests/function_lengths.py src/repro/schedules/graph.py src/repro/schedules/verify/liveness.py src/repro/analysis/capacity/core.py src/repro/schedules/verify/channels.py src/repro/sim/network.py 150
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
+              python tests/function_lengths.py src/repro/sim/executor.py src/repro/sim/crossval.py src/repro/analysis/evaluate/dense.py src/repro/analysis/evaluate/core.py src/repro/obs/record.py 150
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
               python tests/function_lengths.py src/repro/schedules/greedy.py 150
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
@@ -50,6 +51,14 @@ VERIFIER = (
     "src/repro/analysis/capacity/core.py",
     "src/repro/schedules/verify/channels.py",
     "src/repro/sim/network.py",
+)
+#: The replays' shared time table, its engines and its readers.
+REPLAY = (
+    "src/repro/sim/executor.py",
+    "src/repro/sim/crossval.py",
+    "src/repro/analysis/evaluate/dense.py",
+    "src/repro/analysis/evaluate/core.py",
+    "src/repro/obs/record.py",
 )
 
 
@@ -122,8 +131,9 @@ def replay(session: nox.Session) -> None:
     suites, the confirm-path allocation guard, the worker-pool
     lifecycle suite, the tabular bounds against their per-``OpId``
     reference (``tests/oracles``) and the chunk-class and shape-gate
-    memo suites; then the allocation guard alone, and Figure 10, cache
-    off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``.
+    memo suites; then the allocation guard alone, Figure 10, cache
+    off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``, and the
+    150-line budget on the replays' time table, engines and readers.
     """
     session.install("-e", ".[test]")
     session.run(
@@ -145,6 +155,7 @@ def replay(session: nox.Session) -> None:
     # warmed a memo it counts through.
     session.run(*PYTEST, "tests/test_confirm_allocations.py")
     session.run("python", "tests/fig10_golden.py")
+    session.run("python", "tests/function_lengths.py", *REPLAY, "150")
 
 
 @nox.session

@@ -63,6 +63,7 @@ from repro.analysis.evaluate.dense import (
     FloatArray,
     IntArray,
     dense_schedule_times,
+    first_divergence,
     wavefront_times,
 )
 from repro.schedules.base import OpId, Schedule, ScheduleError
@@ -876,27 +877,26 @@ def cross_validate_capacities(
             )
         )
     else:
-        starts = bounded_times.start.tolist()
-        ends = bounded_times.end.tolist()
-        sim_starts, sim_ends = sim.start_end(graph)
-        for i in range(graph.num_ops):
-            if sim_starts[i] != starts[i] or sim_ends[i] != ends[i]:
-                op = graph.op_at(i)
-                findings.append(
-                    Finding(
-                        "CP004",
-                        f"bounded event simulation diverges from the "
-                        f"analytic slot-augmented times at op {op}",
-                        op=op,
-                        stage=int(graph.stage[i]),
-                        witness=(
-                            f"analytic:  start {starts[i]!r} end {ends[i]!r}",
-                            f"simulated: start {sim_starts[i]!r} "
-                            f"end {sim_ends[i]!r}",
-                        ),
-                    )
+        assert sim.times is not None  # a replay always keeps its table
+        i = first_divergence(bounded_times, sim.times)
+        if i is not None:  # one witness op is enough
+            op = graph.op_at(i)
+            a, b = bounded_times, sim.times
+            findings.append(
+                Finding(
+                    "CP004",
+                    f"bounded event simulation diverges from the "
+                    f"analytic slot-augmented times at op {op}",
+                    op=op,
+                    stage=graph.stage[i],
+                    witness=(
+                        f"analytic:  start {float(a.start[i])!r} "
+                        f"end {float(a.end[i])!r}",
+                        f"simulated: start {float(b.start[i])!r} "
+                        f"end {float(b.end[i])!r}",
+                    ),
                 )
-                break  # one witness op is enough
+            )
     return Report(
         schedule_name=schedule.name,
         findings=findings,

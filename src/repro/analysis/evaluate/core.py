@@ -44,6 +44,7 @@ from repro.schedules.graph import (
     KIND_W,
     ScheduleGraph,
     compiled_graph,
+    toposort_plan,
 )
 from repro.sim.cost import CostModel, stamp_byte_sizes
 
@@ -363,6 +364,8 @@ def evaluate_schedule(
         phases.append(_stage_phases(graph, times, s))
     makespan = max(stage_ends) if stage_ends else 0.0
     comm_s, path_ops = _critical_path(graph, times)
+    # The kernel's own cached plan: its wavefront count is the height.
+    levels = toposort_plan(graph).levels
 
     iteration = makespan + overhead_time
     certificate = EvalCertificate(
@@ -383,7 +386,7 @@ def evaluate_schedule(
         phases=tuple(phases),
         comm_on_critical_path_s=comm_s,
         critical_path_ops=path_ops,
-        levels=times.levels,
+        levels=levels,
         certificate=certificate,
         times=times,
     )
@@ -398,7 +401,7 @@ def evaluate_schedule(
             cat="evaluate",
             args={
                 "ops": graph.num_ops,
-                "levels": times.levels,
+                "levels": levels,
                 "iteration_time": iteration,
             },
         )

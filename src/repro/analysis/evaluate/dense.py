@@ -48,20 +48,28 @@ IntArray = npt.NDArray[np.int64]
 class DenseTimes:
     """Start/end times of every op, plus the cost tables that made them.
 
-    All arrays are indexed by the graph's dense op index; ``comm`` is
-    indexed like the graph's ``pred`` edge array.  ``levels`` is the
-    dependency height of the schedule (the number of Kahn wavefronts).
+    The one per-op time table: the kernel, the bounded replay, the heap
+    oracle and the link replay all return it.  Every array is indexed
+    by ``graph``'s dense op index; ``comm`` is indexed like the graph's
+    ``pred`` edge array.
     """
 
+    graph: ScheduleGraph
     start: FloatArray
     end: FloatArray
     duration: FloatArray
     comm: FloatArray
-    levels: int
 
     @property
     def num_ops(self) -> int:
         return int(self.start.shape[0])
+
+
+def first_divergence(a: DenseTimes, b: DenseTimes) -> int | None:
+    """The lowest op index whose start or end differs between ``a`` and
+    ``b`` (exact float comparison), or ``None`` when they agree."""
+    differs = np.flatnonzero((a.start != b.start) | (a.end != b.end))
+    return int(differs[0]) if differs.size else None
 
 
 def op_cost_arrays(
@@ -148,11 +156,11 @@ def dense_schedule_times(graph: ScheduleGraph, cost: CostModel) -> DenseTimes:
         plan.order,
     )
     return DenseTimes(
+        graph=graph,
         start=np.asarray(start, dtype=np.float64),
         end=np.asarray(end, dtype=np.float64),
         duration=duration,
         comm=comm,
-        levels=plan.levels,
     )
 
 

@@ -291,7 +291,10 @@ def _handle_capacity(
         ) from None
     certificate = None
     if request.check:
-        certificate = certify_capacities(schedule, cost, mode=request.mode)
+        # The plan just inferred: certifying must not infer it again.
+        certificate = certify_capacities(
+            schedule, cost, capacities=plan.capacities(request.mode)
+        )
         report = cross_validate_capacities(schedule, cost, certificate)
     else:
         report = check_capacities(
@@ -390,10 +393,15 @@ def _handle_plan(
         raise RequestError(
             exc.args[0] if exc.args else str(exc), code="unknown-model"
         ) from None
-    if cache is None and request.use_cache:
-        cache = SweepCache()
-    elif not request.use_cache:
+    if not request.use_cache:
         cache = None
+    elif cache is None:
+        cache = SweepCache()
+    else:
+        # One on-disk store, counters per request: the reply's ``cache``
+        # block counts this sweep's own lookups, whoever else shares it.
+        shared, cache = cache, SweepCache(cache.root)
+        cache.enabled = shared.enabled
     gen_before = gencache.stats()
     methods: list[JsonDict] = []
     for method in request.methods:
@@ -470,7 +478,10 @@ def execute(
     sweeps emit eval spans and cache counters; the service bridges
     this into per-job progress streams).  ``cache`` overrides the
     sweep cache for plan requests — the service passes its shared
-    instance so concurrent tenants converge on one on-disk store.
+    instance so concurrent tenants converge on one on-disk store.  Each
+    plan counts its own hits and misses on a fresh instance with the
+    same ``root`` and ``enabled``; the instance passed in keeps its
+    counters.
 
     Raises :class:`RequestError` for unexecutable requests; responses
     with ``ok=False`` report executable-but-failing outcomes (dirty

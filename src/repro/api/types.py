@@ -372,10 +372,13 @@ class PlanResponse(Response):
     :class:`~repro.planner.evaluate.EvalResult` as a dict, or ``None``
     when every configuration OOMs), ``describe`` (its rendered one-line
     summary), ``evaluated``/``skipped`` trails, and ``evaluator``.
-    ``gen_cache`` is the serving process's schedule memo over this
-    request: ``hits``, ``misses`` and resident ``size``.  Both describe
-    the computation that produced the response: a service reply reused
-    from an earlier identical request repeats them unchanged.
+    ``cache`` is the sweep cache's ``hits`` and ``misses`` over this
+    request's own lookups (``None`` with the cache off), even when other
+    requests share its on-disk store.  ``gen_cache`` is the serving
+    process's schedule memo over this request: ``hits``, ``misses`` and
+    resident ``size``.  Both describe the computation that produced the
+    response: a service reply reused from an earlier identical request
+    repeats them unchanged.
     """
 
     KIND: ClassVar[str] = "plan.result"

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.obs.events import EventSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedules.base import OpId
     from repro.sim.executor import SimResult
-    from repro.sim.cost import CostModel
 
 
 def _channel_tag(op: "OpId", dst_chunk: int) -> str:
@@ -179,24 +180,31 @@ def _record_counters(result: Any, sink: EventSink, pid: int) -> None:
         sink.counter("comm_bytes", float(comms.bytes_total), ts=end_ts, pid=pid)
 
 
-def record_sim_comm(result: "SimResult", cost: "CostModel", sink: EventSink, *, pid: int = 0) -> None:
+def record_sim_comm(result: "SimResult", sink: EventSink, *, pid: int = 0) -> None:
     """Per-stage comm/overlap counters for a simulated iteration.
 
     Computed post-replay (never on the uninstrumented path): per stage,
     the total modeled transfer time on incoming cross-stage edges
     (``comm_time``), and the portion of it that cannot be hiding in the
     stage's idle time (``comm_overlap_time`` — a lower bound on the
-    comm/compute overlap the schedule achieves).
+    comm/compute overlap the schedule achieves).  The transfer times are
+    the replay's own ``result.times.comm``, added in edge order.
     """
     if not sink.enabled:
         return
-    problem = result.problem
-    num_stages = problem.num_stages
-    comm_in = [0.0] * num_stages
-    for op in result.records:
-        for dep in problem.deps(op):
-            if problem.is_cross_stage(dep, op):
-                comm_in[problem.stage_of(op)] += cost.comm_time(dep, op)
+    times = result.times
+    assert times is not None  # simulate always keeps the replay's table
+    graph = times.graph
+    stage, pred = np.asarray(graph.stage), np.asarray(graph.pred)
+    indptr = graph.pred_indptr
+    comm_in: list[float] = []
+    for s, (lo, hi) in enumerate(graph.stage_bounds):
+        edges = slice(indptr[lo], indptr[hi])
+        incoming = times.comm[edges][stage[pred[edges]] != s]
+        # add.accumulate is strictly sequential, like a loop of ``+=``.
+        comm_in.append(
+            float(np.add.accumulate(incoming)[-1]) if incoming.size else 0.0
+        )
     makespan = result.makespan
     for metric in result.stages:
         s = metric.stage

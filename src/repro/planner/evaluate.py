@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Protocol, Sequence
 
-import numpy as np
-
 from repro.analysis import interface_report
 from repro.analysis.evaluate import (
     AnalyticEvaluation,
-    DenseTimes,
     evaluate_schedule,
     iteration_time_bounds,
     ledger_peak_units,
@@ -37,7 +34,7 @@ from repro.model.memory import GiB, MemoryBudget, budget_for
 from repro.model.spec import ModelSpec
 from repro.parallel.strategies import ParallelConfig, validate_for_cluster
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.graph import compiled_graph, toposort_plan
+from repro.schedules.graph import compiled_graph
 from repro.schedules.greedy import (
     BuildPruned,
     MemoryCeiling,
@@ -310,7 +307,7 @@ def _finalize(
     # inference never re-runs the dense kernel, and it skips the
     # deadlock-free coordinate descent this ledger never reads.
     plan = infer_capacities(
-        schedule, cost, times=_dense_times(result), include_deadlock_free=False
+        schedule, cost, times=result.times, include_deadlock_free=False
     )
     caps = plan.capacities(CAPACITY_MODE)
     slot_bytes = _HEADER_BYTES + int(cost.boundary_message_bytes())
@@ -350,21 +347,6 @@ def _ledger_peak_units(schedule: Schedule) -> float:
     if peak is not None:
         return float(peak)
     return ledger_peak_units(compiled_graph(schedule))
-
-
-def _dense_times(result: SimResult | AnalyticEvaluation) -> DenseTimes | None:
-    """The evaluation's own per-op tables (the sim tier's are the heap
-    oracle's arrays), in the capacity ledger's format."""
-    if isinstance(result, AnalyticEvaluation):
-        return result.times
-    t = result.op_times
-    if t is None:
-        return None
-    tables = (t.start, t.end, t.duration, t.comm)
-    return DenseTimes(
-        *(np.asarray(table, dtype=np.float64) for table in tables),
-        levels=toposort_plan(t.graph).levels,
-    )
 
 
 @dataclass(frozen=True)

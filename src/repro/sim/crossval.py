@@ -29,16 +29,15 @@ from repro.analysis.evaluate.core import (
     AnalyticEvaluation,
     evaluate_schedule,
 )
+from repro.analysis.evaluate.dense import first_divergence
 from repro.analysis.evaluate.rules import EVALUATE_RULES
 from repro.schedules.base import Schedule
-from repro.schedules.graph import compiled_graph
 from repro.schedules.verify.diagnostics import Finding, Report
 from repro.sim.cost import CostModel
 from repro.sim.executor import SimResult, simulate
 
 
 def _check_exactness(
-    schedule: Schedule,
     evaluation: AnalyticEvaluation,
     sim: SimResult,
     findings: list[Finding],
@@ -76,26 +75,28 @@ def _check_exactness(
                 metrics.peak_activation_units, stage=s,
             )
 
-    times = evaluation.times
-    if times is not None:
-        graph = compiled_graph(schedule)
-        starts, ends = sim.start_end(graph)
-        for i in range(graph.num_ops):
-            if starts[i] != times.start[i] or ends[i] != times.end[i]:
-                findings.append(
-                    Finding(
-                        "EV001",
-                        "op timing diverges from the event replay",
-                        stage=graph.stage[i],
-                        op=graph.op_at(i),
-                        witness=(
-                            f"analytic:  [{times.start[i]!r}, "
-                            f"{times.end[i]!r}]",
-                            f"simulated: [{starts[i]!r}, {ends[i]!r}]",
-                        ),
-                    )
-                )
-                break  # one witness op is enough; the grid test reruns all
+    times, replayed = evaluation.times, sim.times
+    if times is None or replayed is None:
+        raise ValueError(
+            "EV001 compares every op's start and end: the evaluation and "
+            "the replay must both carry their per-op time table"
+        )
+    i = first_divergence(times, replayed)
+    if i is not None:  # one witness op is enough; the grid test reruns all
+        graph = times.graph
+        findings.append(
+            Finding(
+                "EV001",
+                "op timing diverges from the event replay",
+                stage=graph.stage[i],
+                op=graph.op_at(i),
+                witness=(
+                    f"analytic:  [{times.start[i]!r}, {times.end[i]!r}]",
+                    f"simulated: [{float(replayed.start[i])!r}, "
+                    f"{float(replayed.end[i])!r}]",
+                ),
+            )
+        )
 
 
 def cross_validate(
@@ -155,7 +156,7 @@ def cross_validate(
 
     # EV001: exactness obligations, bit for bit.
     if cert.kind == "exact":
-        _check_exactness(schedule, evaluation, sim, findings)
+        _check_exactness(evaluation, sim, findings)
 
     # EV002: bound obligations against the simulated iteration time.
     simulated = sim.iteration_time

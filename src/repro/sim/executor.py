@@ -33,9 +33,11 @@ bit-for-bit, not approximate — ``tests/test_engine_golden.py`` asserts
 it across the acceptance grid, against each other and against the
 original fixed-point engine (``tests/oracles/fixed_point.py``, a golden
 reference only tests call).  Both return an array-backed
-:class:`SimResult` (:class:`OpTimes`) whose ``OpRecord`` views are
-built on first read.  (:mod:`repro.sim.network` is a different model —
-FIFO link queues — and a caller of the kernel, not another engine.)
+:class:`SimResult` whose ``times`` is the one per-op time table,
+:class:`~repro.analysis.evaluate.dense.DenseTimes`, and whose
+``OpRecord`` views are built from it on first read.
+(:mod:`repro.sim.network` is a different model — FIFO link queues —
+and a caller of the kernel, not another engine.)
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.obs.events import NULL_SINK, EventSink
 from repro.obs.metrics import CommLog, IterationMetrics, schedule_comm_log
@@ -61,6 +65,9 @@ from repro.schedules.graph import (
     compiled_graph,
 )
 from repro.sim.cost import CostModel, stamp_byte_sizes
+
+if TYPE_CHECKING:  # a runtime import would cycle through repro.analysis
+    from repro.analysis.evaluate.dense import DenseTimes
 
 
 @dataclass(frozen=True)
@@ -87,20 +94,8 @@ class StageMetrics:
     op_count: int = 0
 
 
-@dataclass(frozen=True)
-class OpTimes:
-    """What a graph engine computes: flat per-op tables by ``graph``'s
-    dense op index (``comm`` by dependency edge, like ``graph.pred``)."""
-
-    graph: ScheduleGraph
-    start: list[float]
-    end: list[float]
-    duration: list[float]
-    comm: list[float]
-
-
-#: ``SimResult(records=_UNBUILT, op_times=...)``: build the records from
-#: ``op_times`` on first read.  Identity sentinel, never handed out.
+#: ``SimResult(records=_UNBUILT, times=...)``: build the records from
+#: ``times`` on first read.  Identity sentinel, never handed out.
 _UNBUILT: dict[OpId, OpRecord] = {}
 
 
@@ -131,31 +126,22 @@ class SimResult:
     #: (``boundary_message_bytes()``).
     comm_bytes_per_message: float = 0.0
     _comm_volume: CommLog | None = field(default=None, repr=False, compare=False)
-    #: The replay's own arrays (``None`` for a result built from
+    #: The replay's own time table (``None`` for a result built from
     #: records, like the tests' fixed-point reference).
-    op_times: OpTimes | None = field(default=None, repr=False, compare=False)
+    times: DenseTimes | None = field(default=None, repr=False, compare=False)
 
     def _build_records(self) -> None:
-        """Materialize ``records`` / ``stage_record_lists`` from ``op_times``."""
-        times = self.op_times
+        """Materialize ``records`` / ``stage_record_lists`` from ``times``."""
+        times = self.times
         assert times is not None
-        ops, start, end = times.graph.ops, times.start, times.end
+        # tolist() is exact: Python floats with the replay's bits.
+        ops, start, end = times.graph.ops, times.start.tolist(), times.end.tolist()
         lists = [
             [OpRecord(ops[i], s, start[i], end[i]) for i in range(lo, hi)]
             for s, (lo, hi) in enumerate(times.graph.stage_bounds)
         ]
         self.records = dict(zip(ops, (r for stage in lists for r in stage)))
         self.stage_record_lists = lists
-
-    def start_end(
-        self, graph: ScheduleGraph
-    ) -> tuple[Sequence[float], Sequence[float]]:
-        """``(start, end)`` of every op by ``graph``'s dense index."""
-        times = self.op_times
-        if times is not None:
-            return times.start, times.end
-        records = [self.records[op] for op in graph.ops]
-        return [r.start for r in records], [r.end for r in records]
 
     @property
     def iteration_time(self) -> float:
@@ -241,7 +227,7 @@ def _lazy_field(name: str) -> property:
 
     def fget(self: SimResult) -> Any:
         value = self.__dict__[slot]
-        if self.op_times is not None and (value is None or value is _UNBUILT):
+        if self.times is not None and (value is None or value is _UNBUILT):
             self._build_records()
             value = self.__dict__[slot]
         return value
@@ -307,12 +293,12 @@ def simulate(
         from repro.obs.record import record_iteration, record_sim_comm
 
         record_iteration(result, sink)
-        record_sim_comm(result, cost, sink)
+        record_sim_comm(result, sink)
     return result
 
 
 def _materialize(
-    schedule: Schedule, times: OpTimes, overhead_time: float
+    schedule: Schedule, times: DenseTimes, overhead_time: float
 ) -> SimResult:
     """Per-op times over the compiled graph -> ledger, metrics, result.
 
@@ -324,7 +310,8 @@ def _materialize(
     """
     problem = schedule.problem
     graph = times.graph
-    kind, end, duration = graph.kind, times.end, times.duration
+    # tolist(): the busy sums add Python floats, bit for bit the replay's.
+    kind, end, duration = graph.kind, times.end, times.duration.tolist()
     f_step, b_step, w_step = problem.ledger_steps
     metrics: list[StageMetrics] = []
     makespan = 0.0
@@ -343,7 +330,7 @@ def _materialize(
                 peak = current
         metrics.append(StageMetrics(s, busy, peak, hi - lo))
         if hi > lo and end[hi - 1] > makespan:
-            makespan = end[hi - 1]
+            makespan = float(end[hi - 1])
     return SimResult(
         schedule_name=schedule.name,
         problem=problem,
@@ -351,7 +338,7 @@ def _materialize(
         stages=metrics,
         makespan=makespan,
         overhead_time=overhead_time,
-        op_times=times,
+        times=times,
     )
 
 
@@ -366,16 +353,8 @@ def _simulate_dense(
     """
     from repro.analysis.evaluate.dense import dense_schedule_times
 
-    graph = compiled_graph(schedule)
-    times = dense_schedule_times(graph, cost)
-    # tolist() round-trips exactly: the records carry Python floats with
-    # the same bits the kernel computed.
-    tables = (times.start, times.end, times.duration, times.comm)
-    return _materialize(
-        schedule,
-        OpTimes(graph, *(table.tolist() for table in tables)),
-        overhead_time,
-    )
+    times = dense_schedule_times(compiled_graph(schedule), cost)
+    return _materialize(schedule, times, overhead_time)
 
 
 def _slot_reuse_csr(
@@ -554,11 +533,11 @@ def _simulate_heap(
         # Unreachable after ensure_verified; defensive guard.
         raise ScheduleError(f"simulation deadlock; blocked ops: {stuck}")
 
-    return _materialize(
-        schedule,
-        OpTimes(graph, start, end, duration, dep_comm),
-        overhead_time,
-    )
+    from repro.analysis.evaluate.dense import DenseTimes
+
+    tables = (start, end, duration, dep_comm)
+    times = DenseTimes(graph, *(np.asarray(t, dtype=np.float64) for t in tables))
+    return _materialize(schedule, times, overhead_time)
 
 
 def _schedule_ready(

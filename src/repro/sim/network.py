@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.schedules.base import Schedule, ScheduleError
 from repro.schedules.graph import (
     ScheduleGraph,
@@ -33,7 +35,7 @@ from repro.schedules.graph import (
     toposort_plan,
 )
 from repro.sim.cost import CostModel
-from repro.sim.executor import OpTimes, SimResult, _materialize
+from repro.sim.executor import SimResult, _materialize
 
 
 @dataclass
@@ -136,12 +138,16 @@ def simulate_with_network(
     coverage, deadlock) on entry.
     """
     # Lazy: ``repro.analysis`` imports sim modules for its own checks.
-    from repro.analysis.evaluate.dense import op_cost_arrays, wavefront_times
+    from repro.analysis.evaluate.dense import (
+        DenseTimes,
+        op_cost_arrays,
+        wavefront_times,
+    )
     from repro.schedules.verify import ensure_verified
 
     ensure_verified(schedule, context="simulate_with_network")
     graph = compiled_graph(schedule)
-    num_ops, num_edges = graph.num_ops, len(graph.pred)
+    num_ops = graph.num_ops
     op_duration, _static_comm = op_cost_arrays(graph, cost)
 
     # Ops keep their indices; transfer nodes follow, one link after
@@ -181,16 +187,14 @@ def simulate_with_network(
         link.queue_delay += start[node] - end[producer]
         link.transfers += 1
         link.bytes_carried += nbytes
-    result = _materialize(
-        schedule,
-        OpTimes(
-            graph,
-            start[:num_ops],
-            end[:num_ops],
-            duration[:num_ops],
-            [0.0] * num_edges,
-        ),
-        overhead_time,
+    # The ops' rows of the table; the transfer nodes carry every comm.
+    times = DenseTimes(
+        graph,
+        np.asarray(start[:num_ops], dtype=np.float64),
+        np.asarray(end[:num_ops], dtype=np.float64),
+        op_duration,
+        np.zeros(len(graph.pred), dtype=np.float64),
     )
+    result = _materialize(schedule, times, overhead_time)
     result.schedule_name += "+network"
     return result

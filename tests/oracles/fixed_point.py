@@ -8,7 +8,9 @@ any cost table, so it shares nothing with the replay kernel
 (``analysis.evaluate.dense.wavefront_times``) or the heap oracle
 (``sim.executor._simulate_heap``) beyond the cost model's own methods
 and the problem's activation unit (it keeps its own ledger rule rather
-than reading :attr:`PipelineProblem.ledger_steps`).
+than reading :attr:`PipelineProblem.ledger_steps`).  Only the
+cross-validation adapter below reads the graph, to lay the finished
+records out in its op order.
 The golden suites (``tests/test_engine_golden.py``, the capacity and
 evaluator mutation suites) hold both to it bit for bit; nothing in
 ``src/`` calls it, which is why it lives beside those tests.
@@ -24,6 +26,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from unittest import mock
 
+import numpy as np
+
+from repro.analysis.evaluate.dense import DenseTimes
 from repro.schedules.base import (
     OpId,
     OpKind,
@@ -31,6 +36,7 @@ from repro.schedules.base import (
     Schedule,
     ScheduleError,
 )
+from repro.schedules.graph import compiled_graph
 from repro.schedules.verify import ensure_verified
 from repro.sim import crossval
 from repro.sim.cost import CostModel, stamp_byte_sizes
@@ -139,15 +145,43 @@ def simulate_fixed_point(
     return result
 
 
+def _dense_table(
+    schedule: Schedule, cost: CostModel, records: dict[OpId, OpRecord]
+) -> DenseTimes:
+    """The records laid out as the one per-op time table, so EV001's
+    per-op check reads this reference like any replay.  The compiled
+    graph only orders the rows; every float comes from the records or
+    the cost model's own methods."""
+    graph = compiled_graph(schedule)
+    ops = graph.ops
+    rows = [records[op] for op in ops]
+    comm = [
+        cost.comm_time(ops[int(graph.pred[e])], ops[i])
+        for i in range(graph.num_ops)
+        for e in range(int(graph.pred_indptr[i]), int(graph.pred_indptr[i + 1]))
+    ]
+    return DenseTimes(
+        graph,
+        np.array([r.start for r in rows], dtype=np.float64),
+        np.array([r.end for r in rows], dtype=np.float64),
+        np.array([cost.duration(op) for op in ops], dtype=np.float64),
+        np.array(comm, dtype=np.float64),
+    )
+
+
 @contextmanager
 def crossval_on_fixed_point() -> Iterator[None]:
     """Inside the block, ``cross_validate`` replays on this reference
-    instead of the heap oracle."""
+    instead of the heap oracle, its records laid out as the per-op time
+    table EV001 compares (the reference result itself carries none, so
+    its records and stage lists stay its own)."""
 
     def replay(schedule: Schedule, cost: CostModel, *, engine: str,
                **kwargs: float) -> SimResult:
         assert engine == "heap"
-        return simulate_fixed_point(schedule, cost, **kwargs)
+        result = simulate_fixed_point(schedule, cost, **kwargs)
+        result.times = _dense_table(schedule, cost, result.records)
+        return result
 
     with mock.patch.object(crossval, "simulate", replay):
         yield

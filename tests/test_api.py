@@ -201,6 +201,35 @@ def test_execute_simulate_reports_metrics():
     assert "bubble" in response.text
 
 
+def test_execute_capacity_check_prices_the_plan_once(monkeypatch):
+    """A checked capacity request infers its plan once: the certificate
+    reuses it, so there is one unbounded and one bounded replay each for
+    the inference, the certificate and the cross-validation."""
+    from repro.analysis.capacity import core
+
+    calls = {"dense": 0, "bounded": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        core, "dense_schedule_times", counted("dense", core.dense_schedule_times)
+    )
+    monkeypatch.setattr(
+        core, "bounded_dense_times", counted("bounded", core.bounded_dense_times)
+    )
+    shape = api.ShapeSpec(4, 8, slices=4, wgrad_gemms=3)
+    response = api.execute(
+        api.CapacityRequest(method="mepipe", shape=shape, tw=0.5, check=True)
+    )
+    assert response.ok
+    assert calls == {"dense": 3, "bounded": 3}
+
+
 def test_execute_unknown_method_is_exit_2_http_400():
     with pytest.raises(api.RequestError) as excinfo:
         api.execute(api.EvaluateRequest(method="nosuch"))

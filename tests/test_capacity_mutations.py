@@ -315,6 +315,41 @@ class TestSlotEdgeMutations:
             assert f"analytic:  {cert.makespan!r}" in finding.witness
 
 
+class TestCP004FirstDivergence:
+    """Under binding capacities the bounded heap replay and the analytic
+    slot-augmented times must agree op for op, not only in makespan."""
+
+    def test_one_op_moved_by_one_ulp_is_named(self, monkeypatch):
+        from repro.sim import executor
+
+        real = executor._simulate_heap
+        for schedule, cost, cert in binding_grid():
+            clean = simulate(schedule, cost, channel_capacities=cert.caps())
+            # An op that does not end last: the makespans still agree.
+            inner = np.flatnonzero(clean.times.end < cert.makespan)
+            index = int(inner[len(inner) // 2])
+
+            def nudged(*args, index=index):
+                result = real(*args)
+                start = result.times.start.copy()
+                end = result.times.end.copy()
+                start[index] = np.nextafter(start[index], np.inf)
+                end[index] = np.nextafter(end[index], np.inf)
+                result.times = dataclasses.replace(
+                    result.times, start=start, end=end
+                )
+                return result
+
+            monkeypatch.setattr(executor, "_simulate_heap", nudged)
+            report = cross_validate_capacities(schedule, cost, cert)
+            monkeypatch.setattr(executor, "_simulate_heap", real)
+            (finding,) = report.by_rule("CP004")
+            assert "diverges from the analytic slot-augmented times" in (
+                finding.message
+            )
+            assert finding.op == compiled_graph(schedule).op_at(index)
+
+
 class TestSlotSplice:
     """The kernel and the Kahn pass splice every slot edge into its own
     endpoint's run, also where consecutive ops share one insertion
@@ -493,7 +528,7 @@ class TestOracleTableMutations:
         shifted = copy.copy(graph)
         (lo0, hi0), (_lo1, hi1), *rest = graph.stage_bounds
         shifted.stage_bounds = ((lo0, hi0 + 1), (hi0 + 1, hi1), *rest)
-        heap.op_times = dataclasses.replace(heap.op_times, graph=shifted)
+        heap.times = dataclasses.replace(heap.times, graph=shifted)
         assert heap.records != fixed.records
         stray = graph.op_at(hi0)
         assert fixed.records[stray].stage == 1

@@ -58,7 +58,7 @@ def program_order(schedule):
 def assert_lazy_records_match(schedule, result, reference):
     """An array-backed result read lazily is what the eager reference
     holds: same records in program key order, one cached object."""
-    assert result.op_times is not None
+    assert result.times is not None
     assert result.records is result.records
     assert result.stage_record_lists is result.stage_record_lists
     assert list(result.records) == program_order(schedule)
@@ -83,7 +83,7 @@ def test_engines_agree_on_golden_grid(method, p, n, s, v, g):
         1.0 + 0.1 * i for i in range(s)
     ))
     fixed = simulate_fixed_point(schedule, cost)
-    assert fixed.op_times is None  # the reference builds records eagerly
+    assert fixed.times is None  # the reference builds records eagerly
     event = simulate(schedule, cost, engine="event")
     heap = simulate(schedule, cost, engine="heap")
     channels = channel_messages(compiled_graph(schedule))

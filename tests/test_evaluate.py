@@ -40,6 +40,7 @@ from repro.planner.parallel import (
 from repro.planner.search import pareto_frontier, search_method
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
+from repro.sim import crossval
 from repro.sim.crossval import cross_validate
 from repro.sim.executor import simulate
 
@@ -117,6 +118,41 @@ def test_exactness_survives_overhead_and_actgrad():
         report = cross_validate(schedule, cost, overhead_time=0.25)
     assert report.ok, report.render_text()
 
+
+
+def test_fixed_point_crossval_checks_every_op():
+    """Against the fixed-point reference, EV001 still compares each op:
+    one analytic start moved by 0.125 is named, op and all."""
+    problem = build_problem("mepipe", 4, 8, num_slices=4, wgrad_gemms=3)
+    schedule = build_schedule("mepipe", problem)
+    cost = UniformCost(problem, tw=0.5)
+    evaluation = evaluate_schedule(schedule, cost)
+    times = evaluation.times
+    index = times.num_ops // 2
+    start = times.start.copy()
+    start[index] += 0.125
+    mutant = dataclasses.replace(
+        evaluation, times=dataclasses.replace(times, start=start)
+    )
+    with crossval_on_fixed_point():
+        report = cross_validate(schedule, cost, evaluation=mutant)
+    assert report.rule_ids() == {"EV001"}
+    (finding,) = report.findings
+    assert finding.op == times.graph.op_at(index)
+
+
+def test_ev001_refuses_a_replay_without_a_time_table(monkeypatch):
+    problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=3)
+    schedule = build_schedule("mepipe", problem)
+    cost = UniformCost(problem, tw=0.5)
+    real = crossval.simulate
+
+    def tableless(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), times=None)
+
+    monkeypatch.setattr(crossval, "simulate", tableless)
+    with pytest.raises(ValueError, match="per-op time table"):
+        cross_validate(schedule, cost)
 
 # ----------------------------------------------------------------------
 # Certificates, bounds, phases

@@ -19,6 +19,7 @@ from repro.analysis.evaluate import (
     evaluate_schedule,
     iteration_time_bounds,
 )
+from repro.schedules.graph import compiled_graph
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import UniformCost
 from repro.sim.crossval import cross_validate
@@ -96,7 +97,7 @@ def test_corrupt_stage_peak_fires_ev001(subject, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_corrupt_op_time_fires_ev001(subject, seed):
-    _, _, evaluation, _ = subject
+    schedule, _, evaluation, _ = subject
     times = evaluation.times
     assert times is not None
     index = random.Random(seed).randrange(len(times.start))
@@ -111,7 +112,7 @@ def test_corrupt_op_time_fires_ev001(subject, seed):
         f for f in findings_for(report, "EV001") if "op timing" in f.message
     ]
     assert len(op_findings) == 1  # one witness op is enough
-    assert op_findings[0].op is not None
+    assert op_findings[0].op == compiled_graph(schedule).op_at(index)
     assert any(w.startswith("analytic:") for w in op_findings[0].witness)
 
 

@@ -38,6 +38,8 @@ from repro.pipeline import PipelineRuntime
 from repro.schedules import build_problem, build_schedule
 from repro.sim import UniformCost, simulate
 
+from tests.test_verify import golden_grid
+
 SPEC = tiny_spec(hidden_size=32, num_layers=6, num_heads=4,
                  ffn_hidden_size=64, vocab_size=31, seq_length=16)
 N, B, P = 4, 2, 4
@@ -386,6 +388,71 @@ class TestSimulatorInstrumentation:
         assert result.comm_bytes_per_message == cost.boundary_message_bytes()
         assert result.peak_live_bytes > 0
         assert result.comm_volume.bytes_total > 0
+
+
+class _ChargedComm(UniformCost):
+    """Uniform compute, and a transfer time per edge that varies with the
+    producer's slice and chunk (still micro-batch invariant)."""
+
+    def comm_time(self, dep, op):
+        return 0.125 * (1 + dep.slice_idx) + 0.03125 * dep.chunk
+
+
+def _comm_counters_by_deps_walk(result, cost):
+    """``(comm_time, comm_overlap_time)`` per stage the slow way: every
+    record's dependencies, one ``cost.comm_time`` probe per cross-stage
+    edge, added in record order."""
+    problem = result.problem
+    comm_in = [0.0] * problem.num_stages
+    for op in result.records:
+        for dep in problem.deps(op):
+            if problem.is_cross_stage(dep, op):
+                comm_in[problem.stage_of(op)] += cost.comm_time(dep, op)
+    overlap = [
+        max(c - max(result.makespan - m.busy_time, 0.0), 0.0)
+        for c, m in zip(comm_in, result.stages)
+    ]
+    return comm_in, overlap
+
+
+def _assert_comm_counters_match(schedule, cost):
+    for engine in ("event", "heap"):
+        sink = MemorySink()
+        result = simulate(schedule, cost, engine=engine, sink=sink)
+        stages = range(schedule.problem.num_stages)
+        assert (
+            [sink.counter_value("comm_time", tid=s) for s in stages],
+            [sink.counter_value("comm_overlap_time", tid=s) for s in stages],
+        ) == _comm_counters_by_deps_walk(result, cost), engine
+
+
+@pytest.mark.parametrize(
+    "method,p,n,s,v,g", list(golden_grid()), ids=lambda val: str(val)
+)
+def test_comm_counters_on_the_golden_grid(method, p, n, s, v, g):
+    problem = build_problem(
+        method, p, n, num_slices=s, virtual_size=v, wgrad_gemms=g
+    )
+    schedule = build_schedule(method, problem)
+    for cost in (UniformCost(problem, tw=0.5), _ChargedComm(problem, tw=0.5)):
+        _assert_comm_counters_match(schedule, cost)
+
+
+def test_comm_counters_under_cluster_cost():
+    from repro.hardware import RTX4090_CLUSTER
+    from repro.model import LLAMA_13B
+    from repro.parallel import ParallelConfig
+    from repro.sim import ClusterCost
+
+    problem = build_problem("mepipe", 8, 16, num_slices=4, wgrad_gemms=2)
+    cost = ClusterCost(
+        spec=LLAMA_13B, config=ParallelConfig(dp=8, pp=8, spp=4),
+        cluster=RTX4090_CLUSTER, problem=problem,
+    )
+    schedule = build_schedule("mepipe", problem, cost=cost)
+    comm_in, _ = _comm_counters_by_deps_walk(simulate(schedule, cost), cost)
+    assert all(c > 0.0 for c in comm_in[1:])  # the cell does move tensors
+    _assert_comm_counters_match(schedule, cost)
 
 
 class TestRuntimeInstrumentation:

@@ -37,6 +37,7 @@ from repro import api
 from repro.obs import Event
 from repro.planner import evaluate as evaluate_module
 from repro.planner import pool
+from repro.planner.parallel import SweepCache
 from repro.schedules import gencache
 from repro.service import JobStore, QuotaExceeded, ServiceConfig
 from repro.service import jobs as jobs_module
@@ -511,3 +512,44 @@ def test_a_plan_forks_no_more_workers_than_the_service_allows():
         assert workers == 0
         replies.append(body)
     assert replies[0] == replies[1]
+
+
+# ----------------------------------------------------------------------
+# A plan reply's ``cache`` block counts that plan's lookups alone
+# ----------------------------------------------------------------------
+def test_a_plan_reply_counts_only_its_own_cache_lookups(tmp_path, monkeypatch):
+    """Every plan shares the store's one on-disk sweep cache; the second
+    of two distinct plans must not report the first one's lookups."""
+    lookups = []
+    real_get = SweepCache.get
+
+    def counting_get(self, task):
+        lookups.append(task)
+        return real_get(self, task)
+
+    monkeypatch.setattr(SweepCache, "get", counting_get)
+    plans = [
+        api.PlanRequest(
+            model="13b", cluster="rtx4090-64", global_batch_size=gbs,
+            methods=("dapple",), jobs=1,
+        )
+        for gbs in (40, 48)
+    ]
+
+    async def replies() -> list[tuple[dict, int]]:
+        store = JobStore(ServiceConfig(jobs=1), cache=SweepCache(tmp_path))
+        try:
+            out = []
+            for request in plans:
+                before = len(lookups)
+                job = store.submit(request)
+                await store.wait(job, timeout_s=120.0)
+                assert job.status == "done", job.error
+                out.append((job.result().cache, len(lookups) - before))
+            return out
+        finally:
+            await store.close()
+
+    for cache, own in asyncio.run(replies()):
+        assert own > 0
+        assert cache["hits"] + cache["misses"] == own
