@@ -17,11 +17,13 @@ Run `nox -s <session>`, or the same commands directly:
     replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
               python tests/fig10_golden.py
               python tests/function_lengths.py src/repro/sim/executor.py src/repro/sim/crossval.py src/repro/analysis/evaluate/dense.py src/repro/analysis/evaluate/core.py src/repro/obs/record.py 150
+              python tests/memory_ledger.py 13b 10
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
               python tests/function_lengths.py src/repro/schedules/greedy.py 150
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
     service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
+              python -m pytest -x -q --test-order=reverse
     bench     python -m pytest -q bench/
 
 (`PYTHONPATH=src` in front of the `python -m` commands works without
@@ -132,8 +134,9 @@ def replay(session: nox.Session) -> None:
     lifecycle suite, the tabular bounds against their per-``OpId``
     reference (``tests/oracles``) and the chunk-class and shape-gate
     memo suites; then the allocation guard alone, Figure 10, cache
-    off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``, and the
-    150-line budget on the replays' time table, engines and readers.
+    off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``, the
+    150-line budget on the replays' time table, engines and readers,
+    and the memory a cold 13B sweep leaves live (at most 10 MB).
     """
     session.install("-e", ".[test]")
     session.run(
@@ -156,6 +159,7 @@ def replay(session: nox.Session) -> None:
     session.run(*PYTEST, "tests/test_confirm_allocations.py")
     session.run("python", "tests/fig10_golden.py")
     session.run("python", "tests/function_lengths.py", *REPLAY, "150")
+    session.run("python", "tests/memory_ledger.py", "13b", "10")
 
 
 @nox.session
@@ -229,9 +233,11 @@ def service(session: nox.Session) -> None:
 @nox.session
 def tests(session: nox.Session) -> None:
     """The tier-1 test suite (unit + integration + property tests +
-    the paper's claims regenerated)."""
+    the paper's claims regenerated), in collected order and then in
+    reverse: it must not depend on the order its tests run in."""
     session.install("-e", ".[test]")
     session.run(*PYTEST, *session.posargs)
+    session.run(*PYTEST, "--test-order=reverse", *session.posargs)
 
 
 @nox.session

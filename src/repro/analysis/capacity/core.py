@@ -137,9 +137,7 @@ def _graph_tables(graph: ScheduleGraph) -> _GraphTables:
         return cached
     num_ops = graph.num_ops
     rank = np.empty(num_ops, dtype=np.int64)
-    rank[np.asarray(toposort_plan(graph).order, dtype=np.int64)] = np.arange(
-        num_ops, dtype=np.int64
-    )
+    rank[np.asarray(toposort_plan(graph).order)] = np.arange(num_ops, dtype=np.int64)
     peaks: dict[ChannelId, int] = {}
     for key, (sa, da, _edges) in channel_table(graph).items():
         # A message is in flight from its producer to its consumer
@@ -556,7 +554,7 @@ def _slot_augmented_preds(
     ``max`` is order-independent, so the kernel needs no slot-specific
     term to produce the bounded recurrence's exact floats.
     """
-    indptr = np.asarray(graph.pred_indptr, dtype=np.int64)
+    indptr = np.array(graph.pred_indptr)  # a copy: the graph's is read-only
     tails = np.fromiter((e[0] for e in edges), np.int64, count=len(edges))
     heads = np.fromiter((e[1] for e in edges), np.int64, count=len(edges))
     # Each slot edge lands at the end of its head's predecessor run;
@@ -569,7 +567,7 @@ def _slot_augmented_preds(
     at = indptr[heads + 1]
     shift = np.cumsum(np.bincount(heads, minlength=graph.num_ops))
     indptr[1:] += shift
-    pred = np.insert(np.asarray(graph.pred, dtype=np.int64), at, tails)
+    pred = np.insert(np.asarray(graph.pred), at, tails)
     return indptr.tolist(), pred.tolist(), np.insert(comm, at, 0.0).tolist()
 
 

@@ -244,7 +244,7 @@ def _ledger_deltas(graph: ScheduleGraph) -> FloatArray:
     floats the simulator's program-order ledger adds."""
     steps = np.empty(3, dtype=np.float64)
     steps[[KIND_F, KIND_B, KIND_W]] = graph.problem.ledger_steps
-    return steps[np.asarray(graph.kind, dtype=np.int64)]
+    return steps[np.asarray(graph.kind)]
 
 
 def ledger_peak_units(graph: ScheduleGraph) -> float:
@@ -261,7 +261,7 @@ def _stage_phases(
     """Phase boundaries of one stage from the dense times."""
     lo, hi = graph.stage_bounds[stage]
     stage_end = float(times.end[hi - 1]) if hi > lo else 0.0
-    kind = np.asarray(graph.kind[lo:hi], dtype=np.int64)
+    kind = np.asarray(graph.kind[lo:hi])
     b_pos = np.nonzero(kind == KIND_B)[0]
     f_pos = np.nonzero(kind == KIND_F)[0]
     warmup_end = (

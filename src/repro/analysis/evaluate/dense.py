@@ -103,17 +103,17 @@ def op_cost_arrays(
     problem = graph.problem
     chunks = problem.num_chunks
     sc = problem.num_slices * chunks
-    kind = np.asarray(graph.kind, dtype=np.int64)
+    kind = np.asarray(graph.kind)
     # mb-0 cell sl*chunks + c, and mb-0 code: F -> cell, B -> sc + cell,
     # W(g) -> 2*sc + cell*gemms + g (the table's layout).
-    cell = np.asarray(graph.cell, dtype=np.int64) % sc
-    gemm = np.asarray(graph.gemm, dtype=np.int64)
+    cell = np.asarray(graph.cell) % sc
+    gemm = np.asarray(graph.gemm)
     code = np.where(
         kind == KIND_W, 2 * sc + cell * problem.wgrad_gemms + gemm, kind * sc + cell
     )
     duration = np.asarray(table.dur, dtype=np.float64)[code]
 
-    pred = np.asarray(graph.pred, dtype=np.int64)
+    pred = np.asarray(graph.pred)
     edge_op = np.repeat(
         np.arange(num_ops, dtype=np.int64), np.diff(np.asarray(graph.pred_indptr))
     )

@@ -35,6 +35,12 @@ Contract:
 * ``cell[i]`` is the canonical ``(mb * s + sl) * chunks + c`` index of
   op ``i``'s (micro-batch, slice, chunk) coordinate — the key the
   liveness ledger shares between an F op and its B/W counterparts.
+* Every per-op and CSR table, and the topological plan's ``order``, is
+  one read-only int64 buffer (:func:`int64_table`): indexing yields
+  Python ints, so scalar loops and diagnostics read it like a tuple,
+  and ``np.asarray`` of it is a zero-copy view, so vector consumers
+  convert nothing.  A consumer that edits a table copies it first
+  (``np.array``); a write through a view raises ``ValueError``.
 * Graphs are cached on the schedule object keyed by the same content
   fingerprint the verifier uses, so one (schedule, analysis) lifetime
   compiles exactly once; mutating a program invalidates the cache.
@@ -99,16 +105,16 @@ class ScheduleGraph:
         self,
         problem: PipelineProblem,
         fingerprint: int,
-        kind: tuple[int, ...],
-        cell: tuple[int, ...],
-        gemm: tuple[int, ...],
-        stage: tuple[int, ...],
-        pos: tuple[int, ...],
+        kind: memoryview,
+        cell: memoryview,
+        gemm: memoryview,
+        stage: memoryview,
+        pos: memoryview,
         stage_bounds: tuple[tuple[int, int], ...],
-        pred_indptr: tuple[int, ...],
-        pred: tuple[int, ...],
-        succ_indptr: tuple[int, ...],
-        succ: tuple[int, ...],
+        pred_indptr: memoryview,
+        pred: memoryview,
+        succ_indptr: memoryview,
+        succ: memoryview,
         ops_factory: Callable[[], tuple[OpId, ...]],
     ) -> None:
         self.problem = problem
@@ -167,13 +173,21 @@ class ScheduleGraph:
             return materialized[i]
         return _decode(self.problem, self.kind[i], self.cell[i], self.gemm[i])
 
-    def preds_of(self, i: int) -> tuple[int, ...]:
-        """Dependency predecessors of op ``i`` (dense indices)."""
+    def preds_of(self, i: int) -> memoryview:
+        """Dependency predecessors of op ``i`` (dense indices), a
+        zero-copy slice of ``pred``."""
         return self.pred[self.pred_indptr[i] : self.pred_indptr[i + 1]]
 
-    def succs_of(self, i: int) -> tuple[int, ...]:
-        """Dependency successors of op ``i`` (dense indices)."""
-        return self.succ[self.succ_indptr[i] : self.succ_indptr[i + 1]]
+
+def int64_table(values: npt.ArrayLike) -> memoryview:
+    """``values`` (an array or a sequence of ints) as one read-only
+    int64 buffer: 8 bytes an entry, indexing yields Python ints, and
+    ``np.asarray`` of it is a zero-copy view that refuses writes."""
+    import numpy as np
+
+    table = np.ascontiguousarray(values, dtype=np.int64)
+    table.flags.writeable = False
+    return memoryview(table)
 
 
 def _decode(problem: PipelineProblem, kc: int, ce: int, g: int) -> OpId:
@@ -232,7 +246,8 @@ class TopoPlan:
     """Cost-independent topological plan of one compiled graph.
 
     ``order`` is a topological order of the op indices (dependency and
-    program-order edges, Kahn wavefront by wavefront); ``levels`` is the
+    program-order edges, Kahn wavefront by wavefront), a read-only int64
+    buffer like the graph's tables; ``levels`` is the
     dependency height (the number of wavefronts).  One plan serves every
     structural consumer — the verifier's deadlock verdict (the plan
     exists iff the combined edge relation is acyclic), the analytic
@@ -243,7 +258,7 @@ class TopoPlan:
     cross-stage messages those slot edges are drawn from.
     """
 
-    order: list[int]
+    order: memoryview
     levels: int
 
 
@@ -258,18 +273,16 @@ def kahn_order(
     ascending index order — non-empty iff the combined edge relation
     has a cycle.
     """
+    import numpy as np
+
     num_ops = graph.num_ops
-    pred_indptr = graph.pred_indptr
     succ_indptr: Sequence[int] = graph.succ_indptr
     succ: Sequence[int] = graph.succ
     pos = graph.pos
-    indeg = [
-        pred_indptr[i + 1] - pred_indptr[i] + (1 if pos[i] > 0 else 0)
-        for i in range(num_ops)
-    ]
+    indeg: list[int] = (
+        np.diff(np.asarray(graph.pred_indptr)) + (np.asarray(pos) > 0)
+    ).tolist()
     if extra:
-        import numpy as np
-
         # Each extra edge joins the end of its tail's successor run, so
         # the wavefront loop below stays the plain one.  Sorted by tail
         # first: consecutive empty runs share one insertion point.
@@ -277,11 +290,11 @@ def kahn_order(
         heads = np.fromiter((e[1] for e in extra), np.int64, count=len(extra))
         by_tail = np.argsort(tails, kind="stable")
         tails, heads = tails[by_tail], heads[by_tail]
-        indptr = np.asarray(succ_indptr, dtype=np.int64)
+        indptr = np.array(succ_indptr)  # a copy: the graph's is read-only
         at = indptr[tails + 1]
         indptr[1:] += np.cumsum(np.bincount(tails, minlength=num_ops))
         succ_indptr = indptr.tolist()
-        succ = np.insert(np.asarray(succ, dtype=np.int64), at, heads).tolist()
+        succ = np.insert(np.asarray(succ), at, heads).tolist()
         for j in heads.tolist():
             indeg[j] += 1
     frontier = [i for i in range(num_ops) if indeg[i] == 0]
@@ -322,7 +335,7 @@ def build_topo_plan(graph: ScheduleGraph) -> TopoPlan:
     if residual:
         stuck = [str(graph.ops[i]) for i in residual[:8]]
         raise ScheduleError(f"evaluation deadlock; blocked ops: {stuck}")
-    return TopoPlan(order=order, levels=levels)
+    return TopoPlan(order=int64_table(order), levels=levels)
 
 
 def toposort_plan(graph: ScheduleGraph) -> TopoPlan:
@@ -369,12 +382,9 @@ def _build_channel_table(graph: ScheduleGraph) -> dict[ChannelId, Channel]:
     import numpy as np
 
     num_ops = graph.num_ops
-    pred = np.asarray(graph.pred, dtype=np.int64)
-    stage = np.asarray(graph.stage, dtype=np.int64)
-    kind = np.asarray(graph.kind, dtype=np.int64)
+    pred, stage, kind = map(np.asarray, (graph.pred, graph.stage, graph.kind))
     heads = np.repeat(
-        np.arange(num_ops, dtype=np.int64),
-        np.diff(np.asarray(graph.pred_indptr, dtype=np.int64)),
+        np.arange(num_ops, dtype=np.int64), np.diff(np.asarray(graph.pred_indptr))
     )
     edges = np.flatnonzero(stage[pred] != stage[heads])
     srcs, dsts = pred[edges], heads[edges]
@@ -465,7 +475,7 @@ def _encode(schedule: Schedule) -> tuple[list[list[int]], tuple[OpId, ...]]:
 
 def graph_from_codes(
     problem: PipelineProblem,
-    stage_codes: list[list[int]],
+    stage_codes: Sequence[Sequence[int]],
     token: int,
     ops_factory: Callable[[], tuple[OpId, ...]],
     name: str,
@@ -579,15 +589,15 @@ def graph_from_codes(
     return ScheduleGraph(
         problem=problem,
         fingerprint=token,
-        kind=tuple(kind.tolist()),
-        cell=tuple(cell.tolist()),
-        gemm=tuple(gemm.tolist()),
-        stage=tuple(stage.tolist()),
-        pos=tuple(pos.tolist()),
+        kind=int64_table(kind),
+        cell=int64_table(cell),
+        gemm=int64_table(gemm),
+        stage=int64_table(stage),
+        pos=int64_table(pos),
         stage_bounds=stage_bounds,
-        pred_indptr=tuple(pred_indptr.tolist()),
-        pred=tuple(pred_dense.tolist()),
-        succ_indptr=tuple(succ_indptr.tolist()),
-        succ=tuple(succ.tolist()),
+        pred_indptr=int64_table(pred_indptr),
+        pred=int64_table(pred_dense),
+        succ_indptr=int64_table(succ_indptr),
+        succ=int64_table(succ),
         ops_factory=ops_factory,
     )

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
+from itertools import product
 from typing import TYPE_CHECKING, Callable
 
 from repro.schedules.base import (
@@ -56,6 +56,7 @@ from repro.schedules.base import (
     ScheduleError,
     StageProgram,
 )
+from repro.schedules.graph import int64_table
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.cost import CostModel
@@ -171,53 +172,46 @@ def stage_cap(problem: PipelineProblem, policy: GreedyPolicy, stage: int) -> int
 
 
 @lru_cache(maxsize=64)
-def _fkeys_round_desc(problem: PipelineProblem) -> list[int]:
+def _fkeys_round_desc(problem: PipelineProblem) -> memoryview:
     # (-(c // p), mb, sl, c): finish later chunk rounds first (drives
     # each sample toward its first backward); micro-batch order breaks
     # ties.
-    n, s = problem.num_microbatches, problem.num_slices
-    chunks, p, v = problem.num_chunks, problem.num_stages, problem.virtual_size
-    return [
-        (((v - 1 - c // p) * n + mb) * s + sl) * chunks + c
-        for mb in range(n)
-        for sl in range(s)
-        for c in range(chunks)
-    ]
+    import numpy as np
+
+    n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
+    mb, sl, c = np.ogrid[:n, :s, :chunks]  # broadcasts in cell order
+    rnd = problem.virtual_size - 1 - c // problem.num_stages
+    return int64_table((((rnd * n + mb) * s + sl) * chunks + c).ravel())
 
 
 @lru_cache(maxsize=64)
-def _bkeys_children(problem: PipelineProblem) -> list[int]:
+def _bkeys_children(problem: PipelineProblem) -> memoryview:
     # (-children, mb, -sl, -c) with children = (sl+1)*(c+1) - 1, the
     # number of B descendants within the same micro-batch (Section 4.3).
+    import numpy as np
+
     n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
-    maxch = s * chunks - 1
-    return [
-        (((maxch - ((sl + 1) * (c + 1) - 1)) * n + mb) * s + (s - 1 - sl))
-        * chunks
-        + (chunks - 1 - c)
-        for mb in range(n)
-        for sl in range(s)
-        for c in range(chunks)
-    ]
+    mb, sl, c = np.ogrid[:n, :s, :chunks]
+    fewer = s * chunks - (sl + 1) * (c + 1)  # maxch - children
+    keys = ((fewer * n + mb) * s + (s - 1 - sl)) * chunks + (chunks - 1 - c)
+    return int64_table(keys.ravel())
 
 
 @lru_cache(maxsize=64)
-def _bkeys_fifo(problem: PipelineProblem) -> list[int]:
+def _bkeys_fifo(problem: PipelineProblem) -> memoryview:
     # (mb, -sl, -c).
+    import numpy as np
+
     n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
-    return [
-        (mb * s + (s - 1 - sl)) * chunks + (chunks - 1 - c)
-        for mb in range(n)
-        for sl in range(s)
-        for c in range(chunks)
-    ]
+    mb, sl, c = np.ogrid[:n, :s, :chunks]
+    return int64_table(((mb * s + (s - 1 - sl)) * chunks + (chunks - 1 - c)).ravel())
 
 
 #: Backward packed-key builders by policy mode.  Module-level (rather
 #: than closed over), like ``_fkeys_round_desc``, so the seeded mutation
 #: tests can swap one in and assert the golden-equivalence harness
 #: catches the perturbed tiebreaks.
-_PACKED_BACKWARD_KEYS: dict[str, Callable[[PipelineProblem], list[int]]] = {
+_PACKED_BACKWARD_KEYS: dict[str, Callable[[PipelineProblem], memoryview]] = {
     "children": _bkeys_children,
     "fifo": _bkeys_fifo,
 }
@@ -226,14 +220,15 @@ _PACKED_BACKWARD_KEYS: dict[str, Callable[[PipelineProblem], list[int]]] = {
 @lru_cache(maxsize=32)
 def _op_hashes(
     n: int, s: int, chunks: int, split: bool, gemms: int
-) -> list[int]:
+) -> memoryview:
     """Per-code op hashes for the content fingerprint.
 
     Identical to ``[op._hash for op in ops_by_code]``: ``OpId`` freezes
     ``hash((kind.value, mb, sl, c, gemm))`` at construction, so hashing
     the raw tuples reproduces the per-op values without building an
     object per op.  Pure function of the problem structure, memoized
-    across generations.  Callers only read the list.
+    across generations as one read-only int64 buffer (a hash is a
+    machine word, so it fits).
     """
     fv, bv = OpKind.F.value, OpKind.B.value
     hashes = [
@@ -257,19 +252,20 @@ def _op_hashes(
             for c in range(chunks)
             for g in range(gemms)
         ]
-    return hashes
+    return int64_table(hashes)
 
 
 @lru_cache(maxsize=64)
 def _structure_tables(
     problem: PipelineProblem,
-) -> tuple[list[int], list[int], list[int], list[int]]:
+) -> tuple[memoryview, memoryview, memoryview, memoryview]:
     """Pure-structure tables shared by every generation of ``problem``.
 
     Everything here depends only on the problem (not the policy or
     cost model), so it is memoized across generations like the cost
     table in :func:`repro.sim.cost.cost_table`.  Returns
-    ``(stage_by_code, unmet0, sidx, sflat)``:
+    ``(stage_by_code, unmet0, sidx, sflat)``, each one read-only int64
+    buffer (:func:`repro.schedules.graph.int64_table`):
 
     * ``stage_by_code`` — home stage per code;
     * ``unmet0`` — initial unmet-dependency count per code (edges never
@@ -281,33 +277,14 @@ def _structure_tables(
       consumers shift per micro-batch by the cell-region offset, W
       consumers by the gemms-times-larger W-region offset.
 
-    All returned lists are read-only to callers; the engine copies the
-    ones it mutates.
+    The engine copies the one table it mutates (``unmet0``).
     """
-    n, s = problem.num_microbatches, problem.num_slices
-    chunks = problem.num_chunks
-    split = problem.split_backward
-    gemms = problem.wgrad_gemms
+    import numpy as np
+
+    n, s, chunks = problem.num_microbatches, problem.num_slices, problem.num_chunks
+    gemms = problem.wgrad_gemms if problem.split_backward else 0
     cells = n * s * chunks
     sc = s * chunks
-    stage_of_chunk = problem._placement_tables[0]
-    stage_of_cell = [stage_of_chunk[c] for c in range(chunks)] * (n * s)
-    stage_by_code = stage_of_cell * 2
-    if split:
-        stage_by_code = stage_by_code + [
-            st for st in stage_of_cell for _ in range(gemms)
-        ]
-
-    unmet0 = [
-        int(b % chunks > 0) + int(b // chunks % s > 0) for b in range(sc)
-    ] * n
-    unmet0 += [
-        1 + int(b % chunks < chunks - 1) + int(b // chunks % s < s - 1)
-        for b in range(sc)
-    ] * n
-    if split:
-        unmet0 += [1] * (cells * gemms)
-
     f_blk: list[list[int]] = []
     b_blk: list[list[int]] = []
     for b in range(sc):
@@ -325,32 +302,35 @@ def _structure_tables(
             bs.append(cells + b - chunks)
         if c > 0:
             bs.append(cells + b - 1)
-        if split:
-            bs.extend(range(2 * cells + b * gemms, 2 * cells + (b + 1) * gemms))
+        bs.extend(range(2 * cells + b * gemms, 2 * cells + (b + 1) * gemms))
         b_blk.append(bs)
-    counts = [len(blk) for blk in f_blk] * n
-    counts += [len(blk) for blk in b_blk] * n
-    if split:
-        counts += [0] * (cells * gemms)
-    sidx = list(accumulate(counts, initial=0))
-
-    import numpy as np
-
-    offs = np.arange(n, dtype=np.int64)[:, None]
-    dst0_f = np.asarray(
-        [d for blk in f_blk for d in blk], dtype=np.int64
-    ).reshape(1, -1)
-    dst0_b = np.asarray(
-        [d for blk in b_blk for d in blk], dtype=np.int64
-    ).reshape(1, -1)
-    shift_b = np.where(dst0_b >= 2 * cells, sc * gemms, sc)
-    sflat: list[int] = np.concatenate(
+    counts = np.concatenate(
         [
-            (dst0_f + sc * offs).ravel(),
-            (dst0_b + shift_b * offs).ravel(),
+            np.tile([len(blk) for blk in f_blk], n),
+            np.tile([len(blk) for blk in b_blk], n),
+            np.zeros(cells * gemms, np.int64),
         ]
-    ).tolist()
-    return stage_by_code, unmet0, sidx, sflat
+    )
+    sidx = np.concatenate([[0], np.cumsum(counts)])
+    offs = np.arange(n, dtype=np.int64)[:, None]
+    dst0_f = np.asarray([d for blk in f_blk for d in blk], dtype=np.int64)
+    dst0_b = np.asarray([d for blk in b_blk for d in blk], dtype=np.int64)
+    shift_b = np.where(dst0_b >= 2 * cells, sc * gemms, sc)
+    sflat = np.concatenate(
+        [(dst0_f + sc * offs).ravel(), (dst0_b + shift_b * offs).ravel()]
+    )
+    # Every dependency edge is one successor entry: a code's unmet
+    # count is how often it appears in ``sflat``.
+    unmet0 = np.bincount(sflat, minlength=sidx.size - 1)
+    stage_of_cell = np.tile(np.asarray(problem._placement_tables[0]), n * s)
+    w_stages = np.repeat(stage_of_cell, gemms)
+    stage_by_code = np.concatenate([stage_of_cell, stage_of_cell, w_stages])
+    return (
+        int64_table(stage_by_code),
+        int64_table(unmet0),
+        int64_table(sidx),
+        int64_table(sflat),
+    )
 
 
 @dataclass(frozen=True)
@@ -452,10 +432,11 @@ class _DenseSchedule(Schedule):
     """A schedule emitted by the array engine.
 
     Carries the generator's dense tables: the per-stage canonical-code
-    programs (``_stage_codes``) and the shared ``ops_by_code`` index
-    (``_build_ops``).  :func:`repro.schedules.graph.compiled_graph`
-    compiles the codes directly on first use, so a build nobody
-    verifies or evaluates is never compiled.  The ``OpId``-based
+    programs (``_stage_codes``, one read-only int64 buffer per stage)
+    and the shared ``ops_by_code`` index (``_build_ops``).
+    :func:`repro.schedules.graph.compiled_graph` compiles the codes
+    directly on first use, so a build nobody verifies or evaluates is
+    never compiled.  The ``OpId``-based
     ``programs`` list is materialized on first access; until then the
     content fingerprint is served from the precomputed token (the
     object cannot have been mutated before anyone could reach its
@@ -468,7 +449,7 @@ class _DenseSchedule(Schedule):
         problem: PipelineProblem,
         name: str,
         build_ops: Callable[[], list[OpId]],
-        stage_codes: list[list[int]],
+        stage_codes: list[memoryview],
         token: int,
         ledger_peak_units: float,
     ) -> None:
@@ -794,7 +775,7 @@ def _drain(
     w_add = 1.0 + WGRAD_UNITS
     w_rel = (1.0 + WGRAD_UNITS) / gemms
     push, pop = heappush, heappop
-    unmet = unmet0.copy()
+    unmet = unmet0.tolist()  # the one table the loop writes: a real copy
     done = bytearray(total)
     arrival = [0.0] * total
     peak = 0.0
@@ -914,8 +895,9 @@ def _emit(
 ) -> _DenseSchedule:
     """The finished build's schedule, its content fingerprint taken
     from the memoized per-code op hashes (equal to hashing the
-    materialized programs' OpIds, see _op_hashes).  Its graph is
-    compiled from ``programs`` on first use."""
+    materialized programs' OpIds, see _op_hashes).  Each stage's
+    program is frozen into one int64 buffer here, and the graph is
+    compiled from those on first use."""
     hashes = _op_hashes(
         problem.num_microbatches,
         problem.num_slices,
@@ -929,7 +911,8 @@ def _emit(
             for st, codes in enumerate(programs)
         )
     )
-    return _DenseSchedule(problem, name, build_ops, programs, token, peak)
+    stage_codes = [int64_table(codes) for codes in programs]
+    return _DenseSchedule(problem, name, build_ops, stage_codes, token, peak)
 
 
 def _ledger_deltas(problem: PipelineProblem) -> list[float]:

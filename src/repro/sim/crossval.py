@@ -91,7 +91,8 @@ def _check_exactness(
                 stage=graph.stage[i],
                 op=graph.op_at(i),
                 witness=(
-                    f"analytic:  [{times.start[i]!r}, {times.end[i]!r}]",
+                    f"analytic:  [{float(times.start[i])!r}, "
+                    f"{float(times.end[i])!r}]",
                     f"simulated: [{float(replayed.start[i])!r}, "
                     f"{float(replayed.end[i])!r}]",
                 ),

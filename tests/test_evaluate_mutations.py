@@ -116,6 +116,22 @@ def test_corrupt_op_time_fires_ev001(subject, seed):
     assert any(w.startswith("analytic:") for w in op_findings[0].witness)
 
 
+def test_op_time_witness_prints_both_sides_as_floats(subject):
+    # Both sides of the witness print as plain floats, not NumPy scalars.
+    _, _, evaluation, _ = subject
+    times = evaluation.times
+    start = times.start.copy()
+    start[5] += 0.125
+    mutant = dataclasses.replace(
+        evaluation, times=dataclasses.replace(times, start=start)
+    )
+    (finding,) = findings_for(validate(subject, evaluation=mutant), "EV001")
+    assert finding.witness == (
+        "analytic:  [1.375, 1.5]",
+        "simulated: [1.25, 1.5]",
+    )
+
+
 def test_served_check_catches_a_wrong_float_in_the_kernel(monkeypatch):
     """``repro evaluate --check`` / ``EvaluateRequest(check=True)`` must
     certify the kernel against something that is not the kernel: one

@@ -367,13 +367,16 @@ class TestForkSafety:
         atexit.register(hook)
         try:
             assert pool.run_map(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+            # An earlier test may have left a larger shared pool behind;
+            # what matters is that the fork leaves this one as it was.
+            workers = pool.stats()["pool_workers"]
             if sys.version_info >= (3, 12):
                 with pytest.warns(DeprecationWarning, match="fork"):
                     model, result = run_parallel(schedule, data)
             else:
                 model, result = run_parallel(schedule, data)
             # The pool the workers were forked beside still serves.
-            assert pool.stats()["pool_workers"] == 2
+            assert pool.stats()["pool_workers"] == workers
             assert pool.run_map(abs, [-4, -5], jobs=2) == [4, 5]
         finally:
             atexit.unregister(hook)

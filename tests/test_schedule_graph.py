@@ -7,8 +7,10 @@ stage-major layout, CSR edges that agree exactly with
 structurally broken schedules.
 """
 
+import numpy as np
 import pytest
 
+from repro.analysis.capacity.core import _slot_augmented_preds
 from repro.schedules.base import OpId, OpKind, ScheduleError
 from repro.schedules.graph import (
     KIND_B,
@@ -18,8 +20,17 @@ from repro.schedules.graph import (
     channel_table,
     compiled_graph,
     fingerprint,
+    kahn_order,
+    toposort_plan,
 )
-from repro.schedules.greedy import _DenseSchedule
+from repro.schedules.greedy import (
+    _bkeys_children,
+    _bkeys_fifo,
+    _DenseSchedule,
+    _fkeys_round_desc,
+    _op_hashes,
+    _structure_tables,
+)
 from repro.schedules.methods import build_problem, build_schedule
 from repro.schedules.verify import verify_schedule
 
@@ -59,7 +70,7 @@ def test_csr_edges_match_problem_deps(method, p, n, s, v, g):
         # Exact order: the evaluator's critical-path tie-break reads it.
         expect = [index_of[d] for d in problem.deps(op)]
         assert list(graph.preds_of(i)) == expect, op
-        succs = list(graph.succs_of(i))
+        succs = list(graph.succ[graph.succ_indptr[i] : graph.succ_indptr[i + 1]])
         assert succs == sorted(succs), op
     # Successor arrays are the exact transpose of the predecessors.
     edges = {
@@ -212,3 +223,76 @@ def test_graph_is_slotted():
     assert isinstance(graph, ScheduleGraph)
     with pytest.raises(AttributeError):
         graph.arbitrary_attribute = 1
+
+
+# ----------------------------------------------------------------------
+# Representation: every table is one read-only int64 buffer
+# ----------------------------------------------------------------------
+TABLES = (
+    "kind", "cell", "gemm", "stage", "pos",
+    "pred_indptr", "pred", "succ_indptr", "succ",
+)
+
+
+@pytest.fixture(params=["mepipe", "dapple"], ids=["greedy", "explicit"])
+def graph(request):
+    schedule = _build(method=request.param, s=2 if request.param == "mepipe" else 1)
+    assert isinstance(schedule, _DenseSchedule) == (request.param == "mepipe")
+    return compiled_graph(schedule)
+
+
+def _buffers(graph):
+    return [getattr(graph, name) for name in TABLES] + [toposort_plan(graph).order]
+
+
+def test_tables_are_compact_read_only_int64(graph):
+    for table in _buffers(graph):
+        assert isinstance(table, memoryview)
+        assert table.readonly
+        assert np.asarray(table).dtype == np.int64
+        assert table.nbytes == 8 * len(table)
+        assert isinstance(table[0], int)
+    assert len(toposort_plan(graph).order) == graph.num_ops
+
+
+def test_writing_a_table_raises(graph):
+    for table in _buffers(graph):
+        with pytest.raises(TypeError):
+            table[0] = 1
+        # The slot-edge splice's in-place shift, aimed at the table itself.
+        with pytest.raises(ValueError):
+            np.asarray(table)[1:] += 1
+    assert graph.pred_indptr[-1] == len(graph.pred)
+
+
+def test_numpy_views_share_the_table(graph):
+    for table in _buffers(graph):
+        assert np.shares_memory(np.asarray(table), np.asarray(table))
+
+
+def test_edge_augmenting_walks_leave_the_tables_byte_equal(graph):
+    before = [table.tobytes() for table in _buffers(graph)]
+    last = graph.num_ops - 1
+    edges = [(0, last, (0, 1, "F")), (1, last, (0, 1, "F")), (2, 3, (0, 1, "F"))]
+    kahn_order(graph, edges)
+    _slot_augmented_preds(graph, np.zeros(len(graph.pred)), edges)
+    assert [table.tobytes() for table in _buffers(graph)] == before
+
+
+def test_generator_tables_are_read_only_int64():
+    schedule = _build()
+    problem = schedule.problem
+    memos = [
+        *_structure_tables(problem),
+        _fkeys_round_desc(problem),
+        _bkeys_children(problem),
+        _bkeys_fifo(problem),
+        _op_hashes(
+            problem.num_microbatches, problem.num_slices, problem.num_chunks,
+            problem.split_backward, problem.wgrad_gemms,
+        ),
+        *schedule._stage_codes,
+    ]
+    for table in memos:
+        assert isinstance(table, memoryview) and table.readonly
+        assert np.asarray(table).dtype == np.int64
