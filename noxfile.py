@@ -14,9 +14,9 @@ Run `nox -s <session>`, or the same commands directly:
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_schedule_graph.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
               python tests/function_lengths.py src/repro/schedules/graph.py src/repro/schedules/verify/liveness.py src/repro/analysis/capacity/core.py src/repro/schedules/verify/channels.py src/repro/sim/network.py 150
-    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py
+    replay    python -m pytest -x -q tests/test_engine_golden.py tests/test_evaluate.py tests/test_evaluate_mutations.py tests/test_evaluate_batch.py tests/test_prefix_prune.py tests/test_capacity.py tests/test_capacity_mutations.py tests/test_network_sim.py tests/test_confirm_allocations.py tests/test_planner_pool.py tests/test_bounds_oracle.py tests/test_bound_memos.py tests/test_certify.py
               python tests/fig10_golden.py
-              python tests/function_lengths.py src/repro/sim/executor.py src/repro/sim/crossval.py src/repro/analysis/evaluate/dense.py src/repro/analysis/evaluate/core.py src/repro/obs/record.py 150
+              python tests/function_lengths.py src/repro/sim/executor.py src/repro/sim/crossval.py src/repro/analysis/evaluate/dense.py src/repro/analysis/evaluate/certify.py src/repro/analysis/evaluate/core.py src/repro/obs/record.py 150
               python tests/memory_ledger.py 13b 10
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
               python tests/function_lengths.py src/repro/schedules/greedy.py 150
@@ -24,6 +24,7 @@ Run `nox -s <session>`, or the same commands directly:
     service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
               python -m pytest -x -q --test-order=reverse
+              python -m pytest -x -q --test-order=shuffle:1
     bench     python -m pytest -q bench/
 
 (`PYTHONPATH=src` in front of the `python -m` commands works without
@@ -59,6 +60,7 @@ REPLAY = (
     "src/repro/sim/executor.py",
     "src/repro/sim/crossval.py",
     "src/repro/analysis/evaluate/dense.py",
+    "src/repro/analysis/evaluate/certify.py",
     "src/repro/analysis/evaluate/core.py",
     "src/repro/obs/record.py",
 )
@@ -132,8 +134,9 @@ def replay(session: nox.Session) -> None:
     CP-rule/slot-edge/oracle-table and link-queue-order mutation
     suites, the confirm-path allocation guard, the worker-pool
     lifecycle suite, the tabular bounds against their per-``OpId``
-    reference (``tests/oracles``) and the chunk-class and shape-gate
-    memo suites; then the allocation guard alone, Figure 10, cache
+    reference (``tests/oracles``), the chunk-class and shape-gate
+    memo suites, and the max-plus check's mutation and no-fallback
+    suite; then the allocation guard alone, Figure 10, cache
     off, at ``jobs`` 1 and 2 against ``bench/golden/fig10.txt``, the
     150-line budget on the replays' time table, engines and readers,
     and the memory a cold 13B sweep leaves live (at most 10 MB).
@@ -153,6 +156,7 @@ def replay(session: nox.Session) -> None:
         "tests/test_planner_pool.py",
         "tests/test_bounds_oracle.py",
         "tests/test_bound_memos.py",
+        "tests/test_certify.py",
     )
     # The allocation guard again on its own, where no earlier test has
     # warmed a memo it counts through.
@@ -233,11 +237,13 @@ def service(session: nox.Session) -> None:
 @nox.session
 def tests(session: nox.Session) -> None:
     """The tier-1 test suite (unit + integration + property tests +
-    the paper's claims regenerated), in collected order and then in
-    reverse: it must not depend on the order its tests run in."""
+    the paper's claims regenerated), in collected order, in reverse and
+    in one fixed shuffle: it must not depend on the order its tests run
+    in."""
     session.install("-e", ".[test]")
     session.run(*PYTEST, *session.posargs)
     session.run(*PYTEST, "--test-order=reverse", *session.posargs)
+    session.run(*PYTEST, "--test-order=shuffle:1", *session.posargs)
 
 
 @nox.session

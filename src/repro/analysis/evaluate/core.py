@@ -6,7 +6,9 @@ replay loop, everything the planner asks the simulator for:
 * per-op start/end times and the iteration makespan — via the
   vectorized max-plus wavefront (:mod:`repro.analysis.evaluate.dense`),
   which is *provably* bit-identical to the event engine (float ``max``
-  is exact and order-independent; see the dense module docstring);
+  is exact and order-independent; see the dense module docstring), or,
+  for a greedy build, the timeline it committed once
+  :mod:`repro.analysis.evaluate.certify` has checked it;
 * per-stage busy time and peak live ledger units — via strictly
   sequential ``np.add.accumulate`` prefix sums over the same per-op
   cost/delta floats the simulator's program-order loops add up, so the
@@ -30,10 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.evaluate.certify import check
 from repro.analysis.evaluate.dense import (
     DenseTimes,
     FloatArray,
     dense_schedule_times,
+    op_cost_arrays,
 )
 from repro.analysis.evaluate.rules import EVALUATOR_VERSION
 from repro.obs.events import NULL_SINK, EventSink
@@ -46,6 +50,7 @@ from repro.schedules.graph import (
     compiled_graph,
     toposort_plan,
 )
+from repro.schedules.greedy import build_facts
 from repro.sim.cost import CostModel, stamp_byte_sizes
 
 #: Basis text of every ``"exact"`` certificate.
@@ -332,13 +337,24 @@ def evaluate_schedule(
     simulator does not report.  The schedule is statically verified on
     entry exactly like the simulator's entry point (cached verdict, so
     re-verification is free when the builder already checked it).
+
+    A greedy build is priced from the timeline it committed
+    (:func:`~repro.schedules.greedy.build_facts`) when that passes
+    :func:`~repro.analysis.evaluate.certify.check` under ``cost``'s
+    tables; any other schedule, or a failed check (a build planned
+    under another cost model), runs the scalar kernel.
     """
     from repro.schedules.verify import ensure_verified
 
     wall_start = time.perf_counter()
     ensure_verified(schedule, context="evaluate")
     graph = compiled_graph(schedule)
-    times = dense_schedule_times(graph, cost)
+    facts = build_facts(schedule)
+    times: DenseTimes | None = None
+    if facts is not None:
+        times = check(graph, facts.start, *op_cost_arrays(graph, cost))
+    if times is None:
+        times = dense_schedule_times(graph, cost)
 
     deltas = _ledger_deltas(graph)
     stage_busy: list[float] = []

@@ -3,10 +3,13 @@
 This is the heart of every end-to-end experiment: it builds the
 pipeline problem, lets the method's scheduler plan with the calibrated
 cost model (the role MEPipe's profiler plays, Section 6), evaluates the
-schedule — on the discrete-event executor (``tier="sim"``) or through
-the certified closed-form evaluator (``tier="analytic"``, bit-identical
-floats, see ``docs/evaluation.md``) — and converts the outcome into
-iteration time, memory footprint, OOM status, throughput, and MFU.
+schedule — confirmed against the simulator's heap oracle
+(``tier="sim"``: full verification, then a check of claimed times
+against the oracle's own cost probes, replaying only if it fails) or
+priced by the certified closed-form evaluator (``tier="analytic"``);
+the floats are bit-identical either way (``docs/evaluation.md``) — and
+converts the outcome into iteration time, memory footprint, OOM
+status, throughput, and MFU.
 
 :func:`config_bounds` additionally derives certified build-free bounds
 (iteration-time interval, memory floor) for a configuration without
@@ -23,6 +26,7 @@ from typing import Hashable, Protocol, Sequence
 from repro.analysis import interface_report
 from repro.analysis.evaluate import (
     AnalyticEvaluation,
+    dense_schedule_times,
     evaluate_schedule,
     iteration_time_bounds,
     ledger_peak_units,
@@ -38,13 +42,14 @@ from repro.schedules.graph import compiled_graph
 from repro.schedules.greedy import (
     BuildPruned,
     MemoryCeiling,
+    build_facts,
     default_first_stage_cap,
     min_first_stage_cap,
 )
 from repro.schedules.methods import build_problem, build_schedule, method_traits
 from repro.schedules.verify import assert_clean
 from repro.sim.cost import ClusterCost
-from repro.sim.executor import SimResult, simulate
+from repro.sim.executor import SimResult, confirm
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,11 @@ class EvalResult:
     tflops_per_gpu: float
     mfu: float
     forwards_before_first_backward: int | None = None
-    #: Which evaluation tier produced this result: ``"sim"`` (event
-    #: replay + full static verification) or ``"analytic"`` (certified
-    #: closed-form evaluator).  The numbers are bit-identical either
-    #: way; the tier records provenance and keys the sweep cache so the
-    #: tiers never alias.
+    #: Which evaluation tier produced this result: ``"sim"`` (the heap
+    #: oracle's answer + full static verification) or ``"analytic"``
+    #: (certified closed-form evaluator).  The numbers are bit-identical
+    #: either way; the tier records provenance and keys the sweep cache
+    #: so the tiers never alias.
     tier: str = "sim"
     #: Channel-buffer ledger (see :mod:`repro.analysis.capacity`): the
     #: ring-sizing mode the memory charge assumed (always
@@ -209,12 +214,15 @@ def evaluate_config(
     memory, Figure 5).
 
     ``tier`` selects how the built schedule is evaluated.  ``"sim"``
-    runs the full static verification (``assert_clean``) and the
-    discrete-event replay; ``"analytic"`` runs the certified closed-form
-    evaluator instead, which produces bit-identical iteration time,
-    bubble ratio, and memory — the grid search uses it for the
-    cheap first pass and re-evaluates only the Pareto frontier at
-    ``"sim"`` provenance.
+    runs the full static verification (``assert_clean``) and takes the
+    heap oracle's answer: the claimed times (a greedy build's committed
+    timeline, else the scalar kernel's) checked against the oracle's
+    own cost probes, with the heap replay only when the check fails
+    (:func:`repro.sim.executor.confirm`).  ``"analytic"`` runs the
+    certified closed-form evaluator instead, which produces
+    bit-identical iteration time, bubble ratio, and memory — the grid
+    search uses it for the cheap first pass and re-evaluates only the
+    Pareto frontier at ``"sim"`` provenance.
 
     The channel-buffer ledger charges ring bytes at the
     :data:`CAPACITY_MODE` capacities
@@ -252,12 +260,16 @@ def evaluate_config(
         # schedule is rejected here with the complete diagnostic report, so
         # the grid search skips it and the trail explains why.
         assert_clean(schedule, method=method)
-        # The heap engine, deliberately: the sim tier confirms the
-        # analytic tier's frontier, so it must not share the dense
-        # replay code path the analytic evaluator runs on (the scalar
-        # event heap is an independent implementation of the same
-        # recurrence; all engines are bit-for-bit per the golden tests).
-        result = simulate(schedule, cost, overhead_time=overhead, engine="heap")
+        # The heap oracle's answer, deliberately: the sim tier confirms
+        # the analytic tier's frontier, so the check prices with the
+        # oracle's probes, not the kernel's cost table, and a claim it
+        # rejects is replayed on the heap, not re-run on the kernel.
+        facts = build_facts(schedule)
+        if facts is not None:
+            claimed = facts.start
+        else:
+            claimed = dense_schedule_times(compiled_graph(schedule), cost).start
+        result = confirm(schedule, cost, claimed, overhead_time=overhead)
     elif tier == "analytic":
         # The closed-form evaluator: same floats, certified exact, no
         # event replay and only the builder's safety-tier verification
@@ -342,10 +354,11 @@ def _finalize(
 
 def _ledger_peak_units(schedule: Schedule) -> float:
     """The ledger peak :func:`_finalize` would charge: a greedy build's
-    own (bit-equal), else the compiled graph's."""
-    peak = getattr(schedule, "ledger_peak_units", None)
-    if peak is not None:
-        return float(peak)
+    own (bit-equal) while its programs are the emitted ones, else the
+    compiled graph's."""
+    facts = build_facts(schedule)
+    if facts is not None:
+        return float(facts.ledger_peak_units)
     return ledger_peak_units(compiled_graph(schedule))
 
 

@@ -110,7 +110,7 @@ def search_method(
     bounds or their own partial build — evaluates survivors
     analytically, and re-evaluates the Pareto frontier at ``"sim"``
     provenance; ``"sim"`` evaluates every candidate with the full
-    verification + event replay.  Both return the same best, frontier
+    verification + the heap oracle's answer.  Both return the same best, frontier
     and numbers (``"grid"`` tags tiers and moves pruned rows to
     ``skipped``).
 
@@ -214,8 +214,8 @@ def _grid_sweep(
        floor reaches it.  Either way the candidate is certainly OOM or
        strictly dominated, so the frontier and best are unchanged.
     3. Re-evaluate the resulting Pareto frontier at ``"sim"``
-       provenance — full static verification plus event replay — and
-       splice those results into the trail.
+       provenance — full static verification plus the heap oracle's
+       answer — and splice those results into the trail.
 
     Emits ``pruned`` (dispatched candidates a ceiling stopped) and
     ``pruned_ops`` (ops their aborted builds emitted) on ``sink``.
@@ -280,7 +280,7 @@ def _grid_sweep(
     _, evaluated = merge_outcomes([outcomes[i] for i in sorted(outcomes)])
 
     # Frontier refinement: only the Pareto-optimal survivors pay for the
-    # full verification + event replay.  The analytic tier is exact, so
+    # full verification + oracle confirmation.  The analytic tier is exact, so
     # this replaces entries with bit-equal numbers under a "sim" tag.
     frontier = pareto_frontier(evaluated)
     sim_tasks = [

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.schedules.base import (
     OpId,
@@ -59,6 +59,9 @@ from repro.schedules.base import (
 from repro.schedules.graph import int64_table
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
+    import numpy as np
+    import numpy.typing as npt
+
     from repro.sim.cost import CostModel
 
 #: Tolerance for "has this op's input arrived by now?" comparisons.
@@ -428,12 +431,42 @@ def _settle_fast_crossing(
     raise BuildPruned(ceiling.floor_bytes(final.ledger_peak_units), spent)
 
 
+class BuildFacts(NamedTuple):
+    """What a greedy build committed while it emitted its programs.
+
+    ``ledger_peak_units`` is the ledger peak its loop booked (bit-equal
+    to the compiled graph's, :func:`repro.analysis.evaluate.
+    ledger_peak_units`); ``start`` is every op's committed start in
+    dense (stage-major program) order, one read-only float64 array.
+    The start is the replay's whenever :func:`repro.analysis.evaluate.certify.check`
+    passes it against the replay's costs.
+    """
+
+    ledger_peak_units: float
+    start: npt.NDArray[np.float64]
+
+
+def build_facts(schedule: Schedule) -> BuildFacts | None:
+    """A greedy build's :class:`BuildFacts`, while they describe it.
+
+    ``None`` for any other schedule, and once the build's ``programs``
+    were materialized or replaced: the condition under which
+    :func:`repro.schedules.graph.fingerprint` and the graph compiler
+    stop trusting the emitted codes too.
+    """
+    if isinstance(schedule, _DenseSchedule) and schedule._programs is None:
+        return BuildFacts(schedule.ledger_peak_units, schedule._start)
+    return None
+
+
 class _DenseSchedule(Schedule):
     """A schedule emitted by the array engine.
 
     Carries the generator's dense tables: the per-stage canonical-code
-    programs (``_stage_codes``, one read-only int64 buffer per stage)
-    and the shared ``ops_by_code`` index (``_build_ops``).
+    programs (``_stage_codes``, one read-only int64 buffer per stage),
+    the shared ``ops_by_code`` index (``_build_ops``) and the committed
+    timeline (``_start``; read through :func:`build_facts`, and never
+    part of the fingerprint or a memo key).
     :func:`repro.schedules.graph.compiled_graph` compiles the codes
     directly on first use, so a build nobody verifies or evaluates is
     never compiled.  The ``OpId``-based
@@ -452,6 +485,7 @@ class _DenseSchedule(Schedule):
         stage_codes: list[memoryview],
         token: int,
         ledger_peak_units: float,
+        start: npt.NDArray[np.float64],
     ) -> None:
         # No dataclass __init__: ``programs`` is a lazy property here.
         self.problem = problem
@@ -460,6 +494,7 @@ class _DenseSchedule(Schedule):
         self.name = name
         self._build_ops = build_ops
         self._stage_codes = stage_codes
+        self._start = start
         self._programs: list[StageProgram] | None = None
         self._dense_token = token
 
@@ -499,7 +534,12 @@ def _greedy_once(
     * arrivals are final at publish time (an op is published only when
       its last predecessor commits), so the pending→ready transfer at
       ``arr <= now + ARRIVAL_EPS`` admits exactly the ops the
-      reference's per-scan arrival filter admits;
+      reference's per-scan arrival filter admits.  The tolerance only
+      decides *which* op a stage may pick; the pick then starts at
+      ``max(now, free, arr)``, so an op admitted up to ε early starts
+      at its arrival, not at the wake — the replay's exact start, off
+      the reference's ε clock by less than ε, which moves no decision
+      on the golden grid;
     * admitting arrivals at the skeleton pick only (not on a pick that
       retires a W) is exact: ``now`` never decreases, so the ready set
       at every skeleton pick is unchanged;
@@ -545,8 +585,9 @@ def _greedy_once(
         )
         for st in range(problem.num_stages)
     ]
-    peak = _drain(problem, policy, stages, costs, ceiling, build_ops)
-    return _emit(problem, name, [st.program for st in stages], build_ops, peak)
+    peak, starts = _drain(problem, policy, stages, costs, ceiling, build_ops)
+    programs = [st.program for st in stages]
+    return _emit(problem, name, programs, build_ops, peak, starts)
 
 
 def _all_ops(problem: PipelineProblem) -> list[OpId]:
@@ -752,12 +793,12 @@ def _drain(
     costs: tuple[list[float], list[float], list[float]],
     ceiling: MemoryCeiling | None,
     build_ops: Callable[[], list[OpId]],
-) -> float:
+) -> tuple[float, list[float]]:
     """The event loop: wake each stage when it may act, pick its next
     op, and commit it — advance the stage clock, book the ledger
     (:class:`BuildPruned` at ``ceiling``), and publish each successor
     whose last input it was, waking its stage at the arrival moment.
-    Returns the ledger peak."""
+    Returns the ledger peak and every op's start, by code."""
     durs, delta, scomm = costs
     n = problem.num_microbatches
     sc = problem.num_slices * problem.num_chunks
@@ -819,9 +860,15 @@ def _drain(
             if code < 0:
                 continue
 
-            # Commit.
+            # Commit at the exact clock: the replay recurrence's start
+            # (stage free, every input arrived), written over the op's
+            # own arrival slot, which nothing reads again.
             free = st.free_at
             start = now if now > free else free
+            arr = arrival[code]
+            if arr > start:
+                start = arr
+            arrival[code] = start
             end = start + durs[code]
             st.free_at = end
             st.program.append(code)
@@ -883,7 +930,7 @@ def _drain(
                     if not last_b:
                         push(times, when)
                 last_b.append(dst)
-    return peak
+    return peak, arrival
 
 
 def _emit(
@@ -892,12 +939,16 @@ def _emit(
     programs: list[list[int]],
     build_ops: Callable[[], list[OpId]],
     peak: float,
+    starts: list[float],
 ) -> _DenseSchedule:
     """The finished build's schedule, its content fingerprint taken
     from the memoized per-code op hashes (equal to hashing the
     materialized programs' OpIds, see _op_hashes).  Each stage's
     program is frozen into one int64 buffer here, and the graph is
-    compiled from those on first use."""
+    compiled from those on first use; ``starts`` (by code) is gathered
+    into dense order, the graph's op order."""
+    import numpy as np
+
     hashes = _op_hashes(
         problem.num_microbatches,
         problem.num_slices,
@@ -912,7 +963,9 @@ def _emit(
         )
     )
     stage_codes = [int64_table(codes) for codes in programs]
-    return _DenseSchedule(problem, name, build_ops, stage_codes, token, peak)
+    start = np.asarray(starts)[np.concatenate(stage_codes)]
+    start.flags.writeable = False
+    return _DenseSchedule(problem, name, build_ops, stage_codes, token, peak, start)
 
 
 def _ledger_deltas(problem: PipelineProblem) -> list[float]:

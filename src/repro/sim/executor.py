@@ -20,10 +20,13 @@ Two engines produce identical results:
   a heap keyed on ready time drains the queue chronologically.
   O((V + E) log V) over the graph's integer tables — no ``OpId`` per
   op.  It shares neither the replay loop, the topological plan, nor
-  the cost-table probing with the kernel, which is why the planner
-  confirms its frontier on it.  ``channel_capacities=`` runs on this
-  engine too: slot-reuse edges join its edge arrays as zero-cost
-  dependencies before the loop starts.
+  the cost-table probing with the kernel.  ``channel_capacities=``
+  runs on this engine too: slot-reuse edges join its edge arrays as
+  zero-cost dependencies before the loop starts.
+
+The planner confirms its frontier with :func:`confirm`, which checks
+claimed times against the oracle's own probes and falls back to the
+heap only when the check fails.
 
 An op's start time is a pure function of its dependencies' end times
 (IEEE ``max`` is exact and order-independent, and every add uses
@@ -48,6 +51,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.obs.events import NULL_SINK, EventSink
 from repro.obs.metrics import CommLog, IterationMetrics, schedule_comm_log
@@ -297,6 +301,36 @@ def simulate(
     return result
 
 
+def confirm(
+    schedule: Schedule,
+    cost: CostModel,
+    claimed: npt.NDArray[np.float64],
+    overhead_time: float = 0.0,
+) -> SimResult:
+    """The heap oracle's result for ``schedule``, replayed only if the
+    claim fails.
+
+    ``claimed`` holds a start per op in dense order: a greedy build's
+    committed timeline, or a kernel replay's.  It is checked
+    (:func:`repro.analysis.evaluate.certify.check`) against durations
+    and comm times from the oracle's own probes (:func:`_oracle_costs`),
+    not the kernel's ``CostTable``.  A pass proves the claim is the
+    replay's unique solution, bit for bit the heap's answer, and the
+    result is materialized from it; otherwise the heap replays.
+    """
+    from repro.analysis.evaluate.certify import check
+    from repro.schedules.verify import ensure_verified
+
+    ensure_verified(schedule, context="simulate")  # the check's acyclicity
+    graph = compiled_graph(schedule)
+    times = check(graph, claimed, *_oracle_costs(graph, cost))
+    if times is None:
+        return simulate(schedule, cost, overhead_time=overhead_time, engine="heap")
+    result = _materialize(schedule, times, overhead_time)
+    stamp_byte_sizes(result, cost)
+    return result
+
+
 def _materialize(
     schedule: Schedule, times: DenseTimes, overhead_time: float
 ) -> SimResult:
@@ -411,17 +445,50 @@ def _slot_reuse_csr(
     return new_pred_indptr, new_pred, new_comm, new_succ_indptr, new_succ
 
 
-def _cost_keys(graph: ScheduleGraph) -> list[int]:
+def _cost_keys(graph: ScheduleGraph) -> npt.NDArray[np.int64]:
     """Each op's ``(kind, slice, chunk, gemm)`` as one int — all a
     micro-batch-invariant cost model may read of it (``cell % (s *
     chunks)`` drops the micro-batch; ``gemm`` is ``-1`` for F/B ops)."""
     problem = graph.problem
     per_mb = problem.num_slices * problem.num_chunks
-    width = problem.wgrad_gemms + 1
-    return [
-        (kc * per_mb + ce % per_mb) * width + g + 1
-        for kc, ce, g in zip(graph.kind, graph.cell, graph.gemm)
+    kind, cell, gemm = map(np.asarray, (graph.kind, graph.cell, graph.gemm))
+    return (kind * per_mb + cell % per_mb) * (problem.wgrad_gemms + 1) + gemm + 1
+
+
+def _oracle_costs(
+    graph: ScheduleGraph, cost: CostModel
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """``(duration, comm)`` per op and per ``graph.pred`` edge, through
+    the oracle's own memo rather than the kernel's ``CostTable``.
+
+    One probe (and one decoded ``OpId``) per distinct cost key, on the
+    key's first op, and one per distinct key pair for comm — keyed on
+    every dependency edge, same-stage ones included, so models that
+    charge same-stage transfers are honoured.  A model that is not
+    micro-batch invariant makes every op its own key.  The heap replay
+    and :func:`confirm` both price with this.
+    """
+    num_ops = graph.num_ops
+    if getattr(cost, "microbatch_invariant", False):
+        # np.asarray: a monkeypatched key function may return a list.
+        keys, op_at = np.asarray(_cost_keys(graph), np.int64), graph.op_at
+    else:
+        keys, op_at = np.arange(num_ops), graph.ops.__getitem__
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    probed = [cost.duration(op_at(i)) for i in first.tolist()]
+    duration = np.asarray(probed, dtype=np.float64)[inverse.reshape(-1)]
+    pred = np.asarray(graph.pred)
+    head = np.repeat(np.arange(num_ops), np.diff(np.asarray(graph.pred_indptr)))
+    span = int(keys.max(initial=0)) + 1
+    _, first, inverse = np.unique(
+        keys[pred] * span + keys[head], return_index=True, return_inverse=True
+    )
+    probed = [
+        cost.comm_time(op_at(t), op_at(h))
+        for t, h in zip(pred[first].tolist(), head[first].tolist())
     ]
+    comm = np.asarray(probed, dtype=np.float64)[inverse.reshape(-1)]
+    return duration, comm
 
 
 def _simulate_heap(
@@ -447,35 +514,11 @@ def _simulate_heap(
     succ_indptr: Sequence[int] = graph.succ_indptr
     succ: Sequence[int] = graph.succ
 
-    # Flat per-op/per-edge cost tables through this engine's own memo:
-    # one probe (and one decoded ``OpId``) per distinct cost key, and
-    # per distinct key pair for comm — keyed on every dependency edge,
-    # same-stage ones included, so models that charge same-stage
-    # transfers are honoured.  A model that is not
-    # micro-batch invariant makes every op its own key.
-    keys: Sequence[int]
-    if getattr(cost, "microbatch_invariant", False):
-        keys, op_at = _cost_keys(graph), graph.op_at
-    else:
-        keys, op_at = range(num_ops), graph.ops.__getitem__
-    dur_of: dict[int, float] = {}
-    for i, key in enumerate(keys):
-        if key not in dur_of:
-            dur_of[key] = cost.duration(op_at(i))
-    duration = [dur_of[key] for key in keys]
-    span = max(keys, default=0) + 1
-    comm_of: dict[int, float] = {}
-    dep_comm = [0.0] * len(pred)
-    for i in range(num_ops):
-        key = keys[i]
-        for e in range(pred_indptr[i], pred_indptr[i + 1]):
-            edge_key = keys[pred[e]] * span + key
-            t = comm_of.get(edge_key)
-            if t is None:
-                t = comm_of[edge_key] = cost.comm_time(op_at(pred[e]), op_at(i))
-            dep_comm[e] = t
-
-    comm = dep_comm  # the replay's edge costs: + slot-reuse edges, if any
+    # Flat per-op/per-edge cost tables through this engine's own memo;
+    # tolist() is exact, and the scalar loop below reads lists fastest.
+    dur_arr, comm_arr = _oracle_costs(graph, cost)
+    duration: list[float] = dur_arr.tolist()
+    comm: list[float] = comm_arr.tolist()  # + slot-reuse edges, if any
     if channel_capacities is not None:
         pred_indptr, pred, comm, succ_indptr, succ = _slot_reuse_csr(
             graph, channel_capacities, comm
@@ -535,8 +578,13 @@ def _simulate_heap(
 
     from repro.analysis.evaluate.dense import DenseTimes
 
-    tables = (start, end, duration, dep_comm)
-    times = DenseTimes(graph, *(np.asarray(t, dtype=np.float64) for t in tables))
+    times = DenseTimes(
+        graph,
+        np.asarray(start, dtype=np.float64),
+        np.asarray(end, dtype=np.float64),
+        dur_arr,
+        comm_arr,
+    )
     return _materialize(schedule, times, overhead_time)
 
 

@@ -426,6 +426,13 @@ def gemm_subject():
     return build_schedule("mepipe", problem), GemmSkewCost(problem, tw=0.5)
 
 
+def keys_without_gemm(graph):
+    """The oracle's cost keys with the ``gemm`` component dropped."""
+    problem = graph.problem
+    per_mb = problem.num_slices * problem.num_chunks
+    return [kc * per_mb + ce % per_mb for kc, ce in zip(graph.kind, graph.cell)]
+
+
 class TestOracleTableMutations:
     """The heap oracle probes costs through its own integer-key memo,
     the materializer runs the problem's shared ledger steps over the
@@ -449,14 +456,6 @@ class TestOracleTableMutations:
     def test_oracle_key_without_gemm_fires_ev001(self, monkeypatch):
         from repro.sim import executor
 
-        def keys_without_gemm(graph):
-            problem = graph.problem
-            per_mb = problem.num_slices * problem.num_chunks
-            return [
-                kc * per_mb + ce % per_mb
-                for kc, ce in zip(graph.kind, graph.cell)
-            ]
-
         schedule, cost = gemm_subject()
         fixed = simulate_fixed_point(schedule, cost)
         monkeypatch.setattr(executor, "_cost_keys", keys_without_gemm)
@@ -471,6 +470,29 @@ class TestOracleTableMutations:
         heap = simulate(schedule, cost, engine="heap")
         assert heap.makespan != fixed.makespan
         assert heap.records != fixed.records
+
+    def test_oracle_key_without_gemm_reaches_the_confirmation(self, monkeypatch):
+        # The planner's confirmation prices its check with the oracle's
+        # probes: the mutated keys make it reject the (correct) kernel
+        # claim, and the heap it falls back to carries the mutation, so
+        # the sim tier disagrees with the analytic one, as when it
+        # replayed every claim.
+        from repro.analysis.evaluate import evaluate_schedule
+        from repro.sim import executor
+
+        schedule, cost = gemm_subject()
+        claimed = evaluate_schedule(schedule, cost).times
+        clean = executor.confirm(schedule, cost, claimed.start)
+        assert clean.times.end.tobytes() == claimed.end.tobytes()
+        replays = []
+        real = executor._simulate_heap
+        monkeypatch.setattr(
+            executor, "_simulate_heap", lambda *a: replays.append(a) or real(*a)
+        )
+        monkeypatch.setattr(executor, "_cost_keys", keys_without_gemm)
+        mutant = executor.confirm(schedule, cost, claimed.start)
+        assert len(replays) == 1
+        assert mutant.makespan != clean.makespan
 
     def test_swapped_ledger_branches_change_the_peaks(self, monkeypatch):
         from repro.schedules.graph import KIND_B, KIND_W

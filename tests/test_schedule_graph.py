@@ -173,7 +173,7 @@ def _dense_variant(edit):
     ops = base._build_ops() + [FOREIGN]
     schedule = _DenseSchedule(
         base.problem, base.name, lambda: ops, codes, hash(repr(codes)),
-        base.ledger_peak_units,
+        base.ledger_peak_units, base._start,
     )
     return schedule, ops[code]
 
