@@ -21,6 +21,7 @@ Run `nox -s <session>`, or the same commands directly:
     generate  python -m pytest -x -q tests/test_greedy_golden.py tests/test_greedy_properties.py tests/test_gencache.py
               python tests/function_lengths.py src/repro/schedules/greedy.py 150
     runtime   python -m pytest -x -q tests/test_pipeline_runtime.py tests/test_parallel_runtime.py tests/test_obs.py
+              python tests/function_lengths.py src/repro/pipeline/runtime.py src/repro/pipeline/parallel_runtime.py src/repro/pipeline/stage.py src/repro/pipeline/channels.py 150
     service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
               python -m pytest -x -q --test-order=reverse
@@ -63,6 +64,13 @@ REPLAY = (
     "src/repro/analysis/evaluate/certify.py",
     "src/repro/analysis/evaluate/core.py",
     "src/repro/obs/record.py",
+)
+#: The two numerical runtimes, their shared op semantics and channels.
+RUNTIME = (
+    "src/repro/pipeline/runtime.py",
+    "src/repro/pipeline/parallel_runtime.py",
+    "src/repro/pipeline/stage.py",
+    "src/repro/pipeline/channels.py",
 )
 
 
@@ -198,7 +206,8 @@ def runtime(session: nox.Session) -> None:
     signal handlers and atexit hooks), and clean failure (no orphan
     workers, no leaked segments, gradients untouched).  The obs suite
     covers span nesting, JSONL round-trips, the Chrome-trace golden,
-    and sim-vs-runtime trace alignment.  Prints the suites' wall time.
+    and sim-vs-runtime trace alignment.  Prints the suites' wall time,
+    then holds the executors to the 150-line function budget.
     """
     session.install("-e", ".[test]")
     start = time.perf_counter()
@@ -209,6 +218,7 @@ def runtime(session: nox.Session) -> None:
         "tests/test_obs.py",
     )
     session.log(f"runtime suites wall time: {time.perf_counter() - start:.1f} s")
+    session.run("python", "tests/function_lengths.py", *RUNTIME, "150")
 
 
 @nox.session

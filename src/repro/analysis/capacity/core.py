@@ -90,16 +90,11 @@ def normalize_capacities(
 ) -> dict[ChannelId, int]:
     """Coerce a capacity mapping onto plain ``(src, dst, kind)`` keys.
 
-    Accepts tuples or any key object exposing ``src_stage`` /
-    ``dst_stage`` / ``kind`` attributes (e.g. the runtime's
-    ``ChannelKey``); ``kind`` may be a string or an ``OpKind``.
+    Keys are ``(src, dst, kind)`` tuples (the runtime's ``ChannelKey``
+    is one); ``kind`` may be a string or an ``OpKind``.
     """
     out: dict[ChannelId, int] = {}
-    for key, value in capacities.items():
-        if isinstance(key, tuple):
-            src, dst, kind = key
-        else:
-            src, dst, kind = key.src_stage, key.dst_stage, key.kind
+    for (src, dst, kind), value in capacities.items():
         kind = getattr(kind, "value", kind)
         out[(int(src), int(dst), str(kind))] = int(value)
     return out

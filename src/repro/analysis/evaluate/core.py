@@ -50,7 +50,7 @@ from repro.schedules.graph import (
     compiled_graph,
     toposort_plan,
 )
-from repro.schedules.greedy import build_facts
+from repro.schedules.greedy import build_claim
 from repro.sim.cost import CostModel, stamp_byte_sizes
 
 #: Basis text of every ``"exact"`` certificate.
@@ -338,21 +338,22 @@ def evaluate_schedule(
     entry exactly like the simulator's entry point (cached verdict, so
     re-verification is free when the builder already checked it).
 
-    A greedy build is priced from the timeline it committed
-    (:func:`~repro.schedules.greedy.build_facts`) when that passes
+    A greedy build priced under the cost model it was planned with is
+    priced from the timeline it committed
+    (:func:`~repro.schedules.greedy.build_claim`) when that passes
     :func:`~repro.analysis.evaluate.certify.check` under ``cost``'s
-    tables; any other schedule, or a failed check (a build planned
-    under another cost model), runs the scalar kernel.
+    tables; any other schedule, a build planned under another cost
+    model, or a failed check runs the scalar kernel.
     """
     from repro.schedules.verify import ensure_verified
 
     wall_start = time.perf_counter()
     ensure_verified(schedule, context="evaluate")
     graph = compiled_graph(schedule)
-    facts = build_facts(schedule)
+    claimed = build_claim(schedule, cost)
     times: DenseTimes | None = None
-    if facts is not None:
-        times = check(graph, facts.start, *op_cost_arrays(graph, cost))
+    if claimed is not None:
+        times = check(graph, claimed, *op_cost_arrays(graph, cost))
     if times is None:
         times = dense_schedule_times(graph, cost)
 

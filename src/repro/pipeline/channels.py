@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -98,9 +97,10 @@ def _dtype_code(dtype: np.dtype[Any]) -> int:
     raise ScheduleError(f"unsupported channel payload dtype {dtype}")
 
 
-@dataclass(frozen=True)
-class ChannelKey:
-    """Identity of one directed cross-stage channel."""
+class ChannelKey(NamedTuple):
+    """Identity of one directed cross-stage channel: equal, in hash
+    too, to the compiled graph's ``ChannelId`` tuple for it, so graph
+    channels and capacity mappings index the runtime's rings as-is."""
 
     src_stage: int
     dst_stage: int

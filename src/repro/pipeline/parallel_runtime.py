@@ -2,9 +2,11 @@
 
 :class:`ParallelPipelineRuntime` **forks** one worker process per
 pipeline stage, so each worker inherits its partition chunks, tokens,
-program and channel endpoints copy-on-write — nothing is pickled on the
-way in — and moves boundary tensors through the shared-memory ring
-channels of :mod:`repro.pipeline.channels`.  Gradients come home through
+the schedule's compiled graph (its program is its stage's slice) and
+channel endpoints copy-on-write — nothing is pickled on the way in —
+and moves boundary tensors, routed by the graph's ``boundary_table``,
+through the shared-memory ring channels of
+:mod:`repro.pipeline.channels`.  Gradients come home through
 shared pages too: workers accumulate into anonymous shared mappings
 the parent staged before forking (:class:`_SharedGrads`), and the only
 thing a worker pickles back is a small array-free report.  Where the
@@ -93,7 +95,13 @@ from repro.pipeline.channels import (
 )
 from repro.pipeline.runtime import RunResult, StageStats, _preflight
 from repro.pipeline.stage import StageExecutor
-from repro.schedules.base import OpId, OpKind, PipelineProblem, Schedule, ScheduleError
+from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
+from repro.schedules.graph import (
+    KIND_W,
+    ScheduleGraph,
+    boundary_table,
+    compiled_graph,
+)
 from repro.sim.executor import OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,8 +141,7 @@ class _WorkerConfig:
     buffers of :class:`_SharedGrads` at fork time."""
 
     stage: int
-    problem: PipelineProblem
-    program: list[OpId]
+    graph: ScheduleGraph
     chunk_components: dict[int, list[Component]]
     tokens: Array
     targets: Array
@@ -263,73 +270,74 @@ def _worker_main(cfg: _WorkerConfig) -> None:
 
 
 def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
-    """Run one stage's program; the heart of the parallel executor."""
-    problem = cfg.problem
+    """Run one stage's program, its slice ``[lo, hi)`` of the compiled
+    graph; the heart of the parallel executor.  Boundary tensors move
+    by ``boundary_table``: through the local mailbox between chunks on
+    this stage, else through the ring between the two stages."""
+    graph = cfg.graph
+    ops, stage_of = graph.ops, graph.stage
+    fed_by, feeds = boundary_table(graph)
+    lo, hi = graph.stage_bounds[cfg.stage]
     stats = StageStats(stage=cfg.stage)
     executor = StageExecutor(
-        cfg.stage, problem, cfg.chunk_components, cfg.tokens, cfg.targets, stats
+        cfg.stage, graph.problem, cfg.chunk_components, cfg.tokens,
+        cfg.targets, stats,
     )
-    program = cfg.program
-    # Positions of W ops, in program order: the run-ahead cursor walks
+    # Indices of W ops, in program order: the run-ahead cursor walks
     # this list and never skips, so W-relative order equals program
     # order (the bit-exactness invariant).
-    w_positions = [i for i, op in enumerate(program) if op.kind is OpKind.W]
+    w_ops = [i for i in range(lo, hi) if graph.kind[i] == KIND_W]
     w_cursor = 0
     executed_early: set[int] = set()
     records: list[OpRecord] = []
     comms = CommLog()
     loss = 0.0
 
-    # Local mailbox for boundary tensors between chunks on this stage.
-    local: dict[tuple[OpKind, int, int, int], Array] = {}
+    # Local mailbox: producer's op index -> boundary tensor between
+    # chunks on this stage.
+    local: dict[int, Array] = {}
 
-    def run_op(op: OpId, payload: Array | None, t_start: float) -> None:
+    def run_op(i: int, payload: Array | None, t_start: float) -> None:
         nonlocal loss
-        outcome = executor.execute(op, payload)
+        op = ops[i]
+        term, emitted = executor.execute(op, payload)
         t_end = time.perf_counter() - t0
-        loss += outcome.loss
+        loss += term
         stats.busy_seconds += t_end - t_start
         records.append(
             OpRecord(op=op, stage=cfg.stage, start=t_start, end=t_end)
         )
-        if outcome.payload is not None:
-            dst = problem.stage_of_chunk(outcome.dst_chunk)
+        if emitted is not None:
+            dst = stage_of[feeds[i]]
             if dst == cfg.stage:
-                local[(op.kind, op.microbatch, op.slice_idx, op.chunk)] = (
-                    outcome.payload
-                )
+                local[i] = emitted
             else:
-                key = ChannelKey(cfg.stage, dst, op.kind.value)
-                cfg.send_channels[key].send(
-                    op, outcome.payload, cfg.timeout
-                )
-                comms.note(cfg.stage, dst, outcome.payload.nbytes)
+                channel = cfg.send_channels[ChannelKey(cfg.stage, dst, op.kind.value)]
+                channel.send(op, emitted, cfg.timeout)
+                comms.note(cfg.stage, dst, emitted.nbytes)
 
     def drain_one_wgrad() -> bool:
         """Run the next ready deferred W op (program order); False if none."""
         nonlocal w_cursor
-        while w_cursor < len(w_positions) and (
-            w_positions[w_cursor] in executed_early
-        ):
+        while w_cursor < len(w_ops) and w_ops[w_cursor] in executed_early:
             w_cursor += 1
-        if w_cursor >= len(w_positions):
+        if w_cursor >= len(w_ops):
             return False
-        index = w_positions[w_cursor]
-        op = program[index]
-        if not executor.wgrad_ready(op):
+        i = w_ops[w_cursor]
+        if not executor.wgrad_ready(ops[i]):
             return False  # its B has not run; cannot skip ahead
-        t_start = time.perf_counter() - t0
-        run_op(op, None, t_start)
-        executed_early.add(index)
+        run_op(i, None, time.perf_counter() - t0)
+        executed_early.add(i)
         w_cursor += 1
         return True
 
-    def recv(op: OpId, src_stage: int, producer: OpId) -> Array:
+    def recv(i: int, producer: int) -> Array:
         """Blocking receive that drains deferred W ops while waiting."""
-        channel = cfg.recv_channels[ChannelKey(src_stage, cfg.stage, op.kind.value)]
+        src, expect = stage_of[producer], ops[producer]
+        channel = cfg.recv_channels[ChannelKey(src, cfg.stage, expect.kind.value)]
         deadline = time.perf_counter() + cfg.timeout
         while True:
-            payload = channel.try_recv(producer)
+            payload = channel.try_recv(expect)
             if payload is not None:
                 return payload
             t_w = time.perf_counter()
@@ -337,43 +345,41 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
                 stats.overlap_w_seconds += time.perf_counter() - t_w
                 continue
             t_block = time.perf_counter()
-            payload = channel.recv_wait(producer, _POLL_SECONDS)
+            payload = channel.recv_wait(expect, _POLL_SECONDS)
             stats.wait_seconds += time.perf_counter() - t_block
             if payload is not None:
                 return payload
             if time.perf_counter() > deadline:
                 raise ScheduleError(
-                    f"stage {cfg.stage}: recv of {producer} for {op} timed "
+                    f"stage {cfg.stage}: recv of {expect} for {ops[i]} timed "
                     f"out after {cfg.timeout:.1f}s — upstream stage "
-                    f"{src_stage} stalled or dead")
+                    f"{src} stalled or dead")
 
     cfg.barrier.wait(cfg.timeout)
     t0 = time.perf_counter()
 
-    for head, op in enumerate(program):
-        if head in executed_early:
+    for i in range(lo, hi):
+        if i in executed_early:
             continue
-        if cfg.fault is not None and cfg.fault.op_index == head:
+        if cfg.fault is not None and cfg.fault.op_index == i - lo:
             if cfg.fault.mode == "raise":
                 raise RuntimeError(
-                    f"injected fault on stage {cfg.stage} at op {op}")
+                    f"injected fault on stage {cfg.stage} at op {ops[i]}")
             if cfg.fault.mode == "exit":
                 os._exit(17)
             time.sleep(cfg.timeout * 100.0)  # "hang"
+        producer = fed_by[i]
         payload: Array | None = None
-        source = executor.recv_source(op)
-        if source is not None:
-            payload = recv(op, source[0], source[1])
-        elif op.kind is OpKind.F and op.chunk > 0:
-            payload = local.pop((OpKind.F, op.microbatch, op.slice_idx, op.chunk - 1))
-        elif op.kind is OpKind.B and op.chunk < problem.num_chunks - 1:
-            payload = local.pop((OpKind.B, op.microbatch, op.slice_idx, op.chunk + 1))
-        t_start = time.perf_counter() - t0
-        run_op(op, payload, t_start)
-        if op.kind is OpKind.W:
+        if producer >= 0:
+            if stage_of[producer] == cfg.stage:
+                payload = local.pop(producer)
+            else:
+                payload = recv(i, producer)
+        run_op(i, payload, time.perf_counter() - t0)
+        if graph.kind[i] == KIND_W:
             # Mark for the run-ahead cursor so the drain never revisits
             # a W op the head already executed.
-            executed_early.add(head)
+            executed_early.add(i)
 
     wall = time.perf_counter() - t0
     if local:
@@ -496,10 +502,7 @@ class ParallelPipelineRuntime:
         """
         caps = self.resolve_capacities(schedule, capacity_mode)
         slot_bytes = _HEADER_BYTES + self._payload_bytes(schedule.problem)
-        slots = {
-            ChannelKey(src, dst, kind): k
-            for (src, dst, kind), k in sorted(caps.items())
-        }
+        slots = {ChannelKey(*key): k for key, k in sorted(caps.items())}
         return slots, sum(k * slot_bytes for k in slots.values())
 
     def _build_channels(
@@ -520,10 +523,7 @@ class ParallelPipelineRuntime:
         payload_bytes = self._payload_bytes(problem)
         prefix = f"repro{os.getpid() % 100000}x{secrets.token_hex(2)}"
         channels: dict[ChannelKey, ChannelProtocol] = {}
-        for serial, (key, count) in enumerate(sorted(
-            slots.items(),
-            key=lambda kv: (kv[0].src_stage, kv[0].dst_stage, kv[0].kind),
-        )):
+        for serial, (key, count) in enumerate(sorted(slots.items())):
             protocol, shm = create_channel(
                 key, count, payload_bytes, ctx, prefix, serial
             )
@@ -561,6 +561,7 @@ class ParallelPipelineRuntime:
         problem = _preflight(self, schedule, "parallel pipeline runtime")
         slots, _ = self.plan_channels(schedule, capacity_mode=capacity_mode)
         num_stages = problem.num_stages
+        graph = compiled_graph(schedule)
         chunks = self.model.partition(problem.num_chunks)
         ctx = _fork_context()
 
@@ -576,8 +577,7 @@ class ParallelPipelineRuntime:
                 for stage in range(num_stages):
                     cfg = _WorkerConfig(
                         stage=stage,
-                        problem=problem,
-                        program=schedule.stage_ops(stage),
+                        graph=graph,
                         chunk_components={
                             c: chunks[c] for c in problem.chunks_of_stage(stage)
                         },
@@ -630,11 +630,7 @@ class ParallelPipelineRuntime:
         from repro.analysis.capacity import ring_bytes_per_stage
 
         slot_bytes = _HEADER_BYTES + self._payload_bytes(problem)
-        ring_bytes = ring_bytes_per_stage(
-            {(k.src_stage, k.dst_stage, k.kind): n for k, n in slots.items()},
-            num_stages,
-            slot_bytes,
-        )
+        ring_bytes = ring_bytes_per_stage(slots, num_stages, slot_bytes)
         for report in reports:
             report.stats.channel_buffer_bytes = ring_bytes[report.stage]
 

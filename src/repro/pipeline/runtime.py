@@ -2,11 +2,13 @@
 
 This is the functional-correctness substrate (artifact experiment E0)
 and the repository's **golden reference**: the model's components are
-partitioned into ``v * p`` chunks, each pipeline stage executes its
-ordered op program, and tensors flow through explicit channels.  Any
-valid schedule — DAPPLE, TeraPipe, VPP, SVPP, MEPipe with deferred
-weight-gradient GEMMs — must produce gradients identical to sequential
-execution; the test suite asserts exactly that, and the multi-process
+partitioned into ``v * p`` chunks, and the runtime executes the
+schedule's compiled graph (:mod:`repro.schedules.graph`) in its
+topological plan — each stage's ops in program order — routing every
+boundary tensor by the graph's ``boundary_table``.  Any valid schedule
+— DAPPLE, TeraPipe, VPP, SVPP, MEPipe with deferred weight-gradient
+GEMMs — must produce gradients identical to sequential execution; the
+test suite asserts exactly that, and the multi-process
 :class:`~repro.pipeline.parallel_runtime.ParallelPipelineRuntime` is
 in turn held bit-for-bit to this runtime.
 
@@ -19,7 +21,8 @@ simulated counterpart in a trace viewer.
 
 The per-op numerical semantics live in :class:`~repro.pipeline.stage
 .StageExecutor`, shared with the parallel runtime; this module only
-supplies the single-process scheduling loop and in-process mailboxes.
+supplies the single-process loop over the plan and its in-process
+mailbox.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from repro.nn.model import TransformerModel
 from repro.obs.events import NULL_SINK, EventSink
 from repro.obs.metrics import CommLog
 from repro.pipeline.stage import StageExecutor
-from repro.schedules.base import OpId, OpKind, PipelineProblem, Schedule, ScheduleError
+from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
+from repro.schedules.graph import boundary_table, compiled_graph, toposort_plan
 from repro.sim.executor import OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -230,6 +234,9 @@ class PipelineRuntime:
         """
         problem = _preflight(self, schedule, "pipeline runtime")
 
+        graph = compiled_graph(schedule)
+        ops, stage_of = graph.ops, graph.stage
+        fed_by, feeds = boundary_table(graph)
         chunks = self.model.partition(problem.num_chunks)
         stats = [StageStats(stage=s) for s in range(problem.num_stages)]
         executors = [
@@ -243,59 +250,37 @@ class PipelineRuntime:
             )
             for s in range(problem.num_stages)
         ]
-        programs = [schedule.stage_ops(s) for s in range(problem.num_stages)]
         records: list[list[OpRecord]] = [[] for _ in range(problem.num_stages)]
-        # In-process mailboxes: (mb, sl, chunk) -> boundary tensor.
-        forward: dict[tuple[int, int, int], Array] = {}
-        backward: dict[tuple[int, int, int], Array] = {}
+        # In-process mailbox: producer's op index -> boundary tensor.
+        mailbox: dict[int, Array] = {}
         comms = CommLog()
         loss = 0.0
 
-        # Token-passing execution: stages advance their program heads
-        # whenever the next op's inputs are available.  This realizes
-        # any dependency-consistent interleaving; numerics cannot depend
-        # on which one the wall clock would pick.
-        heads = [0] * problem.num_stages
-        done: set[OpId] = set()
-        total = schedule.op_count()
+        # The compiled graph's topological plan puts every op after its
+        # dependencies and its stage predecessor: each stage runs its
+        # program in order, and numerics cannot depend on how stages
+        # interleave.  The compile and _preflight's verification have
+        # already proved the plan covers every op (no deadlock).
         t0 = time.perf_counter()
-        while len(done) < total:
-            progressed = False
-            for stage in range(problem.num_stages):
-                program = programs[stage]
-                executor = executors[stage]
-                while heads[stage] < len(program):
-                    op = program[heads[stage]]
-                    if any(d not in done for d in problem.deps(op)):
-                        break
-                    mb, sl, c = op.microbatch, op.slice_idx, op.chunk
-                    payload: Array | None = None
-                    if op.kind is OpKind.F and c > 0:
-                        payload = forward.pop((mb, sl, c - 1))
-                    elif op.kind is OpKind.B and c < problem.num_chunks - 1:
-                        payload = backward.pop((mb, sl, c + 1))
-                    op_start = time.perf_counter() - t0
-                    outcome = executor.execute(op, payload)
-                    op_end = time.perf_counter() - t0
-                    loss += outcome.loss
-                    if outcome.payload is not None:
-                        mailbox = forward if op.kind is OpKind.F else backward
-                        mailbox[(mb, sl, c)] = outcome.payload
-                        dst = problem.stage_of_chunk(outcome.dst_chunk)
-                        if dst != stage:
-                            comms.note(stage, dst, outcome.payload.nbytes)
-                    stats[stage].busy_seconds += op_end - op_start
-                    records[stage].append(
-                        OpRecord(op=op, stage=stage, start=op_start, end=op_end)
-                    )
-                    done.add(op)
-                    heads[stage] += 1
-                    progressed = True
-            if not progressed:
-                raise ScheduleError("pipeline runtime deadlock")
+        for i in toposort_plan(graph).order:
+            stage, op, producer = stage_of[i], ops[i], fed_by[i]
+            payload = mailbox.pop(producer) if producer >= 0 else None
+            op_start = time.perf_counter() - t0
+            term, emitted = executors[stage].execute(op, payload)
+            op_end = time.perf_counter() - t0
+            loss += term
+            if emitted is not None:
+                mailbox[i] = emitted
+                dst = stage_of[feeds[i]]
+                if dst != stage:
+                    comms.note(stage, dst, emitted.nbytes)
+            stats[stage].busy_seconds += op_end - op_start
+            records[stage].append(
+                OpRecord(op=op, stage=stage, start=op_start, end=op_end)
+            )
         wall = time.perf_counter() - t0
 
-        if forward or backward:
+        if mailbox:
             raise ScheduleError("unconsumed channel tensors at iteration end")
         for executor in executors:
             executor.assert_drained()

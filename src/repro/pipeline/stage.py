@@ -4,12 +4,16 @@ A :class:`StageExecutor` owns everything one pipeline stage needs to
 execute its ordered op program: the model chunks the stage hosts, the
 per-(micro-batch, slice) token/target slices, the deferred
 weight-gradient queues of split-backward schedules, and the stage's
-execution statistics.  The transport of boundary tensors is the
-*caller's* job — the serial :class:`~repro.pipeline.runtime
-.PipelineRuntime` moves them through in-process dicts, the parallel
+execution statistics.  It takes an op's incoming boundary tensor and
+returns the one the op emits; where a tensor comes from and goes to is
+the *callers'* job, and both read it from the compiled graph's
+:func:`~repro.schedules.graph.boundary_table` — the serial
+:class:`~repro.pipeline.runtime.PipelineRuntime` through one
+in-process mailbox, the parallel
 :class:`~repro.pipeline.parallel_runtime.ParallelPipelineRuntime`
-through shared-memory ring channels — so the numerical semantics of an
-op live in exactly one place and the two runtimes cannot drift.
+through a per-stage mailbox and shared-memory ring channels — so the
+numerical semantics of an op live in exactly one place and the two
+runtimes cannot drift.
 
 Live-memory accounting is **incremental**: an op only mutates the
 forward state of the components of its own chunk, and each component
@@ -23,7 +27,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -38,23 +41,6 @@ Array = np.ndarray[Any, np.dtype[Any]]
 
 #: One queued weight-gradient GEMM (see repro.nn.layers.WgradTask).
 _TaskGroups = list[list[Any]]
-
-
-@dataclass
-class StepOutcome:
-    """What executing one op produced.
-
-    Attributes:
-        loss: This op's loss contribution (nonzero only for F ops on
-            the final chunk).
-        payload: Boundary tensor the op emits toward another chunk
-            (``None`` when the op has no outgoing boundary tensor).
-        dst_chunk: The chunk that consumes ``payload``.
-    """
-
-    loss: float = 0.0
-    payload: Array | None = None
-    dst_chunk: int = -1
 
 
 class StageExecutor:
@@ -118,24 +104,6 @@ class StageExecutor:
     # ------------------------------------------------------------------
     # Op protocol helpers
     # ------------------------------------------------------------------
-    def recv_source(self, op: OpId) -> tuple[int, OpId] | None:
-        """The cross-stage producer feeding ``op``, if any.
-
-        Returns ``(src_stage, producer_op)`` when ``op`` consumes a
-        boundary tensor produced on another stage, else ``None``.
-        """
-        problem = self.problem
-        mb, sl, c = op.microbatch, op.slice_idx, op.chunk
-        if op.kind is OpKind.F and c > 0:
-            src = problem.stage_of_chunk(c - 1)
-            if src != self.stage:
-                return src, OpId(OpKind.F, mb, sl, c - 1)
-        elif op.kind is OpKind.B and c < problem.num_chunks - 1:
-            src = problem.stage_of_chunk(c + 1)
-            if src != self.stage:
-                return src, OpId(OpKind.B, mb, sl, c + 1)
-        return None
-
     def wgrad_ready(self, op: OpId) -> bool:
         """Whether a W op's deferred GEMM group exists (its B ran)."""
         return (op.microbatch, op.slice_idx, op.chunk) in self._wgrad_groups
@@ -152,12 +120,17 @@ class StageExecutor:
         t = self.seq_length // self.problem.num_slices
         return source[mb, :, sl * t : (sl + 1) * t]
 
-    def execute(self, op: OpId, payload: Array | None = None) -> StepOutcome:
+    def execute(
+        self, op: OpId, payload: Array | None = None
+    ) -> tuple[float, Array | None]:
         """Run one op; ``payload`` is its incoming boundary tensor.
 
         For F ops on chunk 0 the input is the stage's own token slice
         and ``payload`` must be ``None``; likewise for B ops on the
-        final chunk (the loss head starts the gradient chain).
+        final chunk (the loss head starts the gradient chain).  Returns
+        the op's loss term (nonzero only for an F op on the final
+        chunk) and the boundary tensor it emits toward the adjacent
+        chunk, ``None`` when it emits none.
         """
         problem = self.problem
         mb, sl, c = op.microbatch, op.slice_idx, op.chunk
@@ -165,7 +138,8 @@ class StageExecutor:
         for comp in components:
             self._live_contexts -= comp.live_contexts
             self._live_bytes -= comp.live_nbytes
-        outcome = StepOutcome()
+        loss = 0.0
+        emitted: Array | None = None
 
         if op.kind is OpKind.F:
             if c == 0:
@@ -178,10 +152,9 @@ class StageExecutor:
                     comp.set_targets(mb, sl, self._slice_of(self.targets, mb, sl))
                 x = comp.forward(mb, sl, x)
             if c == problem.num_chunks - 1:
-                outcome.loss = float(x)  # LossHead output
+                loss = float(x)  # LossHead output
             else:
-                outcome.payload = x
-                outcome.dst_chunk = c + 1
+                emitted = x
         elif op.kind is OpKind.B:
             dy: Array | None = payload
             tasks: list[Any] = []
@@ -189,8 +162,7 @@ class StageExecutor:
                 dy = comp.backward(mb, sl, dy)
                 tasks.extend(comp.pop_wgrad_tasks(mb, sl))
             if dy is not None and c > 0:
-                outcome.payload = dy
-                outcome.dst_chunk = c - 1
+                emitted = dy
             if problem.split_backward:
                 g = problem.wgrad_gemms
                 self._wgrad_groups[(mb, sl, c)] = [tasks[i::g] for i in range(g)]
@@ -211,4 +183,4 @@ class StageExecutor:
             self._live_contexts += comp.live_contexts
             self._live_bytes += comp.live_nbytes
         self._sync_peaks()
-        return outcome
+        return loss, emitted

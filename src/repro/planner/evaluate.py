@@ -42,6 +42,7 @@ from repro.schedules.graph import compiled_graph
 from repro.schedules.greedy import (
     BuildPruned,
     MemoryCeiling,
+    build_claim,
     build_facts,
     default_first_stage_cap,
     min_first_stage_cap,
@@ -264,10 +265,8 @@ def evaluate_config(
         # the analytic tier's frontier, so the check prices with the
         # oracle's probes, not the kernel's cost table, and a claim it
         # rejects is replayed on the heap, not re-run on the kernel.
-        facts = build_facts(schedule)
-        if facts is not None:
-            claimed = facts.start
-        else:
+        claimed = build_claim(schedule, cost)
+        if claimed is None:
             claimed = dense_schedule_times(compiled_graph(schedule), cost).start
         result = confirm(schedule, cost, claimed, overhead_time=overhead)
     elif tier == "analytic":

@@ -32,6 +32,9 @@ Contract:
   groups the dependency edges whose endpoints sit on different stages
   into channels, each in slot-claim order, and the FIFO lint, the
   capacity analyzer and the network replay all read it.
+  :func:`boundary_table` names, per op, the producer of the tensor it
+  consumes and the consumer of the tensor it emits; both numerical
+  runtimes route every boundary tensor by it.
 * ``cell[i]`` is the canonical ``(mb * s + sl) * chunks + c`` index of
   op ``i``'s (micro-batch, slice, chunk) coordinate — the key the
   liveness ledger shares between an F op and its B/W counterparts.
@@ -399,6 +402,33 @@ def _build_channel_table(graph: ScheduleGraph) -> dict[ChannelId, Channel]:
             key = (int(stage[j]), int(stage[i]), _KIND_CHARS[int(kind[j])])
             table[key] = Channel(srcs[b:e], dsts[b:e], edges[b:e])
     return table
+
+
+def boundary_table(graph: ScheduleGraph) -> tuple[memoryview, memoryview]:
+    """``(fed_by, feeds)``: for each op, the producer of the boundary
+    tensor it consumes and the consumer of the one it emits, ``-1``
+    where there is none; two read-only int64 tables.
+
+    The Section 4.1 rule (F takes chunk ``c-1``'s activation, B takes
+    chunk ``c+1``'s gradient) is the one ``pred`` edge of an op whose
+    two ends lie on different chunks (``cell % num_chunks``).  The
+    boundary edges that also cross stages are :func:`channel_table`'s
+    messages; the rest stay on one stage.
+    """
+    import numpy as np
+
+    num_ops = graph.num_ops
+    pred = np.asarray(graph.pred)
+    heads = np.repeat(
+        np.arange(num_ops, dtype=np.int64), np.diff(np.asarray(graph.pred_indptr))
+    )
+    chunk = np.asarray(graph.cell) % graph.problem.num_chunks
+    edges = np.flatnonzero(chunk[pred] != chunk[heads])
+    fed_by = np.full(num_ops, -1, dtype=np.int64)
+    feeds = fed_by.copy()
+    fed_by[heads[edges]] = pred[edges]
+    feeds[pred[edges]] = heads[edges]
+    return int64_table(fed_by), int64_table(feeds)
 
 
 def _compile(schedule: Schedule, token: int) -> ScheduleGraph:

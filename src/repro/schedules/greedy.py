@@ -437,13 +437,15 @@ class BuildFacts(NamedTuple):
     ``ledger_peak_units`` is the ledger peak its loop booked (bit-equal
     to the compiled graph's, :func:`repro.analysis.evaluate.
     ledger_peak_units`); ``start`` is every op's committed start in
-    dense (stage-major program) order, one read-only float64 array.
+    dense (stage-major program) order, one read-only float64 array,
+    under ``cost``, the model the build was planned with.
     The start is the replay's whenever :func:`repro.analysis.evaluate.certify.check`
     passes it against the replay's costs.
     """
 
     ledger_peak_units: float
     start: npt.NDArray[np.float64]
+    cost: CostModel
 
 
 def build_facts(schedule: Schedule) -> BuildFacts | None:
@@ -455,8 +457,20 @@ def build_facts(schedule: Schedule) -> BuildFacts | None:
     stop trusting the emitted codes too.
     """
     if isinstance(schedule, _DenseSchedule) and schedule._programs is None:
-        return BuildFacts(schedule.ledger_peak_units, schedule._start)
+        return BuildFacts(schedule.ledger_peak_units, schedule._start, schedule._cost)
     return None
+
+
+def build_claim(
+    schedule: Schedule, cost: CostModel
+) -> npt.NDArray[np.float64] | None:
+    """A greedy build's committed start, as a claim about ``cost``'s
+    replay: only while :func:`build_facts` holds and ``cost`` equals the
+    model the build was planned with.  Under any other model the build
+    committed other durations, so a check of the claim could only fail.
+    """
+    facts = build_facts(schedule)
+    return facts.start if facts is not None and facts.cost == cost else None
 
 
 class _DenseSchedule(Schedule):
@@ -465,8 +479,9 @@ class _DenseSchedule(Schedule):
     Carries the generator's dense tables: the per-stage canonical-code
     programs (``_stage_codes``, one read-only int64 buffer per stage),
     the shared ``ops_by_code`` index (``_build_ops``) and the committed
-    timeline (``_start``; read through :func:`build_facts`, and never
-    part of the fingerprint or a memo key).
+    timeline (``_start``, under the planning cost model ``_cost``; read
+    through :func:`build_facts`, and never part of the fingerprint or a
+    memo key).
     :func:`repro.schedules.graph.compiled_graph` compiles the codes
     directly on first use, so a build nobody verifies or evaluates is
     never compiled.  The ``OpId``-based
@@ -486,6 +501,7 @@ class _DenseSchedule(Schedule):
         token: int,
         ledger_peak_units: float,
         start: npt.NDArray[np.float64],
+        cost: CostModel,
     ) -> None:
         # No dataclass __init__: ``programs`` is a lazy property here.
         self.problem = problem
@@ -495,6 +511,7 @@ class _DenseSchedule(Schedule):
         self._build_ops = build_ops
         self._stage_codes = stage_codes
         self._start = start
+        self._cost = cost
         self._programs: list[StageProgram] | None = None
         self._dense_token = token
 
@@ -565,7 +582,8 @@ def _greedy_once(
     # nothing builds it until something materializes programs,
     # ``graph.ops``, or a deadlock witness.
     build_ops = cache(partial(_all_ops, problem))
-    costs = _code_costs(problem, cost or UniformCost(problem), build_ops)
+    planned = cost or UniformCost(problem)
+    costs = _code_costs(problem, planned, build_ops)
     wdefer = (
         WGRAD_DEFER_SAMPLES
         * problem.virtual_size
@@ -587,7 +605,7 @@ def _greedy_once(
     ]
     peak, starts = _drain(problem, policy, stages, costs, ceiling, build_ops)
     programs = [st.program for st in stages]
-    return _emit(problem, name, programs, build_ops, peak, starts)
+    return _emit(problem, name, programs, build_ops, peak, starts, planned)
 
 
 def _all_ops(problem: PipelineProblem) -> list[OpId]:
@@ -940,6 +958,7 @@ def _emit(
     build_ops: Callable[[], list[OpId]],
     peak: float,
     starts: list[float],
+    cost: CostModel,
 ) -> _DenseSchedule:
     """The finished build's schedule, its content fingerprint taken
     from the memoized per-code op hashes (equal to hashing the
@@ -965,7 +984,9 @@ def _emit(
     stage_codes = [int64_table(codes) for codes in programs]
     start = np.asarray(starts)[np.concatenate(stage_codes)]
     start.flags.writeable = False
-    return _DenseSchedule(problem, name, build_ops, stage_codes, token, peak, start)
+    return _DenseSchedule(
+        problem, name, build_ops, stage_codes, token, peak, start, cost
+    )
 
 
 def _ledger_deltas(problem: PipelineProblem) -> list[float]:

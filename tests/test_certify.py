@@ -14,21 +14,24 @@ what it should pass, so no build falls back silently.
 
 import dataclasses
 import inspect
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import repro.analysis.evaluate.core as core
 import repro.analysis.evaluate.dense as dense
 import repro.schedules.greedy as greedy
 import repro.sim.executor as executor
 from repro.analysis.evaluate import evaluate_schedule, ledger_peak_units
 from repro.analysis.evaluate.certify import check
 from repro.analysis.evaluate.dense import dense_schedule_times, op_cost_arrays
+from repro.api import EvaluateRequest, ShapeSpec, execute
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_7B
 from repro.parallel.strategies import ParallelConfig
 from repro.planner.evaluate import _ledger_peak_units, _prelude
-from repro.schedules import dapple_schedule, mepipe_schedule
+from repro.schedules import dapple_schedule, gencache, mepipe_schedule
 from repro.schedules.base import OpKind, Schedule, StageProgram
 from repro.schedules.graph import compiled_graph, toposort_plan
 from repro.schedules.greedy import build_facts, greedy_schedule
@@ -86,6 +89,7 @@ def rebuilt(schedule, start):
         schedule._dense_token,
         schedule.ledger_peak_units,
         start,
+        schedule._cost,
     )
 
 
@@ -315,6 +319,25 @@ def test_a_build_priced_under_another_cost_model_falls_back(monkeypatch):
     other = UniformCost(schedule.problem, tf=1.0, tb=2.5, tw=0.5)
     assert claim(schedule, other, build_facts(schedule).start) is None
     assert_kernel_priced(schedule, other, monkeypatch)
+
+
+@pytest.mark.parametrize("tw,checks,replays", [(1.0, 0, 1), (0.0, 1, 0)])
+def test_an_evaluate_request_checks_only_a_build_planned_under_its_cost(
+    tw, checks, replays, monkeypatch
+):
+    # The request builds under the unit cost model (tw 0) and prices
+    # under its own tw: the build's timeline is a claim about tw 0 only.
+    monkeypatch.setattr(gencache, "_store", OrderedDict())  # a fresh build
+    request = EvaluateRequest(
+        method="mepipe", shape=ShapeSpec(4, 8, slices=4, wgrad_gemms=2), tw=tw
+    )
+    checked = counting(monkeypatch, core, "check")
+    replayed = counting(monkeypatch, dense, "wavefront_times")
+    body = execute(request).to_json()
+    assert (len(checked), len(replayed)) == (checks, replays)
+    # The same bytes as the kernel's answer.
+    monkeypatch.setattr(core, "build_claim", lambda schedule, cost: None)
+    assert execute(request).to_json() == body
 
 
 def test_a_greedy_build_is_priced_and_confirmed_without_a_replay(monkeypatch):

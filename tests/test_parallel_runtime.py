@@ -27,14 +27,23 @@ import threading
 import numpy as np
 import pytest
 
+import repro.analysis.evaluate.core as evaluate_core
 import repro.pipeline.parallel_runtime as parallel_runtime
+from repro.analysis.evaluate import evaluate_schedule
 from repro.data import token_batches
 from repro.model import tiny_spec
 from repro.nn import Adam, build_model
 from repro.pipeline import FaultSpec, ParallelPipelineRuntime, PipelineRuntime
 from repro.pipeline.channels import ChannelKey, create_channel
-from repro.schedules import ScheduleError, build_problem, build_schedule
+from repro.schedules import (
+    ScheduleError,
+    build_problem,
+    build_schedule,
+    mepipe_schedule,
+)
 from repro.schedules.base import OpKind
+from repro.schedules.greedy import build_facts
+from repro.sim import UniformCost
 
 SPEC = tiny_spec(hidden_size=32, num_layers=6, num_heads=4,
                  ffn_hidden_size=64, vocab_size=31, seq_length=16)
@@ -168,6 +177,27 @@ class TestBitExactness:
                 optimizer.step()
             losses[cls.__name__] = trail
         assert losses["ParallelPipelineRuntime"] == losses["PipelineRuntime"]
+
+
+class TestBuildFactsSurviveARun:
+    def test_a_run_leaves_a_greedy_build_priced_from_its_timeline(
+        self, data, monkeypatch
+    ):
+        """Both runtimes read the compiled graph, never the build's
+        ``OpId`` programs, so its committed timeline still prices it."""
+        problem = build_problem("mepipe", 2, N, num_slices=2, wgrad_gemms=2)
+        schedule = mepipe_schedule(problem)  # fresh: not the memo's object
+        assert build_facts(schedule) is not None
+        run_serial(schedule, data)
+        run_parallel(schedule, data)
+        assert build_facts(schedule) is not None
+        replays = []
+        monkeypatch.setattr(
+            evaluate_core, "dense_schedule_times",
+            lambda *args: replays.append(args),
+        )
+        evaluate_schedule(schedule, UniformCost(problem))
+        assert replays == []
 
 
 class TestMeasuredOverlap:

@@ -17,6 +17,7 @@ from repro.schedules.graph import (
     KIND_F,
     KIND_W,
     ScheduleGraph,
+    boundary_table,
     channel_table,
     compiled_graph,
     fingerprint,
@@ -34,6 +35,7 @@ from repro.schedules.greedy import (
 from repro.schedules.methods import build_problem, build_schedule
 from repro.schedules.verify import verify_schedule
 
+from tests.test_pipeline_runtime import ALL_METHODS, N
 from tests.test_verify import clone, golden_grid
 
 
@@ -84,6 +86,50 @@ def test_csr_edges_match_problem_deps(method, p, n, s, v, g):
         for e in range(graph.succ_indptr[i], graph.succ_indptr[i + 1])
     }
     assert edges == tr
+
+
+@pytest.mark.parametrize(
+    "method,kwargs", ALL_METHODS, ids=[f"{m}-{k}" for m, k in ALL_METHODS]
+)
+def test_boundary_table_is_the_op_rule(method, kwargs):
+    """``fed_by``/``feeds`` are the Section 4.1 rule on ``OpId``s (F
+    takes chunk c-1's tensor, B takes chunk c+1's), and the pairs that
+    cross stages are exactly :func:`channel_table`'s messages."""
+    problem = build_problem(method, 4, N, **kwargs)
+    graph = compiled_graph(build_schedule(method, problem))
+    fed_by, feeds = boundary_table(graph)
+    index_of = {op: i for i, op in enumerate(graph.ops)}
+    expect_fed = [-1] * graph.num_ops
+    for i, op in enumerate(graph.ops):
+        mb, sl, c = op.microbatch, op.slice_idx, op.chunk
+        if op.kind is OpKind.F and c > 0:
+            expect_fed[i] = index_of[OpId(OpKind.F, mb, sl, c - 1)]
+        elif op.kind is OpKind.B and c < problem.num_chunks - 1:
+            expect_fed[i] = index_of[OpId(OpKind.B, mb, sl, c + 1)]
+    expect_feeds = [-1] * graph.num_ops
+    crossing: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
+    local = 0
+    for i, j in enumerate(expect_fed):
+        if j < 0:
+            continue
+        expect_feeds[j] = i
+        src, dst = graph.stage[j], graph.stage[i]
+        if src == dst:
+            local += 1
+        else:
+            kind = graph.ops[j].kind.value
+            crossing.setdefault((src, dst, kind), []).append((j, i))
+    assert list(fed_by) == expect_fed
+    assert list(feeds) == expect_feeds
+    table = channel_table(graph)
+    assert sorted(crossing) == sorted(table)
+    for key, channel in table.items():
+        assert sorted(crossing[key]) == list(
+            zip(channel.src_ops.tolist(), channel.dst_ops.tolist())
+        ), key
+    if method in ("hanayo", "zbv"):
+        # The V turn: two adjacent chunks on one stage, a local tensor.
+        assert local > 0
 
 
 def test_kind_codes_and_cross_flags():
@@ -173,7 +219,7 @@ def _dense_variant(edit):
     ops = base._build_ops() + [FOREIGN]
     schedule = _DenseSchedule(
         base.problem, base.name, lambda: ops, codes, hash(repr(codes)),
-        base.ledger_peak_units, base._start,
+        base.ledger_peak_units, base._start, base._cost,
     )
     return schedule, ops[code]
 
