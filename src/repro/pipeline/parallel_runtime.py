@@ -142,6 +142,7 @@ class _WorkerConfig:
 
     stage: int
     graph: ScheduleGraph
+    boundary: tuple[memoryview, memoryview]  #: boundary_table(graph)
     chunk_components: dict[int, list[Component]]
     tokens: Array
     targets: Array
@@ -276,7 +277,7 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
     this stage, else through the ring between the two stages."""
     graph = cfg.graph
     ops, stage_of = graph.ops, graph.stage
-    fed_by, feeds = boundary_table(graph)
+    fed_by, feeds = cfg.boundary
     lo, hi = graph.stage_bounds[cfg.stage]
     stats = StageStats(stage=cfg.stage)
     executor = StageExecutor(
@@ -466,19 +467,16 @@ class ParallelPipelineRuntime:
             normalize_capacities,
         )
 
-        if isinstance(capacity_mode, str):
-            plan = infer_capacities(schedule)
-            if capacity_mode == "auto":
-                caps = plan.capacities("deadlock-free")
-            elif capacity_mode == "full":
-                caps = plan.capacities("full")
-            else:
-                raise ScheduleError(
-                    f"unknown capacity_mode {capacity_mode!r} "
-                    "(expected 'auto', 'full', or a capacity mapping)"
-                )
-        else:
+        if not isinstance(capacity_mode, str):
             caps = normalize_capacities(capacity_mode)
+        elif capacity_mode in ("auto", "full"):
+            mode = "deadlock-free" if capacity_mode == "auto" else "full"
+            caps = infer_capacities(schedule).capacities(mode)
+        else:
+            raise ScheduleError(
+                f"unknown capacity_mode {capacity_mode!r} "
+                "(expected 'auto', 'full', or a capacity mapping)"
+            )
         report = check_capacities(schedule, capacities=caps)
         if not report.ok:
             raise ScheduleError(
@@ -562,6 +560,7 @@ class ParallelPipelineRuntime:
         slots, _ = self.plan_channels(schedule, capacity_mode=capacity_mode)
         num_stages = problem.num_stages
         graph = compiled_graph(schedule)
+        boundary, _ = boundary_table(graph), graph.ops  # forked workers inherit both
         chunks = self.model.partition(problem.num_chunks)
         ctx = _fork_context()
 
@@ -578,6 +577,7 @@ class ParallelPipelineRuntime:
                     cfg = _WorkerConfig(
                         stage=stage,
                         graph=graph,
+                        boundary=boundary,
                         chunk_components={
                             c: chunks[c] for c in problem.chunks_of_stage(stage)
                         },
