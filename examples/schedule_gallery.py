@@ -67,16 +67,24 @@ def diagnose_corrupted_schedule() -> None:
     each stage wedges, and prints the minimal blocking cycle that
     proves it (docs/verification.md).
     """
-    from repro.schedules import OpId, OpKind, dapple_schedule, verify_schedule
+    from repro.schedules import (
+        OpId,
+        OpKind,
+        Schedule,
+        StageProgram,
+        build_schedule,
+        verify_schedule,
+    )
 
-    # The generator itself, not build_schedule: that one hands every
-    # caller the same memoised object, which must not be corrupted.
-    schedule = dapple_schedule(build_problem("dapple", P, N))
-    last = schedule.programs[-1].ops
+    # A schedule is frozen once built: corrupt an edited copy.
+    built = build_schedule("dapple", build_problem("dapple", P, N))
+    last = list(built.programs[-1].ops)
     fwd = OpId(OpKind.F, 0, 0, P - 1)
     bwd = OpId(OpKind.B, 0, 0, P - 1)
     i, j = last.index(fwd), last.index(bwd)
     last[i], last[j] = last[j], last[i]
+    programs = [*built.programs[:-1], StageProgram(P - 1, last)]
+    schedule = Schedule(built.problem, programs, built.name)
 
     print()
     print("--- the static verifier on a corrupted schedule ---")

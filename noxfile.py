@@ -25,7 +25,7 @@ Run `nox -s <session>`, or the same commands directly:
     service   python -m pytest -x -q tests/test_service.py tests/test_service_jobs.py tests/test_service_fuzz.py tests/test_api.py tests/test_warm_path.py tests/test_planner_parallel.py
     tests     python -m pytest -x -q
               python -m pytest -x -q --test-order=reverse
-              python -m pytest -x -q --test-order=shuffle:1
+              python -m pytest -x -q --test-order=shuffle:SEED  (SEED = 1..5)
     bench     python -m pytest -q bench/
 
 (`PYTHONPATH=src` in front of the `python -m` commands works without
@@ -248,12 +248,13 @@ def service(session: nox.Session) -> None:
 def tests(session: nox.Session) -> None:
     """The tier-1 test suite (unit + integration + property tests +
     the paper's claims regenerated), in collected order, in reverse and
-    in one fixed shuffle: it must not depend on the order its tests run
-    in."""
+    in five fixed shuffles: it must not depend on the order its tests
+    run in."""
     session.install("-e", ".[test]")
     session.run(*PYTEST, *session.posargs)
     session.run(*PYTEST, "--test-order=reverse", *session.posargs)
-    session.run(*PYTEST, "--test-order=shuffle:1", *session.posargs)
+    for seed in range(1, 6):
+        session.run(*PYTEST, f"--test-order=shuffle:{seed}", *session.posargs)
 
 
 @nox.session

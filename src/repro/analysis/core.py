@@ -16,8 +16,8 @@ numeric is computed:
 * :func:`ensure_model_verified` is the runtime's entry gate: it raises
   :class:`ModelAnalysisError` with the rendered report on any
   ERROR-severity finding, and caches the clean verdict on the schedule
-  object keyed by (schedule fingerprint, partition) so re-entering the
-  runtime with the same pair is nearly free.
+  object keyed by the partition so re-entering the runtime with the
+  same pair is nearly free.
 
 Passes 2 and 3 walk the compiled :class:`ScheduleGraph`, so the
 schedule must be structurally sound; :func:`analyze_partition` enforces
@@ -41,7 +41,7 @@ from repro.analysis.shapes import check_shapes
 from repro.model.spec import ModelSpec
 from repro.nn.model import TransformerModel
 from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
-from repro.schedules.graph import compiled_graph, fingerprint
+from repro.schedules.graph import compiled_graph
 from repro.schedules.verify.core import ensure_verified
 from repro.schedules.verify.diagnostics import Finding, Report
 
@@ -173,17 +173,16 @@ def ensure_model_verified(
     """Assert the pair analyzer-clean; raise :class:`ModelAnalysisError`
     with the rendered report on failure.
 
-    The clean verdict is cached on the schedule object keyed by
-    (content fingerprint, abstract partition), so runtime entry after a
-    construction-time analysis is nearly free — and a schedule reused
-    with a *different* model is re-proved.
+    The clean verdict is cached on the schedule object (frozen, so it
+    cannot change) keyed by the abstract partition, so runtime entry
+    after a construction-time analysis is nearly free — and a schedule
+    reused with a *different* model is re-proved.
     """
     partition = partition_from_model(model, schedule.problem.num_chunks)
-    token = (fingerprint(schedule), partition)
-    if getattr(schedule, "_analysis_token", None) == token:
+    if getattr(schedule, "_analyzed_partition", None) == partition:
         return
     report = analyze_partition(partition, schedule)
     if not report.ok:
         prefix = f"{context}: " if context else ""
         raise ModelAnalysisError(prefix + report.render_text())
-    schedule._analysis_token = token  # type: ignore[attr-defined]
+    object.__setattr__(schedule, "_analyzed_partition", partition)

@@ -15,8 +15,8 @@ A :class:`PartitionSpec` is the abstract form of a chunk-partitioned
 :class:`ComponentSpec` descriptions the three analysis passes interpret
 (:mod:`repro.analysis.shapes`, :mod:`repro.analysis.coverage`,
 :mod:`repro.analysis.memory`).  All IR nodes are frozen and hashable —
-the analyzer's verdict cache keys on ``hash(partition)`` alongside the
-schedule-graph fingerprint.
+the analyzer's verdict cache on a (frozen) schedule keys on the
+partition.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ into a :class:`ModelProgram`:
 The structure is deliberately mutable: seeded mutation tests corrupt a
 field (drop a task, remove an op, delete a happens-before edge) and
 assert the passes report the exact rule and witness.  The clean path
-always derives it fresh from the fingerprint-cached graph, so mutation
+always derives it fresh from the schedule's compiled graph, so mutation
 never leaks into real runs.
 """
 

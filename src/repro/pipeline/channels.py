@@ -3,13 +3,13 @@
 One :class:`ChannelProtocol` exists per directed cross-stage edge
 ``(src_stage, dst_stage, payload kind)`` — the exact channel model the
 static FIFO verifier (``repro.schedules.verify.channels``, rule CH001)
-proves schedules safe for: sends happen in the sender's program order,
-receives block in the receiver's program order, and the two orders
-agree.  That proof is what lets the transport be a plain
-single-producer / single-consumer ring: the receiver simply takes the
-next message and it is always the one its program needs (the header
-carries the producing op's coordinates so the invariant is asserted,
-not assumed).
+checks schedules for: sends happen in the sender's program order and
+receives block in the receiver's program order.  The transport is a
+plain single-producer / single-consumer ring that delivers in send
+order; each message's header names the op that produced it.  Where the
+two orders disagree — the wrap-channel reorder CH001 only warns about —
+the receiving worker keeps a message that arrives ahead of its turn
+until its consumer runs (:mod:`repro.pipeline.parallel_runtime`).
 
 The ring lives in one :class:`multiprocessing.shared_memory
 .SharedMemory` segment — the sender writes the tensor directly into a
@@ -41,7 +41,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.schedules.base import OpId, ScheduleError
+from repro.schedules.base import OpId, OpKind, ScheduleError
 
 Array = np.ndarray[Any, np.dtype[Any]]
 
@@ -193,29 +193,22 @@ class ChannelProtocol:
         self._index += 1
         self.used.release()
 
-    def try_recv(self, expect: OpId) -> Array | None:
-        """Non-blocking receive; ``None`` when no message is ready."""
+    def try_recv(self) -> tuple[OpId, Array] | None:
+        """Non-blocking receive of ``(producer, tensor)``; ``None`` when
+        no message is ready."""
         if not self.used.acquire(False):
             return None
-        return self._take(expect)
+        return self._take()
 
-    def recv_wait(self, expect: OpId, timeout: float) -> Array | None:
+    def recv_wait(self, timeout: float) -> tuple[OpId, Array] | None:
         """Blocking receive for up to ``timeout`` seconds."""
         if not self.used.acquire(True, timeout):
             return None
-        return self._take(expect)
+        return self._take()
 
-    def _take(self, expect: OpId) -> Array:
+    def _take(self) -> tuple[OpId, Array]:
         header, payload = self._slot(self._index)
-        mb, sl, chunk = int(header[0]), int(header[1]), int(header[2])
-        if (mb, sl, chunk) != (
-            expect.microbatch, expect.slice_idx, expect.chunk,
-        ):
-            raise ScheduleError(
-                f"channel {self.key}: FIFO violation — received message "
-                f"from op ({mb}, {sl}, c{chunk}) while waiting for "
-                f"{expect}; the schedule passed CH001 so this indicates "
-                f"a transport bug")
+        producer = OpId(OpKind(self.key.kind), *(int(x) for x in header[:3]))
         ndim = int(header[3])
         shape = tuple(int(d) for d in header[4:4 + ndim])
         dtype = _DTYPES[int(header[8])]
@@ -224,7 +217,7 @@ class ChannelProtocol:
         out: Array = view.reshape(shape).copy()  # copy out before slot reuse
         self._index += 1
         self.free.release()
-        return out
+        return producer, out
 
 
 def create_channel(

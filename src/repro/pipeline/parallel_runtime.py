@@ -95,7 +95,7 @@ from repro.pipeline.channels import (
 )
 from repro.pipeline.runtime import RunResult, StageStats, _preflight
 from repro.pipeline.stage import StageExecutor
-from repro.schedules.base import PipelineProblem, Schedule, ScheduleError
+from repro.schedules.base import OpId, PipelineProblem, Schedule, ScheduleError
 from repro.schedules.graph import (
     KIND_W,
     ScheduleGraph,
@@ -297,6 +297,10 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
     # Local mailbox: producer's op index -> boundary tensor between
     # chunks on this stage.
     local: dict[int, Array] = {}
+    # Ring messages that arrived ahead of their turn, by producing op:
+    # a ring delivers in send order, and a receive order CH001 only
+    # warns about (the wrap-channel reorder) consumes out of it.
+    early: dict[OpId, Array] = {}
 
     def run_op(i: int, payload: Array | None, t_start: float) -> None:
         nonlocal loss
@@ -333,23 +337,30 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
         return True
 
     def recv(i: int, producer: int) -> Array:
-        """Blocking receive that drains deferred W ops while waiting."""
+        """Blocking receive that drains deferred W ops while waiting;
+        messages ahead of their turn are kept in ``early``."""
         src, expect = stage_of[producer], ops[producer]
+        payload = early.pop(expect, None)
+        if payload is not None:
+            return payload
         channel = cfg.recv_channels[ChannelKey(src, cfg.stage, expect.kind.value)]
         deadline = time.perf_counter() + cfg.timeout
         while True:
-            payload = channel.try_recv(expect)
-            if payload is not None:
-                return payload
-            t_w = time.perf_counter()
-            if drain_one_wgrad():
-                stats.overlap_w_seconds += time.perf_counter() - t_w
+            message = channel.try_recv()
+            if message is None:
+                t_w = time.perf_counter()
+                if drain_one_wgrad():
+                    stats.overlap_w_seconds += time.perf_counter() - t_w
+                    continue
+                t_block = time.perf_counter()
+                message = channel.recv_wait(_POLL_SECONDS)
+                stats.wait_seconds += time.perf_counter() - t_block
+            if message is not None:
+                sender, payload = message
+                if sender == expect:
+                    return payload
+                early[sender] = payload
                 continue
-            t_block = time.perf_counter()
-            payload = channel.recv_wait(expect, _POLL_SECONDS)
-            stats.wait_seconds += time.perf_counter() - t_block
-            if payload is not None:
-                return payload
             if time.perf_counter() > deadline:
                 raise ScheduleError(
                     f"stage {cfg.stage}: recv of {expect} for {ops[i]} timed "
@@ -383,9 +394,10 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
             executed_early.add(i)
 
     wall = time.perf_counter() - t0
-    if local:
+    if local or early:
+        leftover = [str(ops[j]) for j in local] + [str(op) for op in early]
         raise ScheduleError(
-            f"stage {cfg.stage}: unconsumed local boundary tensors remain")
+            f"stage {cfg.stage}: unconsumed boundary tensors of {leftover}")
     executor.assert_drained()
     return _WorkerReport(
         stage=cfg.stage,

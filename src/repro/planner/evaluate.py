@@ -353,8 +353,7 @@ def _finalize(
 
 def _ledger_peak_units(schedule: Schedule) -> float:
     """The ledger peak :func:`_finalize` would charge: a greedy build's
-    own (bit-equal) while its programs are the emitted ones, else the
-    compiled graph's."""
+    own (bit-equal), else the compiled graph's."""
     facts = build_facts(schedule)
     if facts is not None:
         return float(facts.ledger_peak_units)

@@ -24,9 +24,9 @@ The dependency structure (Section 4.1 of the paper) is:
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 
 class OpKind(enum.Enum):
@@ -251,28 +251,41 @@ class PipelineProblem:
         return self.stage_of(dep) != self.stage_of(op)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageProgram:
-    """The ordered op list one stage executes."""
+    """The ordered ops one stage executes, frozen into a tuple."""
 
     stage: int
-    ops: list[OpId] = field(default_factory=list)
+    ops: Sequence[OpId] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", tuple(self.ops))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """A complete schedule: one ordered program per stage.
 
     Invariants (checked by :func:`validate_schedule`): each op appears
     exactly once, on the stage that hosts its chunk, and the per-stage
     orders are consistent with the dependency graph (no deadlock).
+
+    A schedule is a value: the programs it is given are frozen into
+    tuples, and assigning a field raises, so whatever is derived from
+    it once — the compiled graph, the verifier's verdict — stays true
+    for the object's whole life.  Those derivations are cached on the
+    object (``object.__setattr__``, outside the fields); to change a
+    schedule, build a new one from edited copies of its programs.
     """
 
     problem: PipelineProblem
-    programs: list[StageProgram]
+    programs: Sequence[StageProgram]
     name: str = "unnamed"
 
-    def stage_ops(self, stage: int) -> list[OpId]:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "programs", tuple(self.programs))
+
+    def stage_ops(self, stage: int) -> Sequence[OpId]:
         """Ordered ops of ``stage``."""
         return self.programs[stage].ops
 

@@ -44,9 +44,10 @@ Contract:
   and ``np.asarray`` of it is a zero-copy view, so vector consumers
   convert nothing.  A consumer that edits a table copies it first
   (``np.array``); a write through a view raises ``ValueError``.
-* Graphs are cached on the schedule object keyed by the same content
-  fingerprint the verifier uses, so one (schedule, analysis) lifetime
-  compiles exactly once; mutating a program invalidates the cache.
+* A schedule is frozen once built, so :func:`compiled_graph` compiles
+  it once and caches the graph on the object; the content hash
+  :func:`fingerprint` is taken then, once, as the graph's
+  ``fingerprint``.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class ScheduleGraph:
     def ops(self) -> tuple[OpId, ...]:
         """``OpId`` of each dense index, built on first use by the
         compiler's ``ops_factory`` — the integer tables carry all
-        structure, and many consumers (fingerprint checks, bounds
+        structure, and many consumers (the replay kernel, bounds
         evaluation) never touch the ``OpId`` objects at all.
         """
         materialized = self._ops
@@ -201,27 +202,19 @@ def _decode(problem: PipelineProblem, kc: int, ce: int, g: int) -> OpId:
 
 
 def fingerprint(schedule: Schedule) -> int:
-    """Cheap content hash of the per-stage op orders.
+    """Content hash of the per-stage op orders, the compiled graph's
+    :attr:`ScheduleGraph.fingerprint`.
 
-    Hashing every op is ~two orders of magnitude cheaper than
-    re-verifying or re-compiling, and unlike an op count it also
-    invalidates cached verdicts/graphs when a schedule is reordered in
-    place.  Shared by :func:`compiled_graph` and the verifier's verdict
-    cache so both invalidate together.  Hashes the ops' precomputed
-    ``_hash`` values directly — same collision behavior as hashing the
-    ``OpId`` tuples (tuple hashing combines element hashes either way)
-    without a Python-level ``__hash__`` call per op.
-
-    Dense-emitted schedules (the greedy engine's ``_DenseSchedule``)
-    carry the token precomputed at generation under ``_dense_token``;
-    while their ``OpId`` programs are still unmaterialized nothing
-    observable could have been mutated, so the token *is* the content
-    hash and the per-op walk is skipped.  The moment ``programs`` is
-    materialized (or replaced) the fast path disarms and in-place
-    mutation invalidates caches exactly as before.
+    Hashes the ops' precomputed ``_hash`` values directly — the same
+    collision behavior as hashing the ``OpId`` tuples (tuple hashing
+    combines element hashes either way) without a Python-level
+    ``__hash__`` call per op.  A greedy build (the engine's
+    ``_DenseSchedule``) carries this hash from generation as
+    ``_dense_token``, taken from its per-code op hashes, so its ops are
+    never walked.
     """
     token: int | None = getattr(schedule, "_dense_token", None)
-    if token is not None and getattr(schedule, "_programs", None) is None:
+    if token is not None:
         return token
     return hash(
         tuple(
@@ -232,15 +225,12 @@ def fingerprint(schedule: Schedule) -> int:
 
 
 def compiled_graph(schedule: Schedule) -> ScheduleGraph:
-    """The compiled graph of ``schedule``, cached by content fingerprint."""
-    token = fingerprint(schedule)
-    cached: tuple[int, ScheduleGraph] | None = getattr(
-        schedule, "_graph_cache", None
-    )
-    if cached is not None and cached[0] == token:
-        return cached[1]
-    graph = _compile(schedule, token)
-    schedule._graph_cache = (token, graph)  # type: ignore[attr-defined]
+    """The compiled graph of ``schedule``: compiled on first use and
+    cached on the object, which cannot change (a schedule is frozen)."""
+    graph: ScheduleGraph | None = getattr(schedule, "_graph", None)
+    if graph is None:
+        graph = _compile(schedule)
+        object.__setattr__(schedule, "_graph", graph)
     return graph
 
 
@@ -431,19 +421,18 @@ def boundary_table(graph: ScheduleGraph) -> tuple[memoryview, memoryview]:
     return int64_table(fed_by), int64_table(feeds)
 
 
-def _compile(schedule: Schedule, token: int) -> ScheduleGraph:
+def _compile(schedule: Schedule) -> ScheduleGraph:
     """Lower ``schedule`` to canonical op codes, then to its graph.
 
-    A dense-emitted schedule (the greedy engine's) whose ``OpId``
-    programs are still unmaterialized hands over its per-stage codes
-    as they are, and its ``OpId`` tuple is built only on demand.  Any
-    other schedule is encoded here in one pass over its programs; the
-    graph's ``ops`` is the tuple of ops snapshotted by that pass, so a
-    later in-place edit of a program never shows through.
+    A dense-emitted schedule (the greedy engine's) hands over its
+    per-stage codes as they are, and its ``OpId`` tuple is built only
+    on demand.  Any other schedule is encoded here in one pass over its
+    programs, whose ops become the graph's ``ops``.
     """
     problem = schedule.problem
+    token = fingerprint(schedule)
     emitted = getattr(schedule, "_stage_codes", None)
-    if emitted is not None and getattr(schedule, "_programs", 0) is None:
+    if emitted is not None:
         build_ops = schedule._build_ops  # type: ignore[attr-defined]
 
         def ops_factory() -> tuple[OpId, ...]:
@@ -451,10 +440,8 @@ def _compile(schedule: Schedule, token: int) -> ScheduleGraph:
             return tuple(ops[code] for codes in emitted for code in codes)
 
         return graph_from_codes(problem, emitted, token, ops_factory, schedule.name)
-    stage_codes, snapshot = _encode(schedule)
-    return graph_from_codes(
-        problem, stage_codes, token, lambda: snapshot, schedule.name
-    )
+    stage_codes, ops = _encode(schedule)
+    return graph_from_codes(problem, stage_codes, token, lambda: ops, schedule.name)
 
 
 def _encode(schedule: Schedule) -> tuple[list[list[int]], tuple[OpId, ...]]:
@@ -499,8 +486,7 @@ def _encode(schedule: Schedule) -> tuple[list[list[int]], tuple[OpId, ...]]:
                 )
             codes.append(code)
         stage_codes.append(codes)
-    snapshot = tuple(op for program in programs for op in program.ops)
-    return stage_codes, snapshot
+    return stage_codes, tuple(op for program in programs for op in program.ops)
 
 
 def graph_from_codes(

@@ -36,14 +36,14 @@ engine — preserved verbatim under ``tests/oracles/`` — by
 Generated schedules carry their per-stage code programs: the compiled
 graph is built from those codes on first use (see
 :func:`repro.schedules.graph.compiled_graph`), and the ``OpId``
-programs are materialized lazily.
+programs only if something reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -449,14 +449,10 @@ class BuildFacts(NamedTuple):
 
 
 def build_facts(schedule: Schedule) -> BuildFacts | None:
-    """A greedy build's :class:`BuildFacts`, while they describe it.
-
-    ``None`` for any other schedule, and once the build's ``programs``
-    were materialized or replaced: the condition under which
-    :func:`repro.schedules.graph.fingerprint` and the graph compiler
-    stop trusting the emitted codes too.
-    """
-    if isinstance(schedule, _DenseSchedule) and schedule._programs is None:
+    """A greedy build's :class:`BuildFacts`; ``None`` for any other
+    schedule.  A build is frozen like every schedule, so its facts hold
+    for its whole life."""
+    if isinstance(schedule, _DenseSchedule):
         return BuildFacts(schedule.ledger_peak_units, schedule._start, schedule._cost)
     return None
 
@@ -478,19 +474,24 @@ class _DenseSchedule(Schedule):
 
     Carries the generator's dense tables: the per-stage canonical-code
     programs (``_stage_codes``, one read-only int64 buffer per stage),
-    the shared ``ops_by_code`` index (``_build_ops``) and the committed
-    timeline (``_start``, under the planning cost model ``_cost``; read
-    through :func:`build_facts`, and never part of the fingerprint or a
-    memo key).
+    the shared ``ops_by_code`` index (``_build_ops``), the content
+    fingerprint taken at generation (``_dense_token``) and the
+    committed timeline (``_start``, under the planning cost model
+    ``_cost``; read through :func:`build_facts`, and never part of the
+    fingerprint or a memo key).
     :func:`repro.schedules.graph.compiled_graph` compiles the codes
     directly on first use, so a build nobody verifies or evaluates is
-    never compiled.  The ``OpId``-based
-    ``programs`` list is materialized on first access; until then the
-    content fingerprint is served from the precomputed token (the
-    object cannot have been mutated before anyone could reach its
-    programs), after which :func:`repro.schedules.graph.fingerprint`
-    recomputes it as usual so in-place mutation still invalidates.
+    never compiled.  The ``OpId``-based ``programs`` are built from the
+    codes on first read; nothing else needs them.
     """
+
+    num_ops: int
+    ledger_peak_units: float
+    _build_ops: Callable[[], list[OpId]]
+    _stage_codes: list[memoryview]
+    _start: npt.NDArray[np.float64]
+    _cost: CostModel
+    _dense_token: int
 
     def __init__(
         self,
@@ -503,33 +504,30 @@ class _DenseSchedule(Schedule):
         start: npt.NDArray[np.float64],
         cost: CostModel,
     ) -> None:
-        # No dataclass __init__: ``programs`` is a lazy property here.
-        self.problem = problem
-        self.num_ops = sum(map(len, stage_codes))
-        self.ledger_peak_units = ledger_peak_units
-        self.name = name
-        self._build_ops = build_ops
-        self._stage_codes = stage_codes
-        self._start = start
-        self._cost = cost
-        self._programs: list[StageProgram] | None = None
-        self._dense_token = token
+        # Frozen like any schedule: the fields are set directly, and
+        # ``programs`` is built on first read.
+        self.__dict__.update(
+            problem=problem,
+            num_ops=sum(map(len, stage_codes)),
+            ledger_peak_units=ledger_peak_units,
+            name=name,
+            _build_ops=build_ops,
+            _stage_codes=stage_codes,
+            _start=start,
+            _cost=cost,
+            _dense_token=token,
+        )
 
-    @property
-    def programs(self) -> list[StageProgram]:
-        materialized = self._programs
-        if materialized is None:
-            ops = self._build_ops()
-            materialized = [
-                StageProgram(stage=st, ops=[ops[code] for code in codes])
-                for st, codes in enumerate(self._stage_codes)
-            ]
-            self._programs = materialized
-        return materialized
+    @cached_property
+    def programs(self) -> tuple[StageProgram, ...]:
+        ops = self._build_ops()
+        return tuple(
+            StageProgram(st, tuple(map(ops.__getitem__, codes)))
+            for st, codes in enumerate(self._stage_codes)
+        )
 
-    @programs.setter
-    def programs(self, value: list[StageProgram]) -> None:
-        self._programs = value
+    def op_count(self) -> int:
+        return self.num_ops
 
 
 def _greedy_once(

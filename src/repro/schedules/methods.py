@@ -156,17 +156,15 @@ def build_schedule(
 
     A pure function of its first four arguments, memoised on them
     (:mod:`repro.schedules.gencache`): equal inputs return the *same*
-    shared object — to mutate one, copy it or call its generator
-    (``dapple_schedule`` …) directly.
+    shared object, which is safe because a schedule is frozen.
 
     ``ceiling`` is not an input: a greedy build under one raises
     :class:`~repro.schedules.greedy.BuildPruned` once its memory floor
     reaches it, never memoised; other builds ignore it.
 
-    Every returned schedule, built or remembered, passes through the
-    static verifier's safety tier (placement, coverage, deadlock): a
-    generation bug, or a caller that mutated a shared schedule in
-    place, surfaces here as a :class:`ScheduleError` carrying the full
+    Every built schedule passes through the static verifier's safety
+    tier (placement, coverage, deadlock) once: a generation bug
+    surfaces here as a :class:`ScheduleError` carrying the full
     diagnostic report rather than as a wedged simulation.
     """
     key = method.lower()

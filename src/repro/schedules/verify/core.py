@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.schedules.base import Schedule, ScheduleError
-from repro.schedules.graph import ScheduleGraph, compiled_graph, fingerprint
+from repro.schedules.graph import ScheduleGraph, compiled_graph
 from repro.schedules.verify.channels import check_channels
 from repro.schedules.verify.deps import check_deadlock, check_structure
 from repro.schedules.verify.diagnostics import Report
@@ -100,27 +100,21 @@ def _filtered(report: Report, wanted: set[str]) -> Report:
     return report
 
 
-# The verdict cache shares the compiled graph's content fingerprint so
-# both invalidate together when a schedule is mutated in place.
-_fingerprint = fingerprint
-
-
 def ensure_verified(schedule: Schedule, context: str = "") -> None:
     """Assert the safety tier; raise :class:`ScheduleError` with the
     rendered report on failure.
 
-    The clean verdict is cached on the schedule object, keyed by a
-    content fingerprint, so construction-time verification makes
-    simulator/runtime entry nearly free.
+    The clean verdict is cached on the schedule object, which cannot
+    change (a schedule is frozen), so construction-time verification
+    makes simulator/runtime entry nearly free.
     """
-    token = _fingerprint(schedule)
-    if getattr(schedule, "_verify_token", None) == token:
+    if getattr(schedule, "_verified", False):
         return
     report = verify_schedule(schedule, rules=SAFETY_RULES)
     if not report.ok:
         prefix = f"{context}: " if context else ""
         raise ScheduleError(prefix + report.render_text())
-    schedule._verify_token = token  # type: ignore[attr-defined]
+    object.__setattr__(schedule, "_verified", True)
 
 
 def assert_clean(
@@ -138,5 +132,5 @@ def assert_clean(
     report = verify_schedule(schedule, method=method)
     if not report.ok:
         raise ScheduleError(report.render_text())
-    schedule._verify_token = _fingerprint(schedule)  # type: ignore[attr-defined]
+    object.__setattr__(schedule, "_verified", True)
     return report

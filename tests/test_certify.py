@@ -32,7 +32,7 @@ from repro.model.spec import LLAMA_7B
 from repro.parallel.strategies import ParallelConfig
 from repro.planner.evaluate import _ledger_peak_units, _prelude
 from repro.schedules import dapple_schedule, gencache, mepipe_schedule
-from repro.schedules.base import OpKind, Schedule, StageProgram
+from repro.schedules.base import OpKind, Schedule
 from repro.schedules.graph import compiled_graph, toposort_plan
 from repro.schedules.greedy import build_facts, greedy_schedule
 from repro.schedules.methods import build_problem
@@ -41,6 +41,7 @@ from repro.sim.cost import UniformCost, cost_table
 from repro.sim.executor import confirm, simulate
 
 from tests.test_greedy_golden import POLICIES, SHAPES, costs_for, problem_grid
+from tests.test_verify import Draft
 
 #: A Figure 10-style cell (LLaMA-7B, 64 RTX 4090s, dp=16 x pp=4) whose
 #: mepipe build, at ``ARRIVAL_EPS`` admission, starts ops up to ε
@@ -164,11 +165,11 @@ def test_two_stage_order_ops_swapped():
     graph = compiled_graph(schedule)
     times = dense_schedule_times(graph, cost)
     by_op = dict(zip(graph.ops, times.start.tolist()))
-    programs = [StageProgram(p.stage, list(p.ops)) for p in schedule.programs]
-    last = programs[-1].ops
+    draft = Draft(schedule)
+    last = draft.ops[-1]
     assert {last[-1].kind, last[-2].kind} == {OpKind.W}
     last[-2], last[-1] = last[-1], last[-2]
-    swapped = Schedule(schedule.problem, programs, "swapped")
+    swapped = draft.build()
     ensure_verified(swapped, context="test")
     swapped_graph = compiled_graph(swapped)
     claimed = np.array([by_op[op] for op in swapped_graph.ops])
@@ -358,20 +359,28 @@ def test_a_greedy_build_is_priced_and_confirmed_without_a_replay(monkeypatch):
 # Build facts describe the emitted programs only
 # ----------------------------------------------------------------------
 def test_replaced_programs_disown_the_build_facts(monkeypatch):
+    """A build's programs cannot be replaced; an edited copy is a plain
+    :class:`Schedule`, with no build facts, so the kernel prices it."""
     problem = build_problem(
         "mepipe", 4, 8, num_slices=2, virtual_size=1, wgrad_gemms=2
     )
     schedule = mepipe_schedule(problem)
     assert _ledger_peak_units(schedule) == schedule.ledger_peak_units
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        schedule.programs = schedule.programs[::-1]
     # Every W of stage 0 moved to the end of its program: legal, and
     # the deferred weight gradients pin more memory.
-    first, *rest = schedule.programs
-    ops = [op for op in first.ops if op.kind is not OpKind.W]
-    ops += [op for op in first.ops if op.kind is OpKind.W]
-    schedule.programs = [StageProgram(0, ops), *rest]
-    graph = compiled_graph(schedule)
-    assert build_facts(schedule) is None
-    assert _ledger_peak_units(schedule) == ledger_peak_units(graph) == 4.0
-    assert schedule.ledger_peak_units == 1.0  # the stale build fact
+    draft = Draft(schedule)
+    first = draft.ops[0]
+    draft.ops[0] = [op for op in first if op.kind is not OpKind.W]
+    draft.ops[0] += [op for op in first if op.kind is OpKind.W]
+    edited = draft.build()
+    graph = compiled_graph(edited)
+    assert type(edited) is Schedule
+    assert build_facts(edited) is None
+    assert _ledger_peak_units(edited) == ledger_peak_units(graph) == 4.0
+    # The build keeps its own facts.
+    assert build_facts(schedule) is not None
+    assert _ledger_peak_units(schedule) == schedule.ledger_peak_units == 1.0
     cost = UniformCost(problem)
-    assert_kernel_priced(schedule, cost, monkeypatch)
+    assert_kernel_priced(edited, cost, monkeypatch)

@@ -6,22 +6,42 @@ graph's integer tables.  It decodes one ``OpId`` per distinct cost key
 or named op, never one per op: the count of ``OpId`` constructions is
 independent of the number of micro-batches, and the graph's ``OpId``
 tuple stays unbuilt.  The count is exact and deterministic; this is the
-fence against someone re-adding ``graph.ops`` to the hot path.
+fence against someone re-adding ``graph.ops`` to the hot path.  A
+greedy build counts its ops the same way, without building one.
 """
+
+from contextlib import contextmanager
 
 from repro.analysis.core import _interface_findings
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_7B
 from repro.parallel.strategies import ParallelConfig
 from repro.planner.evaluate import _prelude, evaluate_config
-from repro.schedules import build_schedule, gencache
+from repro.schedules import build_schedule, gencache, mepipe_schedule
 from repro.schedules.base import OpId
 from repro.schedules.graph import compiled_graph
+from repro.schedules.methods import build_problem
 from repro.sim.executor import simulate
 
 #: dp=8 x pp=8 on the 64-GPU cluster; no channel of this shape carries
 #: a CH001 reorder (whose witness messages would scale with n).
 CONFIG = ParallelConfig(dp=8, pp=8, spp=4)
+
+
+@contextmanager
+def counting_op_ids(monkeypatch):
+    """Count ``OpId`` constructions inside the block: yields a one-item
+    list holding the count."""
+    made = [0]
+    post_init = OpId.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        post_init(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OpId, "__post_init__", counting)
+        yield made
 
 
 def confirm(num_microbatches, monkeypatch):
@@ -35,15 +55,7 @@ def confirm(num_microbatches, monkeypatch):
     gencache.clear()
     _interface_findings.cache_clear()
     _prelude.cache_clear()
-    made = [0]
-    post_init = OpId.__post_init__
-
-    def counting(self):
-        made[0] += 1
-        post_init(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(OpId, "__post_init__", counting)
+    with counting_op_ids(monkeypatch) as made:
         result = evaluate_config(
             "mepipe", LLAMA_7B, RTX4090_CLUSTER, CONFIG, gbs, tier="sim"
         )
@@ -68,3 +80,12 @@ def test_confirming_a_config_allocates_per_cost_key_not_per_op(monkeypatch):
     assert graph_32._ops is None
     assert len(result.records) == schedule_32.op_count() == graph_32.num_ops
     assert graph_32._ops is not None
+
+
+def test_a_greedy_build_counts_its_ops_without_building_them(monkeypatch):
+    problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
+    schedule = mepipe_schedule(problem)  # fresh: its OpId index unbuilt
+    with counting_op_ids(monkeypatch) as made:
+        count = schedule.op_count()
+    assert made == [0]
+    assert count == compiled_graph(schedule).num_ops == len(problem.all_ops())

@@ -18,7 +18,7 @@ problem, cost, f)``.  The contract:
 import random
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
@@ -27,7 +27,7 @@ from repro.model.spec import LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
 from repro.planner.parallel import CACHE_SCHEMA, EvalTask, eval_fingerprint
 from repro.schedules import gencache
-from repro.schedules.base import PipelineProblem, ScheduleError
+from repro.schedules.base import PipelineProblem
 from repro.schedules.graph import compiled_graph, fingerprint
 from repro.schedules.methods import METHODS, build_problem, build_schedule
 from repro.sim.cost import UniformCost
@@ -198,17 +198,22 @@ def test_profiled_cost_is_not_a_memo_key():
 
 def test_a_shared_schedule_mutated_in_place_is_rejected_not_served():
     """``build_schedule`` returns one shared object per key, for the
-    explicit generators too.  A caller that reorders it in place must
-    not poison later callers: the safety tier re-runs on the hit."""
+    explicit generators too.  A schedule is frozen, so a caller cannot
+    reorder it in place and poison later callers: the edit raises, and
+    a hit is the object that was built, unchanged."""
     problem = problem_for("dapple")
     shared = build_schedule("dapple", problem)
-    shared.programs[0].ops.reverse()  # backward-before-forward: deadlock
-    with pytest.raises(ScheduleError, match="DL001"):
-        build_schedule("dapple", problem)
+    programs = shared.programs
+    with pytest.raises(AttributeError):
+        shared.programs[0].ops.reverse()  # backward-before-forward: deadlock
+    with pytest.raises(FrozenInstanceError):
+        shared.programs = programs[::-1]
+    assert build_schedule("dapple", problem) is shared
+    assert shared.programs is programs
     gencache.clear()
     clean = build_schedule("dapple", problem)
     assert clean is not shared
-    assert clean.programs[0].ops == shared.programs[0].ops[::-1]
+    assert clean.programs == programs
 
 
 # ----------------------------------------------------------------------

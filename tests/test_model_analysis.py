@@ -87,7 +87,7 @@ class TestRuntimeGate:
         schedule = built("mepipe", dict(SETUPS[-1][1]))
         model = build_model(SPEC, seed=11)
         ensure_model_verified(model, schedule)
-        assert getattr(schedule, "_analysis_token", None) is not None
+        assert getattr(schedule, "_analyzed_partition", None) is not None
 
         # A second entry with the same pair must not re-analyze.
         import repro.analysis.core as core
@@ -107,9 +107,9 @@ class TestRuntimeGate:
             vocab_size=31, seq_length=16,
         )
         other = build_model(wider, seed=11)
-        token = schedule._analysis_token
+        partition = schedule._analyzed_partition
         ensure_model_verified(other, schedule)
-        assert schedule._analysis_token != token
+        assert schedule._analyzed_partition != partition
 
     def test_runtime_rejects_spliced_incompatible_layer(self):
         # A decoder layer from a wider model spliced into the pipeline

@@ -43,25 +43,13 @@ from repro.schedules import (
 )
 from repro.schedules.base import OpKind
 from repro.schedules.greedy import build_facts
+from repro.schedules.verify import assert_clean
 from repro.sim import UniformCost
+from tests.test_pipeline_runtime import ALL_METHODS
 
 SPEC = tiny_spec(hidden_size=32, num_layers=6, num_heads=4,
                  ffn_hidden_size=64, vocab_size=31, seq_length=16)
 N, B = 4, 2
-
-#: The E0 acceptance grid (mirrors repro.experiments.e0.METHOD_SETUPS):
-#: classic fused-backward baselines plus the split-backward W-deferral
-#: family the parallel executor exists to measure.
-GRID = [
-    ("dapple", {}),
-    ("terapipe", {"num_slices": 4}),
-    ("vpp", {"virtual_size": 2}),
-    ("zb", {}),
-    ("zbv", {}),
-    ("svpp", {"num_slices": 4, "virtual_size": 2}),
-    ("mepipe", {"num_slices": 4, "wgrad_gemms": 3}),
-]
-
 
 @pytest.fixture(scope="module")
 def data():
@@ -121,8 +109,8 @@ def assert_same_grads(model, reference):
 class TestBitExactness:
     """Parallel == serial, bit for bit, across the E0 grid."""
 
-    @pytest.mark.parametrize("method,kwargs", GRID,
-                             ids=[f"{m}-{k}" for m, k in GRID])
+    @pytest.mark.parametrize("method,kwargs", ALL_METHODS,
+                             ids=[f"{m}-{k}" for m, k in ALL_METHODS])
     def test_matches_serial_golden(self, data, method, kwargs):
         schedule = build(method, **kwargs)
         serial_model, serial = run_serial(schedule, data)
@@ -183,11 +171,16 @@ class TestBuildFactsSurviveARun:
     def test_a_run_leaves_a_greedy_build_priced_from_its_timeline(
         self, data, monkeypatch
     ):
-        """Both runtimes read the compiled graph, never the build's
-        ``OpId`` programs, so its committed timeline still prices it."""
+        """A greedy build is frozen, so no reader — of its ``OpId``
+        programs, its op count, the full verifier, either runtime —
+        disowns its build facts: its committed timeline still prices
+        it."""
         problem = build_problem("mepipe", 2, N, num_slices=2, wgrad_gemms=2)
         schedule = mepipe_schedule(problem)  # fresh: not the memo's object
         assert build_facts(schedule) is not None
+        assert schedule.programs
+        assert schedule.op_count() == len(problem.all_ops())
+        assert_clean(schedule, method="mepipe")
         run_serial(schedule, data)
         run_parallel(schedule, data)
         assert build_facts(schedule) is not None

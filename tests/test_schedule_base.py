@@ -1,5 +1,7 @@
 """Tests for repro.schedules.base: ops, dependencies, validation."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.schedules import (
@@ -9,6 +11,8 @@ from repro.schedules import (
     Schedule,
     ScheduleError,
     StageProgram,
+    build_problem,
+    build_schedule,
     validate_schedule,
 )
 
@@ -172,3 +176,29 @@ class TestValidation:
                                      OpId(OpKind.F, 0, 0, 0)])]
         with pytest.raises(ScheduleError, match="duplicate"):
             validate_schedule(Schedule(pr, programs))
+
+
+class TestScheduleIsAValue:
+    def test_construction_freezes_the_programs_it_is_given(self):
+        pr = PipelineProblem(num_stages=1, num_microbatches=1)
+        ops = [OpId(OpKind.F, 0, 0, 0), OpId(OpKind.B, 0, 0, 0)]
+        programs = [StageProgram(0, ops)]
+        sched = Schedule(pr, programs)
+        ops.reverse()
+        programs.clear()
+        assert sched.programs == (StageProgram(0, tuple(ops[::-1])),)
+        assert sched.stage_ops(0) == tuple(ops[::-1])
+
+    @pytest.mark.parametrize("method", ["dapple", "mepipe"],
+                             ids=["explicit", "greedy"])
+    def test_editing_a_schedule_in_place_raises(self, method):
+        sched = build_schedule(method, build_problem(method, 2, 4))
+        program = sched.programs[0]
+        with pytest.raises(FrozenInstanceError):
+            sched.programs = sched.programs[::-1]
+        with pytest.raises(FrozenInstanceError):
+            program.ops = program.ops[::-1]
+        with pytest.raises(AttributeError):
+            program.ops.append(program.ops[0])
+        assert build_schedule(method, build_problem(method, 2, 4)) is sched
+        assert sched.programs[0] is program

@@ -7,6 +7,8 @@ stage-major layout, CSR edges that agree exactly with
 structurally broken schedules.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from repro.schedules.methods import build_problem, build_schedule
 from repro.schedules.verify import verify_schedule
 
 from tests.test_pipeline_runtime import ALL_METHODS, N
-from tests.test_verify import clone, golden_grid
+from tests.test_verify import Draft, golden_grid
 
 
 def _build(method="mepipe", p=4, n=8, s=4, v=1, g=2):
@@ -51,8 +53,7 @@ def test_dense_layout_is_stage_major_program_order():
     graph = compiled_graph(schedule)
     assert graph.num_ops == len(schedule.problem.all_ops())
     for stage, (lo, hi) in enumerate(graph.stage_bounds):
-        program = schedule.stage_ops(stage)
-        assert [graph.ops[i] for i in range(lo, hi)] == program
+        assert graph.ops[lo:hi] == schedule.stage_ops(stage)
         for offset, i in enumerate(range(lo, hi)):
             assert graph.stage[i] == stage
             assert graph.pos[i] == offset
@@ -159,49 +160,60 @@ def test_kind_codes_and_cross_flags():
 
 
 def test_compiled_graph_is_cached_and_invalidates_on_mutation():
-    schedule = clone(_build())  # build_schedule's result is shared
+    """A schedule is frozen, so it compiles once: an in-place edit
+    raises, and an edited copy compiles to its own graph."""
+    schedule = _build()
     g1 = compiled_graph(schedule)
     assert compiled_graph(schedule) is g1
-    # In-place reorder changes the fingerprint and recompiles.
-    ops = schedule.programs[0].ops
+    with pytest.raises(FrozenInstanceError):
+        schedule.programs = schedule.programs[::-1]
+    with pytest.raises(FrozenInstanceError):
+        schedule.programs[0].ops = ()
+    with pytest.raises(AttributeError):
+        schedule.programs[0].ops.reverse()
+    # A reordered copy has its own fingerprint and graph.
+    draft = Draft(schedule)
+    ops = draft.ops[0]
     ops[0], ops[1] = ops[1], ops[0]
-    token = fingerprint(schedule)
-    g2 = compiled_graph(schedule)
+    swapped = draft.build()
+    g2 = compiled_graph(swapped)
     assert g2 is not g1
-    assert g2.fingerprint == token
+    assert compiled_graph(swapped) is g2
+    assert g2.fingerprint == fingerprint(swapped) != g1.fingerprint
+    # Swapped back, the plain copy hashes as the greedy build's token.
     ops[0], ops[1] = ops[1], ops[0]
-    g3 = compiled_graph(schedule)
-    assert g3 is not g2
+    g3 = compiled_graph(draft.build())
+    assert g3 is not g1
     assert g3.fingerprint == g1.fingerprint
+    assert compiled_graph(schedule) is g1
 
 
 def test_compile_rejects_foreign_op():
-    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
-    schedule.programs[0].ops.append(OpId(OpKind.F, 999, 0, 0))
+    draft = Draft(_build(method="dapple", s=1, v=1, g=1))
+    draft.ops[0].append(OpId(OpKind.F, 999, 0, 0))
     with pytest.raises(ScheduleError, match="cannot compile"):
-        compiled_graph(schedule)
+        compiled_graph(draft.build())
 
 
 def test_compile_rejects_duplicate_op():
-    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
-    schedule.programs[0].ops.append(schedule.programs[0].ops[0])
+    draft = Draft(_build(method="dapple", s=1, v=1, g=1))
+    draft.ops[0].append(draft.ops[0][0])
     with pytest.raises(ScheduleError, match="cannot compile"):
-        compiled_graph(schedule)
+        compiled_graph(draft.build())
 
 
 def test_compile_rejects_misplaced_op():
-    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
-    moved = schedule.programs[0].ops.pop(0)
-    schedule.programs[1].ops.append(moved)
+    draft = Draft(_build(method="dapple", s=1, v=1, g=1))
+    draft.ops[1].append(draft.ops[0].pop(0))
     with pytest.raises(ScheduleError, match="cannot compile"):
-        compiled_graph(schedule)
+        compiled_graph(draft.build())
 
 
 def test_compile_rejects_missing_op():
-    schedule = clone(_build(method="dapple", s=1, v=1, g=1))
-    schedule.programs[0].ops.pop()
+    draft = Draft(_build(method="dapple", s=1, v=1, g=1))
+    draft.ops[0].pop()
     with pytest.raises(ScheduleError, match="cannot compile"):
-        compiled_graph(schedule)
+        compiled_graph(draft.build())
 
 
 #: An op outside every test problem, indexed by the first code past

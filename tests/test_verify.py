@@ -46,13 +46,20 @@ from repro.schedules.verify.deps import ScheduleIndex
 F, B, W = OpKind.F, OpKind.B, OpKind.W
 
 
-def clone(schedule: Schedule) -> Schedule:
-    """Deep-enough copy for mutation: fresh program lists, no cache."""
-    return Schedule(
-        problem=schedule.problem,
-        programs=[StageProgram(pr.stage, list(pr.ops)) for pr in schedule.programs],
-        name=schedule.name,
-    )
+class Draft:
+    """An editable copy of a schedule, which is itself frozen: edit the
+    per-stage op lists ``ops`` in place, then :meth:`build` the plain
+    :class:`Schedule` they describe (never a greedy build, so no build
+    facts)."""
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.problem = schedule.problem
+        self.name = schedule.name
+        self.ops = [list(program.ops) for program in schedule.programs]
+
+    def build(self) -> Schedule:
+        programs = [StageProgram(stage, ops) for stage, ops in enumerate(self.ops)]
+        return Schedule(self.problem, programs, self.name)
 
 
 def small_dapple(p: int = 2, n: int = 4) -> Schedule:
@@ -127,39 +134,39 @@ class TestStructure:
         assert rep.ok and not rep.findings
 
     def test_misplaced_op_st001(self):
-        sched = clone(small_dapple())
-        op = sched.programs[1].ops.pop(0)
-        sched.programs[0].ops.append(op)
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        op = draft.ops[1].pop(0)
+        draft.ops[0].append(op)
+        rep = verify_schedule(draft.build())
         assert "ST001" in rep.rule_ids()
         (f,) = rep.by_rule("ST001")
         assert f.op == op and f.stage == 0
         assert "belongs to stage 1" in f.message
 
     def test_missing_op_st002(self):
-        sched = clone(small_dapple())
-        dropped = sched.programs[1].ops.pop()
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        dropped = draft.ops[1].pop()
+        rep = verify_schedule(draft.build())
         assert "ST002" in rep.rule_ids()
         assert any(f.op == dropped for f in rep.by_rule("ST002"))
 
     def test_duplicate_op_st003(self):
-        sched = clone(small_dapple())
-        sched.programs[0].ops.append(sched.programs[0].ops[0])
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        draft.ops[0].append(draft.ops[0][0])
+        rep = verify_schedule(draft.build())
         assert "ST003" in rep.rule_ids()
 
     def test_foreign_op_st004(self):
-        sched = clone(small_dapple())
+        draft = Draft(small_dapple())
         foreign = OpId(F, 99, 0, 0)
-        sched.programs[0].ops.append(foreign)
-        rep = verify_schedule(sched)
+        draft.ops[0].append(foreign)
+        rep = verify_schedule(draft.build())
         assert any(f.op == foreign for f in rep.by_rule("ST004"))
 
     def test_malformed_programs_st005(self):
-        sched = clone(small_dapple())
-        del sched.programs[1]
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        del draft.ops[1]
+        rep = verify_schedule(draft.build())
         assert rep.rule_ids() == {"ST005"}
 
 
@@ -168,41 +175,40 @@ class TestStructure:
 # ---------------------------------------------------------------------------
 
 
-def swap_dependent_pair(sched: Schedule) -> tuple[OpId, OpId]:
+def swap_dependent_pair(draft: Draft) -> tuple[OpId, OpId]:
     """Swap some same-stage (dep, op) pair in place; returns the pair."""
-    problem = sched.problem
-    for program in sched.programs:
-        pos = {op: i for i, op in enumerate(program.ops)}
-        for j, op in enumerate(program.ops):
-            for dep in problem.deps(op):
+    for ops in draft.ops:
+        pos = {op: i for i, op in enumerate(ops)}
+        for j, op in enumerate(ops):
+            for dep in draft.problem.deps(op):
                 i = pos.get(dep)
                 if i is not None and i < j:
-                    program.ops[i], program.ops[j] = op, dep
+                    ops[i], ops[j] = op, dep
                     return dep, op
     raise AssertionError("no same-stage dependent pair found")
 
 
 class TestDeadlock:
     def test_swapped_dependents_deadlock_dl001(self):
-        sched = clone(small_dapple())
-        dep, op = swap_dependent_pair(sched)
-        rep = verify_schedule(sched, rules=SAFETY_RULES)
+        draft = Draft(small_dapple())
+        dep, op = swap_dependent_pair(draft)
+        rep = verify_schedule(draft.build(), rules=SAFETY_RULES)
         (f,) = rep.by_rule("DL001")
         text = f.render()
         assert "minimal blocking cycle" in text
         assert str(dep) in text and str(op) in text
 
     def test_witness_reports_per_stage_blocked_heads(self):
-        sched = clone(small_dapple())
-        swap_dependent_pair(sched)
-        (f,) = verify_schedule(sched, rules=("DL001",)).by_rule("DL001")
+        draft = Draft(small_dapple())
+        swap_dependent_pair(draft)
+        (f,) = verify_schedule(draft.build(), rules=("DL001",)).by_rule("DL001")
         heads = [line for line in f.witness if "blocked at" in line]
         assert heads, f.witness
 
     def test_cycle_edges_are_labelled(self):
-        sched = clone(small_dapple())
-        swap_dependent_pair(sched)
-        (f,) = verify_schedule(sched, rules=("DL001",)).by_rule("DL001")
+        draft = Draft(small_dapple())
+        swap_dependent_pair(draft)
+        (f,) = verify_schedule(draft.build(), rules=("DL001",)).by_rule("DL001")
         cycle = [line for line in f.witness if "->" in line]
         assert len(cycle) >= 2
         assert any("program order" in line for line in cycle)
@@ -211,11 +217,11 @@ class TestDeadlock:
         # Stage 1 waits for F1 first while stage 0 sends F0 first, and
         # stage 0's B0 needs stage 1's B0 which sits behind the wait.
         problem = PipelineProblem(num_stages=2, num_microbatches=2)
-        sched = clone(dapple_schedule(problem))
-        ops = sched.programs[1].ops
+        draft = Draft(dapple_schedule(problem))
+        ops = draft.ops[1]
         i0, i1 = ops.index(OpId(F, 0, 0, 1)), ops.index(OpId(B, 0, 0, 1))
         ops[i0], ops[i1] = ops[i1], ops[i0]
-        rep = verify_schedule(sched, rules=SAFETY_RULES)
+        rep = verify_schedule(draft.build(), rules=SAFETY_RULES)
         assert "DL001" in rep.rule_ids()
 
 
@@ -229,11 +235,11 @@ class TestChannels:
         # B0 and B1 arrive at stage 0 from stage 1; different
         # micro-batches are independent, so receiving B1 before B0
         # cannot deadlock — it only inverts the channel order.
-        sched = clone(small_dapple(p=2, n=4))
-        ops = sched.programs[0].ops
+        draft = Draft(small_dapple(p=2, n=4))
+        ops = draft.ops[0]
         i0, i1 = ops.index(OpId(B, 0, 0, 0)), ops.index(OpId(B, 1, 0, 0))
         ops[i0], ops[i1] = ops[i1], ops[i0]
-        rep = verify_schedule(sched, method="dapple")
+        rep = verify_schedule(draft.build(), method="dapple")
         assert rep.ok  # benign under tagged transports -> warning only
         (f,) = rep.by_rule("CH001")
         assert f.severity is Severity.WARNING
@@ -241,16 +247,16 @@ class TestChannels:
         assert any("recv order" in line for line in f.witness)
 
     def test_dropped_producer_ch002(self):
-        sched = clone(small_dapple(p=2, n=4))
-        sched.programs[0].ops.remove(OpId(F, 2, 0, 0))
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple(p=2, n=4))
+        draft.ops[0].remove(OpId(F, 2, 0, 0))
+        rep = verify_schedule(draft.build())
         assert {"ST002", "CH002"} <= rep.rule_ids()
         assert any(f.op == OpId(F, 2, 0, 1) for f in rep.by_rule("CH002"))
 
     def test_dropped_consumer_ch003(self):
-        sched = clone(small_dapple(p=2, n=4))
-        sched.programs[1].ops.remove(OpId(F, 2, 0, 1))
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple(p=2, n=4))
+        draft.ops[1].remove(OpId(F, 2, 0, 1))
+        rep = verify_schedule(draft.build())
         assert "CH003" in rep.rule_ids()
 
 
@@ -259,9 +265,9 @@ class TestChannels:
 # ---------------------------------------------------------------------------
 
 
-def swap_wgrad_before_backward(sched: Schedule) -> None:
+def swap_wgrad_before_backward(draft: Draft) -> None:
     """Move stage 0's first W ahead of its own B (structure stays clean)."""
-    ops = sched.programs[0].ops
+    ops = draft.ops[0]
     b = next(op for op in ops if op.kind is B)
     w = next(
         op for op in ops
@@ -273,50 +279,49 @@ def swap_wgrad_before_backward(sched: Schedule) -> None:
     ops[i], ops[j] = ops[j], ops[i]
 
 
-def gpipe_order(sched: Schedule) -> None:
+def gpipe_order(draft: Draft) -> None:
     """Re-order stage 0 as all forwards, then all backwards."""
-    sched.programs[0].ops.sort(
+    draft.ops[0].sort(
         key=lambda op: (op.kind is not F, op.microbatch if op.kind is F else -op.microbatch)
     )
 
 
 class TestLiveness:
     def test_duplicate_backward_is_use_after_free(self):
-        sched = clone(small_dapple())
-        ops = sched.programs[1].ops
-        ops.append(OpId(B, 0, 0, 1))
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        draft.ops[1].append(OpId(B, 0, 0, 1))
+        rep = verify_schedule(draft.build())
         assert {"ST003", "LV001"} <= rep.rule_ids()
 
     def test_dropped_backward_leaks(self):
-        sched = clone(small_dapple())
-        sched.programs[1].ops.remove(OpId(B, 3, 0, 1))
-        rep = verify_schedule(sched)
+        draft = Draft(small_dapple())
+        draft.ops[1].remove(OpId(B, 3, 0, 1))
+        rep = verify_schedule(draft.build())
         assert "LV002" in rep.rule_ids()
         (f,) = [f for f in rep.by_rule("LV002") if f.stage == 1]
         assert "leaked per iteration" in f.message
         assert any("never fully released" in line for line in f.witness)
 
     def test_wgrad_before_backward_is_use_after_free(self):
-        sched = clone(build_schedule("zb", build_problem("zb", 2, 4)))
-        swap_wgrad_before_backward(sched)
-        rep = verify_schedule(sched)
+        draft = Draft(build_schedule("zb", build_problem("zb", 2, 4)))
+        swap_wgrad_before_backward(draft)
+        rep = verify_schedule(draft.build())
         assert "LV001" in rep.rule_ids() or "DL001" in rep.rule_ids()
 
     def test_gpipe_order_diverges_from_dapple_closed_form_an001(self):
         # Re-order stage 0 as all-forwards-then-all-backwards: peak n
         # units, while the DAPPLE closed form promises p in-flight.
-        sched = clone(small_dapple(p=2, n=6))
-        gpipe_order(sched)
-        rep = verify_schedule(sched, method="dapple")
+        draft = Draft(small_dapple(p=2, n=6))
+        gpipe_order(draft)
+        rep = verify_schedule(draft.build(), method="dapple")
         (f,) = rep.by_rule("AN001")
         assert "exceeds" in f.message
         assert any("first op past the bound" in line for line in f.witness)
 
     def test_an001_needs_method(self):
-        sched = clone(small_dapple(p=2, n=6))
-        gpipe_order(sched)
-        rep = verify_schedule(sched)  # no method -> no closed form
+        draft = Draft(small_dapple(p=2, n=6))
+        gpipe_order(draft)
+        rep = verify_schedule(draft.build())  # no method -> no closed form
         assert "AN001" not in rep.rule_ids()
 
 
@@ -327,47 +332,53 @@ class TestLiveness:
 
 class TestEnforcement:
     def test_rule_selection_filters_findings(self):
-        sched = clone(small_dapple())
-        sched.programs[1].ops.remove(OpId(B, 3, 0, 1))
-        rep = verify_schedule(sched, rules=("LV002",))
+        draft = Draft(small_dapple())
+        draft.ops[1].remove(OpId(B, 3, 0, 1))
+        rep = verify_schedule(draft.build(), rules=("LV002",))
         assert rep.rule_ids() == {"LV002"}
 
     def test_validate_schedule_wrapper_raises_schedule_error(self):
-        sched = clone(small_dapple())
-        sched.programs[0].ops.append(sched.programs[0].ops[0])
+        draft = Draft(small_dapple())
+        draft.ops[0].append(draft.ops[0][0])
         with pytest.raises(ScheduleError, match="duplicate"):
-            validate_schedule(sched)
+            validate_schedule(draft.build())
 
     def test_validate_schedule_deadlock_message_has_witness(self):
-        sched = clone(small_dapple())
-        swap_dependent_pair(sched)
+        draft = Draft(small_dapple())
+        swap_dependent_pair(draft)
         with pytest.raises(ScheduleError, match="minimal blocking cycle"):
-            validate_schedule(sched)
+            validate_schedule(draft.build())
 
-    def test_ensure_verified_caches_then_invalidates(self):
+    def test_ensure_verified_caches_then_invalidates(self, monkeypatch):
+        import repro.schedules.verify.core as core
+
+        def recheck(*_args, **_kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("re-verified a cached schedule")
+
         sched = build_schedule("dapple", build_problem("dapple", 2, 4))
-        token = sched._verify_token  # set by the generator
-        ensure_verified(sched)  # cache hit, no recheck
-        assert sched._verify_token == token
-        sched = clone(sched)  # build_schedule's result is shared
-        sched._verify_token = token
-        swap_dependent_pair(sched)  # in-place corruption, same op count
+        with monkeypatch.context() as patch:  # verified by the generator
+            patch.setattr(core, "verify_schedule", recheck)
+            ensure_verified(sched)
+        # An edited copy is a new object with no verdict: same op
+        # count, and the safety tier runs on it.
+        draft = Draft(sched)
+        swap_dependent_pair(draft)
         with pytest.raises(ScheduleError):
-            ensure_verified(sched, context="post-mutation")
+            ensure_verified(draft.build(), context="post-mutation")
 
     def test_assert_clean_raises_with_full_report(self):
-        sched = clone(small_dapple())
-        sched.programs[1].ops.remove(OpId(B, 3, 0, 1))
+        draft = Draft(small_dapple())
+        draft.ops[1].remove(OpId(B, 3, 0, 1))
         with pytest.raises(ScheduleError, match="LV002"):
-            assert_clean(sched, method="dapple")
+            assert_clean(draft.build(), method="dapple")
 
     def test_simulator_rejects_corrupted_schedule(self):
         from repro.sim import UniformCost, simulate
 
-        sched = clone(small_dapple())
-        swap_dependent_pair(sched)
+        draft = Draft(small_dapple())
+        swap_dependent_pair(draft)
         with pytest.raises(ScheduleError, match="simulate"):
-            simulate(sched, UniformCost(sched.problem))
+            simulate(draft.build(), UniformCost(draft.problem))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +523,9 @@ def test_liveness_rows_from_ops_and_graph_agree(method, p, n, s, v, g):
     ids=["wgrad-before-backward", "gpipe-order"],
 )
 def test_liveness_rows_agree_on_clean_mutations(base, mutate, rules):
-    sched = clone(base())
-    mutate(sched)
+    draft = Draft(base())
+    mutate(draft)
+    sched = draft.build()
     assert [f.rule_id for f in check_liveness(sched)[0]] == rules
     _liveness_sources_agree(sched)
 
@@ -540,9 +552,9 @@ def test_channel_findings_from_table_and_deps_agree(method, p, n, s, v, g):
 
 
 def test_channel_findings_agree_on_receive_reorder():
-    sched = clone(small_dapple(p=2, n=4))
-    ops = sched.programs[0].ops
+    draft = Draft(small_dapple(p=2, n=4))
+    ops = draft.ops[0]
     i0, i1 = ops.index(OpId(B, 0, 0, 0)), ops.index(OpId(B, 1, 0, 0))
     ops[i0], ops[i1] = ops[i1], ops[i0]
-    (finding,) = _channel_sources_agree(sched)
+    (finding,) = _channel_sources_agree(draft.build())
     assert finding.rule_id == "CH001"

@@ -14,14 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedules import (
-    Schedule,
-    StageProgram,
-    build_problem,
-    build_schedule,
-)
+from repro.schedules import Schedule, build_problem, build_schedule
 from repro.schedules.methods import METHODS
 from repro.schedules.verify import SAFETY_RULES, verify_schedule
+from tests.test_verify import Draft
 
 #: One representative shape per method: p=4 (p=2 for the cheap
 #: baselines), n=8, and the method's native s/v/wgrad settings.
@@ -44,14 +40,6 @@ def built(method: str) -> Schedule:
     return build_schedule(method, problem)
 
 
-def clone(schedule: Schedule) -> Schedule:
-    return Schedule(
-        problem=schedule.problem,
-        programs=[StageProgram(pr.stage, list(pr.ops)) for pr in schedule.programs],
-        name=schedule.name,
-    )
-
-
 def test_shapes_cover_every_method():
     assert set(SHAPES) == set(METHODS)
 
@@ -60,52 +48,53 @@ def test_shapes_cover_every_method():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestSeededMutations:
     def test_dropped_op_is_named(self, method, seed):
-        sched = clone(built(method))
+        draft = Draft(built(method))
         rng = random.Random(seed)
-        program = rng.choice(sched.programs)
-        victim = program.ops.pop(rng.randrange(len(program.ops)))
-        rep = verify_schedule(sched, method=method)
+        ops = rng.choice(draft.ops)
+        victim = ops.pop(rng.randrange(len(ops)))
+        rep = verify_schedule(draft.build(), method=method)
         assert not rep.ok
         assert any(f.op == victim for f in rep.by_rule("ST002")), rep.render_text()
 
     def test_duplicated_op_is_named(self, method, seed):
-        sched = clone(built(method))
+        draft = Draft(built(method))
         rng = random.Random(seed)
-        program = rng.choice(sched.programs)
-        victim = rng.choice(program.ops)
-        program.ops.insert(rng.randrange(len(program.ops) + 1), victim)
-        rep = verify_schedule(sched, method=method)
+        ops = rng.choice(draft.ops)
+        victim = rng.choice(ops)
+        ops.insert(rng.randrange(len(ops) + 1), victim)
+        rep = verify_schedule(draft.build(), method=method)
         assert any(f.op == victim for f in rep.by_rule("ST003")), rep.render_text()
 
     def test_misplaced_op_is_named(self, method, seed):
-        sched = clone(built(method))
-        if len(sched.programs) < 2:
+        draft = Draft(built(method))
+        stages = range(len(draft.ops))
+        if len(stages) < 2:
             pytest.skip("needs two stages")
         rng = random.Random(seed)
-        src = rng.choice(sched.programs)
-        dst = rng.choice([pr for pr in sched.programs if pr.stage != src.stage])
-        victim = src.ops.pop(rng.randrange(len(src.ops)))
-        dst.ops.insert(rng.randrange(len(dst.ops) + 1), victim)
-        rep = verify_schedule(sched, method=method)
+        src = rng.choice(stages)
+        dst = rng.choice([stage for stage in stages if stage != src])
+        victim = draft.ops[src].pop(rng.randrange(len(draft.ops[src])))
+        draft.ops[dst].insert(rng.randrange(len(draft.ops[dst]) + 1), victim)
+        rep = verify_schedule(draft.build(), method=method)
         hits = rep.by_rule("ST001")
-        assert any(f.op == victim and f.stage == dst.stage for f in hits), (
+        assert any(f.op == victim and f.stage == dst for f in hits), (
             rep.render_text()
         )
 
     def test_dependent_swap_yields_minimal_cycle(self, method, seed):
-        sched = clone(built(method))
+        draft = Draft(built(method))
         rng = random.Random(seed)
         pairs = []
-        for program in sched.programs:
-            pos = {op: i for i, op in enumerate(program.ops)}
-            for j, op in enumerate(program.ops):
-                for dep in sched.problem.deps(op):
+        for ops in draft.ops:
+            pos = {op: i for i, op in enumerate(ops)}
+            for j, op in enumerate(ops):
+                for dep in draft.problem.deps(op):
                     i = pos.get(dep)
                     if i is not None and i < j:
-                        pairs.append((program, i, j))
-        program, i, j = rng.choice(pairs)
-        program.ops[i], program.ops[j] = program.ops[j], program.ops[i]
-        rep = verify_schedule(sched, rules=SAFETY_RULES)
+                        pairs.append((ops, i, j))
+        ops, i, j = rng.choice(pairs)
+        ops[i], ops[j] = ops[j], ops[i]
+        rep = verify_schedule(draft.build(), rules=SAFETY_RULES)
         (f,) = rep.by_rule("DL001")
         assert any("minimal blocking cycle" in line for line in f.witness)
         assert any("blocked at" in line for line in f.witness)
@@ -120,12 +109,13 @@ def test_random_swap_never_crashes_and_is_deterministic(method, seed):
     """Any single swap either stays clean or produces findings —
     the verifier itself must not raise — and verifying twice gives
     the same rule ids."""
-    sched = clone(built(method))
+    draft = Draft(built(method))
     rng = random.Random(seed)
-    program = rng.choice(sched.programs)
-    if len(program.ops) >= 2:
-        i, j = rng.sample(range(len(program.ops)), 2)
-        program.ops[i], program.ops[j] = program.ops[j], program.ops[i]
+    ops = rng.choice(draft.ops)
+    if len(ops) >= 2:
+        i, j = rng.sample(range(len(ops)), 2)
+        ops[i], ops[j] = ops[j], ops[i]
+    sched = draft.build()
     first = verify_schedule(sched, method=method)
     second = verify_schedule(sched, method=method)
     assert first.rule_ids() == second.rule_ids()
