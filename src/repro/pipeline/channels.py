@@ -35,7 +35,6 @@ CP001 proves per-configuration that they do not.
 from __future__ import annotations
 
 import os
-import time
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, NamedTuple
 

@@ -45,6 +45,7 @@ from repro.schedules.base import OpKind
 from repro.schedules.greedy import build_facts
 from repro.schedules.verify import assert_clean
 from repro.sim import UniformCost
+
 from tests.test_pipeline_runtime import ALL_METHODS
 
 SPEC = tiny_spec(hidden_size=32, num_layers=6, num_heads=4,

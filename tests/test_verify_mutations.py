@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.schedules import Schedule, build_problem, build_schedule
 from repro.schedules.methods import METHODS
 from repro.schedules.verify import SAFETY_RULES, verify_schedule
+
 from tests.test_verify import Draft
 
 #: One representative shape per method: p=4 (p=2 for the cheap
