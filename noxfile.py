@@ -10,6 +10,7 @@ Run `nox -s <session>`, or the same commands directly:
               mypy --strict src/repro/pipeline src/repro/planner/pool.py
               mypy --strict src/repro/api src/repro/service
               mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
+              python tests/unreached_names.py
               find src -name '*.py' | xargs cat | wc -l; find src -name '*.py' | wc -l
     static    python -m repro check-model grid
               python -m pytest -x -q tests/test_verify.py tests/test_verify_mutations.py tests/test_schedule_graph.py tests/test_model_analysis.py tests/test_analysis_mutations.py tests/test_analysis_memory.py
@@ -26,6 +27,8 @@ Run `nox -s <session>`, or the same commands directly:
     tests     python -m pytest -x -q
               python -m pytest -x -q --test-order=reverse
               python -m pytest -x -q --test-order=shuffle:SEED  (SEED = 1..5)
+              python -m repro experiment fig10; python -m repro experiment fig8
+              python -m pytest -x -q  (over the artifacts/cache those wrote)
     bench     python -m pytest -q bench/
 
 (`PYTHONPATH=src` in front of the `python -m` commands works without
@@ -77,8 +80,9 @@ RUNTIME = (
 @nox.session
 def lint(session: nox.Session) -> None:
     """Ruff lint + format drift, and every mypy invocation — each
-    target type-checked exactly once — then the ``src/`` line and file
-    counts CHANGES.md tracks, from one command."""
+    target type-checked exactly once — then the guard against ``src/``
+    definitions only tests reach, and the ``src/`` line and file counts
+    CHANGES.md tracks, from one command."""
     session.install("-e", ".[lint]")
     session.run("ruff", "check", *LINT_TARGETS)
     session.run("ruff", "format", "--check", *LINT_TARGETS)
@@ -96,6 +100,7 @@ def lint(session: nox.Session) -> None:
         "src/repro/schedules/gencache.py",
         "src/repro/schedules/graph.py",
     )
+    session.run("python", "tests/unreached_names.py")
     session.run("sh", "-c", SRC_SIZE, external=True)
 
 
@@ -249,12 +254,16 @@ def tests(session: nox.Session) -> None:
     """The tier-1 test suite (unit + integration + property tests +
     the paper's claims regenerated), in collected order, in reverse and
     in five fixed shuffles: it must not depend on the order its tests
-    run in."""
+    run in.  Then once more over the sweep cache Figures 10 and 8 leave
+    in ``artifacts/cache``: nor on whether that cache is warm."""
     session.install("-e", ".[test]")
     session.run(*PYTEST, *session.posargs)
     session.run(*PYTEST, "--test-order=reverse", *session.posargs)
     for seed in range(1, 6):
         session.run(*PYTEST, f"--test-order=shuffle:{seed}", *session.posargs)
+    session.run("python", "-m", "repro", "experiment", "fig10")
+    session.run("python", "-m", "repro", "experiment", "fig8")
+    session.run(*PYTEST, *session.posargs)
 
 
 @nox.session

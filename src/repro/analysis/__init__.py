@@ -29,12 +29,10 @@ from repro.analysis.capacity import (
 )
 from repro.analysis.core import (
     ModelAnalysisError,
-    analyze_model,
     analyze_partition,
     analyze_spec,
     ensure_model_verified,
     interface_report,
-    model_program,
 )
 from repro.analysis.coverage import check_coverage
 from repro.analysis.evaluate import (
@@ -89,7 +87,6 @@ __all__ = [
     "SymTensor",
     "TaskRef",
     "TimeBounds",
-    "analyze_model",
     "analyze_partition",
     "analyze_spec",
     "build_program",
@@ -106,7 +103,6 @@ __all__ = [
     "infer_stage_memory",
     "interface_report",
     "iteration_time_bounds",
-    "model_program",
     "partition_from_model",
     "partition_from_spec",
     "peak_units_floor",

@@ -17,7 +17,6 @@ from repro.analysis.capacity.core import (
     ChannelId,
     bounded_dense_times,
     certify_capacities,
-    channel_messages,
     check_capacities,
     cross_validate_capacities,
     infer_capacities,
@@ -35,7 +34,6 @@ __all__ = [
     "ChannelId",
     "bounded_dense_times",
     "certify_capacities",
-    "channel_messages",
     "check_capacities",
     "cross_validate_capacities",
     "infer_capacities",

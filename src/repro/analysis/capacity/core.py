@@ -148,22 +148,6 @@ def _graph_tables(graph: ScheduleGraph) -> _GraphTables:
     return tables
 
 
-def channel_messages(
-    graph: ScheduleGraph,
-) -> dict[ChannelId, list[tuple[int, int]]]:
-    """Every cross-stage message, grouped by channel.
-
-    Returns ``{(src_stage, dst_stage, kind): [(src_op, dst_op), ...]}``
-    with dense op indices, each channel's list sorted by the producer's
-    program position — the order ring slots are claimed in.  A view of
-    the graph's :func:`~repro.schedules.graph.channel_table`.
-    """
-    return {
-        key: list(zip(sa.tolist(), da.tolist(), strict=True))
-        for key, (sa, da, _edges) in channel_table(graph).items()
-    }
-
-
 def _slot_edges(
     table: Mapping[ChannelId, Channel],
     capacities: Mapping[ChannelId, int],

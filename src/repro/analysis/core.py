@@ -10,8 +10,7 @@ numeric is computed:
   gradient coverage, happens-before hazards) over an abstract
   :class:`~repro.analysis.ir.PartitionSpec` and returns a
   :class:`~repro.schedules.verify.diagnostics.Report`;
-* :func:`analyze_model` / :func:`analyze_spec` derive the partition
-  from a live :class:`~repro.nn.model.TransformerModel` or a bare
+* :func:`analyze_spec` derives the partition from a bare
   :class:`~repro.model.spec.ModelSpec` first;
 * :func:`ensure_model_verified` is the runtime's entry gate: it raises
   :class:`ModelAnalysisError` with the rendered report on any
@@ -35,7 +34,7 @@ from repro.analysis.coverage import check_coverage
 from repro.analysis.extract import partition_from_model, partition_from_spec
 from repro.analysis.hazards import check_hazards
 from repro.analysis.ir import PartitionSpec
-from repro.analysis.program import ModelProgram, build_program
+from repro.analysis.program import build_program
 from repro.analysis.rules import COVERAGE_RULES, HAZARD_RULES, MODEL_RULES, SHAPE_RULES
 from repro.analysis.shapes import check_shapes
 from repro.model.spec import ModelSpec
@@ -97,16 +96,6 @@ def analyze_partition(
     return report
 
 
-def analyze_model(
-    model: TransformerModel,
-    schedule: Schedule,
-    rules: Iterable[str] | None = None,
-) -> Report:
-    """Analyze a live model against ``schedule``."""
-    partition = partition_from_model(model, schedule.problem.num_chunks)
-    return analyze_partition(partition, schedule, rules=rules)
-
-
 def analyze_spec(
     spec: ModelSpec,
     schedule: Schedule,
@@ -157,14 +146,6 @@ def _interface_findings(
     partition = partition_from_spec(spec, placement.num_chunks)
     findings, _io = check_shapes(partition, placement)
     return tuple(findings)
-
-
-def model_program(
-    model: TransformerModel, schedule: Schedule
-) -> ModelProgram:
-    """The joined program of a live model and a schedule (test hook)."""
-    partition = partition_from_model(model, schedule.problem.num_chunks)
-    return build_program(partition, compiled_graph(schedule))
 
 
 def ensure_model_verified(

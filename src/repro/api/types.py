@@ -116,10 +116,13 @@ def _decode_value(hint: Any, value: Any) -> Any:
     mismatch is a :class:`RequestError`; an ``int`` field takes no
     ``bool``, a ``float`` field takes an ``int``), ``list`` becomes
     ``tuple`` (with per-element decoding), and nested :class:`ShapeSpec`
-    blocks are revived.  Optional hints unwrap to their non-``None`` arm.
+    blocks are revived.  Optional hints unwrap to their non-``None`` arm;
+    ``null`` is accepted only where the hint admits ``None``.
     """
     if value is None:
-        return None
+        if hint is Any or type(None) in getattr(hint, "__args__", ()):
+            return None
+        raise RequestError(f"expected {getattr(hint, '__name__', hint)}, got null")
     if hint in (bool, int, float, str):
         typed = isinstance(value, (int, float) if hint is float else hint)
         if not typed or (hint is not bool and isinstance(value, bool)):

@@ -15,22 +15,13 @@ from repro.hardware.comm import (
     LinkSpec,
     ring_all_gather_time,
     ring_all_reduce_time,
-    ring_reduce_scatter_time,
-    send_recv_time,
 )
-from repro.hardware.efficiency import (
-    DEFAULT_EFFICIENCY,
-    EfficiencyModel,
-    layer_forward_seconds,
-    sliced_layer_slowdown,
-)
+from repro.hardware.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
 from repro.hardware.gpu import (
     A100_40GB,
     A100_80GB,
-    GPUS,
     RTX_4090,
     GPUSpec,
-    get_gpu,
 )
 
 __all__ = [
@@ -40,7 +31,6 @@ __all__ = [
     "CLUSTERS",
     "DEFAULT_EFFICIENCY",
     "EfficiencyModel",
-    "GPUS",
     "GPUSpec",
     "IB_100G",
     "IB_800G",
@@ -51,11 +41,6 @@ __all__ = [
     "RTX_4090",
     "ClusterSpec",
     "get_cluster",
-    "get_gpu",
-    "layer_forward_seconds",
     "ring_all_gather_time",
     "ring_all_reduce_time",
-    "ring_reduce_scatter_time",
-    "send_recv_time",
-    "sliced_layer_slowdown",
 ]

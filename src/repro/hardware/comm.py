@@ -81,14 +81,3 @@ def ring_all_gather_time(nbytes_total: int, group_size: int, link: LinkSpec) -> 
         link.bandwidth_gbps * GB
     )
 
-
-def ring_reduce_scatter_time(
-    nbytes_total: int, group_size: int, link: LinkSpec
-) -> float:
-    """Ring reduce-scatter; same wire cost as all-gather."""
-    return ring_all_gather_time(nbytes_total, group_size, link)
-
-
-def send_recv_time(nbytes: int, link: LinkSpec) -> float:
-    """Point-to-point transfer time (alias of :meth:`LinkSpec.p2p_time`)."""
-    return link.p2p_time(nbytes)

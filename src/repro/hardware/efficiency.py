@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.model.flops import attention_score_flops, layer_slice_flops
-from repro.model.spec import ModelSpec
-
 
 @dataclass(frozen=True)
 class EfficiencyModel:
@@ -57,40 +54,3 @@ class EfficiencyModel:
 #: Default curve used by all experiments.
 DEFAULT_EFFICIENCY = EfficiencyModel()
 
-
-def layer_forward_seconds(
-    spec: ModelSpec,
-    tokens: int,
-    offset: int,
-    effective_tflops: float,
-    eff: EfficiencyModel = DEFAULT_EFFICIENCY,
-) -> float:
-    """Forward time of one transformer layer for one slice of a sample."""
-    attn_flops = attention_score_flops(spec, tokens, offset)
-    gemm_flops = layer_slice_flops(spec, tokens, offset).forward - attn_flops
-    peak = effective_tflops * 1e12
-    return gemm_flops / (peak * eff.gemm(tokens)) + attn_flops / (
-        peak * eff.attention(tokens)
-    )
-
-
-def sliced_layer_slowdown(
-    spec: ModelSpec,
-    num_slices: int,
-    effective_tflops: float = 165.0,
-    eff: EfficiencyModel = DEFAULT_EFFICIENCY,
-) -> float:
-    """Per-layer slowdown factor when a sample is cut into equal slices.
-
-    Returns the ratio (>= 1.0) of the summed per-slice forward time to
-    the unsliced forward time, i.e. the pure kernel-efficiency cost of
-    SPP without any communication (the SPP curve of Figure 9).
-    """
-    seq = spec.seq_length
-    full = layer_forward_seconds(spec, seq, 0, effective_tflops, eff)
-    t = seq // num_slices
-    sliced = sum(
-        layer_forward_seconds(spec, t, i * t, effective_tflops, eff)
-        for i in range(num_slices)
-    )
-    return sliced / full

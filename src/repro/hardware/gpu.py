@@ -74,17 +74,3 @@ A100_40GB = GPUSpec(
     server_price_usd=100_000.0,
     power_watts=300.0,
 )
-
-GPUS: dict[str, GPUSpec] = {
-    "rtx4090": RTX_4090,
-    "a100-80gb": A100_80GB,
-    "a100-40gb": A100_40GB,
-}
-
-
-def get_gpu(name: str) -> GPUSpec:
-    """Look up a GPU spec by key (e.g. ``"rtx4090"``)."""
-    key = name.lower()
-    if key not in GPUS:
-        raise KeyError(f"unknown GPU {name!r}; known: {sorted(GPUS)}")
-    return GPUS[key]

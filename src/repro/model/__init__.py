@@ -7,9 +7,7 @@ from repro.model.flops import (
     gemm_forward_flops_per_token,
     head_slice_flops,
     layer_slice_flops,
-    model_forward_flops,
     model_train_flops,
-    slice_imbalance_ratio,
 )
 from repro.model.memory import (
     GiB,
@@ -47,10 +45,8 @@ __all__ = [
     "get_model",
     "head_slice_flops",
     "layer_slice_flops",
-    "model_forward_flops",
     "model_train_flops",
     "sample_activation_bytes",
-    "slice_imbalance_ratio",
     "static_bytes_per_device",
     "temporary_bytes",
     "tiny_spec",

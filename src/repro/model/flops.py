@@ -86,18 +86,6 @@ def head_slice_flops(spec: ModelSpec, tokens: int) -> SliceFlops:
     return SliceFlops(forward=gemm, backward_dgrad=gemm, backward_wgrad=gemm)
 
 
-def slice_imbalance_ratio(spec: ModelSpec, num_slices: int, index: int) -> float:
-    """Forward-time ratio of slice ``index`` to slice ``num_slices - 1``.
-
-    Used to reproduce the Figure 7 setup ("forward time for slice 0 is
-    75% of that for slice 1").
-    """
-    t = spec.seq_length // num_slices
-    last = layer_slice_flops(spec, t, (num_slices - 1) * t).forward
-    this = layer_slice_flops(spec, t, index * t).forward
-    return this / last
-
-
 def attention_score_share(spec: ModelSpec) -> float:
     """Share of total forward FLOPs spent on attention scores.
 
@@ -107,13 +95,6 @@ def attention_score_share(spec: ModelSpec) -> float:
     full = layer_slice_flops(spec, spec.seq_length, 0)
     attn = attention_score_flops(spec, spec.seq_length, 0)
     return attn / full.forward
-
-
-def model_forward_flops(spec: ModelSpec, tokens: int) -> int:
-    """Forward FLOPs for ``tokens`` tokens through the whole model."""
-    layer = layer_slice_flops(spec, tokens, 0).forward
-    head = head_slice_flops(spec, tokens).forward
-    return spec.num_layers * layer + head
 
 
 def model_train_flops(spec: ModelSpec, tokens: int) -> int:

@@ -106,16 +106,6 @@ class ModelSpec:
         """
         return self.num_layers + 2
 
-    def max_pipeline_stages(self, virtual_pipeline_size: int = 1) -> int:
-        """Largest even pipeline split for a given virtual pipeline size."""
-        slots = self.balanced_layer_count()
-        v = virtual_pipeline_size
-        best = 1
-        for p in range(1, slots + 1):
-            if slots % (p * v) == 0:
-                best = p
-        return best
-
 
 def _preset(**kwargs: object) -> ModelSpec:
     return ModelSpec(**kwargs)  # type: ignore[arg-type]

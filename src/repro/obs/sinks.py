@@ -42,10 +42,6 @@ class MemorySink(Sink):
         """The span events, in emit order."""
         return [e for e in self.events if e.kind == "span"]
 
-    def instants(self) -> list[Event]:
-        """The instant events, in emit order."""
-        return [e for e in self.events if e.kind == "instant"]
-
     def counters(self, name: str | None = None) -> list[Event]:
         """Counter samples, optionally filtered by series name."""
         return [
@@ -53,18 +49,6 @@ class MemorySink(Sink):
             for e in self.events
             if e.kind == "counter" and (name is None or e.name == name)
         ]
-
-    def counter_value(self, name: str, tid: int = 0, pid: int = 0) -> float:
-        """Last sample of one counter series on one track."""
-        for e in reversed(self.events):
-            if (
-                e.kind == "counter"
-                and e.name == name
-                and e.tid == tid
-                and e.pid == pid
-            ):
-                return e.value
-        raise KeyError(f"no counter {name!r} on pid={pid} tid={tid}")
 
 
 class JsonlSink(Sink):

@@ -5,7 +5,6 @@ from repro.parallel.strategies import (
     COMM_RANKING,
     ParallelConfig,
     cp_layer_comm_bytes,
-    dp_grad_sync_bytes,
     pp_boundary_bytes,
     tp_layer_comm_bytes,
     validate_for_cluster,
@@ -15,7 +14,6 @@ __all__ = [
     "COMM_RANKING",
     "ParallelConfig",
     "cp_layer_comm_bytes",
-    "dp_grad_sync_bytes",
     "enumerate_configs",
     "pp_boundary_bytes",
     "tp_layer_comm_bytes",

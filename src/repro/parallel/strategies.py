@@ -72,15 +72,6 @@ class ParallelConfig:
             raise ValueError("per-pipeline batch not divisible by micro_batch_size")
         return n
 
-    def tokens_per_worker_slice(self, spec: ModelSpec) -> int:
-        """Tokens a worker processes in one pipeline op.
-
-        CP divides the sample across devices; SPP divides it in time.
-        Both shrink the per-op token count, which is what degrades GEMM
-        and FlashAttention efficiency (Figure 9).
-        """
-        return spec.seq_length // (self.cp * self.spp)
-
     def describe(self) -> str:
         """Short human-readable summary like ``(PP=8, SPP=4, VP=1)``."""
         parts = [f"DP={self.dp}", f"PP={self.pp}"]
@@ -144,20 +135,6 @@ def validate_for_cluster(
 # ----------------------------------------------------------------------
 # Per-iteration communication volumes (bytes per device), Table 2.
 # ----------------------------------------------------------------------
-def dp_grad_sync_bytes(spec: ModelSpec, config: ParallelConfig) -> int:
-    """FP16 gradient all-reduce volume per device per iteration.
-
-    ZeRO-1 partitions optimizer state only, so gradients are still
-    reduced across the ``dp * cp`` replica group (CP ranks hold full
-    parameter replicas, Section 2.2).
-    """
-    group = config.dp * config.cp
-    if group <= 1:
-        return 0
-    stage_params = spec.total_params() // config.pp
-    return HALF * stage_params
-
-
 def cp_layer_comm_bytes(spec: ModelSpec, config: ParallelConfig) -> int:
     """CP wire bytes per transformer layer per micro-batch per device.
 

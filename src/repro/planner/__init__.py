@@ -1,12 +1,6 @@
-"""Config evaluation, Section 4.5 variant selection, grid search
-(parallel and cached), and cost-model fitting."""
+"""Config evaluation, Section 4.5 variant selection, and grid search
+(parallel and cached)."""
 
-from repro.planner.costfit import (
-    FittedCurve,
-    fit_efficiency_curve,
-    observations_from_slices,
-    synthetic_observations,
-)
 from repro.planner.evaluate import (
     EvalResult,
     evaluate_config,
@@ -27,7 +21,6 @@ __all__ = [
     "EvalOutcome",
     "EvalResult",
     "EvalTask",
-    "FittedCurve",
     "PlannerSettings",
     "SearchResult",
     "SkippedConfig",
@@ -35,10 +28,7 @@ __all__ = [
     "eval_fingerprint",
     "evaluate_config",
     "evaluate_tasks",
-    "fit_efficiency_curve",
     "merge_outcomes",
-    "observations_from_slices",
     "search_method",
     "select_variant",
-    "synthetic_observations",
 ]

@@ -1,5 +1,5 @@
 """Profiler measuring the NumPy substrate's op times (Section 6)."""
 
-from repro.profiler.core import OpProfile, ProfiledCost, Profiler, profile_and_schedule
+from repro.profiler.core import OpProfile, ProfiledCost, Profiler
 
-__all__ = ["OpProfile", "ProfiledCost", "Profiler", "profile_and_schedule"]
+__all__ = ["OpProfile", "ProfiledCost", "Profiler"]

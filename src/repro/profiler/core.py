@@ -61,13 +61,6 @@ class ProfiledCost:
             return self.comm_seconds
         return 0.0
 
-    def imbalance_ratio(self, chunk: int = 0) -> float:
-        """Measured forward-time ratio of slice 0 to the last slice."""
-        s = self.problem.num_slices
-        first = self.measurements[(OpKind.F, 0, chunk)].mean_seconds
-        last = self.measurements[(OpKind.F, s - 1, chunk)].mean_seconds
-        return first / last
-
 
 @dataclass
 class Profiler:
@@ -176,25 +169,3 @@ class Profiler:
                 task()
             note(OpKind.W, sl, c, start, time.perf_counter())
 
-
-def profile_and_schedule(
-    spec: ModelSpec,
-    problem: PipelineProblem,
-    batch_size: int = 2,
-    seed: int = 0,
-):
-    """End-to-end Section 6 flow: profile, then schedule with the data.
-
-    Returns ``(cost, schedule)`` where the schedule was generated by the
-    greedy SVPP/MEPipe engine using the *measured* op times.
-    """
-    from repro.schedules.svpp import mepipe_schedule, svpp_schedule
-
-    cost = Profiler(
-        spec=spec, problem=problem, batch_size=batch_size, seed=seed
-    ).profile()
-    if problem.split_backward:
-        schedule = mepipe_schedule(problem, cost=cost)
-    else:
-        schedule = svpp_schedule(problem, cost=cost)
-    return cost, schedule

@@ -5,9 +5,7 @@ from repro.reliability.checkpoint import (
     FaultInjector,
     InjectedFault,
     TrainingDriver,
-    load_checkpoint,
     restore_checkpoint,
-    save_checkpoint,
     take_checkpoint,
 )
 from repro.reliability.mtbf import (
@@ -26,10 +24,8 @@ __all__ = [
     "OPT_MTBF_HOURS",
     "ReliabilityModel",
     "TrainingDriver",
-    "load_checkpoint",
     "restore_checkpoint",
     "rtx4090_thousand_gpu_model",
-    "save_checkpoint",
     "scaled_mtbf",
     "take_checkpoint",
 ]

@@ -1,16 +1,14 @@
 """Checkpointing for the NumPy training substrate.
 
 Supports the Section 9 fault-tolerance story end to end: in-memory
-(GEMINI-style) and on-disk checkpoints of model parameters plus Adam
-state, and a fault-injecting training driver that proves training
-recovers to the exact trajectory.
+(GEMINI-style) checkpoints of model parameters plus Adam state, and a
+fault-injecting training driver that proves training recovers to the
+exact trajectory.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,40 +50,6 @@ def restore_checkpoint(
     optimizer.step_count = checkpoint.adam_step
     model.init_grads()
     return checkpoint.step
-
-
-def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Persist a snapshot as a single ``.npz`` file."""
-    arrays: dict[str, np.ndarray] = {
-        "_meta": np.array([checkpoint.step, checkpoint.adam_step])
-    }
-    for prefix, table in (
-        ("p", checkpoint.params),
-        ("m", checkpoint.adam_m),
-        ("v", checkpoint.adam_v),
-    ):
-        for key, value in table.items():
-            arrays[f"{prefix}:{key}"] = value
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a snapshot written by :func:`save_checkpoint`."""
-    data = np.load(path)
-    step, adam_step = (int(x) for x in data["_meta"])
-    tables: dict[str, dict[str, np.ndarray]] = {"p": {}, "m": {}, "v": {}}
-    for name in data.files:
-        if name == "_meta":
-            continue
-        prefix, key = name.split(":", 1)
-        tables[prefix][key] = data[name]
-    return Checkpoint(
-        step=step,
-        params=tables["p"],
-        adam_m=tables["m"],
-        adam_v=tables["v"],
-        adam_step=adam_step,
-    )
 
 
 class InjectedFault(RuntimeError):

@@ -7,7 +7,6 @@ from repro.schedules.analysis import (
     gpipe_analysis,
     hanayo_analysis,
     svpp_analysis,
-    svpp_limit_analysis,
     terapipe_analysis,
     vpp_analysis,
 )
@@ -18,7 +17,6 @@ from repro.schedules.base import (
     Schedule,
     ScheduleError,
     StageProgram,
-    validate_schedule,
 )
 from repro.schedules.classic import dapple_schedule, gpipe_schedule, terapipe_schedule
 from repro.schedules.gencache import GENERATOR_VERSION
@@ -98,13 +96,11 @@ __all__ = [
     "min_first_stage_cap",
     "stage_cap",
     "svpp_analysis",
-    "svpp_limit_analysis",
     "svpp_problem",
     "svpp_schedule",
     "svpp_variants",
     "terapipe_analysis",
     "terapipe_schedule",
-    "validate_schedule",
     "verify_schedule",
     "vpp_analysis",
     "vpp_schedule",

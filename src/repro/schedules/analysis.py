@@ -72,11 +72,6 @@ def svpp_analysis(p: int, n: int, s: int, v: int = 1) -> MethodAnalysis:
     return MethodAnalysis("svpp", bubble, memory)
 
 
-def svpp_limit_analysis(p: int, n: int) -> MethodAnalysis:
-    """The ``s -> infinity`` limit row: zero bubble, ``A/p`` memory."""
-    return MethodAnalysis("svpp-limit", 0.0, 1.0 / p)
-
-
 def analyze(method: str, p: int, n: int, s: int = 1, v: int = 1) -> MethodAnalysis:
     """Dispatch to the right Table 3 row by method name."""
     key = method.lower()

@@ -266,9 +266,10 @@ class StageProgram:
 class Schedule:
     """A complete schedule: one ordered program per stage.
 
-    Invariants (checked by :func:`validate_schedule`): each op appears
-    exactly once, on the stage that hosts its chunk, and the per-stage
-    orders are consistent with the dependency graph (no deadlock).
+    Invariants (checked by :func:`repro.schedules.verify.ensure_verified`):
+    each op appears exactly once, on the stage that hosts its chunk, and
+    the per-stage orders are consistent with the dependency graph (no
+    deadlock).
 
     A schedule is a value: the programs it is given are frozen into
     tuples, and assigning a field raises, so whatever is derived from
@@ -285,10 +286,6 @@ class Schedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "programs", tuple(self.programs))
 
-    def stage_ops(self, stage: int) -> Sequence[OpId]:
-        """Ordered ops of ``stage``."""
-        return self.programs[stage].ops
-
     def op_count(self) -> int:
         """Total ops across all stages."""
         return sum(len(pr.ops) for pr in self.programs)
@@ -297,20 +294,3 @@ class Schedule:
 class ScheduleError(Exception):
     """A schedule violates placement, completeness, or dependency rules."""
 
-
-def validate_schedule(schedule: Schedule) -> None:
-    """Raise :class:`ScheduleError` if the schedule is malformed.
-
-    Checks op placement, exact coverage of the problem's op set, and
-    that the per-stage orders admit a deadlock-free execution.
-
-    Thin wrapper over the safety tier of
-    :func:`repro.schedules.verify.ensure_verified` — a Kahn ready-queue
-    pass (O(V+E), where the original token-passing loop was O(V^2))
-    whose deadlock reports carry the per-stage blocked head positions
-    and a minimal blocking-cycle witness.  The richer channel-order and
-    liveness analyses live in :mod:`repro.schedules.verify`.
-    """
-    from repro.schedules.verify import ensure_verified
-
-    ensure_verified(schedule)

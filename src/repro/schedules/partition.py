@@ -160,10 +160,6 @@ class PlanComparison:
     uniform_sizes: tuple[int, ...]
     balanced_sizes: tuple[int, ...]
 
-    @property
-    def balanced_wins(self) -> bool:
-        return self.balanced_bottleneck < self.uniform_bottleneck
-
 
 def compare_plans(
     spec: ModelSpec,

@@ -14,7 +14,6 @@ The rule catalogue is documented in ``docs/verification.md``.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -276,7 +275,3 @@ class Report:
             "checked_rules": list(self.checked_rules),
             "findings": [f.to_dict() for f in self.findings],
         }
-
-    def render_json(self, indent: int = 2) -> str:
-        """The report as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)

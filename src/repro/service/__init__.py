@@ -15,12 +15,7 @@ Start it with ``repro serve``; talk to it with ``repro client`` or
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig, default_request_timeout
-from repro.service.http import (
-    ERROR_STATUS,
-    PlannerService,
-    error_status,
-    run_service,
-)
+from repro.service.http import ERROR_STATUS, PlannerService, error_status
 from repro.service.jobs import (
     Job,
     JobStore,
@@ -39,6 +34,5 @@ __all__ = [
     "ServiceError",
     "default_request_timeout",
     "error_status",
-    "run_service",
     "timeout_error",
 ]

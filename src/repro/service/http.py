@@ -420,21 +420,8 @@ def _sse(event: str, payload: JsonDict) -> bytes:
     return f"event: {event}\ndata: {data}\n\n".encode()
 
 
-async def run_service(
-    config: ServiceConfig | None = None,
-) -> None:
-    """Run the service until cancelled (``repro serve`` entry point)."""
-    service = PlannerService(config)
-    await service.start()
-    try:
-        await service.serve_forever()
-    finally:
-        await service.stop()
-
-
 __all__ = [
     "ERROR_STATUS",
     "PlannerService",
     "error_status",
-    "run_service",
 ]

@@ -46,10 +46,3 @@ def render_timeline(result: SimResult, width: int = 120) -> str:
     )
     return "\n".join(lines)
 
-
-def render_program(result: SimResult, stage: int, limit: int = 64) -> str:
-    """Render one stage's executed op sequence with start times."""
-    parts = []
-    for record in result.stage_records(stage)[:limit]:
-        parts.append(f"{record.op}@{record.start:.2f}")
-    return " ".join(parts)

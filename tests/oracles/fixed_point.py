@@ -85,7 +85,7 @@ def simulate_fixed_point(
     ensure_verified(schedule, context="simulate")
     problem = schedule.problem
     num_stages = problem.num_stages
-    programs = [schedule.stage_ops(s) for s in range(num_stages)]
+    programs = [schedule.programs[s].ops for s in range(num_stages)]
     heads = [0] * num_stages
     stage_time = [0.0] * num_stages
     end_time: dict[OpId, float] = {}

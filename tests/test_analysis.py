@@ -7,7 +7,6 @@ from repro.schedules import (
     dapple_analysis,
     hanayo_analysis,
     svpp_analysis,
-    svpp_limit_analysis,
     terapipe_analysis,
     vpp_analysis,
 )
@@ -31,9 +30,10 @@ class TestClosedForms:
             terapipe_analysis(8, 8, 16).memory_units
 
     def test_svpp_limit(self):
-        limit = svpp_limit_analysis(8, 8)
-        assert limit.bubble_ratio == 0.0
-        assert limit.memory_units == pytest.approx(1 / 8)
+        """The s -> infinity limit: zero bubble, A/p memory."""
+        limit = svpp_analysis(8, 8, 4096)
+        assert limit.bubble_ratio == pytest.approx(0.0, abs=1e-3)
+        assert limit.memory_units == pytest.approx(1 / 8, rel=1e-2)
 
     def test_svpp_approaches_limit(self):
         """As s grows, SVPP's memory tends to A/p and bubble to 0."""

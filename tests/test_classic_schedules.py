@@ -8,10 +8,9 @@ from repro.schedules import (
     analyze,
     build_problem,
     build_schedule,
-    dapple_schedule,
+    ensure_verified,
     gpipe_schedule,
     terapipe_schedule,
-    validate_schedule,
     vpp_schedule,
 )
 from repro.sim import UniformCost, simulate
@@ -20,7 +19,7 @@ from repro.sim import UniformCost, simulate
 def run(method, p, n, s=1, v=1, **cost_kwargs):
     problem = build_problem(method, p, n, num_slices=s, virtual_size=v)
     schedule = build_schedule(method, problem)
-    validate_schedule(schedule)
+    ensure_verified(schedule)
     return simulate(schedule, UniformCost(problem, **cost_kwargs))
 
 
@@ -91,7 +90,7 @@ class TestDAPPLE:
 
     def test_1f1b_structure_on_last_stage(self):
         schedule = build_schedule("dapple", build_problem("dapple", 4, 4))
-        kinds = [op.kind.value for op in schedule.stage_ops(3)]
+        kinds = [op.kind.value for op in schedule.programs[3].ops]
         assert kinds == ["F", "B"] * 4
 
 

@@ -17,12 +17,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.capacity import bounded_dense_times, channel_messages
+from repro.analysis.capacity import bounded_dense_times
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_13B
 from repro.parallel.strategies import ParallelConfig
 from repro.schedules.base import OpId
-from repro.schedules.graph import compiled_graph
+from repro.schedules.graph import channel_table, compiled_graph
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
 from repro.sim.executor import OpRecord, simulate
@@ -51,7 +51,7 @@ def program_order(schedule):
     return [
         op
         for stage in range(schedule.problem.num_stages)
-        for op in schedule.stage_ops(stage)
+        for op in schedule.programs[stage].ops
     ]
 
 
@@ -86,10 +86,10 @@ def test_engines_agree_on_golden_grid(method, p, n, s, v, g):
     assert fixed.times is None  # the reference builds records eagerly
     event = simulate(schedule, cost, engine="event")
     heap = simulate(schedule, cost, engine="heap")
-    channels = channel_messages(compiled_graph(schedule))
+    channels = channel_table(compiled_graph(schedule))
     slack = simulate(
         schedule, cost,
-        channel_capacities={key: len(msgs) for key, msgs in channels.items()},
+        channel_capacities={key: len(sa) for key, (sa, _da, _e) in channels.items()},
     )
     for result in (event, heap, slack):
         assert_lazy_records_match(schedule, result, fixed)
@@ -107,7 +107,7 @@ def test_binding_capacities_build_the_same_lazy_records():
         bounded = simulate(schedule, cost, channel_capacities=cert.caps())
         eager, index = {}, 0
         for stage in range(num_stages):
-            for op in schedule.stage_ops(stage):
+            for op in schedule.programs[stage].ops:
                 eager[op] = OpRecord(op, stage, starts[index], ends[index])
                 index += 1
         assert bounded.records is bounded.records
@@ -190,7 +190,7 @@ def test_unknown_engine_rejected():
         simulate(schedule, cost, engine="bogus")
     # The bounded-channel mode runs on the heap whatever valid engine is
     # named, but it must not launder an invalid one.
-    caps = dict.fromkeys(channel_messages(compiled_graph(schedule)), 2)
+    caps = dict.fromkeys(channel_table(compiled_graph(schedule)), 2)
     with pytest.raises(ValueError, match="unknown simulation engine"):
         simulate(schedule, cost, engine="bogus", channel_capacities=caps)
     # The fixed-point reference is a test oracle now, not an engine.
@@ -206,11 +206,11 @@ def test_slack_capacities_leave_the_heap_replay_untouched():
     problem = build_problem("mepipe", 4, 8, num_slices=2, wgrad_gemms=2)
     schedule = build_schedule("mepipe", problem)
     cost = UniformCost(problem, tw=0.5)
-    channels = channel_messages(compiled_graph(schedule))
+    channels = channel_table(compiled_graph(schedule))
     assert channels
     unbounded = simulate(schedule, cost, engine="heap")
     for slack in (0, 3):
-        caps = {key: len(msgs) + slack for key, msgs in channels.items()}
+        caps = {key: len(sa) + slack for key, (sa, _da, _e) in channels.items()}
         bounded = simulate(
             schedule, cost, engine="heap", channel_capacities=caps
         )

@@ -10,7 +10,6 @@ from repro.model import (
     attention_score_share,
     layer_slice_flops,
     model_train_flops,
-    slice_imbalance_ratio,
     tiny_spec,
 )
 
@@ -79,7 +78,11 @@ class TestPaperAnchors:
 
     def test_figure7_slice0_near_75pct_of_slice1(self):
         """Figure 7 assumes slice 0 forward ~75% of slice 1 with s=2."""
-        ratio = slice_imbalance_ratio(LLAMA_13B, 2, 0)
+        half = LLAMA_13B.seq_length // 2
+        ratio = (
+            layer_slice_flops(LLAMA_13B, half, 0).forward
+            / layer_slice_flops(LLAMA_13B, half, half).forward
+        )
         assert 0.80 < ratio < 1.0  # mild imbalance, shrinking with size
 
     def test_model_train_flops_positive_and_scales(self):

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from repro.schedules import (
     GreedyPolicy,
-    OpKind,
     PipelineProblem,
     default_first_stage_cap,
+    ensure_verified,
     greedy_schedule,
     min_first_stage_cap,
-    validate_schedule,
 )
 from repro.sim import UniformCost, simulate
 
@@ -35,7 +34,7 @@ def test_any_shape_generates_valid_schedule(shape):
         num_stages=p, num_microbatches=n, num_slices=s, virtual_size=v
     )
     schedule = greedy_schedule(problem)
-    validate_schedule(schedule)
+    ensure_verified(schedule)
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,7 +51,7 @@ def test_split_backward_any_policy_valid(shape, fill, priority):
     )
     policy = GreedyPolicy(fill_with_wgrad=fill, backward_priority=priority)
     schedule = greedy_schedule(problem, policy)
-    validate_schedule(schedule)
+    ensure_verified(schedule)
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,7 +65,7 @@ def test_every_f_variant_respects_its_cap(shape, data):
     lo, hi = min_first_stage_cap(problem), default_first_stage_cap(problem)
     f = data.draw(st.integers(min_value=lo, max_value=hi))
     schedule = greedy_schedule(problem, GreedyPolicy(first_stage_cap=f))
-    validate_schedule(schedule)
+    ensure_verified(schedule)
     result = simulate(schedule, UniformCost(problem))
     cap_units = f * problem.activation_units_per_op
     assert result.stages[0].peak_activation_units <= cap_units + 1e-9
@@ -120,6 +119,6 @@ def test_all_activations_released(shape):
 
     for stage in range(p):
         ledger = Ledger(problem=problem)
-        for op in schedule.stage_ops(stage):
+        for op in schedule.programs[stage].ops:
             ledger.apply(op, problem.activation_units_per_op)
         assert abs(ledger.current) < 1e-9

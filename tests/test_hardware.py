@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import fig9
 from repro.hardware import (
     A100_80GB,
     A100_CLUSTER,
@@ -11,12 +12,9 @@ from repro.hardware import (
     RTX4090_CLUSTER,
     RTX_4090,
     get_cluster,
-    get_gpu,
     ring_all_gather_time,
     ring_all_reduce_time,
-    sliced_layer_slowdown,
 )
-from repro.model import LLAMA_13B
 
 
 class TestGPUSpecs:
@@ -32,11 +30,6 @@ class TestGPUSpecs:
 
     def test_price_ratio_is_5x(self):
         assert A100_80GB.server_price_usd / RTX_4090.server_price_usd == 5.0
-
-    def test_lookup(self):
-        assert get_gpu("rtx4090") is RTX_4090
-        with pytest.raises(KeyError):
-            get_gpu("h100")
 
 
 class TestClusters:
@@ -88,11 +81,18 @@ class TestCommModel:
 
 
 class TestEfficiency:
+    """Figure 9's SPP curve, read from the artifact that renders it."""
+
+    @staticmethod
+    def _spp_throughput():
+        return [p.relative_throughput for p in fig9.compute() if p.kind == "spp"]
+
     def test_spp8_slowdown_matches_paper(self):
         """Section 7.3: 13B layer slows by ~12.6% at SPP=8."""
-        assert sliced_layer_slowdown(LLAMA_13B, 8) == pytest.approx(1.126, abs=0.01)
+        assert 1 / self._spp_throughput()[-1] == pytest.approx(1.126, abs=0.01)
 
     def test_slowdown_monotone(self):
-        values = [sliced_layer_slowdown(LLAMA_13B, s) for s in (1, 2, 4, 8, 16)]
-        assert values == sorted(values)
+        values = self._spp_throughput()
+        assert len(values) == len(fig9.SIZES)
+        assert values == sorted(values, reverse=True)
         assert values[0] == pytest.approx(1.0)

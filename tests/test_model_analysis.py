@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import (
     MODEL_RULES,
     ModelAnalysisError,
-    analyze_model,
+    analyze_partition,
     analyze_spec,
     ensure_model_verified,
     interface_report,
@@ -53,7 +53,8 @@ class TestCleanGrid:
     def test_live_model_analyzes_clean(self, method, kwargs):
         schedule = built(method, kwargs)
         model = build_model(SPEC, seed=11)
-        report = analyze_model(model, schedule)
+        partition = partition_from_model(model, schedule.problem.num_chunks)
+        report = analyze_partition(partition, schedule)
         assert report.ok, report.render_text()
         assert not report.findings
         assert tuple(report.checked_rules) == MODEL_RULES

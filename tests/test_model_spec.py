@@ -64,13 +64,6 @@ class TestValidation:
 
 
 class TestPipelineHelpers:
-    def test_max_stages_vpp_limits_13b(self):
-        # 40 slots: with v=2 the max even split is p=4 stages of 5-layer
-        # chunks... p*v must divide 40; largest p with p*2 | 40 is 20,
-        # but Section 7.2 uses the practical constraint p power-of-two.
-        assert LLAMA_13B.max_pipeline_stages(1) == 40
-        assert LLAMA_13B.max_pipeline_stages(2) == 20
-
     def test_tiny_spec_valid(self):
         t = tiny_spec()
         assert t.total_params() > 0

@@ -169,7 +169,7 @@ def snapshot(name):
     result = simulate_with_network(schedule, cost, network)
     ops = hashlib.sha256()
     for stage in range(schedule.problem.num_stages):
-        for op in schedule.stage_ops(stage):
+        for op in schedule.programs[stage].ops:
             record = result.records[op]
             ops.update(f"{record.start.hex()} {record.end.hex()}\n".encode())
     stages = hashlib.sha256(result.bubble_ratio.hex().encode())

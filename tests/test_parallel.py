@@ -9,7 +9,6 @@ from repro.parallel import (
     COMM_RANKING,
     ParallelConfig,
     cp_layer_comm_bytes,
-    dp_grad_sync_bytes,
     enumerate_configs,
     pp_boundary_bytes,
     tp_layer_comm_bytes,
@@ -32,10 +31,6 @@ class TestParallelConfig:
     def test_micro_batches_indivisible_raises(self):
         with pytest.raises(ValueError):
             ParallelConfig(dp=3, pp=1).micro_batches(32)
-
-    def test_tokens_per_worker_slice(self):
-        cfg = ParallelConfig(dp=2, pp=8, cp=2, spp=2)
-        assert cfg.tokens_per_worker_slice(LLAMA_13B) == 1024
 
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError):
@@ -92,11 +87,6 @@ class TestCommVolumes:
         spp = ParallelConfig(dp=8, pp=8, spp=4)
         assert cp_layer_comm_bytes(LLAMA_13B, spp) == 0
         assert pp_boundary_bytes(LLAMA_13B, spp) == pp_boundary_bytes(LLAMA_13B, base) // 4
-
-    def test_dp_sync_scales_with_stage_params(self):
-        small = dp_grad_sync_bytes(LLAMA_13B, ParallelConfig(dp=4, pp=16))
-        large = dp_grad_sync_bytes(LLAMA_13B, ParallelConfig(dp=4, pp=8))
-        assert large == 2 * small
 
 
 class TestGrid:

@@ -258,7 +258,7 @@ class TestFailureHandling:
         model = build_model(SPEC, seed=11)
         PipelineRuntime(model, tokens, targets).run(schedule)  # nonzero grads
         before = grad_bytes(model)
-        program = schedule.stage_ops(1)
+        program = schedule.programs[1].ops
         first_w = next(i for i, op in enumerate(program) if op.kind is OpKind.W)
         # An F/B op (a run-ahead W is skipped at its program position,
         # and the fault with it) after the stage's first weight update.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.model import LLAMA_7B, tiny_spec
 from repro.schedules.partition import (
-    SlicePlan,
     balanced_plan,
     compare_plans,
     shape_penalty,
@@ -80,7 +79,7 @@ class TestSection5Claim:
         'training models with a context longer than 128,000 tokens')."""
         spec = replace(LLAMA_7B, seq_length=131072)
         c = compare_plans(spec, 8, granularity=2048, irregular_penalty=1.25)
-        assert c.balanced_wins
+        assert c.balanced_bottleneck < c.uniform_bottleneck
         assert c.uniform_bottleneck / c.balanced_bottleneck > 1.15
 
     def test_gain_grows_with_context(self):

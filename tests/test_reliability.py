@@ -12,10 +12,8 @@ from repro.reliability import (
     InjectedFault,
     ReliabilityModel,
     TrainingDriver,
-    load_checkpoint,
     restore_checkpoint,
     rtx4090_thousand_gpu_model,
-    save_checkpoint,
     scaled_mtbf,
     take_checkpoint,
 )
@@ -51,20 +49,6 @@ class TestCheckpointRoundtrip:
         for key, value in model.named_params().items():
             assert np.array_equal(value, before[key])
         assert optimizer.step_count == 1
-
-    def test_disk_roundtrip(self, tmp_path):
-        model, optimizer, step_fn = make_training()
-        step_fn(model)
-        optimizer.step()
-        snapshot = take_checkpoint(model, optimizer, step=1)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(snapshot, path)
-        loaded = load_checkpoint(path)
-        assert loaded.step == 1 and loaded.adam_step == 1
-        for key, value in snapshot.params.items():
-            assert np.array_equal(loaded.params[key], value)
-        for key, value in snapshot.adam_v.items():
-            assert np.array_equal(loaded.adam_v[key], value)
 
 
 class TestFaultInjection:

@@ -13,7 +13,7 @@ from repro.schedules import (
     StageProgram,
     build_problem,
     build_schedule,
-    validate_schedule,
+    ensure_verified,
 )
 
 
@@ -138,7 +138,7 @@ class TestValidation:
             StageProgram(1, [OpId(OpKind.F, 0, 0, 1), OpId(OpKind.B, 0, 0, 1),
                              OpId(OpKind.F, 1, 0, 1), OpId(OpKind.B, 1, 0, 1)]),
         ]
-        validate_schedule(Schedule(pr, programs))
+        ensure_verified(Schedule(pr, programs))
 
     def test_missing_op_detected(self):
         pr = self._problem()
@@ -147,7 +147,7 @@ class TestValidation:
             StageProgram(1, [OpId(OpKind.F, 0, 0, 1), OpId(OpKind.B, 0, 0, 1)]),
         ]
         with pytest.raises(ScheduleError, match="mismatch"):
-            validate_schedule(Schedule(pr, programs))
+            ensure_verified(Schedule(pr, programs))
 
     def test_wrong_stage_detected(self):
         pr = self._problem()
@@ -156,7 +156,7 @@ class TestValidation:
             StageProgram(1, []),
         ]
         with pytest.raises(ScheduleError, match="stage"):
-            validate_schedule(Schedule(pr, programs))
+            ensure_verified(Schedule(pr, programs))
 
     def test_deadlock_detected(self):
         pr = self._problem()
@@ -168,14 +168,14 @@ class TestValidation:
                              OpId(OpKind.B, 0, 0, 1), OpId(OpKind.F, 1, 0, 1)]),
         ]
         with pytest.raises(ScheduleError, match="deadlock"):
-            validate_schedule(Schedule(pr, programs))
+            ensure_verified(Schedule(pr, programs))
 
     def test_duplicate_detected(self):
         pr = PipelineProblem(num_stages=1, num_microbatches=1)
         programs = [StageProgram(0, [OpId(OpKind.F, 0, 0, 0),
                                      OpId(OpKind.F, 0, 0, 0)])]
         with pytest.raises(ScheduleError, match="duplicate"):
-            validate_schedule(Schedule(pr, programs))
+            ensure_verified(Schedule(pr, programs))
 
 
 class TestScheduleIsAValue:
@@ -187,7 +187,7 @@ class TestScheduleIsAValue:
         ops.reverse()
         programs.clear()
         assert sched.programs == (StageProgram(0, tuple(ops[::-1])),)
-        assert sched.stage_ops(0) == tuple(ops[::-1])
+        assert sched.programs[0].ops == tuple(ops[::-1])
 
     @pytest.mark.parametrize("method", ["dapple", "mepipe"],
                              ids=["explicit", "greedy"])

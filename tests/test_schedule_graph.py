@@ -53,7 +53,7 @@ def test_dense_layout_is_stage_major_program_order():
     graph = compiled_graph(schedule)
     assert graph.num_ops == len(schedule.problem.all_ops())
     for stage, (lo, hi) in enumerate(graph.stage_bounds):
-        assert graph.ops[lo:hi] == schedule.stage_ops(stage)
+        assert graph.ops[lo:hi] == schedule.programs[stage].ops
         for offset, i in enumerate(range(lo, hi)):
             assert graph.stage[i] == stage
             assert graph.pos[i] == offset

@@ -15,6 +15,7 @@ import json
 import socket
 import time
 from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +336,48 @@ def test_mistyped_shape_over_http_is_400(tmp_path, monkeypatch):
         ).encode()
         raw = (
             f"POST /v1/verify HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        status, payload = assert_structured(exchange(harness, raw))
+    finally:
+        harness.shutdown()
+    assert (status, payload["code"]) == (400, "bad-request")
+
+
+# ----------------------------------------------------------------------
+# JSON null: accepted only where the field admits None
+# ----------------------------------------------------------------------
+def required_fields(cls) -> list[str]:
+    """The fields of ``cls`` whose type does not admit ``None``."""
+    hints = get_type_hints(cls)
+    return [
+        f.name
+        for f in fields(cls)
+        if type(None) not in getattr(hints[f.name], "__args__", ())
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls,name",
+    [
+        (cls, name)
+        for cls in (*(REQUESTS[kind] for kind in sorted(REQUESTS)), ShapeSpec)
+        for name in required_fields(cls)
+    ],
+    ids=lambda val: getattr(val, "__name__", val),
+)
+def test_null_in_a_required_field_is_a_request_error(cls, name):
+    with pytest.raises(RequestError, match="got null") as caught:
+        cls.from_dict({name: None})
+    assert caught.value.http_status == 400
+
+
+def test_null_method_over_http_is_400(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    harness = ServiceHarness(ServiceConfig(port=0))
+    try:
+        body = b'{"method": null}'
+        raw = (
+            f"POST /v1/evaluate HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
         ).encode() + body
         status, payload = assert_structured(exchange(harness, raw))
     finally:

@@ -8,13 +8,13 @@ from repro.schedules import (
     build_problem,
     build_schedule,
     default_first_stage_cap,
+    ensure_verified,
     mepipe_problem,
     mepipe_schedule,
     min_first_stage_cap,
     svpp_problem,
     svpp_schedule,
     svpp_variants,
-    validate_schedule,
 )
 from repro.sim import UniformCost, simulate
 
@@ -22,7 +22,7 @@ from repro.sim import UniformCost, simulate
 def run_svpp(p, n, s, v=1, f=None, **cost_kwargs):
     problem = svpp_problem(p, n, s, virtual_size=v)
     schedule = svpp_schedule(problem, forwards_before_first_backward=f)
-    validate_schedule(schedule)
+    ensure_verified(schedule)
     return simulate(schedule, UniformCost(problem, **cost_kwargs))
 
 
@@ -131,7 +131,7 @@ class TestVariants:
             problem = svpp_problem(4, 3, 2, virtual_size=v)
             for f in svpp_variants(problem):
                 schedule = svpp_schedule(problem, forwards_before_first_backward=f)
-                validate_schedule(schedule)
+                ensure_verified(schedule)
 
 
 class TestBackwardRescheduling:
@@ -164,7 +164,7 @@ class TestMEPipe:
     def test_schedules_validate(self):
         problem = mepipe_problem(4, 4, 2, wgrad_gemms=4)
         for fg in (True, False):
-            validate_schedule(
+            ensure_verified(
                 mepipe_schedule(problem, fine_grained_wgrad=fg))
 
     def test_fine_grained_beats_immediate(self):
@@ -180,7 +180,7 @@ class TestMEPipe:
         problem = mepipe_problem(2, 2, 2, wgrad_gemms=3)
         schedule = mepipe_schedule(problem)
         from repro.schedules import OpKind
-        w = [op for s in range(2) for op in schedule.stage_ops(s)
+        w = [op for s in range(2) for op in schedule.programs[s].ops
              if op.kind is OpKind.W]
         assert len(w) == 2 * 2 * 2 * 3
 

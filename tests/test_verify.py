@@ -2,9 +2,8 @@
 
 Covers the diagnostics framework, every rule in the catalogue with a
 hand-seeded defect, the deadlock/channel witnesses, the closed-form
-cross-check, the legacy ``validate_schedule`` wrapper, the verified
-cache, the CLI, and the golden sweep: every shipped schedule verifies
-error-clean across the acceptance grid.
+cross-check, the verified cache, the CLI, and the golden sweep: every
+shipped schedule verifies error-clean across the acceptance grid.
 """
 
 import json
@@ -25,7 +24,6 @@ from repro.schedules import (
     build_problem,
     build_schedule,
     dapple_schedule,
-    validate_schedule,
 )
 from repro.schedules.verify import (
     ALL_RULES,
@@ -110,7 +108,7 @@ class TestDiagnostics:
 
     def test_report_json_round_trip(self):
         rep = verify_schedule(small_dapple(), method="dapple")
-        data = json.loads(rep.render_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["ok"] is True
         assert data["schedule"] == rep.schedule_name
         assert list(data["checked_rules"]) == list(ALL_RULES)
@@ -337,17 +335,17 @@ class TestEnforcement:
         rep = verify_schedule(draft.build(), rules=("LV002",))
         assert rep.rule_ids() == {"LV002"}
 
-    def test_validate_schedule_wrapper_raises_schedule_error(self):
+    def test_ensure_verified_raises_schedule_error(self):
         draft = Draft(small_dapple())
         draft.ops[0].append(draft.ops[0][0])
         with pytest.raises(ScheduleError, match="duplicate"):
-            validate_schedule(draft.build())
+            ensure_verified(draft.build())
 
-    def test_validate_schedule_deadlock_message_has_witness(self):
+    def test_ensure_verified_deadlock_message_has_witness(self):
         draft = Draft(small_dapple())
         swap_dependent_pair(draft)
         with pytest.raises(ScheduleError, match="minimal blocking cycle"):
-            validate_schedule(draft.build())
+            ensure_verified(draft.build())
 
     def test_ensure_verified_caches_then_invalidates(self, monkeypatch):
         import repro.schedules.verify.core as core

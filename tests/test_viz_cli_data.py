@@ -7,7 +7,7 @@ from repro.cli import build_parser, main
 from repro.data import token_batches
 from repro.schedules import build_problem, build_schedule
 from repro.sim import UniformCost, simulate
-from repro.viz import render_program, render_timeline
+from repro.viz import render_timeline
 
 
 class TestTimeline:
@@ -36,10 +36,6 @@ class TestTimeline:
         result = simulate(build_schedule("zb", problem),
                           UniformCost(problem, tw=1.0))
         assert "w" in render_timeline(result, width=60)
-
-    def test_render_program_lists_ops(self):
-        text = render_program(self._result(), 0, limit=3)
-        assert text.startswith("F0.0c0@")
 
 
 class TestCLI:

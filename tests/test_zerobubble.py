@@ -8,9 +8,9 @@ from repro.schedules import (
     analyze,
     build_problem,
     build_schedule,
+    ensure_verified,
     hanayo_problem,
     hanayo_schedule,
-    validate_schedule,
     zb_problem,
     zb_schedule,
     zbv_problem,
@@ -23,7 +23,7 @@ class TestZB:
     def _run(self, p, n):
         problem = zb_problem(p, n)
         schedule = zb_schedule(problem)
-        validate_schedule(schedule)
+        ensure_verified(schedule)
         # Split backward: B carries the dgrad half, W the wgrad half.
         return simulate(schedule, UniformCost(problem, tf=1, tb=1, tw=1))
 
@@ -52,7 +52,7 @@ class TestZB:
         schedule = zb_schedule(problem)
         for stage in range(4):
             seen_b = set()
-            for op in schedule.stage_ops(stage):
+            for op in schedule.programs[stage].ops:
                 if op.kind is OpKind.B:
                     seen_b.add((op.microbatch, op.slice_idx, op.chunk))
                 elif op.kind is OpKind.W:
@@ -67,7 +67,7 @@ class TestZBV:
     def _run(self, p, n):
         problem = zbv_problem(p, n)
         schedule = zbv_schedule(problem)
-        validate_schedule(schedule)
+        ensure_verified(schedule)
         return simulate(schedule, UniformCost(problem, tf=1, tb=1, tw=1))
 
     def test_lower_bubble_than_zb(self):
@@ -97,7 +97,7 @@ class TestHanayo:
     def _run(self, p, n, waves=2):
         problem = hanayo_problem(p, n, waves=waves)
         schedule = hanayo_schedule(problem)
-        validate_schedule(schedule)
+        ensure_verified(schedule)
         return simulate(schedule, UniformCost(problem, tb=1))
 
     def test_bubble_matches_table3(self):
